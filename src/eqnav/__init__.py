@@ -68,7 +68,6 @@ from .sim import (
 )
 from .transition import (
     PsiIntegrals,
-    QuadratureNotConverged,
     TransitionBlocks,
     gamma_integrals_check,
     phi_left,

@@ -316,6 +316,10 @@ def run(
     NonMonotonicTime
         If either stream is not strictly increasing in time, with the
         offending epoch named.
+    ValueError
+        If a GNSS fix has no IMU epoch within ``time_slop``, if two fixes
+        map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
+        more than one turn over an IMU interval), with the epoch named.
     """
     for name, times in (("imu", [s.t for s in imu]), ("gnss", [f.t for f in gnss])):
         for a, b in zip(times[:-1], times[1:]):
@@ -348,6 +352,11 @@ def run(
         if abs(imu_times[idx] - fix.t) > time_slop:
             raise ValueError(
                 f"no IMU epoch within {time_slop} s of GNSS fix at t={fix.t}"
+            )
+        if idx in fixes_at:
+            raise ValueError(
+                f"GNSS fixes at t={fixes_at[idx].t} and t={fix.t} both map to "
+                f"IMU epoch t={imu_times[idx]}"
             )
         fixes_at[idx] = fix
 

@@ -31,6 +31,7 @@ __all__ = [
     "compose",
     "gamma",
     "gamma0_deviation",
+    "gamma_stack",
     "hat",
     "identity_element",
     "inverse",
@@ -43,16 +44,9 @@ __all__ = [
     "vee",
 ]
 
-# Closed-form Gamma coefficients lose digits to cancellation at small
-# angles; below these per-coefficient thresholds the truncated even series
-# is used instead.  The windows widen with the order of the cancellation:
-# the Gamma_2/Gamma_3 closed forms subtract to O(theta^4)/O(theta^5)
-# remainders, so their relative error grows like eps/theta^4 and the series
-# (error ~ theta^10 / 9e10) is the more accurate branch up to theta ~ 0.5.
+# Small-angle switch of so3_log (and its margin below the half-turn) and of
+# the Gamma coefficient c_1 below.
 SMALL_ANGLE = 1e-4
-_SMALL_COS = 1e-2
-_SMALL_TMS = 1e-2
-_SMALL_Q = 0.5
 
 _ROTATION_TOL = 1e-9
 
@@ -100,67 +94,39 @@ def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
 
 # --- Gamma function family ------------------------------------------------
 #
-# Gamma_m(phi) = lead_m*I + a_m(theta)*phi^ + b_m(theta)*phi^^2, theta=|phi|.
-# The scalar coefficients below are the closed forms and their small-angle
-# series (four terms, accurate to O(theta^8)).
+# Gamma_m(phi) = I/m! + c_{m+1}(theta) phi^ + c_{m+2}(theta) phi^^2 with
+# theta = |phi| and the scalar family
+#
+#     c_j(theta) = sum_k (-1)^k theta^(2k) / (2k+j)!,
+#
+# whose closed forms follow from c_0 = cos(theta), c_1 = sin(theta)/theta and
+# the recurrence c_j = 1/j! - theta^2 c_{j+2}.  Each recurrence step cancels
+# to a remainder theta^2 smaller, so the closed form of c_j has relative error
+# ~ eps/theta^2 for j = 2, 3 and ~ eps/theta^4 for j = 4, 5.  Below the
+# per-order threshold in _SERIES_BELOW the truncated series (error
+# ~ theta^10/(10+j)!) is the more accurate branch.
 
-
-def _coef_sin(t2: float, theta: float) -> float:
-    # sin(theta)/theta
-    if theta < SMALL_ANGLE:
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-    return math.sin(theta) / theta
-
-
-def _coef_cos(t2: float, theta: float) -> float:
-    # (1 - cos(theta)) / theta^2
-    if theta < _SMALL_COS:
-        return 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
-    return (1.0 - math.cos(theta)) / t2
-
-
-def _coef_tms(t2: float, theta: float) -> float:
-    # (theta - sin(theta)) / theta^3
-    if theta < _SMALL_TMS:
-        return 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 * t2 * t2 / 362880.0
-    return (theta - math.sin(theta)) / (t2 * theta)
-
-
-def _coef_q2(t2: float, theta: float) -> float:
-    # (theta^2 + 2 cos(theta) - 2) / (2 theta^4)
-    if theta < _SMALL_Q:
-        t4 = t2 * t2
-        return (
-            1.0 / 24.0
-            - t2 / 720.0
-            + t4 / 40320.0
-            - t4 * t2 / 3628800.0
-            + t4 * t4 / 479001600.0
-        )
-    return (t2 + 2.0 * math.cos(theta) - 2.0) / (2.0 * t2 * t2)
-
-
-def _coef_q3(t2: float, theta: float) -> float:
-    # (theta^3 - 6 theta + 6 sin(theta)) / (6 theta^5)
-    if theta < _SMALL_Q:
-        t4 = t2 * t2
-        return (
-            1.0 / 120.0
-            - t2 / 5040.0
-            + t4 / 362880.0
-            - t4 * t2 / 39916800.0
-            + t4 * t4 / 6227020800.0
-        )
-    return (t2 * theta - 6.0 * theta + 6.0 * math.sin(theta)) / (6.0 * t2 * t2 * theta)
-
-
-_GAMMA_LEAD = (1.0, 1.0, 0.5, 1.0 / 6.0)
-_GAMMA_COEFS = (
-    (_coef_sin, _coef_cos),
-    (_coef_cos, _coef_tms),
-    (_coef_tms, _coef_q2),
-    (_coef_q2, _coef_q3),
+_SERIES_BELOW = (0.0, SMALL_ANGLE, 1e-2, 1e-2, 0.5, 0.5)  # indexed by j
+_SERIES_TERMS = 5
+_INV_FACTORIAL = tuple(1.0 / math.factorial(j) for j in range(len(_SERIES_BELOW)))
+# Horner coefficients of each series in theta^2, highest order first.
+_SERIES = tuple(
+    tuple((-1) ** k / math.factorial(2 * k + j) for k in reversed(range(_SERIES_TERMS)))
+    for j in range(len(_SERIES_BELOW))
 )
+
+
+def _coef(j: int, t2: float, theta: float) -> float:
+    """Gamma coefficient c_j(theta) for 0 <= j <= 5, given t2 = theta^2."""
+    if theta < _SERIES_BELOW[j]:
+        acc = 0.0
+        for c in _SERIES[j]:
+            acc = acc * t2 + c
+        return acc
+    c = math.sin(theta) / theta if j % 2 else math.cos(theta)
+    for i in range(j % 2, j - 1, 2):
+        c = (_INV_FACTORIAL[i] - c) / t2
+    return c
 
 
 def gamma(m: int, phi: NDArray) -> NDArray:
@@ -187,9 +153,33 @@ def gamma(m: int, phi: NDArray) -> NDArray:
     phi = np.asarray(phi, dtype=float)
     t2 = float(phi @ phi)
     theta = math.sqrt(t2)
-    ca, cb = _GAMMA_COEFS[m]
     px = hat(phi)
-    return _GAMMA_LEAD[m] * np.eye(3) + ca(t2, theta) * px + cb(t2, theta) * (px @ px)
+    return (
+        _INV_FACTORIAL[m] * np.eye(3)
+        + _coef(m + 1, t2, theta) * px
+        + _coef(m + 2, t2, theta) * (px @ px)
+    )
+
+
+def gamma_stack(m: int, w: NDArray, s: NDArray) -> NDArray:
+    """Stack of Gamma_m(w * s_i) over sample points s >= 0, shape (N, 3, 3).
+
+    The axis of ``w`` is shared by every point, so only the two scalar
+    coefficients vary along the stack.
+    """
+    if not 0 <= m <= 3:
+        raise ValueError(f"gamma order must be in 0..3, got {m}")
+    w = np.asarray(w, dtype=float)
+    s = np.asarray(s, dtype=float)
+    wx = hat(w)
+    thetas = (math.sqrt(float(w @ w)) * s).tolist()
+    a = np.array([_coef(m + 1, t * t, t) for t in thetas]) * s
+    b = np.array([_coef(m + 2, t * t, t) for t in thetas]) * (s * s)
+    return (
+        _INV_FACTORIAL[m] * np.eye(3)
+        + a[:, None, None] * wx
+        + b[:, None, None] * (wx @ wx)
+    )
 
 
 def so3_exp(phi: NDArray) -> NDArray:
@@ -208,7 +198,7 @@ def gamma0_deviation(phi: NDArray) -> NDArray:
     t2 = float(phi @ phi)
     theta = math.sqrt(t2)
     px = hat(phi)
-    return _coef_sin(t2, theta) * px + _coef_cos(t2, theta) * (px @ px)
+    return _coef(1, t2, theta) * px + _coef(2, t2, theta) * (px @ px)
 
 
 def so3_log(R: NDArray) -> NDArray:

@@ -9,7 +9,13 @@ For the right-invariant error the estimated rotation evolves inside the
 interval; the blocks below freeze the estimated velocity, position and
 gravitation at the start of the interval, keep the attitude evolution in
 closed Gamma form, and evaluate the two non-collapsible cross integrals by
-adaptive Gauss-Legendre quadrature.
+quadrature.
+
+Both quadratures (``Psi_1``/``Psi_2`` and the right-invariant cross
+integrals) use one fixed 12-node Gauss-Legendre rule.  Their integrands are
+smooth in the rotation angle swept over the interval; up to one full turn
+(2 pi rad) the rule is accurate to near roundoff, and larger rotations per
+interval are rejected with ``ValueError``.
 
 Both matrices have exact identity bias rows and exactly zero blocks where
 the structure demands them, and satisfy ``Phi -> I`` as ``dt -> 0``.
@@ -17,8 +23,8 @@ the structure demands them, and satisfy ``Phi -> I`` as ``dt -> 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,12 +32,11 @@ from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
 from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameMismatch, FrameTag, GroupElement, gamma, hat
+from .liegroup import FrameMismatch, FrameTag, GroupElement, gamma, gamma_stack, hat
 
 __all__ = [
     "GammaIntegralsReport",
     "PsiIntegrals",
-    "QuadratureNotConverged",
     "TransitionBlocks",
     "gamma_integrals_check",
     "phi_left",
@@ -39,10 +44,6 @@ __all__ = [
     "psi_integrals",
     "qd_matrix",
 ]
-
-
-class QuadratureNotConverged(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -65,105 +66,33 @@ class TransitionBlocks:
 
 @dataclass(frozen=True)
 class PsiIntegrals:
-    """Specific-force coupling integrals and their quadrature error estimate."""
+    """Specific-force coupling integrals of the left transition matrix."""
 
     psi1: NDArray
     psi2: NDArray
-    error_estimate: float
 
 
-# --- vectorized Gamma evaluation and quadrature -----------------------------
+# --- quadrature ---------------------------------------------------------------
+
+# Largest rotation (rad) the integrands may sweep over one interval.
+MAX_INTERVAL_ROTATION = 2.0 * math.pi
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int) -> tuple[NDArray, NDArray]:
-    return np.polynomial.legendre.leggauss(n)
+def _gl_rule(dt: float, rotation: float, name: str) -> tuple[NDArray, NDArray]:
+    """12-point Gauss-Legendre nodes and weights on [0, dt].
 
-
-_GAMMA_LEADS = (1.0, 1.0, 0.5, 1.0 / 6.0)
-
-
-def _vec_sin(theta: NDArray, t2: NDArray) -> NDArray:
-    small = theta < 1e-4
-    safe = np.where(small, 1.0, theta)
-    return np.where(
-        small, 1.0 - t2 / 6.0 + t2**2 / 120.0 - t2**3 / 5040.0, np.sin(theta) / safe
-    )
-
-
-def _vec_cos(theta: NDArray, t2: NDArray) -> NDArray:
-    small = theta < 1e-2
-    safe = np.where(small, 1.0, theta)
-    return np.where(
-        small,
-        0.5 - t2 / 24.0 + t2**2 / 720.0 - t2**3 / 40320.0,
-        (1.0 - np.cos(theta)) / safe**2,
-    )
-
-
-def _vec_tms(theta: NDArray, t2: NDArray) -> NDArray:
-    small = theta < 1e-2
-    safe = np.where(small, 1.0, theta)
-    return np.where(
-        small,
-        1.0 / 6.0 - t2 / 120.0 + t2**2 / 5040.0 - t2**3 / 362880.0,
-        (theta - np.sin(theta)) / safe**3,
-    )
-
-
-def _vec_q2(theta: NDArray, t2: NDArray) -> NDArray:
-    small = theta < 0.5
-    safe = np.where(small, 1.0, theta)
-    return np.where(
-        small,
-        1.0 / 24.0
-        - t2 / 720.0
-        + t2**2 / 40320.0
-        - t2**3 / 3628800.0
-        + t2**4 / 479001600.0,
-        (t2 + 2.0 * np.cos(theta) - 2.0) / (2.0 * safe**4),
-    )
-
-
-def _vec_q3(theta: NDArray, t2: NDArray) -> NDArray:
-    small = theta < 0.5
-    safe = np.where(small, 1.0, theta)
-    return np.where(
-        small,
-        1.0 / 120.0
-        - t2 / 5040.0
-        + t2**2 / 362880.0
-        - t2**3 / 39916800.0
-        + t2**4 / 6227020800.0,
-        (t2 * theta - 6.0 * theta + 6.0 * np.sin(theta)) / (6.0 * safe**5),
-    )
-
-
-_VEC_COEFS = (
-    (_vec_sin, _vec_cos),
-    (_vec_cos, _vec_tms),
-    (_vec_tms, _vec_q2),
-    (_vec_q2, _vec_q3),
-)
-
-
-def _gamma_coefs_vec(m: int, theta: NDArray) -> tuple[NDArray, NDArray]:
-    """Scalar coefficient pair (a, b) of Gamma_m for an array of angles."""
-    t2 = theta * theta
-    fa, fb = _VEC_COEFS[m]
-    return fa(theta, t2), fb(theta, t2)
-
-
-def _gamma_scaled(m: int, w: NDArray, s: NDArray) -> NDArray:
-    """Stack of Gamma_m(w * s_i) over the sample points s, shape (N, 3, 3)."""
-    wx = hat(w)
-    wx2 = wx @ wx
-    theta = np.linalg.norm(w) * s
-    a, b = _gamma_coefs_vec(m, theta)
-    out = _GAMMA_LEADS[m] * np.broadcast_to(np.eye(3), (s.size, 3, 3)).copy()
-    out += (a * s)[:, None, None] * wx
-    out += (b * s * s)[:, None, None] * wx2
-    return out
+    ``rotation`` is the largest angle the integrands turn through over the
+    interval; beyond :data:`MAX_INTERVAL_ROTATION` (or if it is not finite)
+    the fixed rule no longer resolves them and ``ValueError`` is raised.
+    """
+    if not rotation <= MAX_INTERVAL_ROTATION:
+        raise ValueError(
+            f"{name}: rotation {rotation:.6g} rad over dt={dt} s exceeds "
+            f"{MAX_INTERVAL_ROTATION:.6g} rad (one turn) per interval"
+        )
+    return 0.5 * dt * (_GL_NODES + 1.0), 0.5 * dt * _GL_WEIGHTS
 
 
 def _hat_stack(vecs: NDArray) -> NDArray:
@@ -179,72 +108,39 @@ def _hat_stack(vecs: NDArray) -> NDArray:
     return out
 
 
-_QUAD_ORDERS = (8, 12, 16, 24, 32, 48, 64, 96, 128)
-
-
-def _adaptive_quad(integrands, dt: float, tol: float):
-    """Integrate a family of matrix integrands over [0, dt] adaptively.
-
-    ``integrands(s)`` maps an (N,) array of nodes to a list of (N, 3, 3)
-    stacks.  Returns (list of 3x3 integrals, error estimate).
-    """
-    prev = None
-    for n in _QUAD_ORDERS:
-        nodes, weights = _gl_nodes(n)
-        s = 0.5 * dt * (nodes + 1.0)
-        w = 0.5 * dt * weights
-        vals = [
-            np.einsum("n,nij->ij", w, stack) for stack in integrands(s)
-        ]
-        if prev is not None:
-            err = max(
-                float(np.max(np.abs(a - b))) for a, b in zip(vals, prev)
-            )
-            if err <= tol:
-                return vals, err
-        prev = vals
-    raise QuadratureNotConverged(
-        f"quadrature error {err:.3e} above tolerance {tol:.3e} at order {n}"
-    )
-
-
-def psi_integrals(
-    omega: NDArray, f: NDArray, dt: float, tol: float | None = None
-) -> PsiIntegrals:
+def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     """Specific-force coupling integrals of the left transition matrix.
 
     ``Psi_1 = int_0^dt (Gamma_0(w s) f)^ Gamma_1(w s) s ds`` and
     ``Psi_2 = int_0^dt Psi_1(s) ds``, the latter computed as the
-    equivalent single integral with weight ``(dt - s)``.
+    equivalent single integral with weight ``(dt - s)``, both by the fixed
+    12-node Gauss-Legendre rule.
 
     Raises
     ------
-    QuadratureNotConverged
-        If the adaptive rule cannot reach the tolerance
-        (default ``1e-12 * max(1, |f| dt^2)``).
+    ValueError
+        If ``dt <= 0``, or if the rotation ``|w| dt`` over the interval
+        exceeds :data:`MAX_INTERVAL_ROTATION` (one turn).
     """
     if dt <= 0.0:
         raise ValueError("psi_integrals requires dt > 0")
     omega = np.asarray(omega, dtype=float)
     f = np.asarray(f, dtype=float)
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.linalg.norm(f)) * dt * dt)
+    s, w = _gl_rule(dt, float(np.linalg.norm(omega)) * dt, "psi_integrals")
 
-    def integrands(s: NDArray):
-        g0 = _gamma_scaled(0, omega, s)
-        g1 = _gamma_scaled(1, omega, s)
-        rotated_f = _hat_stack(np.einsum("nij,j->ni", g0, f))
-        base = np.einsum("nij,njk->nik", rotated_f, g1) * s[:, None, None]
-        return [base, (dt - s)[:, None, None] * base]
-
-    (psi1, psi2), err = _adaptive_quad(integrands, dt, tol)
-    return PsiIntegrals(psi1, psi2, err)
+    g0 = gamma_stack(0, omega, s)
+    g1 = gamma_stack(1, omega, s)
+    rotated_f = _hat_stack(np.einsum("nij,j->ni", g0, f))
+    base = np.einsum("nij,njk->nik", rotated_f, g1) * s[:, None, None]
+    psi1 = np.einsum("n,nij->ij", w, base)
+    psi2 = np.einsum("n,nij->ij", w, (dt - s)[:, None, None] * base)
+    return PsiIntegrals(psi1, psi2)
 
 
 # --- transition matrices -----------------------------------------------------
 
 
-def phi_left(imu: ImuSample, dt: float, tol: float | None = None) -> TransitionBlocks:
+def phi_left(imu: ImuSample, dt: float) -> TransitionBlocks:
     """Analytic left-invariant transition matrix over one sample interval.
 
     Depends only on the (bias-corrected) gyro and accelerometer readings and
@@ -257,7 +153,7 @@ def phi_left(imu: ImuSample, dt: float, tol: float | None = None) -> TransitionB
     g0t = gamma(0, theta).T
     g1 = gamma(1, theta)
     g2 = gamma(2, theta)
-    psi = psi_integrals(imu.gyro, imu.accel, dt, tol)
+    psi = psi_integrals(imu.gyro, imu.accel, dt)
 
     m = np.eye(15)
     m[0:3, 0:3] = g0t
@@ -279,7 +175,6 @@ def phi_right(
     imu: ImuSample,
     earth: EarthModel,
     dt: float,
-    tol: float | None = None,
 ) -> TransitionBlocks:
     """Analytic right-invariant transition matrix over one sample interval.
 
@@ -304,28 +199,20 @@ def phi_right(
 
     g1_b = gamma(1, theta_b)
     g2_b = gamma(2, theta_b)
-    if tol is None:
-        scale = max(
-            1.0,
-            float(np.linalg.norm(grav)) * dt * dt,
-            float(np.linalg.norm(xhat.vel)) * dt,
-            float(np.linalg.norm(xhat.pos)) * dt,
-        )
-        tol = 1e-12 * scale
+    rotation = (float(np.linalg.norm(imu.gyro)) + earth.omega_ie) * dt
+    s, w = _gl_rule(dt, rotation, "phi_right")
 
-    def integrands(s: NDArray):
-        g0_es = _gamma_scaled(0, w_e, s)
-        g0_bs = _gamma_scaled(0, imu.gyro, s)
-        g1_bs = _gamma_scaled(1, imu.gyro, s)
-        grav_x = _hat_stack(np.einsum("nij,j->ni", g0_es, grav))
-        vel_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.vel))
-        pos_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.pos))
-        kappa = np.einsum("nij,jk,nkl->nil", grav_x, c0, g1_bs) * s[:, None, None]
-        kappa += np.einsum("nij,jk,nkl->nil", vel_x, c0, g0_bs)
-        pos_term = np.einsum("nij,jk,nkl->nil", pos_x, c0, g0_bs)
-        return [kappa, (dt - s)[:, None, None] * kappa + pos_term]
-
-    (q24, q34), _ = _adaptive_quad(integrands, dt, tol)
+    g0_es = gamma_stack(0, w_e, s)
+    g0_bs = gamma_stack(0, imu.gyro, s)
+    g1_bs = gamma_stack(1, imu.gyro, s)
+    grav_x = _hat_stack(np.einsum("nij,j->ni", g0_es, grav))
+    vel_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.vel))
+    pos_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.pos))
+    kappa = np.einsum("nij,jk,nkl->nil", grav_x, c0, g1_bs) * s[:, None, None]
+    kappa += np.einsum("nij,jk,nkl->nil", vel_x, c0, g0_bs)
+    pos_term = np.einsum("nij,jk,nkl->nil", pos_x, c0, g0_bs)
+    q24 = np.einsum("n,nij->ij", w, kappa)
+    q34 = np.einsum("n,nij->ij", w, (dt - s)[:, None, None] * kappa + pos_term)
 
     m = np.eye(15)
     m[0:3, 0:3] = e
@@ -387,9 +274,9 @@ def gamma_integrals_check(
         raise ValueError("gamma_integrals_check requires dt > 0")
     omega = np.asarray(omega, dtype=float)
     s = np.linspace(0.0, dt, points)
-    g0 = _gamma_scaled(0, omega, s)
-    g1s = _gamma_scaled(1, omega, s) * s[:, None, None]
-    g2s2 = _gamma_scaled(2, omega, s) * (s * s)[:, None, None]
+    g0 = gamma_stack(0, omega, s)
+    g1s = gamma_stack(1, omega, s) * s[:, None, None]
+    g2s2 = gamma_stack(2, omega, s) * (s * s)[:, None, None]
 
     i1 = simpson(g0, x=s, axis=0)
     i2 = simpson(g1s, x=s, axis=0)

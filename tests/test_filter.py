@@ -200,6 +200,29 @@ class TestRun:
             run(imu[:200], [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)),
                 time_slop=1e-6)
 
+    def test_colliding_fixes_rejected(self, scenario, earth):
+        truth, imu = scenario
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0)
+        pos = truth.samples[100][1].pos.copy()
+        fixes = [GnssFix(1.0, pos, np.eye(3)), GnssFix(1.0 + 5e-7, pos, np.eye(3))]
+        with pytest.raises(ValueError) as err:
+            run(imu[:200], fixes, st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+        msg = str(err.value)
+        assert str(fixes[0].t) in msg and str(fixes[1].t) in msg
+        assert f"epoch t={imu[100].t}" in msg
+
+    def test_over_range_interval_names_epoch(self, scenario, earth):
+        # a 2e5 rad/s gyro row turns far more than one turn per 10 ms interval
+        truth, imu = scenario
+        bad = list(imu[:20])
+        bad[10] = ImuSample(bad[10].t, np.array([0.0, 0.0, 2e5]), bad[10].accel)
+        for conv in (RIGHT, LEFT):
+            st = FilterState(
+                truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv
+            )
+            with pytest.raises(ValueError, match=f"t={bad[10].t}"):
+                run(bad, [], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+
     def test_left_right_agree_on_noise_free_data(self, earth):
         spec = TrajectorySpec(
             profile="constant-turn", duration=60.0, imu_rate=50.0, gnss_rate=1.0,

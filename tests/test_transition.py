@@ -10,7 +10,6 @@ import eqnav.liegroup as lg
 from eqnav.errordyn import Convention, NoiseParams, f_matrix, g_matrix
 from eqnav.kinematics import EarthModel, FrameTag, ImuSample
 from eqnav.transition import (
-    QuadratureNotConverged,
     TransitionBlocks,
     gamma_integrals_check,
     phi_left,
@@ -109,24 +108,27 @@ class TestPhiRight:
         c0 = lg.so3_exp(rng.normal(size=3))
         vel, pos = rng.normal(size=3) * 100, rng.normal(size=3) * 1e6
         x = lg.GroupElement(c0, vel, pos, FrameTag.ECEF_IB)
-        imu = ImuSample(0.0, np.array([0.2, -0.1, 0.3]), np.array([1.0, 2.0, -9.0]))
         dt = 0.01
-        theta = imu.gyro * dt
-        blocks = phi_right(x, imu, tiny, dt)
-        np.testing.assert_allclose(blocks.block(0, 0), np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(
-            blocks.block(0, 3), -c0 @ lg.gamma(1, theta) * dt, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            blocks.block(1, 4), c0 @ lg.gamma(1, theta) * dt, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            blocks.block(2, 4), c0 @ lg.gamma(2, theta) * dt * dt, atol=1e-15
-        )
-        assert np.abs(blocks.block(1, 0)).max() <= 1e-300  # gravitation negligible
-        # velocity cross coupling collapses to (v x) C Gamma_1 dt
-        want = lg.hat(vel) @ c0 @ lg.gamma(1, theta) * dt
-        np.testing.assert_allclose(blocks.block(1, 3), want, atol=1e-12)
+        slow = np.array([0.2, -0.1, 0.3])
+        # the second gyro turns through 6 rad in one interval
+        for gyro in (slow, slow * (6.0 / dt / np.linalg.norm(slow))):
+            imu = ImuSample(0.0, gyro, np.array([1.0, 2.0, -9.0]))
+            theta = imu.gyro * dt
+            blocks = phi_right(x, imu, tiny, dt)
+            np.testing.assert_allclose(blocks.block(0, 0), np.eye(3), atol=1e-15)
+            np.testing.assert_allclose(
+                blocks.block(0, 3), -c0 @ lg.gamma(1, theta) * dt, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                blocks.block(1, 4), c0 @ lg.gamma(1, theta) * dt, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                blocks.block(2, 4), c0 @ lg.gamma(2, theta) * dt * dt, atol=1e-15
+            )
+            assert np.abs(blocks.block(1, 0)).max() <= 1e-300  # gravitation negligible
+            # velocity cross coupling collapses to (v x) C Gamma_1 dt
+            want = lg.hat(vel) @ c0 @ lg.gamma(1, theta) * dt
+            np.testing.assert_allclose(blocks.block(1, 3), want, atol=1e-12)
 
     def test_semigroup_stationary(self, earth, stationary):
         x, imu = stationary
@@ -183,22 +185,25 @@ class TestPsiIntegrals:
         assert np.abs(psi.psi1).max() == 0.0 and np.abs(psi.psi2).max() == 0.0
 
     def test_matches_simpson(self, rng):
-        omega = np.array([0.3, -0.2, 0.4])
         f = np.array([1.0, 2.0, -9.0])
         dt = 0.5
         s = np.linspace(0.0, dt, 100_001)
-        vals = np.array(
-            [lg.hat(lg.gamma(0, omega * t) @ f) @ lg.gamma(1, omega * t) * t for t in s]
-        )
-        ref1 = simpson(vals, x=s, axis=0)
-        ref2 = simpson((dt - s)[:, None, None] * vals, x=s, axis=0)
-        psi = psi_integrals(omega, f, dt)
-        assert np.abs(psi.psi1 - ref1).max() <= 1e-11
-        assert np.abs(psi.psi2 - ref2).max() <= 1e-11
+        slow = np.array([0.3, -0.2, 0.4])
+        # |omega| dt = 0.27 rad and 3 rad
+        for omega in (slow, slow * (6.0 / np.linalg.norm(slow))):
+            vals = np.array(
+                [lg.hat(lg.gamma(0, omega * t) @ f) @ lg.gamma(1, omega * t) * t for t in s]
+            )
+            ref1 = simpson(vals, x=s, axis=0)
+            ref2 = simpson((dt - s)[:, None, None] * vals, x=s, axis=0)
+            psi = psi_integrals(omega, f, dt)
+            assert np.abs(psi.psi1 - ref1).max() <= 1e-11
+            assert np.abs(psi.psi2 - ref2).max() <= 1e-11
 
     def test_not_converged_raises(self):
-        with pytest.raises(QuadratureNotConverged):
-            psi_integrals(np.array([0.0, 0.0, 900.0]), np.ones(3), 1.0, tol=1e-300)
+        # 900 rad in one interval: beyond the one-turn domain of the fixed rule
+        with pytest.raises(ValueError, match="rotation"):
+            psi_integrals(np.array([0.0, 0.0, 900.0]), np.ones(3), 1.0)
 
 
 class TestQdMatrix:
