@@ -37,6 +37,7 @@ from .kinematics import (
     frame_translation,
     integrate_imu,
     lift,
+    midpoint_step,
     velocity_action,
 )
 from .liegroup import (

@@ -202,7 +202,12 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _read_csv(path: Path, expect_header: str) -> list[list[float]]:
+def _read_csv(path: Path, expect_header: str, make) -> list:
+    """Rows of a CSV stream, each list of floats passed through ``make``.
+
+    A malformed row, or one that ``make`` rejects with ``ValueError``,
+    raises :class:`ConfigError` citing ``path:line``.
+    """
     rows = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -216,9 +221,13 @@ def _read_csv(path: Path, expect_header: str) -> list[list[float]]:
             if len(parts) != want:
                 raise ConfigError(f"{path}:{lineno}: expected {want} columns")
             try:
-                rows.append([float(p) for p in parts])
+                values = [float(p) for p in parts]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad float: {exc}") from exc
+            try:
+                rows.append(make(values))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 
@@ -270,36 +279,31 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _load_streams(cfg: RunConfig, out: Path):
-    imu_rows = _read_csv(out / "imu.csv", IMU_HEADER)
-    imu = [ImuSample(r[0], np.array(r[1:4]), np.array(r[4:7])) for r in imu_rows]
-    gnss_rows = _read_csv(out / "gnss.csv", GNSS_HEADER)
-    gnss = []
-    for r in gnss_rows:
-        cov = np.array(
-            [
-                [r[4], r[7], r[8]],
-                [r[7], r[5], r[9]],
-                [r[8], r[9], r[6]],
-            ]
-        )
-        gnss.append(GnssFix(r[0], np.array(r[1:4]), cov))
-    truth = None
-    truth_path = out / "truth.csv"
-    if truth_path.exists():
-        rows = _read_csv(truth_path, TRUTH_HEADER)
-        truth = [
-            (
-                r[0],
-                GroupElement(
-                    np.array(r[1:10]).reshape(3, 3),
-                    np.array(r[10:13]),
-                    np.array(r[13:16]),
-                    FrameTag.ECEF_IB,
-                ),
-            )
-            for r in rows
+def _imu_row(r: list[float]) -> ImuSample:
+    return ImuSample(r[0], np.array(r[1:4]), np.array(r[4:7]))
+
+
+def _gnss_row(r: list[float]) -> GnssFix:
+    cov = np.array(
+        [
+            [r[4], r[7], r[8]],
+            [r[7], r[5], r[9]],
+            [r[8], r[9], r[6]],
         ]
+    )
+    return GnssFix(r[0], np.array(r[1:4]), cov)
+
+
+def _truth_row(r: list[float]) -> tuple[float, GroupElement]:
+    rot = np.array(r[1:10]).reshape(3, 3)
+    return r[0], GroupElement(rot, np.array(r[10:13]), np.array(r[13:16]), FrameTag.ECEF_IB)
+
+
+def _load_streams(cfg: RunConfig, out: Path):
+    imu = _read_csv(out / "imu.csv", IMU_HEADER, _imu_row)
+    gnss = _read_csv(out / "gnss.csv", GNSS_HEADER, _gnss_row)
+    truth_path = out / "truth.csv"
+    truth = _read_csv(truth_path, TRUTH_HEADER, _truth_row) if truth_path.exists() else None
     return imu, gnss, truth
 
 
@@ -320,16 +324,21 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
             FrameTag.ECEF_IB,
         )
     state0 = FilterState(x0, np.zeros(3), np.zeros(3), cfg.initial_cov(), imu[0].t, cfg.conv())
-    records = run(
-        imu,
-        gnss,
-        state0,
-        cfg.noise(),
-        earth,
-        cfg.lever(),
-        truth=truth,
-        time_slop=cfg.time_slop,
-    )
+    try:
+        records = run(
+            imu,
+            gnss,
+            state0,
+            cfg.noise(),
+            earth,
+            cfg.lever(),
+            truth=truth,
+            time_slop=cfg.time_slop,
+        )
+    except ValueError as exc:  # LinAlgError included
+        raise ConfigError(
+            f"filter run on {out / 'imu.csv'} and {out / 'gnss.csv'} failed: {exc}"
+        ) from exc
 
     nav_header = (
         TRUTH_HEADER

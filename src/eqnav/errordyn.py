@@ -211,7 +211,6 @@ def apply_feedback(
     else:
         eta = GroupElement(so3_exp(dx.phi), dx.jrho_v, dx.jrho_r)
         corrected = compose(xhat, eta)
-    corrected = GroupElement(corrected.rot, corrected.vel, corrected.pos, xhat.frame)
     return corrected, np.asarray(bg) + dx.db_g, np.asarray(ba) + dx.db_a
 
 

@@ -23,13 +23,7 @@ from .errordyn import (
     g_matrix,
     h_matrix,
 )
-from .kinematics import (
-    EarthModel,
-    ImuSample,
-    NonMonotonicTime,
-    build_dynamics,
-    flow,
-)
+from .kinematics import EarthModel, ImuSample, NonMonotonicTime, midpoint_step
 from .liegroup import FrameMismatch, FrameTag, GroupElement
 from .transition import phi_left, phi_right, qd_matrix
 
@@ -117,11 +111,11 @@ def predict(
 ) -> FilterState:
     """Propagate mean and covariance to the IMU sample time.
 
-    The mean advances with the exact group flow of the ECEF_IB pair built
-    from bias-corrected rates (with a midpoint rebuild of the
-    state-dependent columns); the covariance advances with the analytic
-    transition matrix of the state convention and the trapezoidal discrete
-    process noise.  Biases are random constants between updates.
+    The mean advances by one ECEF_IB :func:`~eqnav.kinematics.midpoint_step`
+    with the bias-corrected rates (the step ``integrate_imu`` takes); the
+    covariance advances with the analytic transition matrix of the state
+    convention and the trapezoidal discrete process noise.  Biases are random
+    constants between updates.
 
     When ``imu_prev`` is given, the interval uses trapezoidal averaging of
     the two samples' rates (second-order input handling for batch runs).
@@ -138,18 +132,15 @@ def predict(
     if dt == 0.0:
         return state
 
+    gyro, accel = imu.gyro, imu.accel
     if imu_prev is not None:
         gyro = 0.5 * (imu_prev.gyro + imu.gyro)
         accel = 0.5 * (imu_prev.accel + imu.accel)
-    else:
-        gyro = imu.gyro
-        accel = imu.accel
     corrected = ImuSample(state.t, gyro - state.bg, accel - state.ba)
 
-    pair = build_dynamics(FrameTag.ECEF_IB, state.x, corrected, earth)
-    half = flow(state.x, pair, 0.5 * dt)
-    pair_mid = build_dynamics(FrameTag.ECEF_IB, half, corrected, earth)
-    x_new = flow(state.x, pair_mid, dt)
+    x_new = midpoint_step(
+        FrameTag.ECEF_IB, state.x, corrected.gyro, corrected.accel, dt, earth
+    )
 
     if state.convention is Convention.RIGHT_INVARIANT:
         phi = phi_right(state.x, corrected, earth, dt)

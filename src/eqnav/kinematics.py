@@ -57,6 +57,7 @@ __all__ = [
     "frame_translation",
     "integrate_imu",
     "lift",
+    "midpoint_step",
     "velocity_action",
 ]
 
@@ -294,6 +295,24 @@ def _input_matrix(omega: NDArray, col_v: NDArray, col_r: NDArray) -> NDArray:
     return m
 
 
+def _w2(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel):
+    """W2 of the variant at the state columns as (rate, vel column, pos column)."""
+    if frame is FrameTag.ECEF_EB:
+        w_ie = earth.omega_vec
+        g = earth.gravity_ecef(pos)
+        return -w_ie, g - np.cross(w_ie, vel), vel + np.cross(w_ie, pos)
+    if frame is FrameTag.ECEF_IB:
+        return -earth.omega_vec, earth.gravitation_ecef(pos), vel
+    lat, height = earth.ned_lat_height(pos)
+    w_ie_n = earth.omega_ie_ned(lat)
+    if frame is FrameTag.NED_EB:
+        w_in_n = w_ie_n + earth.transport_rate(lat, height, vel)
+        g_n = earth.gravity_ned(lat, height)
+        return -w_in_n, g_n - np.cross(w_ie_n, vel), vel + np.cross(w_ie_n, pos)
+    w_in_n = w_ie_n + earth.transport_rate(lat, height, vel - np.cross(w_ie_n, pos))
+    return -w_in_n, earth.gravitation_ned(lat, height), vel
+
+
 def build_dynamics(
     frame: FrameTag, x: GroupElement, imu: ImuSample, earth: EarthModel
 ) -> DynamicsPair:
@@ -309,7 +328,8 @@ def build_dynamics(
     * NED_IB:  ``[-w_in^, G, v]`` (NED-resolved)
 
     The NED rates use geodetic latitude/height recovered from the NED
-    position column and the standard WGS-84 curvature radii.
+    position column and the standard WGS-84 curvature radii.  W2 is the
+    same triple of 3-vectors that :func:`midpoint_step` propagates with.
 
     Raises
     ------
@@ -320,38 +340,7 @@ def build_dynamics(
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
 
     w1 = _input_matrix(imu.gyro, imu.accel, np.zeros(3))
-
-    if frame is FrameTag.ECEF_EB:
-        w_ie = earth.omega_vec
-        g = earth.gravity_ecef(x.pos)
-        w2 = _input_matrix(
-            -w_ie, g - np.cross(w_ie, x.vel), x.vel + np.cross(w_ie, x.pos)
-        )
-    elif frame is FrameTag.ECEF_IB:
-        w_ie = earth.omega_vec
-        w2 = _input_matrix(-w_ie, earth.gravitation_ecef(x.pos), x.vel)
-    elif frame in (FrameTag.NED_EB, FrameTag.NED_IB):
-        lat, height = earth.ned_lat_height(x.pos)
-        w_ie_n = earth.omega_ie_ned(lat)
-        if frame is FrameTag.NED_EB:
-            v_eb_n = x.vel
-        else:
-            v_eb_n = x.vel - np.cross(w_ie_n, x.pos)
-        w_en_n = earth.transport_rate(lat, height, v_eb_n)
-        w_in_n = w_ie_n + w_en_n
-        if frame is FrameTag.NED_EB:
-            g_n = earth.gravity_ned(lat, height)
-            w2 = _input_matrix(
-                -w_in_n,
-                g_n - np.cross(w_ie_n, x.vel),
-                x.vel + np.cross(w_ie_n, x.pos),
-            )
-        else:
-            w2 = _input_matrix(-w_in_n, earth.gravitation_ned(lat, height), x.vel)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown frame {frame}")
-
-    return DynamicsPair(w1, w2, frame)
+    return DynamicsPair(w1, _input_matrix(*_w2(frame, x.vel, x.pos, earth)), frame)
 
 
 def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
@@ -360,32 +349,62 @@ def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
     return m @ pair.w1 + pair.w2 @ m
 
 
+def _flow(rot, vel, pos, gyro, accel, w2, dt, attitude=True):
+    """Array core of :func:`flow`, W2 as a (rate, vel column, pos column) triple.
+
+    ``attitude=False`` skips the rotation and returns ``None`` in its place.
+    """
+    # right factor X exp(W1 dt): W1 has a zero position column
+    th1 = gyro * dt
+    vel = rot @ (gamma(1, th1) @ (accel * dt)) + vel
+
+    # left factor exp(W2 dt) (...): position advanced by its increment
+    th2 = w2[0] * dt
+    dev2 = gamma0_deviation(th2)
+    j2 = gamma(1, th2)
+    vel_new = vel + (dev2 @ vel + j2 @ (w2[1] * dt))
+    pos_new = pos + (dev2 @ pos + j2 @ (w2[2] * dt))
+    if not attitude:
+        return None, vel_new, pos_new
+    rot = rot @ gamma(0, th1)
+    return rot + dev2 @ rot, vel_new, pos_new
+
+
 def flow(x: GroupElement, pair: DynamicsPair, dt: float) -> GroupElement:
     """Exact solution exp(W2 dt) X exp(W1 dt) of dX/dt = X W1 + W2 X.
 
     Both exponentials are evaluated through the Gamma-function structure of
-    se2(3); the pair is held constant over the step.  The position update is
-    applied in delta form (increment added to the previous position) so the
-    per-step rounding on earth-radius states is a single ulp, which keeps
-    long dead-reckoning runs at the micrometer level.
+    se2(3), on the pair's 3-vectors, by the array core :func:`midpoint_step`
+    shares; the pair is held constant over the step.  The position update is
+    applied in delta form so the per-step rounding on earth-radius states is
+    a single ulp, which keeps long dead-reckoning runs at the micrometer level.
     """
     if dt < 0.0:
         raise ValueError("flow requires dt >= 0")
     if dt == 0.0:
         return x
-    # right factor X exp(W1 dt): W1 has a zero position column
-    th1 = vee(pair.w1[0:3, 0:3]) * dt
-    rot = x.rot @ gamma(0, th1)
-    vel = x.rot @ (gamma(1, th1) @ (pair.w1[0:3, 3] * dt)) + x.vel
+    w1, w2 = pair.w1[0:3], pair.w2[0:3]
+    w2 = (vee(w2[:, 0:3]), w2[:, 3], w2[:, 4])
+    rot, vel, pos = _flow(x.rot, x.vel, x.pos, vee(w1[:, 0:3]), w1[:, 3], w2, dt)
+    return GroupElement(rot, vel, pos, x.frame)
 
-    # left factor exp(W2 dt) (...): position advanced by its increment
-    th2 = vee(pair.w2[0:3, 0:3]) * dt
-    dev2 = gamma0_deviation(th2)
-    j2 = gamma(1, th2)
-    rot_new = rot + dev2 @ rot
-    vel_new = vel + (dev2 @ vel + j2 @ (pair.w2[0:3, 3] * dt))
-    pos_new = x.pos + (dev2 @ x.pos + j2 @ (pair.w2[0:3, 4] * dt))
-    return GroupElement(rot_new, vel_new, pos_new, x.frame)
+
+def midpoint_step(
+    frame: FrameTag, x: GroupElement, gyro: NDArray, accel: NDArray,
+    dt: float, earth: EarthModel,
+) -> GroupElement:
+    """Advance ``x`` by ``dt`` under constant body rates ``gyro``/``accel``.
+
+    W2 is evaluated at ``x``; a half-step :func:`flow` gives the midpoint
+    velocity and position (all that W2 reads), W2 is rebuilt there, and the
+    full step is the exact flow from ``x``: second order in ``dt``.  Raises
+    :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
+    """
+    if x.frame is not None and x.frame != frame:
+        raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
+    x0 = (x.rot, x.vel, x.pos, gyro, accel)
+    _, vel, pos = _flow(*x0, _w2(frame, x.vel, x.pos, earth), 0.5 * dt, False)
+    return GroupElement(*_flow(*x0, _w2(frame, vel, pos, earth), dt), x.frame)
 
 
 def lift(x: GroupElement, pair: DynamicsPair) -> NDArray:
@@ -461,8 +480,7 @@ def frame_translation(
     else:
         raise ValueError("which must be 1, 2 or 3")
 
-    bare = GroupElement(x.rot, x.vel, x.pos)
-    out = compose(a, bare)
+    out = compose(a, x)
     return GroupElement(out.rot, out.vel, out.pos, target)
 
 
@@ -594,15 +612,12 @@ def integrate_imu(
     samples: list[ImuSample],
     earth: EarthModel,
     frame: FrameTag | None = None,
-    substeps: int = 1,
 ) -> list[tuple[float, GroupElement]]:
     """Dead-reckon a state through an IMU stream with the exact group flow.
 
-    Each interval uses trapezoidal IMU rates and a midpoint rebuild of the
-    state-dependent W2 columns (half-step flow, rebuild, full-step flow), so
-    the scheme is second order in the sample interval while every step
-    remains an exact flow of a constant pair.  ``substeps > 1`` subdivides
-    each interval to shrink the freezing error on aggressive trajectories.
+    Each interval is one :func:`midpoint_step` with the trapezoidal mean of
+    the two samples' rates, so the scheme is second order in the sample
+    interval while every step remains an exact flow of a constant pair.
 
     Returns the list of (t, state) including the initial sample time.
     """
@@ -615,14 +630,8 @@ def integrate_imu(
         dt = cur.t - prev.t
         if dt <= 0.0:
             raise NonMonotonicTime(f"IMU timestamps not increasing at t={cur.t}")
-        mid = ImuSample(
-            prev.t, 0.5 * (prev.gyro + cur.gyro), 0.5 * (prev.accel + cur.accel)
-        )
-        h = dt / substeps
-        for _ in range(substeps):
-            pair = build_dynamics(frame, x, mid, earth)
-            half = flow(x, pair, 0.5 * h)
-            pair_mid = build_dynamics(frame, half, mid, earth)
-            x = flow(x, pair_mid, h)
+        gyro = 0.5 * (prev.gyro + cur.gyro)
+        accel = 0.5 * (prev.accel + cur.accel)
+        x = midpoint_step(frame, x, gyro, accel, dt, earth)
         out.append((cur.t, x))
     return out

@@ -26,7 +26,7 @@ from .kinematics import (
 from .liegroup import FrameTag, GroupElement, compose, gamma, hat, inverse, so3_exp
 from .transition import gamma_integrals_check, phi_left, phi_right
 
-__all__ = ["CheckResult", "run_all_checks"]
+__all__ = ["CheckResult", "gamma_series", "rk4_const", "run_all_checks"]
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def check_lift_equivariance(earth: EarthModel, samples: int, tol: float, seed: i
     return CheckResult("lift_equivariance", worst, tol)
 
 
-def _gamma_series(m: int, phi: NDArray, terms: int = 30) -> NDArray:
+def gamma_series(m: int, phi: NDArray, terms: int = 30) -> NDArray:
+    """Truncated matrix power series sum_n (phi^)^n / (n+m)!."""
     acc = np.zeros((3, 3))
     power = np.eye(3)
     px = hat(phi)
@@ -116,7 +117,7 @@ def check_gamma_family(tol_series: float, tol_integrals: float, seed: int):
         for m in range(4):
             worst_series = max(
                 worst_series,
-                float(np.abs(gamma(m, phi) - _gamma_series(m, phi)).max()),
+                float(np.abs(gamma(m, phi) - gamma_series(m, phi)).max()),
             )
         r1 = gamma(2, phi) @ hat(phi) + np.eye(3) - gamma(1, phi)
         r2 = gamma(3, phi) @ hat(phi) + 0.5 * np.eye(3) - gamma(2, phi)
@@ -133,7 +134,8 @@ def check_gamma_family(tol_series: float, tol_integrals: float, seed: int):
     return series, integrals
 
 
-def _rk4_const(f: NDArray, dt: float, substeps: int) -> NDArray:
+def rk4_const(f: NDArray, dt: float, substeps: int) -> NDArray:
+    """Classic RK4 for dPhi/dt = F Phi, Phi(0) = I, with a constant 15x15 F."""
     phi = np.eye(15)
     h = dt / substeps
     for _ in range(substeps):
@@ -152,7 +154,7 @@ def check_phi_left(earth: EarthModel, tol: float, seed: int, cases: int = 20):
     for _ in range(cases):
         imu = ImuSample(0.0, rng.uniform(-0.5, 0.5, 3), rng.uniform(-20.0, 20.0, 3))
         f = f_matrix(Convention.LEFT_INVARIANT, anchor, imu, earth)
-        gap = phi_left(imu, 0.01).matrix - _rk4_const(f, 0.01, 1000)
+        gap = phi_left(imu, 0.01).matrix - rk4_const(f, 0.01, 1000)
         worst = max(worst, float(np.abs(gap).max()))
     return CheckResult("phi_left_vs_rk4", worst, tol)
 
@@ -166,7 +168,7 @@ def check_phi_right(earth: EarthModel, tol: float, seed: int):
     worst = 0.0
     for dt in (0.005, 0.01):
         f = f_matrix(Convention.RIGHT_INVARIANT, x, imu, earth)
-        gap = phi_right(x, imu, earth, dt).matrix - _rk4_const(f, dt, 1000)
+        gap = phi_right(x, imu, earth, dt).matrix - rk4_const(f, dt, 1000)
         worst = max(worst, float(np.abs(gap).max()))
     return CheckResult("phi_right_vs_frozen_rk4", worst, tol)
 

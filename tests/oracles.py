@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force (truncated series, dense
 matrix exponentials, Runge-Kutta, composite quadrature) and stays
-independent of the production code paths it checks.
+independent of the production code paths it checks.  The Gamma power
+series is the one ``eqnav verify`` uses, re-exported from there.
 """
 
 from __future__ import annotations
@@ -13,17 +14,7 @@ import numpy as np
 
 from eqnav.kinematics import EarthModel
 from eqnav.liegroup import GroupElement, hat
-
-
-def gamma_series(m: int, phi, terms: int = 30) -> np.ndarray:
-    """Truncated matrix power series sum_n (phi^)^n / (n+m)!."""
-    acc = np.zeros((3, 3))
-    power = np.eye(3)
-    px = hat(np.asarray(phi, dtype=float))
-    for n in range(terms):
-        acc += power / math.factorial(n + m)
-        power = power @ px
-    return acc
+from eqnav.verify import gamma_series  # noqa: F401  (re-exported)
 
 
 def expm_series(a: np.ndarray, terms: int = 40) -> np.ndarray:

@@ -119,14 +119,38 @@ class TestRun:
     def test_corrupt_csv_cites_line(self, tmp_path, capsys):
         args = sum([["--set", o] for o in fast_overrides()], [])
         assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
-        imu_path = tmp_path / "imu.csv"
-        lines = imu_path.read_text().splitlines()
-        lines[3] = "garbage,row"
-        imu_path.write_text("\n".join(lines) + "\n")
+        # a malformed row, a NaN gyro cell, a non-rotation DCM (c11 = 2)
+        cases = (("imu.csv", None), ("imu.csv", "nan"), ("truth.csv", "2.0"))
+        for name, cell in cases:
+            path = tmp_path / name
+            text = path.read_text()
+            lines = text.splitlines()
+            if cell is None:
+                lines[3] = "garbage,row"
+            else:
+                cols = lines[3].split(",")
+                cols[1] = cell
+                lines[3] = ",".join(cols)
+            path.write_text("\n".join(lines) + "\n")
+            code = main(["--out", str(tmp_path)] + args + ["run"])
+            path.write_text(text)
+            assert code == 2
+            assert f"{name}:4" in capsys.readouterr().err
+
+    def test_colliding_fixes_exit_2(self, tmp_path, capsys):
+        args = sum([["--set", o] for o in fast_overrides()], [])
+        assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        gnss_path = tmp_path / "gnss.csv"
+        lines = gnss_path.read_text().splitlines()
+        first = lines[1].split(",")
+        t0 = float(first[0])
+        lines.insert(2, ",".join([repr(t0 + 5e-7)] + first[1:]))
+        gnss_path.write_text("\n".join(lines) + "\n")
         code = main(["--out", str(tmp_path)] + args + ["run"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "imu.csv:4" in err
+        assert "imu.csv" in err and "gnss.csv" in err
+        assert f"IMU epoch t={t0}" in err
 
 
 class TestVerify:

@@ -14,7 +14,7 @@ from eqnav.filter import (
     run,
     update_gnss,
 )
-from eqnav.kinematics import FrameTag, ImuSample, NonMonotonicTime
+from eqnav.kinematics import FrameTag, ImuSample, NonMonotonicTime, integrate_imu
 from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
 from eqnav.verify import heave_observability
 
@@ -89,6 +89,20 @@ class TestPredict:
             st = predict(st, cur, noise, earth, imu_prev=prev)
         drift = np.linalg.norm(st.x.pos - truth.samples[-1][1].pos)
         assert drift <= 1e-6
+
+    def test_mean_matches_integrate_imu(self, scenario, earth):
+        """Zero biases and noise: predict takes integrate_imu's ECEF_IB step."""
+        truth, imu = scenario
+        x0 = truth.samples[0][1]
+        path = integrate_imu(x0, imu, earth, frame=FrameTag.ECEF_IB)
+        st = FilterState(x0, np.zeros(3), np.zeros(3), default_p0(), imu[0].t, LEFT)
+        noise = NoiseParams(0.0, 0.0)
+        for prev, cur, (t, x) in zip(imu[:-1], imu[1:], path[1:]):
+            st = predict(st, cur, noise, earth, imu_prev=prev)
+            assert st.t == t
+            np.testing.assert_array_equal(st.x.rot, x.rot)
+            np.testing.assert_array_equal(st.x.vel, x.vel)
+            np.testing.assert_array_equal(st.x.pos, x.pos)
 
     def test_p_trace_increases(self, scenario, earth):
         truth, imu = scenario

@@ -17,19 +17,8 @@ from eqnav.transition import (
     psi_integrals,
     qd_matrix,
 )
+from eqnav.verify import rk4_const
 from oracles import surface_state
-
-
-def rk4_transition(f_mat, dt, substeps=1000):
-    phi = np.eye(15)
-    h = dt / substeps
-    for _ in range(substeps):
-        k1 = f_mat @ phi
-        k2 = f_mat @ (phi + 0.5 * h * k1)
-        k3 = f_mat @ (phi + 0.5 * h * k2)
-        k4 = f_mat @ (phi + h * k3)
-        phi = phi + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return phi
 
 
 @pytest.fixture
@@ -75,7 +64,7 @@ class TestPhiLeft:
             f = f_matrix(Convention.LEFT_INVARIANT, anchor, imu, earth)
             worst = max(
                 worst,
-                np.abs(phi_left(imu, 0.01).matrix - rk4_transition(f, 0.01)).max(),
+                np.abs(phi_left(imu, 0.01).matrix - rk4_const(f, 0.01, 1000)).max(),
             )
         assert worst <= 1e-9
 
@@ -98,7 +87,7 @@ class TestPhiRight:
         x, imu = stationary
         f = f_matrix(Convention.RIGHT_INVARIANT, x, imu, earth)
         for dt in (0.005, 0.01):
-            gap = np.abs(phi_right(x, imu, earth, dt).matrix - rk4_transition(f, dt)).max()
+            gap = np.abs(phi_right(x, imu, earth, dt).matrix - rk4_const(f, dt, 1000)).max()
             assert gap <= 1e-8
 
     def test_degenerate_earth_collapses_blocks(self, rng):
@@ -151,7 +140,7 @@ class TestPhiRight:
         gaps = []
         for dt in (0.02, 0.01, 0.005):
             gaps.append(
-                np.abs(phi_right(x, imu, earth, dt).matrix - rk4_transition(f, dt, 400)).max()
+                np.abs(phi_right(x, imu, earth, dt).matrix - rk4_const(f, dt, 400)).max()
             )
         order1 = math.log2(gaps[0] / gaps[1])
         order2 = math.log2(gaps[1] / gaps[2])
