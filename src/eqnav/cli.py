@@ -206,7 +206,8 @@ def _read_csv(path: Path, expect_header: str, make) -> list:
     """Rows of a CSV stream, each list of floats passed through ``make``.
 
     A malformed row, or one that ``make`` rejects with ``ValueError``,
-    raises :class:`ConfigError` citing ``path:line``.
+    raises :class:`ConfigError` citing ``path:line``; so does a file with no
+    data row after its header.
     """
     rows = []
     with open(path) as fh:
@@ -228,6 +229,8 @@ def _read_csv(path: Path, expect_header: str, make) -> list:
                 rows.append(make(values))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: no data rows after the header")
     return rows
 
 

@@ -8,6 +8,7 @@ parametrization.  A single gain/Joseph code path serves both conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,9 @@ from .errordyn import (
     g_matrix,
     h_matrix,
 )
-from .kinematics import EarthModel, ImuSample, NonMonotonicTime, midpoint_step
-from .liegroup import FrameMismatch, FrameTag, GroupElement
-from .transition import phi_left, phi_right, qd_matrix
+from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _midpoint
+from .liegroup import FrameMismatch, FrameTag, GroupElement, gamma_blocks
+from .transition import _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
     "EpochRecord",
@@ -55,6 +56,8 @@ class GnssFix:
     cov: NDArray
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError("GnssFix.t is not finite")
         pos = np.array(self.pos_ecef, dtype=float).reshape(3)
         cov = np.array(self.cov, dtype=float).reshape(3, 3)
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(cov))):
@@ -88,12 +91,19 @@ class FilterState:
     def __post_init__(self):
         if self.x.frame is not None and self.x.frame != FrameTag.ECEF_IB:
             raise FrameMismatch("filter state must be in the ECEF_IB frame")
+        if not math.isfinite(self.t):
+            raise ValueError("FilterState.t is not finite")
         for name in ("bg", "ba"):
             arr = np.array(getattr(self, name), dtype=float).reshape(3)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"FilterState.{name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         p = np.array(self.p, dtype=float).reshape(15, 15)
-        scale = max(1.0, float(np.abs(p).max()))
+        largest = float(np.abs(p).max())  # NaN or inf if any entry is
+        if not math.isfinite(largest):
+            raise ValueError("FilterState.p contains non-finite values")
+        scale = max(1.0, largest)
         if np.abs(p - p.T).max() > 1e-12 * scale:
             raise ValueError("FilterState.p must be symmetric")
         if np.linalg.eigvalsh(p).min() < -1e-10 * max(np.trace(p), 1e-300):
@@ -136,16 +146,18 @@ def predict(
     if imu_prev is not None:
         gyro = 0.5 * (imu_prev.gyro + imu.gyro)
         accel = 0.5 * (imu_prev.accel + imu.accel)
-    corrected = ImuSample(state.t, gyro - state.bg, accel - state.ba)
+    gyro = gyro - state.bg
+    accel = accel - state.ba
 
-    x_new = midpoint_step(
-        FrameTag.ECEF_IB, state.x, corrected.gyro, corrected.accel, dt, earth
-    )
+    # one Gamma pass of the body rotation serves the mean step and Phi
+    dev1, j1, j2 = gamma_blocks(gyro * dt, 3)
+    rot, vel, pos = _midpoint(FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, dev1, j1)
+    x_new = GroupElement(rot, vel, pos, state.x.frame)
 
     if state.convention is Convention.RIGHT_INVARIANT:
-        phi = phi_right(state.x, corrected, earth, dt)
+        phi = _phi_right(state.x, gyro, earth, dt, j1, j2)
     else:
-        phi = phi_left(corrected, dt)
+        phi = _phi_left(gyro, accel, dt, (dev1, j1, j2))
     g = g_matrix(state.convention, state.x)
     qd = qd_matrix(phi, g, noise, dt)
     p_new = phi.matrix @ state.p @ phi.matrix.T + qd

@@ -32,9 +32,10 @@ from .liegroup import (
     FrameMismatch,
     FrameTag,
     GroupElement,
+    _EYE3,
     compose,
     gamma,
-    gamma0_deviation,
+    gamma_blocks,
     hat,
     inverse,
     so3_exp,
@@ -349,24 +350,23 @@ def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
     return m @ pair.w1 + pair.w2 @ m
 
 
-def _flow(rot, vel, pos, gyro, accel, w2, dt, attitude=True):
+def _flow(rot, vel, pos, accel, w2, dt, j1, dev1=None):
     """Array core of :func:`flow`, W2 as a (rate, vel column, pos column) triple.
 
-    ``attitude=False`` skips the rotation and returns ``None`` in its place.
+    ``j1`` is Gamma_1(gyro dt) and ``dev1`` is Gamma_0(gyro dt) - I, both from
+    the caller; ``dev1=None`` skips the rotation and returns ``None`` in its
+    place.
     """
     # right factor X exp(W1 dt): W1 has a zero position column
-    th1 = gyro * dt
-    vel = rot @ (gamma(1, th1) @ (accel * dt)) + vel
+    vel = rot @ (j1 @ (accel * dt)) + vel
 
     # left factor exp(W2 dt) (...): position advanced by its increment
-    th2 = w2[0] * dt
-    dev2 = gamma0_deviation(th2)
-    j2 = gamma(1, th2)
+    dev2, j2 = gamma_blocks(w2[0] * dt, 2)
     vel_new = vel + (dev2 @ vel + j2 @ (w2[1] * dt))
     pos_new = pos + (dev2 @ pos + j2 @ (w2[2] * dt))
-    if not attitude:
+    if dev1 is None:
         return None, vel_new, pos_new
-    rot = rot @ gamma(0, th1)
+    rot = rot @ (_EYE3 + dev1)
     return rot + dev2 @ rot, vel_new, pos_new
 
 
@@ -385,8 +385,22 @@ def flow(x: GroupElement, pair: DynamicsPair, dt: float) -> GroupElement:
         return x
     w1, w2 = pair.w1[0:3], pair.w2[0:3]
     w2 = (vee(w2[:, 0:3]), w2[:, 3], w2[:, 4])
-    rot, vel, pos = _flow(x.rot, x.vel, x.pos, vee(w1[:, 0:3]), w1[:, 3], w2, dt)
+    dev1, j1 = gamma_blocks(vee(w1[:, 0:3]) * dt, 2)
+    rot, vel, pos = _flow(x.rot, x.vel, x.pos, w1[:, 3], w2, dt, j1, dev1)
     return GroupElement(rot, vel, pos, x.frame)
+
+
+def _midpoint(frame, x, gyro, accel, dt, earth, dev1, j1):
+    """Array core of :func:`midpoint_step`: the stepped (rot, vel, pos).
+
+    ``dev1`` and ``j1`` are Gamma_0(gyro dt) - I and Gamma_1(gyro dt) of the
+    full step; the half step evaluates only the Gamma_1 it uses.
+    """
+    half = 0.5 * dt
+    j_half = gamma(1, gyro * half)
+    x0 = (x.rot, x.vel, x.pos, accel)
+    _, vel, pos = _flow(*x0, _w2(frame, x.vel, x.pos, earth), half, j_half)
+    return _flow(*x0, _w2(frame, vel, pos, earth), dt, j1, dev1)
 
 
 def midpoint_step(
@@ -402,9 +416,8 @@ def midpoint_step(
     """
     if x.frame is not None and x.frame != frame:
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
-    x0 = (x.rot, x.vel, x.pos, gyro, accel)
-    _, vel, pos = _flow(*x0, _w2(frame, x.vel, x.pos, earth), 0.5 * dt, False)
-    return GroupElement(*_flow(*x0, _w2(frame, vel, pos, earth), dt), x.frame)
+    dev1, j1 = gamma_blocks(gyro * dt, 2)
+    return GroupElement(*_midpoint(frame, x, gyro, accel, dt, earth, dev1, j1), x.frame)
 
 
 def lift(x: GroupElement, pair: DynamicsPair) -> NDArray:

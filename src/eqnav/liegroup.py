@@ -31,6 +31,8 @@ __all__ = [
     "compose",
     "gamma",
     "gamma0_deviation",
+    "gamma_blocks",
+    "gamma_coefficients",
     "gamma_stack",
     "hat",
     "identity_element",
@@ -75,7 +77,7 @@ class FrameTag(enum.Enum):
 
 def hat(v: NDArray) -> NDArray:
     """Skew-symmetric 3x3 matrix of a 3-vector (cross-product operator)."""
-    x, y, z = v
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -104,7 +106,8 @@ def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
 # to a remainder theta^2 smaller, so the closed form of c_j has relative error
 # ~ eps/theta^2 for j = 2, 3 and ~ eps/theta^4 for j = 4, 5.  Below the
 # per-order threshold in _SERIES_BELOW the truncated series (error
-# ~ theta^10/(10+j)!) is the more accurate branch.
+# ~ theta^10/(10+j)!) is the more accurate branch.  The thresholds never
+# decrease with j, so a closed-form c_j only ever follows closed-form c_{j-2}.
 
 _SERIES_BELOW = (0.0, SMALL_ANGLE, 1e-2, 1e-2, 0.5, 0.5)  # indexed by j
 _SERIES_TERMS = 5
@@ -114,19 +117,36 @@ _SERIES = tuple(
     tuple((-1) ** k / math.factorial(2 * k + j) for k in reversed(range(_SERIES_TERMS)))
     for j in range(len(_SERIES_BELOW))
 )
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+_SCALED_EYES = np.multiply.outer(_INV_FACTORIAL[:4], _EYE3)  # I/m!, m = 0..3
+_SCALED_EYES.setflags(write=False)
 
 
-def _coef(j: int, t2: float, theta: float) -> float:
-    """Gamma coefficient c_j(theta) for 0 <= j <= 5, given t2 = theta^2."""
-    if theta < _SERIES_BELOW[j]:
-        acc = 0.0
-        for c in _SERIES[j]:
-            acc = acc * t2 + c
-        return acc
-    c = math.sin(theta) / theta if j % 2 else math.cos(theta)
-    for i in range(j % 2, j - 1, 2):
-        c = (_INV_FACTORIAL[i] - c) / t2
-    return c
+def gamma_coefficients(lo: int, hi: int, t2: float, theta: float) -> list[float]:
+    """Gamma coefficients [c_lo, ..., c_hi] at theta, 0 <= lo <= hi <= 5.
+
+    ``t2`` is theta^2.  Closed-form orders share one sin and one cos
+    evaluation: each recurrence chain (even and odd j) is walked once, from
+    c_0 or c_1 up to the highest order requested.
+    """
+    out = []
+    chain: dict[int, tuple[int, float]] = {}  # parity -> (j, closed-form c_j)
+    for j in range(lo, hi + 1):
+        if theta < _SERIES_BELOW[j]:
+            c = 0.0
+            for k in _SERIES[j]:
+                c = c * t2 + k
+        else:
+            parity = j % 2
+            i, c = chain.get(parity) or (
+                (1, math.sin(theta) / theta) if parity else (0, math.cos(theta))
+            )
+            for i in range(i, j - 1, 2):
+                c = (_INV_FACTORIAL[i] - c) / t2
+            chain[parity] = (j, c)
+        out.append(c)
+    return out
 
 
 def gamma(m: int, phi: NDArray) -> NDArray:
@@ -153,12 +173,29 @@ def gamma(m: int, phi: NDArray) -> NDArray:
     phi = np.asarray(phi, dtype=float)
     t2 = float(phi @ phi)
     theta = math.sqrt(t2)
+    a, b = gamma_coefficients(m + 1, m + 2, t2, theta)
     px = hat(phi)
-    return (
-        _INV_FACTORIAL[m] * np.eye(3)
-        + _coef(m + 1, t2, theta) * px
-        + _coef(m + 2, t2, theta) * (px @ px)
-    )
+    return _INV_FACTORIAL[m] * _EYE3 + a * px + b * (px @ px)
+
+
+def gamma_blocks(phi: NDArray, n: int) -> NDArray:
+    """``[Gamma_0(phi) - I, Gamma_1(phi), ..., Gamma_{n-1}(phi)]``, shape (n, 3, 3).
+
+    Every order comes from one hat, one hat^2 and one sin/cos evaluation of
+    the same rotation vector, 1 <= n <= 4.  The first block is the deviation
+    of the exponential from the identity, formed without cancellation (see
+    :func:`gamma0_deviation`); ``I + blocks[0]`` equals ``gamma(0, phi)``
+    bit for bit, and ``blocks[m]`` equals ``gamma(m, phi)`` for m >= 1.
+    """
+    if not 1 <= n <= 4:
+        raise ValueError(f"gamma_blocks count must be in 1..4, got {n}")
+    phi = np.asarray(phi, dtype=float)
+    t2 = float(phi @ phi)
+    c = gamma_coefficients(1, n + 1, t2, math.sqrt(t2))
+    px = hat(phi)
+    blocks = np.multiply.outer(c[:-1], px) + np.multiply.outer(c[1:], px @ px)
+    blocks[1:] += _SCALED_EYES[1:n]
+    return blocks
 
 
 def gamma_stack(m: int, w: NDArray, s: NDArray) -> NDArray:
@@ -173,10 +210,11 @@ def gamma_stack(m: int, w: NDArray, s: NDArray) -> NDArray:
     s = np.asarray(s, dtype=float)
     wx = hat(w)
     thetas = (math.sqrt(float(w @ w)) * s).tolist()
-    a = np.array([_coef(m + 1, t * t, t) for t in thetas]) * s
-    b = np.array([_coef(m + 2, t * t, t) for t in thetas]) * (s * s)
+    ab = np.array([gamma_coefficients(m + 1, m + 2, t * t, t) for t in thetas])
+    a = ab[:, 0] * s
+    b = ab[:, 1] * (s * s)
     return (
-        _INV_FACTORIAL[m] * np.eye(3)
+        _INV_FACTORIAL[m] * _EYE3
         + a[:, None, None] * wx
         + b[:, None, None] * (wx @ wx)
     )
@@ -194,11 +232,7 @@ def gamma0_deviation(phi: NDArray) -> NDArray:
     entries; forming it directly keeps position updates of the group flow
     accurate at the meter scale on earth-radius states.
     """
-    phi = np.asarray(phi, dtype=float)
-    t2 = float(phi @ phi)
-    theta = math.sqrt(t2)
-    px = hat(phi)
-    return _coef(1, t2, theta) * px + _coef(2, t2, theta) * (px @ px)
+    return gamma_blocks(phi, 1)[0]
 
 
 def so3_log(R: NDArray) -> NDArray:

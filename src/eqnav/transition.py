@@ -1,23 +1,22 @@
 """Analytic discrete-time state transition matrices built from Gamma blocks.
 
 For the left-invariant error the dynamics matrix is constant over a sample
-interval, and the transition matrix ``Phi = expm(F dt)`` has a closed form
-in the Gamma functions of the body rates, plus two integrals ``Psi_1`` and
-``Psi_2`` that couple specific force into the velocity and position rows.
+interval, and the transition matrix ``Phi = expm(F dt)`` is fully analytic:
+Gamma functions of the body rotation, plus two integrals ``Psi_1`` and
+``Psi_2`` that couple specific force into the velocity and position rows and
+are themselves closed forms (a short Taylor series in |w dt|^2 below 2 rad,
+sin/cos of |w dt| and 2|w dt| above); no quadrature is involved.
 
 For the right-invariant error the estimated rotation evolves inside the
 interval; the blocks below freeze the estimated velocity, position and
 gravitation at the start of the interval, keep the attitude evolution in
 closed Gamma form, and evaluate the two non-collapsible cross integrals by
-quadrature.
+one fixed 12-node Gauss-Legendre rule.  Its integrands are smooth in the
+rotation angle swept over the interval; up to one full turn (2 pi rad) the
+rule is accurate to near roundoff.
 
-Both quadratures (``Psi_1``/``Psi_2`` and the right-invariant cross
-integrals) use one fixed 12-node Gauss-Legendre rule.  Their integrands are
-smooth in the rotation angle swept over the interval; up to one full turn
-(2 pi rad) the rule is accurate to near roundoff, and larger rotations per
-interval are rejected with ``ValueError``.
-
-Both matrices have exact identity bias rows and exactly zero blocks where
+Both matrices reject a rotation of more than one turn per interval with
+``ValueError``, have exact identity bias rows and exactly zero blocks where
 the structure demands them, and satisfy ``Phi -> I`` as ``dt -> 0``.
 """
 
@@ -32,7 +31,17 @@ from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
 from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameMismatch, FrameTag, GroupElement, gamma, gamma_stack, hat
+from .liegroup import (
+    _EYE3,
+    FrameMismatch,
+    FrameTag,
+    GroupElement,
+    gamma,
+    gamma_blocks,
+    gamma_coefficients,
+    gamma_stack,
+    hat,
+)
 
 __all__ = [
     "GammaIntegralsReport",
@@ -72,27 +81,136 @@ class PsiIntegrals:
     psi2: NDArray
 
 
-# --- quadrature ---------------------------------------------------------------
+# --- specific-force integrals -----------------------------------------------
+#
+# With Theta = (w dt)^, x = |w| dt and F = f^, the identities
+# (Gamma_0 f)^ = Gamma_0 F Gamma_0^T and Gamma_0^T(w s) Gamma_1(w s) =
+# Gamma_1(-w s) turn the integrand of Psi_1 into exp(sW) F int_0^s exp(-uW) du
+# (W = w^).  Expanding exp(sW) = I + c_1 sW + c_2 (sW)^2 and
+# int_0^s exp(-uW) du = s (I - c_2 sW + c_3 (sW)^2), with every c_j at |w| s,
+# gives
+#
+#     Psi_1 = dt^2 sum_{a,b=0..2} h1_ab(x) Theta^a F Theta^b,
+#     Psi_2 = dt^3 sum_{a,b=0..2} h2_ab(x) Theta^a F Theta^b,
+#
+#     h1_ab(x) = int_0^1 s^(a+b+1) A_a(x s) B_b(x s) ds,  A = (1, c_1, c_2),
+#     h2_ab(x) = int_0^1 (1 - s) s^(a+b+1) A_a(x s) B_b(x s) ds,  B = (1, -c_2, c_3).
+#
+# Each h is an even entire function of x.  Below _PSI_SERIES_BELOW it is
+# evaluated from its Taylor series in x^2 (the Cauchy product of the c_j
+# series, integrated term by term); above, from the closed forms of
+# _psi_closed_form, polynomials in c_j(x) and c_j(2x) that are exact
+# identities at every x and divide by nothing beyond the c_j recurrence.  At
+# the switch both branches agree with a 50-digit reference to a few ulp of
+# the largest coefficient.
 
 # Largest rotation (rad) the integrands may sweep over one interval.
 MAX_INTERVAL_ROTATION = 2.0 * math.pi
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_PSI_SERIES_BELOW = 2.0
+_PSI_SERIES_TERMS = 14
 
 
-def _gl_rule(dt: float, rotation: float, name: str) -> tuple[NDArray, NDArray]:
-    """12-point Gauss-Legendre nodes and weights on [0, dt].
+def _psi_series() -> NDArray:
+    """Taylor coefficients of (h1, h2) in x^2, shape (18, _PSI_SERIES_TERMS)."""
+    n = _PSI_SERIES_TERMS
 
-    ``rotation`` is the largest angle the integrands turn through over the
-    interval; beyond :data:`MAX_INTERVAL_ROTATION` (or if it is not finite)
-    the fixed rule no longer resolves them and ``ValueError`` is raised.
-    """
+    def c_series(j: int, sign: int = 1) -> list[float]:
+        return [sign * (-1) ** k / math.factorial(2 * k + j) for k in range(n)]
+
+    # every term of a Cauchy product below has the sign (-1)^k of its
+    # order, so the float sums carry no cancellation
+    one = [1.0] + [0.0] * (n - 1)
+    a_factors = (one, c_series(1), c_series(2))
+    b_factors = (one, c_series(2, -1), c_series(3))
+    out = np.empty((2, 3, 3, n))
+    for a, fa in enumerate(a_factors):
+        for b, fb in enumerate(b_factors):
+            for k in range(n):
+                p = sum(fa[i] * fb[k - i] for i in range(k + 1))
+                e = 2 * k + a + b + 2  # int_0^1 s^(e-1) ds = 1/e
+                out[0, a, b, k] = p / e
+                out[1, a, b, k] = p / (e * (e + 1))
+    return out.reshape(18, n)
+
+
+_PSI_SERIES = _psi_series()
+_PSI_POWERS = np.arange(_PSI_SERIES_TERMS)
+
+
+def _psi_closed_form(x2: float, x: float) -> NDArray:
+    """(h1, h2) at x >= _PSI_SERIES_BELOW from c_j(x) and c_j(2x), shape (2, 3, 3)."""
+    c2, c3, c4, c5 = gamma_coefficients(2, 5, x2, x)
+    d4, d5 = gamma_coefficients(4, 5, 4.0 * x2, 2.0 * x)  # d_j = c_j(2x)
+    # two more steps of c_j = (1/(j-2)! - c_{j-2}) / x^2, at x and 2x
+    c6, c7 = (1.0 / 24.0 - c4) / x2, (1.0 / 120.0 - c5) / x2
+    d6, d7 = (1.0 / 24.0 - d4) / (4.0 * x2), (1.0 / 120.0 - d5) / (4.0 * x2)
+    return np.array(
+        [
+            [
+                [0.5, -c3, c4],
+                [c2 - c3, -0.5 * c2 * c2, c5 - c4 + 8.0 * d5],
+                [c3 - c4, 2.0 * (c5 - 4.0 * d5), 0.5 * c3 * c3],
+            ],
+            [
+                [1.0 / 6.0, -c4, c5],
+                [c3 - 2.0 * c4, c5 - 4.0 * d5, 2.0 * c6 - c5 + 8.0 * d6],
+                [c4 - 2.0 * c5, 2.0 * (c6 - 4.0 * d6), c7 - c6 + 16.0 * d7],
+            ],
+        ]
+    )
+
+
+def _check_rotation(name: str, rotation: float, dt: float) -> None:
+    """Reject more than :data:`MAX_INTERVAL_ROTATION` (or NaN) per interval."""
     if not rotation <= MAX_INTERVAL_ROTATION:
         raise ValueError(
             f"{name}: rotation {rotation:.6g} rad over dt={dt} s exceeds "
             f"{MAX_INTERVAL_ROTATION:.6g} rad (one turn) per interval"
         )
-    return 0.5 * dt * (_GL_NODES + 1.0), 0.5 * dt * _GL_WEIGHTS
+
+
+def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
+    """Specific-force coupling integrals of the left transition matrix.
+
+    ``Psi_1 = int_0^dt (Gamma_0(w s) f)^ Gamma_1(w s) s ds`` and
+    ``Psi_2 = int_0^dt Psi_1(s) ds = int_0^dt (dt - s) (...) ds``, both in
+    closed form: ``sum_{a,b} h_ab(|w| dt) Theta^a f^ Theta^b`` with
+    ``Theta = (w dt)^`` and scalar coefficients from a Taylor series below
+    |w| dt = 2 rad and from sin/cos of |w| dt and 2|w| dt above.  No
+    quadrature is involved.
+
+    Raises
+    ------
+    ValueError
+        If ``dt <= 0``, or if the rotation ``|w| dt`` over the interval
+        exceeds :data:`MAX_INTERVAL_ROTATION` (one turn).
+    """
+    if dt <= 0.0:
+        raise ValueError("psi_integrals requires dt > 0")
+    phi = np.asarray(omega, dtype=float) * dt
+    x2 = float(phi @ phi)
+    x = math.sqrt(x2)
+    _check_rotation("psi_integrals", x, dt)
+    if x < _PSI_SERIES_BELOW:
+        h = (_PSI_SERIES @ x2**_PSI_POWERS).reshape(6, 3)
+    else:
+        h = _psi_closed_form(x2, x).reshape(6, 3)
+
+    powers = np.empty((3, 3, 3))  # I, Theta, Theta^2
+    powers[0] = _EYE3
+    powers[1] = hat(phi)
+    np.matmul(powers[1], powers[1], out=powers[2])
+    # left[a] = Theta^a F dt^2, right[i, a] = sum_b h_i[a, b] Theta^b
+    left = powers @ hat(np.asarray(f, dtype=float) * (dt * dt))
+    right = (h @ powers.reshape(3, 9)).reshape(2, 9, 3)
+    psi = left.transpose(1, 0, 2).reshape(3, 9) @ right
+    return PsiIntegrals(psi[0], psi[1] * dt)
+
+
+# --- right-invariant quadrature ---------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def _hat_stack(vecs: NDArray) -> NDArray:
@@ -108,35 +226,6 @@ def _hat_stack(vecs: NDArray) -> NDArray:
     return out
 
 
-def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
-    """Specific-force coupling integrals of the left transition matrix.
-
-    ``Psi_1 = int_0^dt (Gamma_0(w s) f)^ Gamma_1(w s) s ds`` and
-    ``Psi_2 = int_0^dt Psi_1(s) ds``, the latter computed as the
-    equivalent single integral with weight ``(dt - s)``, both by the fixed
-    12-node Gauss-Legendre rule.
-
-    Raises
-    ------
-    ValueError
-        If ``dt <= 0``, or if the rotation ``|w| dt`` over the interval
-        exceeds :data:`MAX_INTERVAL_ROTATION` (one turn).
-    """
-    if dt <= 0.0:
-        raise ValueError("psi_integrals requires dt > 0")
-    omega = np.asarray(omega, dtype=float)
-    f = np.asarray(f, dtype=float)
-    s, w = _gl_rule(dt, float(np.linalg.norm(omega)) * dt, "psi_integrals")
-
-    g0 = gamma_stack(0, omega, s)
-    g1 = gamma_stack(1, omega, s)
-    rotated_f = _hat_stack(np.einsum("nij,j->ni", g0, f))
-    base = np.einsum("nij,njk->nik", rotated_f, g1) * s[:, None, None]
-    psi1 = np.einsum("n,nij->ij", w, base)
-    psi2 = np.einsum("n,nij->ij", w, (dt - s)[:, None, None] * base)
-    return PsiIntegrals(psi1, psi2)
-
-
 # --- transition matrices -----------------------------------------------------
 
 
@@ -149,21 +238,25 @@ def phi_left(imu: ImuSample, dt: float) -> TransitionBlocks:
     """
     if dt <= 0.0:
         raise ValueError("phi_left requires dt > 0")
-    theta = imu.gyro * dt
-    g0t = gamma(0, theta).T
-    g1 = gamma(1, theta)
-    g2 = gamma(2, theta)
-    psi = psi_integrals(imu.gyro, imu.accel, dt)
+    return _phi_left(imu.gyro, imu.accel, dt, gamma_blocks(imu.gyro * dt, 3))
+
+
+def _phi_left(gyro, accel, dt, blocks) -> TransitionBlocks:
+    """Array core of :func:`phi_left`, given ``gamma_blocks(gyro * dt, 3)``."""
+    dev0, g1, g2 = blocks
+    g0t = (_EYE3 + dev0).T
+    bias = -g0t @ g1 * dt
+    psi = psi_integrals(gyro, accel, dt)
 
     m = np.eye(15)
     m[0:3, 0:3] = g0t
     m[3:6, 3:6] = g0t
     m[6:9, 6:9] = g0t
-    m[0:3, 9:12] = -g0t @ g1 * dt
-    m[3:6, 0:3] = -g0t @ hat(g1 @ imu.accel) * dt
+    m[0:3, 9:12] = bias
+    m[3:6, 0:3] = -g0t @ hat(g1 @ accel) * dt
     m[3:6, 9:12] = g0t @ psi.psi1
-    m[3:6, 12:15] = -g0t @ g1 * dt
-    m[6:9, 0:3] = -g0t @ hat(g2 @ imu.accel) * dt * dt
+    m[3:6, 12:15] = bias
+    m[6:9, 0:3] = -g0t @ hat(g2 @ accel) * dt * dt
     m[6:9, 3:6] = g0t * dt
     m[6:9, 9:12] = g0t @ psi.psi2
     m[6:9, 12:15] = -g0t @ g2 * dt * dt
@@ -182,29 +275,34 @@ def phi_right(
     the interval; the estimated attitude evolves as
     ``Chat(s) = Gamma_0(-w_ie s) Chat_0 Gamma_0(w_b s)`` inside the
     derivation, which keeps every block in closed Gamma form except the two
-    bias cross couplings, evaluated by quadrature.  At a stationary state
-    the result coincides with ``expm(F_r dt)`` for the frozen F.
+    bias cross couplings, evaluated by the fixed 12-node Gauss-Legendre rule.
+    At a stationary state the result coincides with ``expm(F_r dt)`` for the
+    frozen F.
     """
     if dt <= 0.0:
         raise ValueError("phi_right requires dt > 0")
     if xhat.frame is not None and xhat.frame != FrameTag.ECEF_IB:
         raise FrameMismatch(f"phi_right requires ECEF_IB state, got {xhat.frame.name}")
+    _, g1_b, g2_b = gamma_blocks(imu.gyro * dt, 3)
+    return _phi_right(xhat, imu.gyro, earth, dt, g1_b, g2_b)
 
+
+def _phi_right(xhat, gyro, earth, dt, g1_b, g2_b) -> TransitionBlocks:
+    """Array core of :func:`phi_right`, given Gamma_1 and Gamma_2 of ``gyro * dt``."""
     w_e = earth.omega_vec
-    theta_e = w_e * dt
-    theta_b = imu.gyro * dt
     c0 = xhat.rot
     grav = earth.gravitation_ecef(xhat.pos)
-    e = gamma(0, theta_e).T  # transposed earth-rotation increment
+    dev_e, g1_e, g2_e = gamma_blocks(w_e * dt, 3)
+    e = (_EYE3 + dev_e).T  # transposed earth-rotation increment
 
-    g1_b = gamma(1, theta_b)
-    g2_b = gamma(2, theta_b)
-    rotation = (float(np.linalg.norm(imu.gyro)) + earth.omega_ie) * dt
-    s, w = _gl_rule(dt, rotation, "phi_right")
+    rotation = (float(np.linalg.norm(gyro)) + earth.omega_ie) * dt
+    _check_rotation("phi_right", rotation, dt)
+    s = 0.5 * dt * (_GL_NODES + 1.0)
+    w = 0.5 * dt * _GL_WEIGHTS
 
     g0_es = gamma_stack(0, w_e, s)
-    g0_bs = gamma_stack(0, imu.gyro, s)
-    g1_bs = gamma_stack(1, imu.gyro, s)
+    g0_bs = gamma_stack(0, gyro, s)
+    g1_bs = gamma_stack(1, gyro, s)
     grav_x = _hat_stack(np.einsum("nij,j->ni", g0_es, grav))
     vel_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.vel))
     pos_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.pos))
@@ -222,8 +320,8 @@ def phi_right(
     m[0:3, 9:12] = -e @ c0 @ g1_b * dt
     m[3:6, 12:15] = e @ c0 @ g1_b * dt
     m[6:9, 12:15] = e @ c0 @ g2_b * dt * dt
-    m[3:6, 0:3] = -e @ hat(gamma(1, theta_e) @ grav) * dt
-    m[6:9, 0:3] = -e @ hat(gamma(2, theta_e) @ grav) * dt * dt
+    m[3:6, 0:3] = -e @ hat(g1_e @ grav) * dt
+    m[6:9, 0:3] = -e @ hat(g2_e @ grav) * dt * dt
     m[3:6, 9:12] = e @ q24
     m[6:9, 9:12] = e @ q34
     return TransitionBlocks(m, Convention.RIGHT_INVARIANT, dt)

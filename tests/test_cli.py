@@ -119,9 +119,15 @@ class TestRun:
     def test_corrupt_csv_cites_line(self, tmp_path, capsys):
         args = sum([["--set", o] for o in fast_overrides()], [])
         assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
-        # a malformed row, a NaN gyro cell, a non-rotation DCM (c11 = 2)
-        cases = (("imu.csv", None), ("imu.csv", "nan"), ("truth.csv", "2.0"))
-        for name, cell in cases:
+        # a malformed row, a NaN gyro cell, a non-rotation DCM (c11 = 2),
+        # a NaN fix time
+        cases = (
+            ("imu.csv", None, None),
+            ("imu.csv", 1, "nan"),
+            ("truth.csv", 1, "2.0"),
+            ("gnss.csv", 0, "nan"),
+        )
+        for name, col, cell in cases:
             path = tmp_path / name
             text = path.read_text()
             lines = text.splitlines()
@@ -129,13 +135,25 @@ class TestRun:
                 lines[3] = "garbage,row"
             else:
                 cols = lines[3].split(",")
-                cols[1] = cell
+                cols[col] = cell
                 lines[3] = ",".join(cols)
             path.write_text("\n".join(lines) + "\n")
             code = main(["--out", str(tmp_path)] + args + ["run"])
             path.write_text(text)
             assert code == 2
             assert f"{name}:4" in capsys.readouterr().err
+
+    def test_header_only_stream_exits_2(self, tmp_path, capsys):
+        args = sum([["--set", o] for o in fast_overrides()], [])
+        assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        for name in ("imu.csv", "gnss.csv", "truth.csv"):
+            path = tmp_path / name
+            text = path.read_text()
+            path.write_text(text.splitlines()[0] + "\n")
+            code = main(["--out", str(tmp_path)] + args + ["run"])
+            path.write_text(text)
+            assert code == 2
+            assert f"{name}: no data rows" in capsys.readouterr().err
 
     def test_colliding_fixes_exit_2(self, tmp_path, capsys):
         args = sum([["--set", o] for o in fast_overrides()], [])

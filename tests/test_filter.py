@@ -46,6 +46,12 @@ class TestGnssFixType:
         with pytest.raises(ValueError):
             GnssFix(0.0, np.zeros(3), np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1.0]]))
 
+    def test_rejects_non_finite_time(self):
+        # a NaN time would map to IMU epoch 0 in run() and never be applied
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="GnssFix.t"):
+                GnssFix(t, np.zeros(3), np.eye(3))
+
 
 class TestFilterStateType:
     def test_validates_p(self, scenario):
@@ -57,6 +63,21 @@ class TestFilterStateType:
             FilterState(x0, np.zeros(3), np.zeros(3), bad, 0.0)
         with pytest.raises(ValueError):
             FilterState(x0, np.zeros(3), np.zeros(3), -np.eye(15), 0.0)
+
+    def test_rejects_non_finite_fields(self, scenario):
+        x0 = scenario[0].samples[0][1]
+        good = {"bg": np.zeros(3), "ba": np.zeros(3), "p": np.eye(15), "t": 0.0}
+        bad_p = np.eye(15)
+        bad_p[4, 4] = np.nan
+        for name, value in (
+            ("bg", np.array([0.0, np.nan, 0.0])),
+            ("ba", np.array([np.inf, 0.0, 0.0])),
+            ("p", bad_p),
+            ("t", np.nan),
+        ):
+            fields = dict(good, **{name: value})
+            with pytest.raises(ValueError, match=f"FilterState.{name} "):
+                FilterState(x0, fields["bg"], fields["ba"], fields["p"], fields["t"])
 
     def test_requires_ecef_ib(self, earth):
         x = lg.identity_element(FrameTag.NED_EB)

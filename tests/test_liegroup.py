@@ -213,3 +213,17 @@ def test_gamma0_deviation_consistent(rng):
     dev = lg.gamma0_deviation(phi)
     np.testing.assert_allclose(np.eye(3) + dev, lg.so3_exp(phi), rtol=0, atol=1e-18)
     assert np.abs(dev).max() < 2e-7
+
+
+def test_gamma_blocks_match_gamma(rng):
+    # one shared pass gives every order bit for bit, on both sides of each
+    # series/closed-form switch of the coefficients
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    for theta in (0.0, 1e-9, 9.9e-5, 1.01e-4, 9.9e-3, 1.01e-2, 0.49, 0.51, 2.0, 6.0):
+        phi = axis * theta
+        blocks = lg.gamma_blocks(phi, 4)
+        np.testing.assert_array_equal(np.eye(3) + blocks[0], lg.gamma(0, phi))
+        np.testing.assert_array_equal(blocks[0], lg.gamma0_deviation(phi))
+        for m in range(1, 4):
+            np.testing.assert_array_equal(blocks[m], lg.gamma(m, phi))

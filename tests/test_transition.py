@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import expm
 
 import eqnav.liegroup as lg
 from eqnav.errordyn import Convention, NoiseParams, f_matrix, g_matrix
@@ -188,6 +189,25 @@ class TestPsiIntegrals:
             psi = psi_integrals(omega, f, dt)
             assert np.abs(psi.psi1 - ref1).max() <= 1e-11
             assert np.abs(psi.psi2 - ref2).max() <= 1e-11
+
+    def test_matches_van_loan(self, earth):
+        # Van Loan oracle: Phi = expm(F_l dt) holds Gamma_0^T Psi_1 and
+        # Gamma_0^T Psi_2 in its bias columns; the sweep crosses the
+        # coefficient switches (1e-4, 1e-2, 0.5) and the Psi switch (2 rad)
+        anchor = lg.identity_element(FrameTag.ECEF_IB)
+        axis = np.array([0.3, -0.2, 0.4]) / np.linalg.norm([0.3, -0.2, 0.4])
+        f = np.array([1.0, 2.0, -9.0])
+        dt = 0.5
+        angles = [1e-8, 1e-6, 0.3, 1.0, 3.0, 5.0, 2.0 * math.pi]
+        for switch in (1e-4, 1e-2, 0.5, 2.0):
+            angles += [switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)]
+        for x in angles:
+            imu = ImuSample(0.0, axis * (x / dt), f)
+            phi = expm(f_matrix(Convention.LEFT_INVARIANT, anchor, imu, earth) * dt)
+            g0 = lg.gamma(0, imu.gyro * dt)
+            psi = psi_integrals(imu.gyro, f, dt)
+            assert np.abs(psi.psi1 - g0 @ phi[3:6, 9:12]).max() <= 1e-11, x
+            assert np.abs(psi.psi2 - g0 @ phi[6:9, 9:12]).max() <= 1e-11, x
 
     def test_not_converged_raises(self):
         # 900 rad in one interval: beyond the one-turn domain of the fixed rule
