@@ -152,9 +152,7 @@ class ConfigError(ValueError):
 
 def _coerce(name: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)

@@ -150,14 +150,14 @@ def predict(
     accel = accel - state.ba
 
     # one Gamma pass of the body rotation serves the mean step and Phi
-    dev1, j1, j2 = gamma_blocks(gyro * dt, 3)
-    rot, vel, pos = _midpoint(FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, dev1, j1)
-    x_new = GroupElement(rot, vel, pos, state.x.frame)
+    blocks = gamma_blocks(gyro * dt, 3)
+    x1 = _midpoint(FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, *blocks[:2])
+    x_new = GroupElement(*x1, state.x.frame)
 
     if state.convention is Convention.RIGHT_INVARIANT:
-        phi = _phi_right(state.x, gyro, earth, dt, j1, j2)
+        phi = _phi_right(state.x, x1, gyro, accel, earth, dt, blocks)
     else:
-        phi = _phi_left(gyro, accel, dt, (dev1, j1, j2))
+        phi = _phi_left(gyro, accel, dt, blocks)
     g = g_matrix(state.convention, state.x)
     qd = qd_matrix(phi, g, noise, dt)
     p_new = phi.matrix @ state.p @ phi.matrix.T + qd
@@ -310,7 +310,8 @@ def run(
     """Interleave predictions and GNSS updates over time-sorted streams.
 
     Fixes are applied at the nearest IMU epoch within ``time_slop`` of their
-    timestamp (no interpolation).  IMU intervals use trapezoidal rate
+    timestamp (no interpolation; a tie goes to the earlier epoch), including
+    the initial state's epoch.  IMU intervals use trapezoidal rate
     averaging.  When ground truth is supplied, each record carries the error
     in the filter's invariant parametrization and the NEES.
 
@@ -320,7 +321,8 @@ def run(
         If either stream is not strictly increasing in time, with the
         offending epoch named.
     ValueError
-        If a GNSS fix has no IMU epoch within ``time_slop``, if two fixes
+        If a GNSS fix has no IMU epoch within ``time_slop``, if it maps to
+        an epoch the run skips (before the initial state), if two fixes
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
     """
@@ -349,12 +351,19 @@ def run(
 
     # align each fix with its nearest IMU epoch (no interpolation)
     imu_times = np.array([s.t for s in imu])
+    # the run's epochs: the initial state, then every IMU epoch after it
+    first = max(1, int(np.searchsorted(imu_times, initial.t, side="right")))
     fixes_at: dict[int, GnssFix] = {}
     for fix in gnss:
         idx = int(np.argmin(np.abs(imu_times - fix.t)))
         if abs(imu_times[idx] - fix.t) > time_slop:
             raise ValueError(
                 f"no IMU epoch within {time_slop} s of GNSS fix at t={fix.t}"
+            )
+        if idx < first and imu_times[idx] != initial.t:
+            raise ValueError(
+                f"GNSS fix at t={fix.t} maps to IMU epoch t={imu_times[idx]}, "
+                f"which the run from the initial state at t={initial.t} skips"
             )
         if idx in fixes_at:
             raise ValueError(
@@ -363,19 +372,20 @@ def run(
             )
         fixes_at[idx] = fix
 
-    records = [make_record(initial)]
-    state = initial
-    for i, (prev, cur) in enumerate(zip(imu[:-1], imu[1:])):
-        if cur.t <= state.t:
-            continue
+    def epoch(i, state):
+        """Record of IMU epoch ``i``: predicted there from ``state`` unless it
+        is the initial state's epoch, then corrected by its fix if it has one."""
+        innovation = nis = None
         try:
-            state = predict(state, cur, noise, earth, imu_prev=prev)
-            innovation = nis = None
-            fix = fixes_at.get(i + 1)
-            if fix is not None:
-                aligned = GnssFix(state.t, fix.pos_ecef, fix.cov)
-                state, innovation, nis = update_gnss(state, aligned, lever)
+            if i >= first:
+                state = predict(state, imu[i], noise, earth, imu_prev=imu[i - 1])
+            if i in fixes_at:
+                state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
         except (np.linalg.LinAlgError, ValueError) as exc:
-            raise type(exc)(f"at epoch t={cur.t}: {exc}") from exc
-        records.append(make_record(state, innovation, nis))
+            raise type(exc)(f"at epoch t={imu[i].t}: {exc}") from exc
+        return make_record(state, innovation, nis)
+
+    records = [epoch(first - 1, initial)]
+    for i in range(first, len(imu)):
+        records.append(epoch(i, records[-1].state))
     return records

@@ -508,14 +508,18 @@ class GroupAffineReport:
     samples: int
 
 
-def _random_element(rng: np.random.Generator, vel_scale: float, pos_scale: float):
+# half-width of the random velocities (m/s) and positions (m)
+_AFFINE_SCALE = 1.0e7
+
+
+def _random_element(rng: np.random.Generator):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, math.pi - 0.2)
     return GroupElement(
         so3_exp(angle * axis),
-        rng.uniform(-vel_scale, vel_scale, 3),
-        rng.uniform(-pos_scale, pos_scale, 3),
+        rng.uniform(-_AFFINE_SCALE, _AFFINE_SCALE, 3),
+        rng.uniform(-_AFFINE_SCALE, _AFFINE_SCALE, 3),
     )
 
 
@@ -542,8 +546,6 @@ def check_group_affine(
     pair: DynamicsPair,
     samples: int = 1000,
     rng: np.random.Generator | None = None,
-    vel_scale: float = 1.0e7,
-    pos_scale: float = 1.0e7,
 ) -> GroupAffineReport:
     """Verify f(Xa Xb) = f(Xa) Xb + Xa f(Xb) - Xa f(I) Xb on random pairs.
 
@@ -557,8 +559,8 @@ def check_group_affine(
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = 0.0
     for _ in range(samples):
-        xa = _random_element(rng, vel_scale, pos_scale).as_matrix()
-        xb = _random_element(rng, vel_scale, pos_scale).as_matrix()
+        xa = _random_element(rng).as_matrix()
+        xb = _random_element(rng).as_matrix()
         worst = max(worst, group_affine_residual(pair.w1, pair.w2, xa, xb))
     return GroupAffineReport(worst, samples)
 

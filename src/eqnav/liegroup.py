@@ -39,7 +39,6 @@ __all__ = [
     "inverse",
     "is_rotation",
     "se23_exp",
-    "se23_exp_matrix",
     "se23_log",
     "so3_exp",
     "so3_log",
@@ -386,12 +385,6 @@ def se23_log(x: GroupElement) -> Tangent9:
     j = gamma(1, phi)
     sol = np.linalg.solve(j, np.column_stack([x.vel, x.pos]))
     return Tangent9(phi, sol[:, 0], sol[:, 1])
-
-
-def se23_exp_matrix(w: NDArray) -> GroupElement:
-    """Exponential of a dense se2(3) element (5x5 with zero bottom rows)."""
-    w = np.asarray(w, dtype=float)
-    return se23_exp(Tangent9(vee(w[0:3, 0:3]), w[0:3, 3], w[0:3, 4]))
 
 
 def adjoint(x: GroupElement) -> NDArray:

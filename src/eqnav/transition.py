@@ -7,17 +7,18 @@ Gamma functions of the body rotation, plus two integrals ``Psi_1`` and
 are themselves closed forms (a short Taylor series in |w dt|^2 below 2 rad,
 sin/cos of |w dt| and 2|w dt| above); no quadrature is involved.
 
-For the right-invariant error the estimated rotation evolves inside the
-interval; the blocks below freeze the estimated velocity, position and
-gravitation at the start of the interval, keep the attitude evolution in
-closed Gamma form, and evaluate the two non-collapsible cross integrals by
-one fixed 12-node Gauss-Legendre rule.  Its integrands are smooth in the
-rotation angle swept over the interval; up to one full turn (2 pi rad) the
-rule is accurate to near roundoff.
+For the right-invariant error the group block (attitude, velocity,
+position) is the closed form of the earth-rate rotation with the
+gravitation frozen at the start of the interval.  The right and left errors
+of one state are related by the linear map
+``M(x) = [[C, 0, 0], [-v^ C, -C, 0], [-r^ C, 0, -C]]``, so the bias columns
+are the left ones mapped into right coordinates at the end of the interval,
+``M(x1) Phi_l[0:9, 9:15]``, with ``x1`` the state after the mean step.  They
+are as analytic as the left matrix and freeze no velocity or position.
 
-Both matrices reject a rotation of more than one turn per interval with
-``ValueError``, have exact identity bias rows and exactly zero blocks where
-the structure demands them, and satisfy ``Phi -> I`` as ``dt -> 0``.
+Both matrices reject a body rotation of more than one turn per interval
+with ``ValueError``, have exact identity bias rows and exactly zero blocks
+where the structure demands them, and satisfy ``Phi -> I`` as ``dt -> 0``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from numpy.typing import NDArray
 from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
-from .kinematics import EarthModel, ImuSample
+from .kinematics import EarthModel, ImuSample, _midpoint
 from .liegroup import (
     _EYE3,
     FrameMismatch,
@@ -161,15 +162,6 @@ def _psi_closed_form(x2: float, x: float) -> NDArray:
     )
 
 
-def _check_rotation(name: str, rotation: float, dt: float) -> None:
-    """Reject more than :data:`MAX_INTERVAL_ROTATION` (or NaN) per interval."""
-    if not rotation <= MAX_INTERVAL_ROTATION:
-        raise ValueError(
-            f"{name}: rotation {rotation:.6g} rad over dt={dt} s exceeds "
-            f"{MAX_INTERVAL_ROTATION:.6g} rad (one turn) per interval"
-        )
-
-
 def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     """Specific-force coupling integrals of the left transition matrix.
 
@@ -191,7 +183,11 @@ def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     phi = np.asarray(omega, dtype=float) * dt
     x2 = float(phi @ phi)
     x = math.sqrt(x2)
-    _check_rotation("psi_integrals", x, dt)
+    if not x <= MAX_INTERVAL_ROTATION:  # also rejects NaN
+        raise ValueError(
+            f"psi_integrals: rotation {x:.6g} rad over dt={dt} s exceeds "
+            f"{MAX_INTERVAL_ROTATION:.6g} rad (one turn) per interval"
+        )
     if x < _PSI_SERIES_BELOW:
         h = (_PSI_SERIES @ x2**_PSI_POWERS).reshape(6, 3)
     else:
@@ -206,24 +202,6 @@ def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     right = (h @ powers.reshape(3, 9)).reshape(2, 9, 3)
     psi = left.transpose(1, 0, 2).reshape(3, 9) @ right
     return PsiIntegrals(psi[0], psi[1] * dt)
-
-
-# --- right-invariant quadrature ---------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
-def _hat_stack(vecs: NDArray) -> NDArray:
-    """Stack of hat matrices for an (N, 3) array of vectors."""
-    n = vecs.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 1] = -vecs[:, 2]
-    out[:, 0, 2] = vecs[:, 1]
-    out[:, 1, 0] = vecs[:, 2]
-    out[:, 1, 2] = -vecs[:, 0]
-    out[:, 2, 0] = -vecs[:, 1]
-    out[:, 2, 1] = vecs[:, 0]
-    return out
 
 
 # --- transition matrices -----------------------------------------------------
@@ -271,59 +249,58 @@ def phi_right(
 ) -> TransitionBlocks:
     """Analytic right-invariant transition matrix over one sample interval.
 
-    Freezes the estimated velocity, position and gravitation at the start of
-    the interval; the estimated attitude evolves as
-    ``Chat(s) = Gamma_0(-w_ie s) Chat_0 Gamma_0(w_b s)`` inside the
-    derivation, which keeps every block in closed Gamma form except the two
-    bias cross couplings, evaluated by the fixed 12-node Gauss-Legendre rule.
-    At a stationary state the result coincides with ``expm(F_r dt)`` for the
-    frozen F.
+    The group block freezes the gravitation at the start of the interval and
+    is the closed form of the earth-rate rotation.  The bias columns are
+    those of :func:`phi_left` mapped into right coordinates at the end of the
+    interval, ``M(x1) Phi_l[0:9, 9:15]`` with
+    ``M = [[C, 0, 0], [-v^ C, -C, 0], [-r^ C, 0, -C]]``, the linear map from
+    the left error to the right one; ``x1`` is ``xhat`` advanced by the
+    ECEF_IB :func:`~eqnav.kinematics.midpoint_step` under ``imu`` (the step
+    :func:`~eqnav.filter.predict` takes).  No velocity or position is
+    frozen and no quadrature is involved.  At a stationary state the result
+    coincides with ``expm(F_r dt)`` for the frozen F.
+
+    Raises
+    ------
+    ValueError
+        If ``dt <= 0``, or if the body rotation ``|w| dt`` over the interval
+        exceeds :data:`MAX_INTERVAL_ROTATION` (one turn).
     """
     if dt <= 0.0:
         raise ValueError("phi_right requires dt > 0")
     if xhat.frame is not None and xhat.frame != FrameTag.ECEF_IB:
         raise FrameMismatch(f"phi_right requires ECEF_IB state, got {xhat.frame.name}")
-    _, g1_b, g2_b = gamma_blocks(imu.gyro * dt, 3)
-    return _phi_right(xhat, imu.gyro, earth, dt, g1_b, g2_b)
+    blocks = gamma_blocks(imu.gyro * dt, 3)
+    x1 = _midpoint(FrameTag.ECEF_IB, xhat, imu.gyro, imu.accel, dt, earth, *blocks[:2])
+    return _phi_right(xhat, x1, imu.gyro, imu.accel, earth, dt, blocks)
 
 
-def _phi_right(xhat, gyro, earth, dt, g1_b, g2_b) -> TransitionBlocks:
-    """Array core of :func:`phi_right`, given Gamma_1 and Gamma_2 of ``gyro * dt``."""
-    w_e = earth.omega_vec
-    c0 = xhat.rot
+def _phi_right(xhat, x1, gyro, accel, earth, dt, blocks) -> TransitionBlocks:
+    """Array core of :func:`phi_right`.
+
+    ``x1`` is the (rot, vel, pos) of the mean step from ``xhat`` and
+    ``blocks`` is ``gamma_blocks(gyro * dt, 3)``.
+    """
     grav = earth.gravitation_ecef(xhat.pos)
-    dev_e, g1_e, g2_e = gamma_blocks(w_e * dt, 3)
+    dev_e, g1_e, g2_e = gamma_blocks(earth.omega_vec * dt, 3)
     e = (_EYE3 + dev_e).T  # transposed earth-rotation increment
-
-    rotation = (float(np.linalg.norm(gyro)) + earth.omega_ie) * dt
-    _check_rotation("phi_right", rotation, dt)
-    s = 0.5 * dt * (_GL_NODES + 1.0)
-    w = 0.5 * dt * _GL_WEIGHTS
-
-    g0_es = gamma_stack(0, w_e, s)
-    g0_bs = gamma_stack(0, gyro, s)
-    g1_bs = gamma_stack(1, gyro, s)
-    grav_x = _hat_stack(np.einsum("nij,j->ni", g0_es, grav))
-    vel_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.vel))
-    pos_x = _hat_stack(np.einsum("nij,j->ni", g0_es, xhat.pos))
-    kappa = np.einsum("nij,jk,nkl->nil", grav_x, c0, g1_bs) * s[:, None, None]
-    kappa += np.einsum("nij,jk,nkl->nil", vel_x, c0, g0_bs)
-    pos_term = np.einsum("nij,jk,nkl->nil", pos_x, c0, g0_bs)
-    q24 = np.einsum("n,nij->ij", w, kappa)
-    q34 = np.einsum("n,nij->ij", w, (dt - s)[:, None, None] * kappa + pos_term)
 
     m = np.eye(15)
     m[0:3, 0:3] = e
     m[3:6, 3:6] = e
     m[6:9, 6:9] = e
     m[6:9, 3:6] = e * dt
-    m[0:3, 9:12] = -e @ c0 @ g1_b * dt
-    m[3:6, 12:15] = e @ c0 @ g1_b * dt
-    m[6:9, 12:15] = e @ c0 @ g2_b * dt * dt
     m[3:6, 0:3] = -e @ hat(g1_e @ grav) * dt
     m[6:9, 0:3] = -e @ hat(g2_e @ grav) * dt * dt
-    m[3:6, 9:12] = e @ q24
-    m[6:9, 9:12] = e @ q34
+
+    # bias columns: M(x1) times the left ones; conjugating the group block
+    # the same way would cancel earth-radius-sized terms
+    rot, vel, pos = x1
+    left = _phi_left(gyro, accel, dt, blocks).matrix[0:9, 9:15]
+    att = rot @ left[0:3]
+    m[0:3, 9:15] = att
+    m[3:6, 9:15] = -hat(vel) @ att - rot @ left[3:6]
+    m[6:9, 9:15] = -hat(pos) @ att - rot @ left[6:9]
     return TransitionBlocks(m, Convention.RIGHT_INVARIANT, dt)
 
 

@@ -160,6 +160,13 @@ def check_phi_left(earth: EarthModel, tol: float, seed: int, cases: int = 20):
 
 
 def check_phi_right(earth: EarthModel, tol: float, seed: int):
+    """phi_right against RK4 of F frozen at a stationary state.
+
+    There the specific force cancels gravity and the state barely moves over
+    the interval, so the frozen F is the along-flow F to within the check's
+    tolerance; the bias columns' step-end mapping is pinned on a moving state
+    by the tier-1 test ``TestPhiRight::test_matches_rk4_along_flow``.
+    """
     lat, lon, h = math.radians(45.0), math.radians(7.0), 400.0
     r0 = earth.geodetic_to_ecef(lat, lon, h)
     c = earth.ned_rotation(lat, lon)
@@ -173,13 +180,17 @@ def check_phi_right(earth: EarthModel, tol: float, seed: int):
     return CheckResult("phi_right_vs_frozen_rk4", worst, tol)
 
 
+# heave scenario: measurement epochs after the anchor, their spacing (s),
+# the IMU rate (Hz) and the latitude (deg)
+_HEAVE_EPOCHS = 10
+_HEAVE_EPOCH_DT = 5.0
+_HEAVE_IMU_RATE = 10.0
+_HEAVE_LAT_DEG = 10.0
+
+
 def heave_observability(
     earth: EarthModel,
     convention: Convention,
-    m: int = 10,
-    epoch_dt: float = 5.0,
-    imu_rate: float = 10.0,
-    lat_deg: float = 10.0,
     svd_cutoff: float = 1e-8,
 ):
     """Observability analysis on a vertical-heave trajectory.
@@ -189,7 +200,8 @@ def heave_observability(
     symmetry exact, which isolates the single claimed unobservable
     direction.
     """
-    lat, lon, h = math.radians(lat_deg), math.radians(7.0), 200.0
+    m, epoch_dt, imu_rate = _HEAVE_EPOCHS, _HEAVE_EPOCH_DT, _HEAVE_IMU_RATE
+    lat, lon, h = math.radians(_HEAVE_LAT_DEG), math.radians(7.0), 200.0
     r0 = earth.geodetic_to_ecef(lat, lon, h)
     c = earth.ned_rotation(lat, lon)
     we = earth.omega_vec

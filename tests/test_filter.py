@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import eqnav.liegroup as lg
-from eqnav.errordyn import Convention, LeverArm, NoiseParams
+from eqnav.errordyn import Convention, LeverArm, NoiseParams, g_matrix
 from eqnav.filter import (
     FilterState,
     GnssFix,
@@ -16,6 +16,7 @@ from eqnav.filter import (
 )
 from eqnav.kinematics import FrameTag, ImuSample, NonMonotonicTime, integrate_imu
 from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
+from eqnav.transition import phi_right, qd_matrix
 from eqnav.verify import heave_observability
 
 RIGHT = Convention.RIGHT_INVARIANT
@@ -124,6 +125,22 @@ class TestPredict:
             np.testing.assert_array_equal(st.x.rot, x.rot)
             np.testing.assert_array_equal(st.x.vel, x.vel)
             np.testing.assert_array_equal(st.x.pos, x.pos)
+
+    def test_right_covariance_matches_public_phi(self, scenario, earth):
+        """predict's P is Phi P Phi^T + Qd from public phi_right and qd_matrix."""
+        truth, imu = scenario
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        bg, ba = np.array([1e-4, -2e-4, 3e-4]), np.array([0.02, -0.01, 0.03])
+        for k in (0, 300, 700):
+            st = FilterState(truth.samples[k][1], bg, ba, default_p0(), imu[k].t, RIGHT)
+            cur = imu[k + 1]
+            dt = cur.t - st.t
+            corrected = ImuSample(cur.t, cur.gyro - bg, cur.accel - ba)
+            phi = phi_right(st.x, corrected, earth, dt)
+            qd = qd_matrix(phi, g_matrix(RIGHT, st.x), noise, dt)
+            want = phi.matrix @ st.p @ phi.matrix.T + qd
+            got = predict(st, cur, noise, earth).p
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_p_trace_increases(self, scenario, earth):
         truth, imu = scenario
@@ -257,6 +274,24 @@ class TestRun:
             )
             with pytest.raises(ValueError, match=f"t={bad[10].t}"):
                 run(bad, [], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+
+    def test_fix_at_first_epoch_applied(self, scenario, earth):
+        truth, imu = scenario
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0)
+        fixes = [
+            GnssFix(t, x.pos.copy(), np.eye(3)) for t, x in truth.samples[0:201:100]
+        ]
+        records = run(imu[:301], fixes, st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+        assert fixes[0].t == records[0].t == 0.0
+        assert records[0].innovation is not None and records[0].nis is not None
+        assert sum(r.nis is not None for r in records) == len(fixes)
+
+    def test_fix_before_initial_state_rejected(self, scenario, earth):
+        truth, imu = scenario
+        st = FilterState(truth.samples[50][1], np.zeros(3), np.zeros(3), default_p0(), imu[50].t)
+        fix = GnssFix(imu[20].t, truth.samples[20][1].pos.copy(), np.eye(3))
+        with pytest.raises(ValueError, match=f"fix at t={fix.t} "):
+            run(imu[:200], [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
 
     def test_left_right_agree_on_noise_free_data(self, earth):
         spec = TrajectorySpec(

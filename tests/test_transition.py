@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 import eqnav.liegroup as lg
 from eqnav.errordyn import Convention, NoiseParams, f_matrix, g_matrix
-from eqnav.kinematics import EarthModel, FrameTag, ImuSample
+from eqnav.kinematics import EarthModel, FrameTag, ImuSample, build_dynamics, flow
 from eqnav.transition import (
     TransitionBlocks,
     gamma_integrals_check,
@@ -19,7 +19,7 @@ from eqnav.transition import (
     qd_matrix,
 )
 from eqnav.verify import rk4_const
-from oracles import surface_state
+from oracles import rk4_fixed, surface_state
 
 
 @pytest.fixture
@@ -116,8 +116,12 @@ class TestPhiRight:
                 blocks.block(2, 4), c0 @ lg.gamma(2, theta) * dt * dt, atol=1e-15
             )
             assert np.abs(blocks.block(1, 0)).max() <= 1e-300  # gravitation negligible
-            # velocity cross coupling collapses to (v x) C Gamma_1 dt
-            want = lg.hat(vel) @ c0 @ lg.gamma(1, theta) * dt
+            # velocity cross coupling collapses to (v1 x) C Gamma_1 dt - C Psi_1,
+            # v1 the velocity at the end of the interval
+            g1 = lg.gamma(1, theta)
+            v1 = vel + c0 @ g1 @ imu.accel * dt
+            psi1 = psi_integrals(imu.gyro, imu.accel, dt).psi1
+            want = lg.hat(v1) @ c0 @ g1 * dt - c0 @ psi1
             np.testing.assert_allclose(blocks.block(1, 3), want, atol=1e-12)
 
     def test_semigroup_stationary(self, earth, stationary):
@@ -146,6 +150,35 @@ class TestPhiRight:
         order1 = math.log2(gaps[0] / gaps[1])
         order2 = math.log2(gaps[1] / gaps[2])
         assert min(order1, order2) >= 1.9
+
+    def test_matches_rk4_along_flow(self, earth):
+        # oracle: RK4 of the right-invariant F evaluated along the interval's
+        # exact flow, so neither velocity nor position is frozen
+        c, v_eb, r0 = surface_state(earth)
+        x = lg.GroupElement(
+            c, v_eb + np.cross(earth.omega_vec, r0), r0, FrameTag.ECEF_IB
+        )
+        imu = ImuSample(
+            0.0,
+            c.T @ earth.omega_vec + np.array([0.02, -0.01, 0.05]),
+            -(c.T @ earth.gravity_ecef(r0)) + np.array([1.5, 0.3, 0.0]),
+        )
+        pair = build_dynamics(FrameTag.ECEF_IB, x, imu, earth)
+
+        def deriv(s, y):
+            return f_matrix(Convention.RIGHT_INVARIANT, flow(x, pair, s), imu, earth) @ y
+
+        for dt in (0.02, 0.01, 0.005):
+            ref = rk4_fixed(deriv, np.eye(15), 0.0, dt, 200)
+            got = phi_right(x, imu, earth, dt).matrix
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), dt
+            # each bias-column block against its own size: the attitude rows
+            # are about dt, the position rows about |r| dt
+            for i in range(5):
+                for j in (3, 4):
+                    rows, cols = slice(3 * i, 3 * i + 3), slice(3 * j, 3 * j + 3)
+                    gap = np.abs(got[rows, cols] - ref[rows, cols]).max()
+                    assert gap <= 1e-10 * np.abs(ref[rows, cols]).max(), (dt, i, j)
 
     def test_frame_check(self, earth, stationary, rng):
         x, imu = stationary
