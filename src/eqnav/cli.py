@@ -203,11 +203,13 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _read_csv(path: Path, expect_header: str, make) -> list:
     """Rows of a CSV stream, each list of floats passed through ``make``.
 
-    A malformed row, or one that ``make`` rejects with ``ValueError``,
+    A malformed row, one that ``make`` rejects with ``ValueError``, or one
+    whose time (first column) is not strictly after the previous row's
     raises :class:`ConfigError` citing ``path:line``; so does a file with no
     data row after its header.
     """
     rows = []
+    last = None  # time of the previous data row
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != expect_header:
@@ -227,6 +229,12 @@ def _read_csv(path: Path, expect_header: str, make) -> list:
                 rows.append(make(values))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if last is not None and not values[0] > last:
+                raise ConfigError(
+                    f"{path}:{lineno}: time {values[0]!r} is not after the "
+                    f"previous row's {last!r}"
+                )
+            last = values[0]
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
     return rows
@@ -296,6 +304,8 @@ def _gnss_row(r: list[float]) -> GnssFix:
 
 
 def _truth_row(r: list[float]) -> tuple[float, GroupElement]:
+    if not math.isfinite(r[0]):
+        raise ValueError("truth time is not finite")
     rot = np.array(r[1:10]).reshape(3, 3)
     return r[0], GroupElement(rot, np.array(r[10:13]), np.array(r[13:16]), FrameTag.ECEF_IB)
 

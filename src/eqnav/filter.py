@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dpotrf
 
 from .errordyn import (
     Convention,
@@ -25,7 +26,7 @@ from .errordyn import (
     h_matrix,
 )
 from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _midpoint
-from .liegroup import FrameMismatch, FrameTag, GroupElement, gamma_blocks
+from .liegroup import FrameMismatch, FrameTag, GroupElement, _gamma_pass
 from .transition import _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _COND_BOUND = 1e12
+_PSD_TOL = 1e-10  # relative to trace(P): the most negative eigenvalue admitted
 
 
 class SingularInnovationCov(np.linalg.LinAlgError):
@@ -106,7 +108,11 @@ class FilterState:
         scale = max(1.0, largest)
         if np.abs(p - p.T).max() > 1e-12 * scale:
             raise ValueError("FilterState.p must be symmetric")
-        if np.linalg.eigvalsh(p).min() < -1e-10 * max(np.trace(p), 1e-300):
+        # min eig(P) > -tau exactly when P + tau I has a Cholesky factor (up
+        # to its roundoff, ~n^2 eps trace(P), far below tau)
+        shifted = p.copy()
+        shifted.flat[::16] += _PSD_TOL * max(float(p.trace()), 1e-300)
+        if dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] != 0:
             raise ValueError("FilterState.p must be positive semidefinite")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -149,15 +155,16 @@ def predict(
     gyro = gyro - state.bg
     accel = accel - state.ba
 
-    # one Gamma pass of the body rotation serves the mean step and Phi
-    blocks = gamma_blocks(gyro * dt, 3)
-    x1 = _midpoint(FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, *blocks[:2])
+    # one Gamma pass of the body rotation, at dt and dt/2, serves the mean
+    # step and Phi
+    body = _gamma_pass(gyro * dt, 3, (1.0, 0.5))
+    *x1, rate = _midpoint(FrameTag.ECEF_IB, state.x, accel, dt, earth, body)
     x_new = GroupElement(*x1, state.x.frame)
 
     if state.convention is Convention.RIGHT_INVARIANT:
-        phi = _phi_right(state.x, x1, gyro, accel, earth, dt, blocks)
+        phi = _phi_right(state.x, x1, accel, earth, dt, body, rate)
     else:
-        phi = _phi_left(gyro, accel, dt, blocks)
+        phi = _phi_left(accel, dt, body)
     g = g_matrix(state.convention, state.x)
     qd = qd_matrix(phi, g, noise, dt)
     p_new = phi.matrix @ state.p @ phi.matrix.T + qd

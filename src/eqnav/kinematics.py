@@ -33,8 +33,8 @@ from .liegroup import (
     FrameTag,
     GroupElement,
     _EYE3,
+    _gamma_pass,
     compose,
-    gamma,
     gamma_blocks,
     hat,
     inverse,
@@ -99,27 +99,27 @@ class EarthModel:
     mu: float = 3.986004418e14  # m^3/s^2
     semimajor_axis: float = 6378137.0  # m
     flattening: float = 1.0 / 298.257223563
+    # earth rotation vector in ECEF axes (0, 0, omega_ie), read-only
+    omega_vec: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega_ie <= 0.0 or self.mu <= 0.0:
             raise ValueError("earth rotation rate and mu must be positive")
+        w = np.array([0.0, 0.0, self.omega_ie])
+        w.setflags(write=False)
+        object.__setattr__(self, "omega_vec", w)
 
     @property
     def e2(self) -> float:
         """Squared first eccentricity of the ellipsoid."""
         return self.flattening * (2.0 - self.flattening)
 
-    @property
-    def omega_vec(self) -> NDArray:
-        """Earth rotation vector in ECEF axes (0, 0, omega_ie)."""
-        return np.array([0.0, 0.0, self.omega_ie])
-
     # -- gravity -------------------------------------------------------
 
     def gravitation_ecef(self, r: NDArray) -> NDArray:
         """Gravitational acceleration G at ECEF position r."""
         r = np.asarray(r, dtype=float)
-        return -self.mu * r / np.linalg.norm(r) ** 3
+        return -self.mu * r / math.sqrt(r.dot(r)) ** 3
 
     def gravity_ecef(self, r: NDArray) -> NDArray:
         """Plumb-bob gravity g = G - (omega x)(omega x r) at ECEF position r."""
@@ -350,18 +350,19 @@ def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
     return m @ pair.w1 + pair.w2 @ m
 
 
-def _flow(rot, vel, pos, accel, w2, dt, j1, dev1=None):
+def _flow(rot, vel, pos, accel, w2, dt, j1, dev1, w2_blocks):
     """Array core of :func:`flow`, W2 as a (rate, vel column, pos column) triple.
 
-    ``j1`` is Gamma_1(gyro dt) and ``dev1`` is Gamma_0(gyro dt) - I, both from
-    the caller; ``dev1=None`` skips the rotation and returns ``None`` in its
-    place.
+    ``j1`` is Gamma_1(gyro dt) and ``dev1`` is Gamma_0(gyro dt) - I, and
+    ``w2_blocks`` starts with Gamma_0 - I and Gamma_1 of ``w2[0] * dt``, all
+    from the caller; ``dev1=None`` skips the rotation and returns ``None``
+    in its place.
     """
     # right factor X exp(W1 dt): W1 has a zero position column
     vel = rot @ (j1 @ (accel * dt)) + vel
 
     # left factor exp(W2 dt) (...): position advanced by its increment
-    dev2, j2 = gamma_blocks(w2[0] * dt, 2)
+    dev2, j2 = w2_blocks[:2]
     vel_new = vel + (dev2 @ vel + j2 @ (w2[1] * dt))
     pos_new = pos + (dev2 @ pos + j2 @ (w2[2] * dt))
     if dev1 is None:
@@ -386,21 +387,39 @@ def flow(x: GroupElement, pair: DynamicsPair, dt: float) -> GroupElement:
     w1, w2 = pair.w1[0:3], pair.w2[0:3]
     w2 = (vee(w2[:, 0:3]), w2[:, 3], w2[:, 4])
     dev1, j1 = gamma_blocks(vee(w1[:, 0:3]) * dt, 2)
-    rot, vel, pos = _flow(x.rot, x.vel, x.pos, w1[:, 3], w2, dt, j1, dev1)
+    w2_blocks = gamma_blocks(w2[0] * dt, 2)
+    rot, vel, pos = _flow(x.rot, x.vel, x.pos, w1[:, 3], w2, dt, j1, dev1, w2_blocks)
     return GroupElement(rot, vel, pos, x.frame)
 
 
-def _midpoint(frame, x, gyro, accel, dt, earth, dev1, j1):
-    """Array core of :func:`midpoint_step`: the stepped (rot, vel, pos).
+# Variants whose W2 rate is the earth rate alone, the same at every state.
+_CONSTANT_RATE = (FrameTag.ECEF_EB, FrameTag.ECEF_IB)
 
-    ``dev1`` and ``j1`` are Gamma_0(gyro dt) - I and Gamma_1(gyro dt) of the
-    full step; the half step evaluates only the Gamma_1 it uses.
+
+def _midpoint(frame, x, accel, dt, earth, body):
+    """Array core of :func:`midpoint_step`.
+
+    ``body`` is the Gamma pass of the body rotation ``gyro dt`` at scales
+    1 and 1/2 (see :func:`~eqnav.liegroup._gamma_pass`).  Returns the
+    stepped (rot, vel, pos) and the full step's ``gamma_blocks(rate dt, 3)``
+    of W2's rate, which :func:`~eqnav.transition.phi_right` reuses.  Where
+    that rate does not depend on the state (the ECEF variants), one Gamma
+    pass of it serves both steps; the NED rate moves with the midpoint and
+    takes one pass per step.
     """
+    (full, half_blocks), _, _ = body
     half = 0.5 * dt
-    j_half = gamma(1, gyro * half)
-    x0 = (x.rot, x.vel, x.pos, accel)
-    _, vel, pos = _flow(*x0, _w2(frame, x.vel, x.pos, earth), half, j_half)
-    return _flow(*x0, _w2(frame, vel, pos, earth), dt, j1, dev1)
+    w2 = _w2(frame, x.vel, x.pos, earth)
+    if frame in _CONSTANT_RATE:
+        rate_full, rate_half = _gamma_pass(w2[0] * dt, 3, (1.0, 0.5))[0]
+    else:
+        rate_half = gamma_blocks(w2[0] * half, 2)
+    _, vel, pos = _flow(x.rot, x.vel, x.pos, accel, w2, half, half_blocks[1], None, rate_half)
+    w2 = _w2(frame, vel, pos, earth)
+    if frame not in _CONSTANT_RATE:
+        rate_full = gamma_blocks(w2[0] * dt, 3)
+    rot, vel, pos = _flow(x.rot, x.vel, x.pos, accel, w2, dt, full[1], full[0], rate_full)
+    return rot, vel, pos, rate_full
 
 
 def midpoint_step(
@@ -416,8 +435,9 @@ def midpoint_step(
     """
     if x.frame is not None and x.frame != frame:
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
-    dev1, j1 = gamma_blocks(gyro * dt, 2)
-    return GroupElement(*_midpoint(frame, x, gyro, accel, dt, earth, dev1, j1), x.frame)
+    body = _gamma_pass(gyro * dt, 2, (1.0, 0.5))
+    rot, vel, pos, _ = _midpoint(frame, x, accel, dt, earth, body)
+    return GroupElement(rot, vel, pos, x.frame)
 
 
 def lift(x: GroupElement, pair: DynamicsPair) -> NDArray:

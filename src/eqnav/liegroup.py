@@ -86,11 +86,25 @@ def vee(m: NDArray) -> NDArray:
 
 
 def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
-    """True if ``mat`` is orthonormal with determinant +1 within ``tol``."""
-    if mat.shape != (3, 3) or not np.all(np.isfinite(mat)):
+    """True if ``mat`` is orthonormal with determinant +1 within ``tol``.
+
+    Orthonormality is the Frobenius norm of ``mat^T mat - I``.  Both
+    residuals are formed in scalars; a NaN or infinite entry makes them NaN
+    or infinite, so it fails the ``<=`` comparisons.
+    """
+    if mat.shape != (3, 3):
         return False
-    err = np.linalg.norm(mat.T @ mat - np.eye(3))
-    return err <= tol and abs(np.linalg.det(mat) - 1.0) <= tol
+    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
+    # mat^T mat - I: Gram matrix of the columns (a, d, g), (b, e, h), (c, f, i)
+    uu = a * a + d * d + g * g - 1.0
+    vv = b * b + e * e + h * h - 1.0
+    ww = c * c + f * f + i * i - 1.0
+    uv = a * b + d * e + g * h
+    uw = a * c + d * f + g * i
+    vw = b * c + e * f + h * i
+    err = math.sqrt(uu * uu + vv * vv + ww * ww + 2.0 * (uv * uv + uw * uw + vw * vw))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return err <= tol and abs(det - 1.0) <= tol
 
 
 # --- Gamma function family ------------------------------------------------
@@ -188,13 +202,39 @@ def gamma_blocks(phi: NDArray, n: int) -> NDArray:
     """
     if not 1 <= n <= 4:
         raise ValueError(f"gamma_blocks count must be in 1..4, got {n}")
+    return _gamma_pass(phi, n, (1.0,))[0][0]
+
+
+def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
+    """Gamma blocks of ``s * phi`` for each ``s`` in ``scales``, from one hat.
+
+    Returns ``(blocks, powers, t2)``: ``blocks[k]`` is
+    ``gamma_blocks(scales[k] * phi, n)``, shape (len(scales), n, 3, 3);
+    ``powers`` is ``[I, phi^, (phi^)^2]``, shape (3, 3, 3); ``t2`` is
+    ``|phi|^2``.  Each scale costs one coefficient walk and no matrix
+    product.  The scales must be powers of two (1, 0.5, 0.25, ...):
+    multiplying by such a scale is exact in binary floating point (away from
+    underflow), so ``s phi^``, ``s^2 (phi^)^2``, ``s^2 t2`` and ``s |phi|``
+    carry the same bits as the hat, hat^2, squared norm and norm of
+    ``s * phi`` itself, and each stacked block equals ``gamma(m, s * phi)``
+    bit for bit.
+    """
     phi = np.asarray(phi, dtype=float)
     t2 = float(phi @ phi)
-    c = gamma_coefficients(1, n + 1, t2, math.sqrt(t2))
-    px = hat(phi)
-    blocks = np.multiply.outer(c[:-1], px) + np.multiply.outer(c[1:], px @ px)
-    blocks[1:] += _SCALED_EYES[1:n]
-    return blocks
+    theta = math.sqrt(t2)
+    powers = np.empty((3, 3, 3))
+    powers[0] = _EYE3
+    powers[1] = hat(phi)
+    np.matmul(powers[1], powers[1], out=powers[2])
+    a, b = [], []  # coefficients of phi^ and (phi^)^2, block by block
+    for s in scales:
+        c = gamma_coefficients(1, n + 1, s * s * t2, s * theta)
+        a += [s * cj for cj in c[:-1]]
+        b += [s * s * cj for cj in c[1:]]
+    blocks = np.multiply.outer(a, powers[1]) + np.multiply.outer(b, powers[2])
+    blocks = blocks.reshape(len(scales), n, 3, 3)
+    blocks[:, 1:] += _SCALED_EYES[1:n]
+    return blocks, powers, t2
 
 
 def gamma_stack(m: int, w: NDArray, s: NDArray) -> NDArray:
@@ -330,7 +370,7 @@ class GroupElement:
         object.__setattr__(self, "rot", rot)
         for name in ("vel", "pos"):
             arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"GroupElement.{name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -34,11 +34,11 @@ from .errordyn import Convention, NoiseParams
 from .kinematics import EarthModel, ImuSample, _midpoint
 from .liegroup import (
     _EYE3,
+    _gamma_pass,
     FrameMismatch,
     FrameTag,
     GroupElement,
     gamma,
-    gamma_blocks,
     gamma_coefficients,
     gamma_stack,
     hat,
@@ -180,8 +180,17 @@ def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     """
     if dt <= 0.0:
         raise ValueError("psi_integrals requires dt > 0")
-    phi = np.asarray(omega, dtype=float) * dt
-    x2 = float(phi @ phi)
+    _, powers, x2 = _gamma_pass(np.asarray(omega, dtype=float) * dt, 1, (1.0,))
+    psi1, psi2 = _psi(f, dt, powers, x2)
+    return PsiIntegrals(psi1, psi2)
+
+
+def _psi(f, dt, powers, x2) -> NDArray:
+    """Array core of :func:`psi_integrals`: ``[Psi_1, Psi_2]``, shape (2, 3, 3).
+
+    ``powers`` is ``[I, Theta, Theta^2]`` and ``x2`` is ``|w dt|^2``, both
+    from the caller's Gamma pass of ``w dt``.
+    """
     x = math.sqrt(x2)
     if not x <= MAX_INTERVAL_ROTATION:  # also rejects NaN
         raise ValueError(
@@ -193,15 +202,12 @@ def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     else:
         h = _psi_closed_form(x2, x).reshape(6, 3)
 
-    powers = np.empty((3, 3, 3))  # I, Theta, Theta^2
-    powers[0] = _EYE3
-    powers[1] = hat(phi)
-    np.matmul(powers[1], powers[1], out=powers[2])
     # left[a] = Theta^a F dt^2, right[i, a] = sum_b h_i[a, b] Theta^b
     left = powers @ hat(np.asarray(f, dtype=float) * (dt * dt))
     right = (h @ powers.reshape(3, 9)).reshape(2, 9, 3)
     psi = left.transpose(1, 0, 2).reshape(3, 9) @ right
-    return PsiIntegrals(psi[0], psi[1] * dt)
+    psi[1] *= dt
+    return psi
 
 
 # --- transition matrices -----------------------------------------------------
@@ -216,28 +222,36 @@ def phi_left(imu: ImuSample, dt: float) -> TransitionBlocks:
     """
     if dt <= 0.0:
         raise ValueError("phi_left requires dt > 0")
-    return _phi_left(imu.gyro, imu.accel, dt, gamma_blocks(imu.gyro * dt, 3))
+    return _phi_left(imu.accel, dt, _gamma_pass(imu.gyro * dt, 3, (1.0,)))
 
 
-def _phi_left(gyro, accel, dt, blocks) -> TransitionBlocks:
-    """Array core of :func:`phi_left`, given ``gamma_blocks(gyro * dt, 3)``."""
-    dev0, g1, g2 = blocks
-    g0t = (_EYE3 + dev0).T
-    bias = -g0t @ g1 * dt
-    psi = psi_integrals(gyro, accel, dt)
+def _phi_left(accel, dt, body) -> TransitionBlocks:
+    """Array core of :func:`phi_left`.
 
+    ``body`` is the Gamma pass of ``gyro * dt`` (see
+    :func:`~eqnav.liegroup._gamma_pass`, first scale 1, ``n = 3``); its
+    ``Theta`` and ``Theta^2`` also serve ``Psi_1``/``Psi_2``.  Each 3-row
+    block of the attitude, velocity and position rows is ``Gamma_0^T``
+    times a matrix with no product in it, so those nine rows are one
+    batched product.
+    """
+    blocks, powers, t2 = body
+    dev0, g1, g2 = blocks[0]
+    dt2 = dt * dt
+    bias = g1 * -dt
+    inner = np.zeros((3, 3, 15))
+    inner[0, :, 0:3] = _EYE3
+    inner[0, :, 9:12] = bias
+    inner[1, :, 0:3] = hat(g1 @ accel * -dt)
+    inner[1, :, 3:6] = _EYE3
+    inner[1, :, 12:15] = bias
+    inner[2, :, 0:3] = hat(g2 @ accel * -dt2)
+    inner[2, :, 3:6] = _EYE3 * dt
+    inner[2, :, 6:9] = _EYE3
+    inner[2, :, 12:15] = g2 * -dt2
+    inner[1:3, :, 9:12] = _psi(accel, dt, powers, t2)
     m = np.eye(15)
-    m[0:3, 0:3] = g0t
-    m[3:6, 3:6] = g0t
-    m[6:9, 6:9] = g0t
-    m[0:3, 9:12] = bias
-    m[3:6, 0:3] = -g0t @ hat(g1 @ accel) * dt
-    m[3:6, 9:12] = g0t @ psi.psi1
-    m[3:6, 12:15] = bias
-    m[6:9, 0:3] = -g0t @ hat(g2 @ accel) * dt * dt
-    m[6:9, 3:6] = g0t * dt
-    m[6:9, 9:12] = g0t @ psi.psi2
-    m[6:9, 12:15] = -g0t @ g2 * dt * dt
+    np.matmul((_EYE3 + dev0).T, inner, out=m[0:9].reshape(3, 3, 15))
     return TransitionBlocks(m, Convention.LEFT_INVARIANT, dt)
 
 
@@ -270,33 +284,37 @@ def phi_right(
         raise ValueError("phi_right requires dt > 0")
     if xhat.frame is not None and xhat.frame != FrameTag.ECEF_IB:
         raise FrameMismatch(f"phi_right requires ECEF_IB state, got {xhat.frame.name}")
-    blocks = gamma_blocks(imu.gyro * dt, 3)
-    x1 = _midpoint(FrameTag.ECEF_IB, xhat, imu.gyro, imu.accel, dt, earth, *blocks[:2])
-    return _phi_right(xhat, x1, imu.gyro, imu.accel, earth, dt, blocks)
+    body = _gamma_pass(imu.gyro * dt, 3, (1.0, 0.5))
+    *x1, rate = _midpoint(FrameTag.ECEF_IB, xhat, imu.accel, dt, earth, body)
+    return _phi_right(xhat, x1, imu.accel, earth, dt, body, rate)
 
 
-def _phi_right(xhat, x1, gyro, accel, earth, dt, blocks) -> TransitionBlocks:
+def _phi_right(xhat, x1, accel, earth, dt, body, rate) -> TransitionBlocks:
     """Array core of :func:`phi_right`.
 
-    ``x1`` is the (rot, vel, pos) of the mean step from ``xhat`` and
-    ``blocks`` is ``gamma_blocks(gyro * dt, 3)``.
+    ``x1`` is the (rot, vel, pos) of the ECEF_IB mean step from ``xhat`` and
+    ``rate`` the step's ``gamma_blocks(-w_ie dt, 3)`` of the earth rate, both
+    from :func:`~eqnav.kinematics._midpoint`; ``body`` is the Gamma pass
+    :func:`_phi_left` takes.
     """
     grav = earth.gravitation_ecef(xhat.pos)
-    dev_e, g1_e, g2_e = gamma_blocks(earth.omega_vec * dt, 3)
-    e = (_EYE3 + dev_e).T  # transposed earth-rotation increment
+    # the step's blocks are of W2's rate -w_ie; Gamma_m(w_ie dt) is their
+    # transpose
+    dev_e, g1_e, g2_e = rate
+    e = _EYE3 + dev_e  # transposed earth-rotation increment
 
     m = np.eye(15)
     m[0:3, 0:3] = e
     m[3:6, 3:6] = e
     m[6:9, 6:9] = e
     m[6:9, 3:6] = e * dt
-    m[3:6, 0:3] = -e @ hat(g1_e @ grav) * dt
-    m[6:9, 0:3] = -e @ hat(g2_e @ grav) * dt * dt
+    m[3:6, 0:3] = -e @ hat(g1_e.T @ grav) * dt
+    m[6:9, 0:3] = -e @ hat(g2_e.T @ grav) * dt * dt
 
     # bias columns: M(x1) times the left ones; conjugating the group block
     # the same way would cancel earth-radius-sized terms
     rot, vel, pos = x1
-    left = _phi_left(gyro, accel, dt, blocks).matrix[0:9, 9:15]
+    left = _phi_left(accel, dt, body).matrix[0:9, 9:15]
     att = rot @ left[0:3]
     m[0:3, 9:15] = att
     m[3:6, 9:15] = -hat(vel) @ att - rot @ left[3:6]

@@ -120,12 +120,13 @@ class TestRun:
         args = sum([["--set", o] for o in fast_overrides()], [])
         assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
         # a malformed row, a NaN gyro cell, a non-rotation DCM (c11 = 2),
-        # a NaN fix time
+        # a NaN fix time, a NaN truth time
         cases = (
             ("imu.csv", None, None),
             ("imu.csv", 1, "nan"),
             ("truth.csv", 1, "2.0"),
             ("gnss.csv", 0, "nan"),
+            ("truth.csv", 0, "nan"),
         )
         for name, col, cell in cases:
             path = tmp_path / name
@@ -154,6 +155,24 @@ class TestRun:
             path.write_text(text)
             assert code == 2
             assert f"{name}: no data rows" in capsys.readouterr().err
+
+    def test_unordered_rows_cite_line(self, tmp_path, capsys):
+        args = sum([["--set", o] for o in fast_overrides()], [])
+        assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        for name in ("imu.csv", "gnss.csv"):
+            path = tmp_path / name
+            text = path.read_text()
+            lines = text.splitlines()
+            # lines[i] is file line i + 1; either edit makes line 5 the first
+            # row whose time is not after its predecessor's
+            duplicated = lines[:4] + lines[3:]
+            swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
+            for edited in (duplicated, swapped):
+                path.write_text("\n".join(edited) + "\n")
+                code = main(["--out", str(tmp_path)] + args + ["run"])
+                path.write_text(text)
+                assert code == 2
+                assert f"{name}:5: time" in capsys.readouterr().err
 
     def test_colliding_fixes_exit_2(self, tmp_path, capsys):
         args = sum([["--set", o] for o in fast_overrides()], [])

@@ -16,7 +16,7 @@ from eqnav.filter import (
 )
 from eqnav.kinematics import FrameTag, ImuSample, NonMonotonicTime, integrate_imu
 from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
-from eqnav.transition import phi_right, qd_matrix
+from eqnav.transition import phi_left, phi_right, qd_matrix
 from eqnav.verify import heave_observability
 
 RIGHT = Convention.RIGHT_INVARIANT
@@ -80,6 +80,28 @@ class TestFilterStateType:
             with pytest.raises(ValueError, match=f"FilterState.{name} "):
                 FilterState(x0, fields["bg"], fields["ba"], fields["p"], fields["t"])
 
+    def test_psd_decisions_at_tolerance(self, scenario):
+        """P is admitted down to a most negative eigenvalue of -1e-10 trace(P)."""
+        x0 = scenario[0].samples[0][1]
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
+
+        def rotated(eigs):
+            p = q @ np.diag(eigs) @ q.T
+            return 0.5 * (p + p.T)
+
+        def with_min_eig(k):
+            """Eigenvalues over ten decades plus one at -k tau."""
+            rest = np.logspace(-10.0, 0.0, 14)
+            lam = -k * 1e-10 * rest.sum() / (1.0 + k * 1e-10)  # -k 1e-10 trace
+            return rotated(np.concatenate([[lam], rest]))
+
+        low_rank = rng.normal(size=(15, 10))
+        for p in (with_min_eig(0.5), low_rank @ low_rank.T, np.zeros((15, 15))):
+            FilterState(x0, np.zeros(3), np.zeros(3), p, 0.0)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            FilterState(x0, np.zeros(3), np.zeros(3), with_min_eig(2.0), 0.0)
+
     def test_requires_ecef_ib(self, earth):
         x = lg.identity_element(FrameTag.NED_EB)
         with pytest.raises(lg.FrameMismatch):
@@ -138,6 +160,22 @@ class TestPredict:
             corrected = ImuSample(cur.t, cur.gyro - bg, cur.accel - ba)
             phi = phi_right(st.x, corrected, earth, dt)
             qd = qd_matrix(phi, g_matrix(RIGHT, st.x), noise, dt)
+            want = phi.matrix @ st.p @ phi.matrix.T + qd
+            got = predict(st, cur, noise, earth).p
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_left_covariance_matches_public_phi(self, scenario, earth):
+        """predict's P is Phi P Phi^T + Qd from public phi_left and qd_matrix."""
+        truth, imu = scenario
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        bg, ba = np.array([1e-4, -2e-4, 3e-4]), np.array([0.02, -0.01, 0.03])
+        for k in (0, 300, 700):
+            st = FilterState(truth.samples[k][1], bg, ba, default_p0(), imu[k].t, LEFT)
+            cur = imu[k + 1]
+            dt = cur.t - st.t
+            corrected = ImuSample(cur.t, cur.gyro - bg, cur.accel - ba)
+            phi = phi_left(corrected, dt)
+            qd = qd_matrix(phi, g_matrix(LEFT, st.x), noise, dt)
             want = phi.matrix @ st.p @ phi.matrix.T + qd
             got = predict(st, cur, noise, earth).p
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

@@ -243,6 +243,20 @@ class TestFlow:
         assert np.abs(x.as_matrix() - m).max() <= 1e-9
 
 
+    @pytest.mark.parametrize("frame", list(FrameTag))
+    def test_midpoint_step_matches_public_flow(self, earth, imu, frame):
+        # half-step flow under W2 at x, W2 rebuilt at the midpoint, full step
+        # from x: the scheme midpoint_step runs on its shared Gamma passes
+        x = builder_state(earth, frame)
+        dt = 0.01
+        half = flow(x, build_dynamics(frame, x, imu, earth), dt / 2)
+        want = flow(x, build_dynamics(frame, half, imu, earth), dt)
+        got = kin.midpoint_step(frame, x, imu.gyro, imu.accel, dt, earth)
+        np.testing.assert_array_equal(got.rot, want.rot)
+        np.testing.assert_array_equal(got.vel, want.vel)
+        np.testing.assert_array_equal(got.pos, want.pos)
+
+
 class TestGroupAffine:
     def test_all_variants(self, earth, imu):
         for frame in FrameTag:

@@ -227,3 +227,37 @@ def test_gamma_blocks_match_gamma(rng):
         np.testing.assert_array_equal(blocks[0], lg.gamma0_deviation(phi))
         for m in range(1, 4):
             np.testing.assert_array_equal(blocks[m], lg.gamma(m, phi))
+
+
+def test_gamma_pass_half_scale_matches_gamma(rng):
+    # the stacked pass at phi and phi/2 gives gamma(m, phi) and gamma(m, phi/2)
+    # bit for bit, with phi/2 on both sides of each coefficient switch
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    for switch in (1e-4, 1e-2, 0.5):
+        for side in (0.99, 1.0 - 1e-9, 1.0 + 1e-9, 1.01):
+            phi = axis * (2.0 * switch * side)
+            blocks, powers, t2 = lg._gamma_pass(phi, 4, (1.0, 0.5))
+            for scaled, at in zip(blocks, (phi, phi / 2)):
+                np.testing.assert_array_equal(np.eye(3) + scaled[0], lg.gamma(0, at))
+                for m in range(1, 4):
+                    np.testing.assert_array_equal(scaled[m], lg.gamma(m, at))
+            np.testing.assert_array_equal(powers[0], np.eye(3))
+            np.testing.assert_array_equal(powers[1], lg.hat(phi))
+            np.testing.assert_array_equal(powers[2], lg.hat(phi) @ lg.hat(phi))
+            assert t2 == float(phi @ phi)
+
+
+def test_is_rotation_decisions(rng):
+    rot = lg.so3_exp(rng.normal(size=3))
+    assert lg.is_rotation(rot)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = rot.copy()
+        bad[1, 2] = value
+        assert not lg.is_rotation(bad)
+    assert not lg.is_rotation(rot @ np.diag([1.0, 1.0, -1.0]))  # reflection
+    # symmetric traceless stretch: |R'^T R' - I|_F = err to first order, det
+    # off by err^2 only, so the orthonormality residual alone decides
+    stretch = np.diag([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    for err, want in ((2e-9, False), (5e-10, True)):
+        assert lg.is_rotation(rot @ (np.eye(3) + 0.5 * err * stretch)) == want
