@@ -12,6 +12,7 @@ Set ``EQNAV_LOG`` to a logging level name for diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -122,14 +123,19 @@ class RunConfig:
         raise ValueError(f"convention must be left or right, got {self.convention!r}")
 
     def initial_cov(self) -> np.ndarray:
-        stds = (
-            [self.init_att_std] * 3
-            + [self.init_vel_std] * 3
-            + [self.init_pos_std] * 3
-            + [self.init_bg_std] * 3
-            + [self.init_ba_std] * 3
-        )
+        stds = []
+        for name in ("init_att_std", "init_vel_std", "init_pos_std", "init_bg_std", "init_ba_std"):
+            std = getattr(self, name)
+            if not math.isfinite(std * std):
+                raise ConfigError(f"{name}={std!r} gives a non-finite variance")
+            stds += [std] * 3
         return np.diag(np.square(stds))
+
+    def gnss_cov(self) -> np.ndarray:
+        sigma = self.gnss_sigma
+        if not 0.0 < sigma * sigma < math.inf:  # also rejects NaN
+            raise ConfigError(f"gnss_sigma={sigma!r} gives a variance that is not > 0 and finite")
+        return sigma**2 * np.eye(3)
 
     def tolerances(self) -> dict:
         return {
@@ -148,6 +154,15 @@ class RunConfig:
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _config_values():
+    """A ``ValueError`` from building models out of the configuration exits 2."""
+    try:
+        yield
+    except ValueError as exc:  # ConfigError and LinAlgError included
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _coerce(name: str, raw: str, default):
@@ -244,18 +259,20 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Write imu.csv, gnss.csv and truth.csv for the configured scenario."""
     if not out.is_dir():
         raise ConfigError(f"output directory does not exist: {out}")
-    earth = cfg.earth()
-    truth = generate_truth(cfg.trajectory(), earth)
-    errors = SensorErrorSpec(
-        np.array([cfg.sim_gyro_bias_x, cfg.sim_gyro_bias_y, cfg.sim_gyro_bias_z]),
-        np.array([cfg.sim_accel_bias_x, cfg.sim_accel_bias_y, cfg.sim_accel_bias_z]),
-        cfg.gyro_psd,
-        cfg.accel_psd,
-        seed=cfg.seed,
-    )
-    imu = synthesize_imu(truth, earth, errors)
-    cov = cfg.gnss_sigma**2 * np.eye(3)
-    gnss = synthesize_gnss(truth, cfg.lever().l_b, cfg.gnss_rate, cov, seed=cfg.seed + 1)
+    with _config_values():
+        earth = cfg.earth()
+        truth = generate_truth(cfg.trajectory(), earth)
+        errors = SensorErrorSpec(
+            np.array([cfg.sim_gyro_bias_x, cfg.sim_gyro_bias_y, cfg.sim_gyro_bias_z]),
+            np.array([cfg.sim_accel_bias_x, cfg.sim_accel_bias_y, cfg.sim_accel_bias_z]),
+            cfg.gyro_psd,
+            cfg.accel_psd,
+            seed=cfg.seed,
+        )
+        imu = synthesize_imu(truth, earth, errors)
+        gnss = synthesize_gnss(
+            truth, cfg.lever().l_b, cfg.gnss_rate, cfg.gnss_cov(), seed=cfg.seed + 1
+        )
 
     _write_csv(
         out / "imu.csv",
@@ -320,31 +337,31 @@ def _load_streams(cfg: RunConfig, out: Path):
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
     """Run the filter on previously simulated (or ingested) CSV streams."""
-    earth = cfg.earth()
+    with _config_values():
+        earth, noise, lever = cfg.earth(), cfg.noise(), cfg.lever()
+        p0, conv = cfg.initial_cov(), cfg.conv()
     imu, gnss, truth = _load_streams(cfg, out)
 
     if truth is not None:
         x0 = truth[0][1]
     else:
         # dead-reckon start from the first fix, level attitude
-        lat, lon, h = earth.ecef_to_geodetic(gnss[0].pos_ecef)
+        fix = gnss[0]
+        with np.errstate(invalid="ignore"):  # 0/0 at the earth's centre
+            lat, lon, _ = earth.ecef_to_geodetic(fix.pos_ecef)
+        if not math.isfinite(lat):
+            raise ConfigError(f"{out / 'gnss.csv'}: first fix at t={fix.t} has no "
+                              "geodetic latitude to level the start at")
         x0 = GroupElement(
             earth.ned_rotation(lat, lon),
-            np.cross(earth.omega_vec, gnss[0].pos_ecef),
-            gnss[0].pos_ecef,
+            np.cross(earth.omega_vec, fix.pos_ecef),
+            fix.pos_ecef,
             FrameTag.ECEF_IB,
         )
-    state0 = FilterState(x0, np.zeros(3), np.zeros(3), cfg.initial_cov(), imu[0].t, cfg.conv())
+    state0 = FilterState(x0, np.zeros(3), np.zeros(3), p0, imu[0].t, conv)
     try:
         records = run(
-            imu,
-            gnss,
-            state0,
-            cfg.noise(),
-            earth,
-            cfg.lever(),
-            truth=truth,
-            time_slop=cfg.time_slop,
+            imu, gnss, state0, noise, earth, lever, truth=truth, time_slop=cfg.time_slop
         )
     except ValueError as exc:  # LinAlgError included
         raise ConfigError(
@@ -388,11 +405,10 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                     np.sum(so3_log(r.state.x.rot @ xt.rot.T) ** 2)
                 )
                 count += 1
-            if r.nis is None or r.error is None:
-                continue
-            rows.append([r.t, *r.error, r.nees, *r.innovation, r.nis])
+            if r.error is not None:  # a fix epoch with truth
+                rows.append([r.t, *r.error, r.nees, *r.innovation, r.nis])
         _write_csv(out / "err_out.csv", err_header, rows)
-        nees_vals = [r.nees for r in records if r.nees is not None and r.nis is not None]
+        nees_vals = [r.nees for r in records if r.nees is not None]
         summary.update(
             rms_pos=math.sqrt(pos_se / count),
             rms_vel=math.sqrt(vel_se / count),
@@ -407,7 +423,9 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out: Path | None) -> int:
     """Run the property suite; nonzero exit on any failed check."""
-    results = run_all_checks(cfg.earth(), cfg.tolerances(), seed=cfg.seed)
+    with _config_values():
+        earth = cfg.earth()
+    results = run_all_checks(earth, cfg.tolerances(), seed=cfg.seed)
     report = [
         {
             "check": r.name,
@@ -426,7 +444,8 @@ def cmd_verify(cfg: RunConfig, out: Path | None) -> int:
 
 def cmd_observability(cfg: RunConfig) -> int:
     """Print the rank analysis of both conventions on the heave scenario."""
-    earth = cfg.earth()
+    with _config_values():
+        earth = cfg.earth()
     report = {}
     for conv in (Convention.LEFT_INVARIANT, Convention.RIGHT_INVARIANT):
         rep, angle = heave_observability(earth, conv, svd_cutoff=cfg.svd_cutoff)

@@ -31,6 +31,7 @@ from .liegroup import (
     FrameTag,
     GroupElement,
     Tangent9,
+    _frozen,
     compose,
     hat,
     inverse,
@@ -67,20 +68,21 @@ class NoiseParams:
     accel_psd: float  # m^2/s^3
     gyro_bias_psd: float = 0.0  # rad^2/s^3
     accel_bias_psd: float = 0.0  # m^2/s^5
+    # diagonal of qc_matrix(), read-only
+    qc_diag: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("gyro_psd", "accel_psd", "gyro_bias_psd", "accel_bias_psd"):
-            if getattr(self, name) < 0.0:
+        names = ("gyro_psd", "accel_psd", "gyro_bias_psd", "accel_bias_psd")
+        for name in names:
+            if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"NoiseParams.{name} must be >= 0")
+        q = np.repeat([getattr(self, name) for name in names], 3).astype(float)
+        q.setflags(write=False)
+        object.__setattr__(self, "qc_diag", q)
 
     def qc_matrix(self) -> NDArray:
         """Continuous 12x12 noise covariance, ordered (w_g, w_a, w_bg, w_ba)."""
-        return np.diag(
-            [self.gyro_psd] * 3
-            + [self.accel_psd] * 3
-            + [self.gyro_bias_psd] * 3
-            + [self.accel_bias_psd] * 3
-        )
+        return np.diag(self.qc_diag)
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,7 @@ class LeverArm:
     l_b: NDArray
 
     def __post_init__(self):
-        arr = np.array(self.l_b, dtype=float).reshape(3)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("LeverArm.l_b contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "l_b", arr)
+        _frozen(self, "l_b", 3)
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,7 @@ class ErrorState15:
 
     def __post_init__(self):
         for name in ("phi", "jrho_v", "jrho_r", "db_g", "db_a"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"ErrorState15.{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _frozen(self, name, 3)
 
     def as_vector(self) -> NDArray:
         return np.concatenate([self.phi, self.jrho_v, self.jrho_r, self.db_g, self.db_a])

@@ -26,7 +26,7 @@ from .errordyn import (
     h_matrix,
 )
 from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _midpoint
-from .liegroup import FrameMismatch, FrameTag, GroupElement, _gamma_pass
+from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen, _gamma_pass
 from .transition import _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
@@ -60,18 +60,12 @@ class GnssFix:
     def __post_init__(self):
         if not math.isfinite(self.t):
             raise ValueError("GnssFix.t is not finite")
-        pos = np.array(self.pos_ecef, dtype=float).reshape(3)
-        cov = np.array(self.cov, dtype=float).reshape(3, 3)
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(cov))):
-            raise ValueError("GnssFix contains non-finite values")
+        _frozen(self, "pos_ecef", 3)
+        cov = _frozen(self, "cov", (3, 3))
         if np.linalg.norm(cov - cov.T) > 1e-9 * max(1.0, np.linalg.norm(cov)):
             raise ValueError("GnssFix.cov must be symmetric")
         if np.any(np.linalg.eigvalsh(cov) <= 0.0):
             raise ValueError("GnssFix.cov must be positive definite")
-        pos.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "pos_ecef", pos)
-        object.__setattr__(self, "cov", cov)
 
 
 @dataclass(frozen=True)
@@ -95,17 +89,10 @@ class FilterState:
             raise FrameMismatch("filter state must be in the ECEF_IB frame")
         if not math.isfinite(self.t):
             raise ValueError("FilterState.t is not finite")
-        for name in ("bg", "ba"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"FilterState.{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        p = np.array(self.p, dtype=float).reshape(15, 15)
-        largest = float(np.abs(p).max())  # NaN or inf if any entry is
-        if not math.isfinite(largest):
-            raise ValueError("FilterState.p contains non-finite values")
-        scale = max(1.0, largest)
+        _frozen(self, "bg", 3)
+        _frozen(self, "ba", 3)
+        p = _frozen(self, "p", (15, 15))
+        scale = max(1.0, float(np.abs(p).max()))
         if np.abs(p - p.T).max() > 1e-12 * scale:
             raise ValueError("FilterState.p must be symmetric")
         # min eig(P) > -tau exactly when P + tau I has a Cholesky factor (up
@@ -114,8 +101,6 @@ class FilterState:
         shifted.flat[::16] += _PSD_TOL * max(float(p.trace()), 1e-300)
         if dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] != 0:
             raise ValueError("FilterState.p must be positive semidefinite")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
 
 
 def predict(
@@ -292,7 +277,12 @@ def observability_matrix(
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """Per-epoch filter output, with consistency statistics when available."""
+    """Per-epoch filter output.
+
+    ``innovation`` and ``nis`` are set where a GNSS fix was applied, and
+    ``error`` (invariant, against the truth) and ``nees`` where one was
+    applied and truth was given at its time; elsewhere they are ``None``.
+    """
 
     t: float
     state: FilterState
@@ -319,8 +309,9 @@ def run(
     Fixes are applied at the nearest IMU epoch within ``time_slop`` of their
     timestamp (no interpolation; a tie goes to the earlier epoch), including
     the initial state's epoch.  IMU intervals use trapezoidal rate
-    averaging.  When ground truth is supplied, each record carries the error
-    in the filter's invariant parametrization and the NEES.
+    averaging.  With ground truth, the records of the epochs that applied a
+    fix carry the invariant error (its bias part ``truth_biases`` minus the
+    estimate, zero without them) and the NEES.
 
     Raises
     ------
@@ -339,22 +330,6 @@ def run(
                 raise NonMonotonicTime(f"{name} stream not increasing at t={b}")
 
     truth_map = dict(truth) if truth is not None else {}
-
-    def make_record(state, innovation=None, nis=None):
-        error = nees = None
-        if truth is not None and state.t in truth_map:
-            db_g = db_a = None
-            if truth_biases is not None:
-                db_g = truth_biases[0] - state.bg
-                db_a = truth_biases[1] - state.ba
-            err = error_state(
-                state.convention, state.x, truth_map[state.t], db_g, db_a
-            ).as_vector()
-            error = err
-            nees = float(err @ np.linalg.solve(state.p, err))
-        return EpochRecord(
-            state.t, state, np.diag(state.p).copy(), innovation, nis, error, nees
-        )
 
     # align each fix with its nearest IMU epoch (no interpolation)
     imu_times = np.array([s.t for s in imu])
@@ -382,7 +357,7 @@ def run(
     def epoch(i, state):
         """Record of IMU epoch ``i``: predicted there from ``state`` unless it
         is the initial state's epoch, then corrected by its fix if it has one."""
-        innovation = nis = None
+        innovation = nis = error = nees = None
         try:
             if i >= first:
                 state = predict(state, imu[i], noise, earth, imu_prev=imu[i - 1])
@@ -390,7 +365,18 @@ def run(
                 state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise type(exc)(f"at epoch t={imu[i].t}: {exc}") from exc
-        return make_record(state, innovation, nis)
+        if nis is not None and state.t in truth_map:
+            db_g = db_a = None
+            if truth_biases is not None:
+                db_g = truth_biases[0] - state.bg
+                db_a = truth_biases[1] - state.ba
+            error = error_state(
+                state.convention, state.x, truth_map[state.t], db_g, db_a
+            ).as_vector()
+            nees = float(error @ np.linalg.solve(state.p, error))
+        return EpochRecord(
+            state.t, state, np.diag(state.p).copy(), innovation, nis, error, nees
+        )
 
     records = [epoch(first - 1, initial)]
     for i in range(first, len(imu)):

@@ -33,6 +33,7 @@ from .liegroup import (
     FrameTag,
     GroupElement,
     _EYE3,
+    _frozen,
     _gamma_pass,
     compose,
     gamma_blocks,
@@ -76,12 +77,8 @@ class ImuSample:
     accel: NDArray  # m/s^2
 
     def __post_init__(self):
-        for name in ("gyro", "accel"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"ImuSample.{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _frozen(self, "gyro", 3)
+        _frozen(self, "accel", 3)
         if not math.isfinite(self.t):
             raise ValueError("ImuSample.t is not finite")
 
@@ -103,8 +100,10 @@ class EarthModel:
     omega_vec: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.omega_ie <= 0.0 or self.mu <= 0.0:
-            raise ValueError("earth rotation rate and mu must be positive")
+        for name in ("omega_ie", "mu"):
+            value = getattr(self, name)
+            if not value > 0.0:  # also rejects NaN
+                raise ValueError(f"EarthModel.{name} must be positive, got {value!r}")
         w = np.array([0.0, 0.0, self.omega_ie])
         w.setflags(write=False)
         object.__setattr__(self, "omega_vec", w)
@@ -277,13 +276,8 @@ class DynamicsPair:
 
     def __post_init__(self):
         for name in ("w1", "w2"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(5, 5)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"DynamicsPair.{name} contains non-finite values")
-            if np.any(arr[3:5, :] != 0.0):
+            if np.any(_frozen(self, name, (5, 5))[3:5, :] != 0.0):
                 raise ValueError(f"DynamicsPair.{name} has nonzero bottom rows")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         if np.any(self.w1[0:3, 4] != 0.0):
             raise ValueError("DynamicsPair.w1 position column must be zero")
 

@@ -33,7 +33,6 @@ __all__ = [
     "gamma0_deviation",
     "gamma_blocks",
     "gamma_coefficients",
-    "gamma_stack",
     "hat",
     "identity_element",
     "inverse",
@@ -237,28 +236,6 @@ def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
     return blocks, powers, t2
 
 
-def gamma_stack(m: int, w: NDArray, s: NDArray) -> NDArray:
-    """Stack of Gamma_m(w * s_i) over sample points s >= 0, shape (N, 3, 3).
-
-    The axis of ``w`` is shared by every point, so only the two scalar
-    coefficients vary along the stack.
-    """
-    if not 0 <= m <= 3:
-        raise ValueError(f"gamma order must be in 0..3, got {m}")
-    w = np.asarray(w, dtype=float)
-    s = np.asarray(s, dtype=float)
-    wx = hat(w)
-    thetas = (math.sqrt(float(w @ w)) * s).tolist()
-    ab = np.array([gamma_coefficients(m + 1, m + 2, t * t, t) for t in thetas])
-    a = ab[:, 0] * s
-    b = ab[:, 1] * (s * s)
-    return (
-        _INV_FACTORIAL[m] * _EYE3
-        + a[:, None, None] * wx
-        + b[:, None, None] * (wx @ wx)
-    )
-
-
 def so3_exp(phi: NDArray) -> NDArray:
     """SO(3) exponential of a rotation vector (Rodrigues formula)."""
     return gamma(0, phi)
@@ -315,6 +292,23 @@ def so3_log(R: NDArray) -> NDArray:
 # --- SE2(3) ----------------------------------------------------------------
 
 
+def _frozen(owner, name: str, shape) -> NDArray:
+    """Store field ``name`` of the frozen dataclass ``owner`` as a read-only array.
+
+    The field's value is copied to float and reshaped to ``shape``; a NaN or
+    infinite entry raises ``ValueError`` naming ``{Type}.{name}``.  Returns
+    the stored array.
+    """
+    arr = np.array(getattr(owner, name), dtype=float).reshape(shape)
+    # the sum of squares is finite only if every entry is; the entries are
+    # tested one by one only when it is not (a non-finite entry or overflow)
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        raise ValueError(f"{type(owner).__name__}.{name} contains non-finite values")
+    arr.setflags(write=False)
+    object.__setattr__(owner, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class Tangent9:
     """Element of the se2(3) Lie algebra as a (phi, rho_v, rho_r) triple."""
@@ -325,11 +319,7 @@ class Tangent9:
 
     def __post_init__(self):
         for name in ("phi", "rho_v", "rho_r"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"Tangent9.{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _frozen(self, name, 3)
 
     def as_vector(self) -> NDArray:
         return np.concatenate([self.phi, self.rho_v, self.rho_r])
@@ -363,17 +353,10 @@ class GroupElement:
     frame: FrameTag | None = field(default=None)
 
     def __post_init__(self):
-        rot = np.array(self.rot, dtype=float).reshape(3, 3)
-        if not is_rotation(rot):
+        if not is_rotation(_frozen(self, "rot", (3, 3))):
             raise ValueError("GroupElement.rot is not a rotation matrix")
-        rot.setflags(write=False)
-        object.__setattr__(self, "rot", rot)
-        for name in ("vel", "pos"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"GroupElement.{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _frozen(self, "vel", 3)
+        _frozen(self, "pos", 3)
 
     def as_matrix(self) -> NDArray:
         """Dense 5x5 embedding with bottom-right 2x2 identity."""

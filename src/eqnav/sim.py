@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from .filter import GnssFix
 from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameTag, GroupElement, hat
+from .liegroup import FrameTag, GroupElement, _frozen, hat
 
 __all__ = [
     "GravityPerturbationReport",
@@ -53,8 +53,10 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}, want one of {_PROFILES}")
-        if self.duration <= 0.0 or self.imu_rate <= 0.0 or self.gnss_rate <= 0.0:
-            raise ValueError("duration and rates must be positive")
+        for name in ("duration", "imu_rate", "gnss_rate"):
+            value = getattr(self, name)
+            if not value > 0.0:  # also rejects NaN
+                raise ValueError(f"TrajectorySpec.{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,12 @@ class SensorErrorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gyro_bias", "accel_bias"):
-            arr = np.array(getattr(self, name), dtype=float).reshape(3)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.gyro_psd < 0.0 or self.accel_psd < 0.0:
-            raise ValueError("noise PSDs must be >= 0")
+        _frozen(self, "gyro_bias", 3)
+        _frozen(self, "accel_bias", 3)
+        for name in ("gyro_psd", "accel_psd"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # also rejects NaN
+                raise ValueError(f"SensorErrorSpec.{name} must be >= 0, got {value!r}")
 
 
 class _Profile:

@@ -34,13 +34,14 @@ from .errordyn import Convention, NoiseParams
 from .kinematics import EarthModel, ImuSample, _midpoint
 from .liegroup import (
     _EYE3,
+    _frozen,
     _gamma_pass,
     FrameMismatch,
     FrameTag,
     GroupElement,
     gamma,
+    gamma_blocks,
     gamma_coefficients,
-    gamma_stack,
     hat,
 )
 
@@ -65,9 +66,7 @@ class TransitionBlocks:
     dt: float
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float).reshape(15, 15)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _frozen(self, "matrix", (15, 15))
 
     def block(self, i: int, j: int) -> NDArray:
         """3x3 block at grid row/column (0-based)."""
@@ -235,24 +234,32 @@ def _phi_left(accel, dt, body) -> TransitionBlocks:
     times a matrix with no product in it, so those nine rows are one
     batched product.
     """
-    blocks, powers, t2 = body
-    dev0, g1, g2 = blocks[0]
-    dt2 = dt * dt
-    bias = g1 * -dt
+    dev0, g1, g2 = body[0][0]
     inner = np.zeros((3, 3, 15))
     inner[0, :, 0:3] = _EYE3
-    inner[0, :, 9:12] = bias
     inner[1, :, 0:3] = hat(g1 @ accel * -dt)
     inner[1, :, 3:6] = _EYE3
-    inner[1, :, 12:15] = bias
-    inner[2, :, 0:3] = hat(g2 @ accel * -dt2)
+    inner[2, :, 0:3] = hat(g2 @ accel * -(dt * dt))
     inner[2, :, 3:6] = _EYE3 * dt
     inner[2, :, 6:9] = _EYE3
-    inner[2, :, 12:15] = g2 * -dt2
-    inner[1:3, :, 9:12] = _psi(accel, dt, powers, t2)
+    inner[:, :, 9:15] = _bias_inner(accel, dt, body)
     m = np.eye(15)
     np.matmul((_EYE3 + dev0).T, inner, out=m[0:9].reshape(3, 3, 15))
     return TransitionBlocks(m, Convention.LEFT_INVARIANT, dt)
+
+
+def _bias_inner(accel, dt, body) -> NDArray:
+    """Bias columns of :func:`_phi_left`'s inner array, shape (3, 3, 6):
+    ``[-Gamma_1 dt, 0]``, ``[Psi_1, -Gamma_1 dt]``, ``[Psi_2, -Gamma_2 dt^2]``."""
+    blocks, powers, t2 = body
+    _, g1, g2 = blocks[0]
+    bias = g1 * -dt
+    inner = np.zeros((3, 3, 6))
+    inner[0, :, 0:3] = bias
+    inner[1, :, 3:6] = bias
+    inner[2, :, 3:6] = g2 * -(dt * dt)
+    inner[1:3, :, 0:3] = _psi(accel, dt, powers, t2)
+    return inner
 
 
 def phi_right(
@@ -314,7 +321,8 @@ def _phi_right(xhat, x1, accel, earth, dt, body, rate) -> TransitionBlocks:
     # bias columns: M(x1) times the left ones; conjugating the group block
     # the same way would cancel earth-radius-sized terms
     rot, vel, pos = x1
-    left = _phi_left(accel, dt, body).matrix[0:9, 9:15]
+    g0t = (_EYE3 + body[0][0][0]).T
+    left = np.matmul(g0t, _bias_inner(accel, dt, body)).reshape(9, 6)
     att = rot @ left[0:3]
     m[0:3, 9:15] = att
     m[3:6, 9:15] = -hat(vel) @ att - rot @ left[3:6]
@@ -336,7 +344,7 @@ def qd_matrix(
     if dt <= 0.0:
         raise ValueError("qd_matrix requires dt > 0")
     phi_m = phi.matrix if isinstance(phi, TransitionBlocks) else np.asarray(phi)
-    gc = g @ noise.qc_matrix() @ g.T
+    gc = (g * noise.qc_diag) @ g.T
     qd = 0.5 * dt * (phi_m @ gc @ phi_m.T + gc)
     return 0.5 * (qd + qd.T)
 
@@ -361,15 +369,16 @@ def gamma_integrals_check(
 
     Compares ``int Gamma_0(w s) ds = Gamma_1(w dt) dt`` and its double and
     triple nested versions against composite Simpson quadrature on
-    ``points`` samples.
+    ``points`` samples of :func:`gamma_blocks`, closed forms from :func:`gamma`.
     """
     if dt <= 0.0:
         raise ValueError("gamma_integrals_check requires dt > 0")
     omega = np.asarray(omega, dtype=float)
     s = np.linspace(0.0, dt, points)
-    g0 = gamma_stack(0, omega, s)
-    g1s = gamma_stack(1, omega, s) * s[:, None, None]
-    g2s2 = gamma_stack(2, omega, s) * (s * s)[:, None, None]
+    nodes = np.array([gamma_blocks(omega * si, 3) for si in s])
+    g0 = _EYE3 + nodes[:, 0]
+    g1s = nodes[:, 1] * s[:, None, None]
+    g2s2 = nodes[:, 2] * (s * s)[:, None, None]
 
     i1 = simpson(g0, x=s, axis=0)
     i2 = simpson(g1s, x=s, axis=0)

@@ -1,6 +1,7 @@
 """CLI contracts: file formats, determinism, exit codes, verification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,53 @@ class TestRun:
         err = capsys.readouterr().err
         assert "imu.csv" in err and "gnss.csv" in err
         assert f"IMU epoch t={t0}" in err
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize(
+        "setting, command",
+        [
+            ("omega_ie=-1", "simulate"),
+            ("mu=nan", "simulate"),
+            ("duration=-1", "simulate"),
+            ("imu_rate=nan", "simulate"),
+            ("gnss_sigma=0", "simulate"),
+            ("gyro_psd=-1", "simulate"),
+            ("accel_psd=nan", "simulate"),
+            ("convention=up", "run"),
+            ("init_pos_std=nan", "run"),
+            ("gyro_psd=nan", "run"),
+            ("omega_ie=-1", "verify"),
+            ("mu=nan", "observability"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):
+        args = sum([["--set", o] for o in fast_overrides()], [])
+        if command == "run":
+            assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        code = main(["--out", str(tmp_path)] + args + ["--set", setting, command])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.split("=")[0] in err
+
+    def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
+        """Without truth the run levels its start at the first fix; the
+        earth's centre has no latitude to level at."""
+        args = sum([["--set", o] for o in fast_overrides()], [])
+        assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        (tmp_path / "truth.csv").unlink()
+        path = tmp_path / "gnss.csv"
+        lines = path.read_text().splitlines()
+        cols = lines[1].split(",")
+        cols[1:4] = ["0", "0", "0"]
+        lines[1] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out", str(tmp_path)] + args + ["run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gnss.csv" in err and f"fix at t={float(cols[0])}" in err
 
 
 class TestVerify:

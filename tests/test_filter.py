@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import eqnav.liegroup as lg
-from eqnav.errordyn import Convention, LeverArm, NoiseParams, g_matrix
+from eqnav.errordyn import Convention, LeverArm, NoiseParams, error_state, g_matrix
 from eqnav.filter import (
     FilterState,
     GnssFix,
@@ -330,6 +330,30 @@ class TestRun:
         fix = GnssFix(imu[20].t, truth.samples[20][1].pos.copy(), np.eye(3))
         with pytest.raises(ValueError, match=f"fix at t={fix.t} "):
             run(imu[:200], [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+
+    def test_consistency_only_at_fixes(self, scenario, earth):
+        """error and NEES are set exactly at the epochs that applied a fix."""
+        truth, imu = scenario
+        bg, ba = np.array([1e-5, -2e-5, 3e-5]), np.array([1e-3, 2e-3, -1e-3])
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=5)[:3]
+        noise = NoiseParams(1e-10, 1e-8, 1e-16, 1e-14)
+        for conv in (RIGHT, LEFT):
+            st = FilterState(
+                truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv
+            )
+            recs = run(imu[:301], gnss, st, noise, earth, LeverArm(np.zeros(3)),
+                       truth=truth.samples, truth_biases=(bg, ba))
+            fixed = [r for r in recs if r.nis is not None]
+            assert [r.t for r in fixed] == [f.t for f in gnss]
+            for r in fixed:
+                s = r.state
+                err = error_state(conv, s.x, dict(truth.samples)[r.t],
+                                  bg - s.bg, ba - s.ba).as_vector()
+                np.testing.assert_array_equal(r.error, err)
+                assert r.nees == float(err @ np.linalg.solve(s.p, err))
+            for r in recs:
+                if r.nis is None:
+                    assert r.error is None and r.nees is None
 
     def test_left_right_agree_on_noise_free_data(self, earth):
         spec = TrajectorySpec(

@@ -261,3 +261,65 @@ def test_is_rotation_decisions(rng):
     stretch = np.diag([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     for err, want in ((2e-9, False), (5e-10, True)):
         assert lg.is_rotation(rot @ (np.eye(3) + 0.5 * err * stretch)) == want
+
+
+
+def _frozen_cases():
+    """(type, field, valid constructor arguments) for every array field
+    stored through ``liegroup._frozen``."""
+    from eqnav.errordyn import Convention, ErrorState15, LeverArm
+    from eqnav.filter import FilterState, GnssFix
+    from eqnav.kinematics import DynamicsPair, ImuSample
+    from eqnav.sim import SensorErrorSpec
+    from eqnav.transition import TransitionBlocks
+
+    z3 = np.zeros(3)
+    left = Convention.LEFT_INVARIANT
+    cases = (
+        (lg.Tangent9, ("phi", "rho_v", "rho_r"), {}),
+        (lg.GroupElement, ("rot", "vel", "pos"), {}),
+        (ImuSample, ("gyro", "accel"), {"t": 0.0}),
+        (DynamicsPair, ("w1", "w2"), {}),
+        (LeverArm, ("l_b",), {}),
+        (ErrorState15, ("phi", "jrho_v", "jrho_r", "db_g", "db_a"), {"convention": left}),
+        (FilterState, ("bg", "ba", "p"),
+         {"x": lg.identity_element(lg.FrameTag.ECEF_IB), "t": 0.0}),
+        (GnssFix, ("pos_ecef", "cov"), {"t": 0.0}),
+        (SensorErrorSpec, ("gyro_bias", "accel_bias"), {}),
+        (TransitionBlocks, ("matrix",), {"convention": left, "dt": 0.01}),
+    )
+    square = {"rot": np.eye(3), "cov": np.eye(3), "p": np.eye(15), "matrix": np.eye(15),
+              "w1": np.zeros((5, 5)), "w2": np.zeros((5, 5))}
+    for cls, names, rest in cases:
+        kwargs = dict(rest, **{n: square.get(n, z3) for n in names})
+        for name in names:
+            yield pytest.param(cls, name, kwargs, id=f"{cls.__name__}.{name}")
+
+
+@pytest.mark.parametrize("cls, name, kwargs", _frozen_cases())
+def test_frozen_fields(cls, name, kwargs):
+    """Each array field is a read-only float copy of the caller's array; a
+    NaN entry is rejected with a message naming the type and the field."""
+    src = np.array(kwargs[name], dtype=float)
+    stored = getattr(cls(**dict(kwargs, **{name: src})), name)
+    assert stored.dtype == np.float64 and not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored.flat[0] = 1.0
+    before = stored.copy()
+    src += 1.0
+    np.testing.assert_array_equal(stored, before)
+
+    bad = before.copy()
+    # a DynamicsPair's velocity column: NaN there trips no bottom-row check
+    bad[(0, 3) if bad.shape == (5, 5) else 0] = np.nan
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} contains non-finite values$"):
+        cls(**dict(kwargs, **{name: bad}))
+
+
+def test_frozen_overflowing_square_is_finite():
+    """A finite entry whose square overflows is accepted; a non-finite one
+    next to it is still rejected."""
+    huge = [1e200, -1e300, 1e-300]
+    np.testing.assert_array_equal(lg.Tangent9(huge, huge, huge).phi, huge)
+    with pytest.raises(ValueError, match=r"^Tangent9\.rho_r contains non-finite values$"):
+        lg.Tangent9(huge, huge, [1e200, -np.inf, 0.0])
