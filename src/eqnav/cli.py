@@ -28,7 +28,14 @@ from .errordyn import Convention, LeverArm, NoiseParams
 from .filter import FilterState, GnssFix, run
 from .kinematics import EarthModel, ImuSample
 from .liegroup import FrameTag, GroupElement, so3_log
-from .sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
+from .sim import (
+    _PROFILES,
+    SensorErrorSpec,
+    TrajectorySpec,
+    generate_truth,
+    synthesize_gnss,
+    synthesize_imu,
+)
 from .verify import heave_observability, run_all_checks
 
 log = logging.getLogger("eqnav")
@@ -95,6 +102,12 @@ class RunConfig:
         return EarthModel(omega_ie=self.omega_ie, mu=self.mu)
 
     def trajectory(self) -> TrajectorySpec:
+        if self.scenario not in _PROFILES:
+            raise ConfigError(f"scenario={self.scenario!r} is not one of {', '.join(_PROFILES)}")
+        if self.gnss_rate > self.imu_rate:
+            raise ConfigError(
+                f"gnss_rate={self.gnss_rate!r} exceeds imu_rate={self.imu_rate!r}"
+            )
         return TrajectorySpec(
             profile=self.scenario,
             lat_deg=self.lat_deg,
@@ -113,6 +126,10 @@ class RunConfig:
         )
 
     def lever(self) -> LeverArm:
+        for name in ("lever_x", "lever_y", "lever_z"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name}={value!r} is not finite")
         return LeverArm(np.array([self.lever_x, self.lever_y, self.lever_z]))
 
     def conv(self) -> Convention:
@@ -465,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="input/output directory")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--convention", choices=["left", "right"])
-    p.add_argument("--scenario", choices=["static", "constant-turn", "figure-eight"])
+    p.add_argument("--scenario", choices=_PROFILES)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config key (repeatable, later wins)")
     p.add_argument("command", choices=["simulate", "run", "verify", "observability"])

@@ -31,6 +31,7 @@ from .liegroup import (
     FrameTag,
     GroupElement,
     Tangent9,
+    _EYE3,
     _frozen,
     compose,
     hat,
@@ -249,6 +250,13 @@ def f_matrix(
     return f
 
 
+# the left form of G, the same at every state
+_G_LEFT = np.zeros((15, 12))
+_G_LEFT[0:3, 0:3] = _G_LEFT[3:6, 3:6] = -_EYE3
+_G_LEFT[9:12, 6:9] = _G_LEFT[12:15, 9:12] = _EYE3
+_G_LEFT.setflags(write=False)
+
+
 def g_matrix(conv: Convention, xhat: GroupElement) -> NDArray:
     """Noise input matrix G (15x12) for noise vector (w_g, w_a, w_bg, w_ba).
 
@@ -257,19 +265,16 @@ def g_matrix(conv: Convention, xhat: GroupElement) -> NDArray:
     identity rows in both conventions.
     """
     _require_ecef_ib(xhat)
+    if conv is Convention.LEFT_INVARIANT:
+        return _G_LEFT.copy()
     g = np.zeros((15, 12))
-    eye = np.eye(3)
-    if conv is Convention.RIGHT_INVARIANT:
-        c = xhat.rot
-        g[0:3, 0:3] = -c
-        g[3:6, 0:3] = hat(xhat.vel) @ c
-        g[3:6, 3:6] = c
-        g[6:9, 0:3] = hat(xhat.pos) @ c
-    else:
-        g[0:3, 0:3] = -eye
-        g[3:6, 3:6] = -eye
-    g[9:12, 6:9] = eye
-    g[12:15, 9:12] = eye
+    c = xhat.rot
+    g[0:3, 0:3] = -c
+    g[3:6, 0:3] = hat(xhat.vel) @ c
+    g[3:6, 3:6] = c
+    g[6:9, 0:3] = hat(xhat.pos) @ c
+    g[9:12, 6:9] = _EYE3
+    g[12:15, 9:12] = _EYE3
     return g
 
 

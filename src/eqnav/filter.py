@@ -25,9 +25,9 @@ from .errordyn import (
     g_matrix,
     h_matrix,
 )
-from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _midpoint
-from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen, _gamma_pass
-from .transition import _phi_left, _phi_right, phi_left, phi_right, qd_matrix
+from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _WINDOW, _midpoint, _passes
+from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen
+from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
     "EpochRecord",
@@ -92,8 +92,11 @@ class FilterState:
         _frozen(self, "bg", 3)
         _frozen(self, "ba", 3)
         p = _frozen(self, "p", (15, 15))
-        scale = max(1.0, float(np.abs(p).max()))
-        if np.abs(p - p.T).max() > 1e-12 * scale:
+        # P - P^T is antisymmetric, so its largest entry is its largest
+        # magnitude; the tolerance 1e-12 max(1, max |P_ij|) is at least
+        # 1e-12, so it need not be formed below that
+        asym = float((p - p.T).max())
+        if asym > 1e-12 and asym > 1e-12 * max(1.0, float(np.abs(p).max())):
             raise ValueError("FilterState.p must be symmetric")
         # min eig(P) > -tau exactly when P + tau I has a Cholesky factor (up
         # to its roundoff, ~n^2 eps trace(P), far below tau)
@@ -118,6 +121,13 @@ def predict(
     convention and the trapezoidal discrete process noise.  Biases are random
     constants between updates.
 
+    This is the propagation :func:`run` applies to each window of epochs
+    between two fixes, on a window of one epoch: the state's biases hold
+    for the whole window, so the work that does not depend on the state
+    estimate is formed for all its epochs at once (see
+    :func:`_propagate`), each epoch by the operations a window of one
+    takes.
+
     When ``imu_prev`` is given, the interval uses trapezoidal averaging of
     the two samples' rates (second-order input handling for batch runs).
 
@@ -137,25 +147,55 @@ def predict(
     if imu_prev is not None:
         gyro = 0.5 * (imu_prev.gyro + imu.gyro)
         accel = 0.5 * (imu_prev.accel + imu.accel)
+    return _propagate(
+        state, gyro.reshape(1, 3), accel.reshape(1, 3), [imu.t], np.array([dt]), noise, earth
+    )[0]
+
+
+def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]:
+    """States of a window of epochs, at ``times``, propagated from ``state``.
+
+    ``gyro`` and ``accel`` (N, 3) are the epochs' rates before bias
+    correction, ``dt`` (N,) the epochs' intervals (the first from
+    ``state.t``).  Only an update changes the biases, so the state's biases
+    correct every epoch of the window, and what does not depend on the
+    state estimate is formed for the whole window at once: the Gamma blocks
+    of the body rotations and of the earth rate, the mean steps' body-frame
+    velocity increments, ``Psi_1``/``Psi_2``, and the left transition
+    matrices with their process noise (left convention) or their bias
+    columns (right convention).  The epochs then run in
+    order: the mean step, the right convention's state-dependent blocks and
+    process noise, the covariance recursion.  Every entry is formed by the
+    operations a window of one takes, so a window's results do not depend
+    on its length.
+    """
+    conv = state.convention
     gyro = gyro - state.bg
     accel = accel - state.ba
-
-    # one Gamma pass of the body rotation, at dt and dt/2, serves the mean
-    # step and Phi
-    body = _gamma_pass(gyro * dt, 3, (1.0, 0.5))
-    *x1, rate = _midpoint(FrameTag.ECEF_IB, state.x, accel, dt, earth, body)
-    x_new = GroupElement(*x1, state.x.frame)
-
-    if state.convention is Convention.RIGHT_INVARIANT:
-        phi = _phi_right(state.x, x1, accel, earth, dt, body, rate)
+    # one stacked Gamma pass of the body rotations and the earth rate, at
+    # dt and dt/2, serves the mean steps and the transition matrices
+    body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, 3)
+    left = conv is Convention.LEFT_INVARIANT
+    if left:
+        phis = _phi_left(accel, dt, body, g0)
+        qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
     else:
-        phi = _phi_left(accel, dt, body)
-    g = g_matrix(state.convention, state.x)
-    qd = qd_matrix(phi, g, noise, dt)
-    p_new = phi.matrix @ state.p @ phi.matrix.T + qd
-    p_new = 0.5 * (p_new + p_new.T)
+        bias = _left_bias(accel, dt, body, g0)
 
-    return FilterState(x_new, state.bg, state.ba, p_new, imu.t, state.convention)
+    x, p = state.x, state.p
+    out = []
+    for k, (t, step) in enumerate(zip(times, dt.tolist())):
+        x1 = _midpoint(FrameTag.ECEF_IB, x, step, earth, dv[k], g0[k], rate[k])
+        if left:
+            phi, qd = phis[k], qds[k]
+        else:
+            phi = _phi_right(x, x1, earth, step, rate[k][0], bias[k])
+            qd = qd_matrix(phi, g_matrix(conv, x), noise, step)
+        p = phi @ p @ phi.T + qd
+        p = 0.5 * (p + p.T)
+        x = GroupElement(*x1, x.frame)
+        out.append(FilterState(x, state.bg, state.ba, p, t, conv))
+    return out
 
 
 def update_gnss(
@@ -313,6 +353,14 @@ def run(
     fix carry the invariant error (its bias part ``truth_biases`` minus the
     estimate, zero without them) and the NEES.
 
+    The epochs after one fix up to and including the next form a window:
+    only an update changes the biases, so they are constant within it, and
+    everything that does not depend on the state estimate is formed for
+    the window at once (see :func:`predict`), in pieces of at most a fixed
+    number of epochs, before its epochs run in order and its fix is
+    applied.  The records equal those of a loop of :func:`predict` and
+    :func:`update_gnss`.
+
     Raises
     ------
     NonMonotonicTime
@@ -354,31 +402,62 @@ def run(
             )
         fixes_at[idx] = fix
 
-    def epoch(i, state):
-        """Record of IMU epoch ``i``: predicted there from ``state`` unless it
-        is the initial state's epoch, then corrected by its fix if it has one."""
+    def failed(i, exc):
+        return type(exc)(f"at epoch t={imu[i].t}: {exc}")
+
+    def record(i, state):
+        """Record of IMU epoch ``i`` at ``state``, corrected by the epoch's
+        fix if it has one."""
         innovation = nis = error = nees = None
-        try:
-            if i >= first:
-                state = predict(state, imu[i], noise, earth, imu_prev=imu[i - 1])
-            if i in fixes_at:
+        if i in fixes_at:
+            try:
                 state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise type(exc)(f"at epoch t={imu[i].t}: {exc}") from exc
-        if nis is not None and state.t in truth_map:
-            db_g = db_a = None
-            if truth_biases is not None:
-                db_g = truth_biases[0] - state.bg
-                db_a = truth_biases[1] - state.ba
-            error = error_state(
-                state.convention, state.x, truth_map[state.t], db_g, db_a
-            ).as_vector()
-            nees = float(error @ np.linalg.solve(state.p, error))
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise failed(i, exc) from exc
+            if state.t in truth_map:
+                db_g = db_a = None
+                if truth_biases is not None:
+                    db_g = truth_biases[0] - state.bg
+                    db_a = truth_biases[1] - state.ba
+                error = error_state(
+                    state.convention, state.x, truth_map[state.t], db_g, db_a
+                ).as_vector()
+                nees = float(error @ np.linalg.solve(state.p, error))
         return EpochRecord(
             state.t, state, np.diag(state.p).copy(), innovation, nis, error, nees
         )
 
-    records = [epoch(first - 1, initial)]
-    for i in range(first, len(imu)):
-        records.append(epoch(i, records[-1].state))
+    def window(i, end, state):
+        """Predicted states of IMU epochs ``i`` to ``end - 1``."""
+        rows = imu[i - 1 : end]
+        gyro = np.array([s.gyro for s in rows])
+        accel = np.array([s.accel for s in rows])
+        times = [s.t for s in rows[1:]]
+        try:
+            return _propagate(
+                state, 0.5 * (gyro[:-1] + gyro[1:]), 0.5 * (accel[:-1] + accel[1:]),
+                times, np.subtract(times, [state.t, *times[:-1]]), noise, earth,
+            )
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+        # one epoch at a time, so that the error names the epoch it arises at
+        states = []
+        for k in range(i, end):
+            try:
+                state = predict(state, imu[k], noise, earth, imu_prev=imu[k - 1])
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise failed(k, exc) from exc
+            states.append(state)
+        return states
+
+    records = [record(first - 1, initial)]
+    # a window ends at each fix epoch and at the last epoch
+    stops = sorted(k + 1 for k in fixes_at if k >= first) + [len(imu)]
+    i = first
+    for stop in stops:
+        while i < stop:
+            end = min(stop, i + _WINDOW)
+            states = window(i, end, records[-1].state)
+            records += [record(k, s) for k, s in zip(range(i, end), states)]
+            i = end
     return records

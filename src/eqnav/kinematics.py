@@ -344,24 +344,24 @@ def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
     return m @ pair.w1 + pair.w2 @ m
 
 
-def _flow(rot, vel, pos, accel, w2, dt, j1, dev1, w2_blocks):
+def _flow(rot, vel, pos, dv, w2, dt, g0, w2_blocks):
     """Array core of :func:`flow`, W2 as a (rate, vel column, pos column) triple.
 
-    ``j1`` is Gamma_1(gyro dt) and ``dev1`` is Gamma_0(gyro dt) - I, and
-    ``w2_blocks`` starts with Gamma_0 - I and Gamma_1 of ``w2[0] * dt``, all
-    from the caller; ``dev1=None`` skips the rotation and returns ``None``
-    in its place.
+    ``dv`` is the body-frame velocity increment ``Gamma_1(gyro dt) accel dt``
+    and ``g0`` is ``Gamma_0(gyro dt)``, and ``w2_blocks`` starts with
+    Gamma_0 - I and Gamma_1 of ``w2[0] * dt``, all from the caller;
+    ``g0=None`` skips the rotation and returns ``None`` in its place.
     """
     # right factor X exp(W1 dt): W1 has a zero position column
-    vel = rot @ (j1 @ (accel * dt)) + vel
+    vel = rot @ dv + vel
 
     # left factor exp(W2 dt) (...): position advanced by its increment
-    dev2, j2 = w2_blocks[:2]
+    dev2, j2 = w2_blocks[0], w2_blocks[1]
     vel_new = vel + (dev2 @ vel + j2 @ (w2[1] * dt))
     pos_new = pos + (dev2 @ pos + j2 @ (w2[2] * dt))
-    if dev1 is None:
+    if g0 is None:
         return None, vel_new, pos_new
-    rot = rot @ (_EYE3 + dev1)
+    rot = rot @ g0
     return rot + dev2 @ rot, vel_new, pos_new
 
 
@@ -382,38 +382,69 @@ def flow(x: GroupElement, pair: DynamicsPair, dt: float) -> GroupElement:
     w2 = (vee(w2[:, 0:3]), w2[:, 3], w2[:, 4])
     dev1, j1 = gamma_blocks(vee(w1[:, 0:3]) * dt, 2)
     w2_blocks = gamma_blocks(w2[0] * dt, 2)
-    rot, vel, pos = _flow(x.rot, x.vel, x.pos, w1[:, 3], w2, dt, j1, dev1, w2_blocks)
+    dv = j1 @ (w1[:, 3] * dt)
+    rot, vel, pos = _flow(x.rot, x.vel, x.pos, dv, w2, dt, _EYE3 + dev1, w2_blocks)
     return GroupElement(rot, vel, pos, x.frame)
 
 
 # Variants whose W2 rate is the earth rate alone, the same at every state.
 _CONSTANT_RATE = (FrameTag.ECEF_EB, FrameTag.ECEF_IB)
 
+# Steps per stacked Gamma pass: a long run is cut into windows of at most
+# this many steps, so the pass's arrays stay small whatever the run length.
+_WINDOW = 128
 
-def _midpoint(frame, x, accel, dt, earth, body):
-    """Array core of :func:`midpoint_step`.
 
-    ``body`` is the Gamma pass of the body rotation ``gyro dt`` at scales
-    1 and 1/2 (see :func:`~eqnav.liegroup._gamma_pass`).  Returns the
-    stepped (rot, vel, pos) and the full step's ``gamma_blocks(rate dt, 3)``
-    of W2's rate, which :func:`~eqnav.transition.phi_right` reuses.  Where
-    that rate does not depend on the state (the ECEF variants), one Gamma
-    pass of it serves both steps; the NED rate moves with the midpoint and
-    takes one pass per step.
+# the full and the half step of the midpoint scheme, as fractions of dt
+_STEPS = np.array([1.0, 0.5])
+_STEPS.setflags(write=False)
+
+
+def _passes(frame, gyro, accel, dt, earth, n):
+    """The state-independent work of a window of midpoint steps.
+
+    ``gyro``, ``accel`` (N, 3) and ``dt`` (N,) are the steps' body rates
+    and lengths.  Returns ``(body, rate, dv, g0)``: ``body`` is the
+    :func:`~eqnav.liegroup._gamma_pass` of the body rotations ``gyro * dt``
+    at scales 1 and 1/2 (full and half step); ``rate[k]`` is step k's
+    ``[full, half]`` blocks of W2's rate, shape (2, n, 3, 3), for the ECEF
+    variants, where that rate is the earth rate at every state and shares
+    the body rotations' pass, and ``None`` for the NED variants, where it
+    moves with the state; ``dv[k]`` is the body-frame velocity increment
+    ``Gamma_1(s gyro dt) accel s dt`` of the full and half step (s = 1,
+    1/2), shape (N, 2, 3); ``g0[k]`` is ``Gamma_0(gyro dt)``.
     """
-    (full, half_blocks), _, _ = body
+    steps = len(dt)
+    dt_col = dt[:, None]
+    phi = gyro * dt_col
+    if frame in _CONSTANT_RATE:
+        phi = np.concatenate([phi, -earth.omega_vec * dt_col])
+    blocks, powers, t2 = _gamma_pass(phi, n, (1.0, 0.5))
+    body = (blocks[:steps], powers[:steps], t2[:steps])
+    rate = blocks[steps:] if frame in _CONSTANT_RATE else [None] * steps
+    a_dt = accel[:, None, :, None] * (dt_col * _STEPS)[:, :, None, None]
+    dv = (body[0][:, :, 1] @ a_dt)[..., 0]
+    return body, rate, dv, _EYE3 + body[0][:, 0, 0]
+
+
+def _midpoint(frame, x, dt, earth, dv, g0, rate):
+    """Array core of :func:`midpoint_step`, returning the stepped (rot, vel, pos).
+
+    ``dv``, ``g0`` and ``rate`` are the step's entries of :func:`_passes`;
+    ``rate=None`` marks a W2 rate that moves with the state (the NED
+    variants): it is then evaluated at ``x`` and at the midpoint.
+    """
     half = 0.5 * dt
     w2 = _w2(frame, x.vel, x.pos, earth)
-    if frame in _CONSTANT_RATE:
-        rate_full, rate_half = _gamma_pass(w2[0] * dt, 3, (1.0, 0.5))[0]
-    else:
+    if rate is None:
         rate_half = gamma_blocks(w2[0] * half, 2)
-    _, vel, pos = _flow(x.rot, x.vel, x.pos, accel, w2, half, half_blocks[1], None, rate_half)
+    else:
+        rate_full, rate_half = rate[0], rate[1]
+    _, vel, pos = _flow(x.rot, x.vel, x.pos, dv[1], w2, half, None, rate_half)
     w2 = _w2(frame, vel, pos, earth)
-    if frame not in _CONSTANT_RATE:
-        rate_full = gamma_blocks(w2[0] * dt, 3)
-    rot, vel, pos = _flow(x.rot, x.vel, x.pos, accel, w2, dt, full[1], full[0], rate_full)
-    return rot, vel, pos, rate_full
+    if rate is None:
+        rate_full = gamma_blocks(w2[0] * dt, 2)
+    return _flow(x.rot, x.vel, x.pos, dv[0], w2, dt, g0, rate_full)
 
 
 def midpoint_step(
@@ -429,8 +460,10 @@ def midpoint_step(
     """
     if x.frame is not None and x.frame != frame:
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
-    body = _gamma_pass(gyro * dt, 2, (1.0, 0.5))
-    rot, vel, pos, _ = _midpoint(frame, x, accel, dt, earth, body)
+    _, rate, dv, g0 = _passes(
+        frame, np.reshape(gyro, (1, 3)), np.reshape(accel, (1, 3)), np.array([dt]), earth, 2
+    )
+    rot, vel, pos = _midpoint(frame, x, dt, earth, dv[0], g0[0], rate[0])
     return GroupElement(rot, vel, pos, x.frame)
 
 
@@ -647,20 +680,34 @@ def integrate_imu(
     Each interval is one :func:`midpoint_step` with the trapezoidal mean of
     the two samples' rates, so the scheme is second order in the sample
     interval while every step remains an exact flow of a constant pair.
+    What does not depend on the state (the Gamma blocks of every step's
+    body rotation and, in the ECEF variants, of the earth rate, and the
+    body-frame velocity increments) is formed for a window of steps at a
+    time, by the operations :func:`midpoint_step` takes for one step.
 
     Returns the list of (t, state) including the initial sample time.
     """
     frame = frame if frame is not None else x0.frame
     if frame is None:
         raise ValueError("integrate_imu requires a frame tag")
-    out = [(samples[0].t, x0)]
+    times = [s.t for s in samples]
+    dts = np.diff(times)
+    bad = np.flatnonzero(dts <= 0.0)
+    if bad.size:
+        raise NonMonotonicTime(f"IMU timestamps not increasing at t={times[bad[0] + 1]}")
+    if dts.size and x0.frame is not None and x0.frame != frame:
+        raise FrameMismatch(f"state tagged {x0.frame.name}, dynamics for {frame.name}")
+    gyro = np.array([s.gyro for s in samples])
+    accel = np.array([s.accel for s in samples])
+    gyro = 0.5 * (gyro[:-1] + gyro[1:])
+    accel = 0.5 * (accel[:-1] + accel[1:])
+    out = [(times[0], x0)]
     x = x0
-    for prev, cur in zip(samples[:-1], samples[1:]):
-        dt = cur.t - prev.t
-        if dt <= 0.0:
-            raise NonMonotonicTime(f"IMU timestamps not increasing at t={cur.t}")
-        gyro = 0.5 * (prev.gyro + cur.gyro)
-        accel = 0.5 * (prev.accel + cur.accel)
-        x = midpoint_step(frame, x, gyro, accel, dt, earth)
-        out.append((cur.t, x))
+    for a in range(0, dts.size, _WINDOW):
+        b = min(a + _WINDOW, dts.size)
+        _, rate, dv, g0 = _passes(frame, gyro[a:b], accel[a:b], dts[a:b], earth, 2)
+        for k, dt in enumerate(dts[a:b].tolist()):
+            step = _midpoint(frame, x, dt, earth, dv[k], g0[k], rate[k])
+            x = GroupElement(*step, x.frame)
+            out.append((times[a + k + 1], x))
     return out

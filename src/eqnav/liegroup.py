@@ -122,7 +122,7 @@ def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
 # decrease with j, so a closed-form c_j only ever follows closed-form c_{j-2}.
 
 _SERIES_BELOW = (0.0, SMALL_ANGLE, 1e-2, 1e-2, 0.5, 0.5)  # indexed by j
-_SERIES_TERMS = 5
+_SERIES_TERMS = 5  # gamma_coefficients unrolls its Horner loop over these
 _INV_FACTORIAL = tuple(1.0 / math.factorial(j) for j in range(len(_SERIES_BELOW)))
 # Horner coefficients of each series in theta^2, highest order first.
 _SERIES = tuple(
@@ -146,9 +146,8 @@ def gamma_coefficients(lo: int, hi: int, t2: float, theta: float) -> list[float]
     chain: dict[int, tuple[int, float]] = {}  # parity -> (j, closed-form c_j)
     for j in range(lo, hi + 1):
         if theta < _SERIES_BELOW[j]:
-            c = 0.0
-            for k in _SERIES[j]:
-                c = c * t2 + k
+            k0, k1, k2, k3, k4 = _SERIES[j]  # Horner, highest order first
+            c = (((k0 * t2 + k1) * t2 + k2) * t2 + k3) * t2 + k4
         else:
             parity = j % 2
             i, c = chain.get(parity) or (
@@ -204,35 +203,61 @@ def gamma_blocks(phi: NDArray, n: int) -> NDArray:
     return _gamma_pass(phi, n, (1.0,))[0][0]
 
 
+# hat(v) entries, row-major, as columns of [v, -v, 0]
+_HAT_TAKE = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+_HAT_TAKE.setflags(write=False)
+
+
+def _hats(v: NDArray) -> NDArray:
+    """:func:`hat` of each row of ``v`` (N, 3), shape (N, 3, 3), with the same bits."""
+    w = np.empty((len(v), 7))
+    w[:, 0:3] = v
+    np.negative(v, out=w[:, 3:6])
+    w[:, 6] = 0.0
+    return w.take(_HAT_TAKE, axis=1).reshape(-1, 3, 3)
+
+
 def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
     """Gamma blocks of ``s * phi`` for each ``s`` in ``scales``, from one hat.
 
-    Returns ``(blocks, powers, t2)``: ``blocks[k]`` is
-    ``gamma_blocks(scales[k] * phi, n)``, shape (len(scales), n, 3, 3);
-    ``powers`` is ``[I, phi^, (phi^)^2]``, shape (3, 3, 3); ``t2`` is
-    ``|phi|^2``.  Each scale costs one coefficient walk and no matrix
-    product.  The scales must be powers of two (1, 0.5, 0.25, ...):
-    multiplying by such a scale is exact in binary floating point (away from
-    underflow), so ``s phi^``, ``s^2 (phi^)^2``, ``s^2 t2`` and ``s |phi|``
-    carry the same bits as the hat, hat^2, squared norm and norm of
-    ``s * phi`` itself, and each stacked block equals ``gamma(m, s * phi)``
-    bit for bit.
+    ``phi`` has shape (N, 3): a stack of rotation vectors, such as the body
+    rotations of a window of IMU epochs.  Returns ``(blocks, powers, t2)``:
+    ``blocks[j, k]`` is ``gamma_blocks(scales[k] * phi[j], n)``, shape
+    (N, len(scales), n, 3, 3); ``powers[j]`` is ``[I, phi_j^, (phi_j^)^2]``,
+    shape (N, 3, 3, 3); ``t2[j]`` is ``|phi_j|^2``, shape (N,).  A single
+    vector, shape (3,), gives the same without the leading axis.  Each
+    vector and scale costs one scalar coefficient walk; the hats, their
+    squares and the blocks are formed for all vectors at once, each entry
+    by the same floating-point operations as for one vector alone.  The
+    scales must be powers of two (1, 0.5, 0.25, ...): multiplying by such
+    a scale is exact in binary floating point (away from underflow), so
+    ``s phi^``, ``s^2 (phi^)^2``, ``s^2 t2`` and ``s |phi|`` carry the same
+    bits as the hat, hat^2, squared norm and norm of ``s * phi`` itself,
+    and each stacked block equals ``gamma(m, s * phi)`` bit for bit.
     """
     phi = np.asarray(phi, dtype=float)
-    t2 = float(phi @ phi)
-    theta = math.sqrt(t2)
-    powers = np.empty((3, 3, 3))
-    powers[0] = _EYE3
-    powers[1] = hat(phi)
-    np.matmul(powers[1], powers[1], out=powers[2])
-    a, b = [], []  # coefficients of phi^ and (phi^)^2, block by block
-    for s in scales:
-        c = gamma_coefficients(1, n + 1, s * s * t2, s * theta)
-        a += [s * cj for cj in c[:-1]]
-        b += [s * s * cj for cj in c[1:]]
-    blocks = np.multiply.outer(a, powers[1]) + np.multiply.outer(b, powers[2])
-    blocks = blocks.reshape(len(scales), n, 3, 3)
-    blocks[:, 1:] += _SCALED_EYES[1:n]
+    single = phi.ndim == 1
+    phi = phi.reshape(-1, 3)
+    rows = len(phi)
+    # one dot product per row, as in gamma()
+    t2 = (phi[:, None, :] @ phi[:, :, None]).reshape(rows)
+    powers = np.empty((rows, 3, 3, 3))
+    powers[:, 0] = _EYE3
+    px = powers[:, 1] = _hats(phi)
+    np.matmul(px, px, out=powers[:, 2])
+    c = []  # [c_1, ..., c_{n+1}] at s |phi_k|, row by row and scale by scale
+    for tk2 in t2.tolist():
+        thk = math.sqrt(tk2)
+        for s in scales:
+            c += gamma_coefficients(1, n + 1, s * s * tk2, s * thk)
+    c = np.array(c).reshape(rows, len(scales), n + 1, 1, 1)
+    s = np.array(scales).reshape(len(scales), 1, 1, 1)
+    # Gamma_m(s phi) = I/m! + (s c_{m+1}) phi^ + (s^2 c_{m+2}) (phi^)^2
+    blocks = c[:, :, :-1] * s * powers[:, None, None, 1]
+    blocks += c[:, :, 1:] * (s * s) * powers[:, None, None, 2]
+    blocks[:, :, 1:] += _SCALED_EYES[1:n]
+    if single:
+        return blocks[0], powers[0], t2[0]
     return blocks, powers, t2
 
 

@@ -31,11 +31,12 @@ from numpy.typing import NDArray
 from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
-from .kinematics import EarthModel, ImuSample, _midpoint
+from .kinematics import EarthModel, ImuSample, _midpoint, _passes
 from .liegroup import (
     _EYE3,
     _frozen,
     _gamma_pass,
+    _hats,
     FrameMismatch,
     FrameTag,
     GroupElement,
@@ -179,37 +180,53 @@ def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     """
     if dt <= 0.0:
         raise ValueError("psi_integrals requires dt > 0")
-    _, powers, x2 = _gamma_pass(np.asarray(omega, dtype=float) * dt, 1, (1.0,))
-    psi1, psi2 = _psi(f, dt, powers, x2)
+    omega = np.asarray(omega, dtype=float).reshape(1, 3)
+    _, powers, x2 = _gamma_pass(omega * dt, 1, (1.0,))
+    fx = _hats(np.asarray(f, dtype=float).reshape(1, 3) * (dt * dt))
+    psi1, psi2 = _psi(fx, np.array([dt]), powers, x2)[0]
     return PsiIntegrals(psi1, psi2)
 
 
-def _psi(f, dt, powers, x2) -> NDArray:
-    """Array core of :func:`psi_integrals`: ``[Psi_1, Psi_2]``, shape (2, 3, 3).
+def _psi(fx, dt, powers, x2) -> NDArray:
+    """Array core of :func:`psi_integrals` for a window of intervals.
 
-    ``powers`` is ``[I, Theta, Theta^2]`` and ``x2`` is ``|w dt|^2``, both
-    from the caller's Gamma pass of ``w dt``.
+    ``fx`` (N, 3, 3) holds the intervals' ``(f dt^2)^`` and ``dt`` (N,)
+    their lengths; ``powers`` (N, 3, 3, 3) holds ``[I, Theta, Theta^2]``
+    and ``x2`` (N,) ``|w dt|^2``, both from the caller's Gamma pass of
+    ``w dt``.
+    Returns ``[Psi_1, Psi_2]`` of each interval, shape (N, 2, 3, 3), each by
+    the same floating-point operations as for a window of one.
     """
-    x = math.sqrt(x2)
-    if not x <= MAX_INTERVAL_ROTATION:  # also rejects NaN
+    rows = len(dt)
+    x = np.sqrt(x2)
+    xmax = x.max()
+    if not xmax <= MAX_INTERVAL_ROTATION:  # also rejects NaN
+        k = np.flatnonzero(~(x <= MAX_INTERVAL_ROTATION))[0]
         raise ValueError(
-            f"psi_integrals: rotation {x:.6g} rad over dt={dt} s exceeds "
+            f"psi_integrals: rotation {x[k]:.6g} rad over dt={float(dt[k])} s exceeds "
             f"{MAX_INTERVAL_ROTATION:.6g} rad (one turn) per interval"
         )
-    if x < _PSI_SERIES_BELOW:
-        h = (_PSI_SERIES @ x2**_PSI_POWERS).reshape(6, 3)
-    else:
-        h = _psi_closed_form(x2, x).reshape(6, 3)
+    h = (_PSI_SERIES @ (x2[:, None] ** _PSI_POWERS)[:, :, None]).reshape(rows, 6, 3)
+    if xmax >= _PSI_SERIES_BELOW:
+        for k in np.flatnonzero(x >= _PSI_SERIES_BELOW).tolist():
+            h[k] = _psi_closed_form(float(x2[k]), float(x[k])).reshape(6, 3)
 
     # left[a] = Theta^a F dt^2, right[i, a] = sum_b h_i[a, b] Theta^b
-    left = powers @ hat(np.asarray(f, dtype=float) * (dt * dt))
-    right = (h @ powers.reshape(3, 9)).reshape(2, 9, 3)
-    psi = left.transpose(1, 0, 2).reshape(3, 9) @ right
-    psi[1] *= dt
+    left = powers @ fx[:, None]
+    right = (h @ powers.reshape(rows, 3, 9)).reshape(rows, 2, 9, 3)
+    psi = left.transpose(0, 2, 1, 3).reshape(rows, 1, 3, 9) @ right
+    psi[:, 1] *= dt[:, None, None]
     return psi
 
 
 # --- transition matrices -----------------------------------------------------
+
+_BIAS_ROWS = np.eye(15)[9:15]  # the identity bias rows of the left matrix
+_BIAS_ROWS.setflags(write=False)
+# the constant blocks of _phi_left's inner array
+_INNER = np.zeros((3, 3, 15))
+_INNER[0, :, 0:3] = _INNER[1, :, 3:6] = _INNER[2, :, 6:9] = _EYE3
+_INNER.setflags(write=False)
 
 
 def phi_left(imu: ImuSample, dt: float) -> TransitionBlocks:
@@ -221,45 +238,71 @@ def phi_left(imu: ImuSample, dt: float) -> TransitionBlocks:
     """
     if dt <= 0.0:
         raise ValueError("phi_left requires dt > 0")
-    return _phi_left(imu.accel, dt, _gamma_pass(imu.gyro * dt, 3, (1.0,)))
-
-
-def _phi_left(accel, dt, body) -> TransitionBlocks:
-    """Array core of :func:`phi_left`.
-
-    ``body`` is the Gamma pass of ``gyro * dt`` (see
-    :func:`~eqnav.liegroup._gamma_pass`, first scale 1, ``n = 3``); its
-    ``Theta`` and ``Theta^2`` also serve ``Psi_1``/``Psi_2``.  Each 3-row
-    block of the attitude, velocity and position rows is ``Gamma_0^T``
-    times a matrix with no product in it, so those nine rows are one
-    batched product.
-    """
-    dev0, g1, g2 = body[0][0]
-    inner = np.zeros((3, 3, 15))
-    inner[0, :, 0:3] = _EYE3
-    inner[1, :, 0:3] = hat(g1 @ accel * -dt)
-    inner[1, :, 3:6] = _EYE3
-    inner[2, :, 0:3] = hat(g2 @ accel * -(dt * dt))
-    inner[2, :, 3:6] = _EYE3 * dt
-    inner[2, :, 6:9] = _EYE3
-    inner[:, :, 9:15] = _bias_inner(accel, dt, body)
-    m = np.eye(15)
-    np.matmul((_EYE3 + dev0).T, inner, out=m[0:9].reshape(3, 3, 15))
+    body = _gamma_pass(imu.gyro.reshape(1, 3) * dt, 3, (1.0,))
+    g0 = _EYE3 + body[0][:, 0, 0]
+    m = _phi_left(imu.accel.reshape(1, 3), np.array([dt]), body, g0)[0]
     return TransitionBlocks(m, Convention.LEFT_INVARIANT, dt)
 
 
-def _bias_inner(accel, dt, body) -> NDArray:
-    """Bias columns of :func:`_phi_left`'s inner array, shape (3, 3, 6):
-    ``[-Gamma_1 dt, 0]``, ``[Psi_1, -Gamma_1 dt]``, ``[Psi_2, -Gamma_2 dt^2]``."""
+def _phi_left(accel, dt, body, g0) -> NDArray:
+    """Array core of :func:`phi_left`: the matrices of a window of intervals.
+
+    ``accel`` (N, 3) and ``dt`` (N,) are the intervals' specific forces and
+    lengths, ``body`` the Gamma pass of their ``gyro * dt`` (see
+    :func:`~eqnav.liegroup._gamma_pass`, first scale 1, ``n = 3``), whose
+    ``Theta`` and ``Theta^2`` also serve ``Psi_1``/``Psi_2``, and ``g0``
+    their ``Gamma_0``, shape (N, 3, 3).  Returns shape (N, 15, 15).  Each 3-row block of the attitude, velocity and position
+    rows is ``Gamma_0^T`` times a matrix with no product in it, so those
+    nine rows are one batched product.
+    """
+    rows = len(dt)
+    hx, scale = _hatted(accel, dt, body)
+    inner = np.empty((rows, 3, 3, 15))
+    inner[:] = _INNER
+    inner[:, 1:3, :, 0:3] = hx[:, 1:3]
+    inner[:, 2, :, 3:6] = _EYE3 * dt[:, None, None]
+    _bias_inner(hx[:, 0], dt, body, scale, inner[..., 9:15])
+    m = np.empty((rows, 15, 15))
+    m[:, 9:15] = _BIAS_ROWS
+    np.matmul(g0.swapaxes(1, 2)[:, None], inner, out=m[:, 0:9].reshape(rows, 3, 3, 15))
+    return m
+
+
+def _hatted(accel, dt, body):
+    """``(a dt^2)^``, ``(Gamma_1 a (-dt))^`` and ``(Gamma_2 a (-dt^2))^`` of
+    each interval, shape (N, 3, 3, 3), and the scales ``[dt^2, -dt,
+    -dt^2]``, shape (N, 3, 1)."""
+    rows = len(dt)
+    scale = np.empty((rows, 3, 1))
+    np.multiply(dt, dt, out=scale[:, 0, 0])
+    np.negative(dt, out=scale[:, 1, 0])
+    np.negative(scale[:, 0, 0], out=scale[:, 2, 0])
+    vec = np.empty((rows, 3, 3))
+    vec[:, 0] = accel
+    vec[:, 1:3] = (body[0][:, 0, 1:3] @ accel[:, None, :, None])[..., 0]
+    vec *= scale
+    return _hats(vec.reshape(-1, 3)).reshape(rows, 3, 3, 3), scale
+
+
+def _bias_inner(fx, dt, body, scale, inner) -> None:
+    """Fill the bias columns ``inner`` (N, 3, 3, 6) of :func:`_phi_left`'s
+    inner array, zero where nothing is written: ``[-Gamma_1 dt, 0]``,
+    ``[Psi_1, -Gamma_1 dt]``, ``[Psi_2, -Gamma_2 dt^2]``; ``fx`` and
+    ``scale`` are from :func:`_hatted`."""
     blocks, powers, t2 = body
-    _, g1, g2 = blocks[0]
-    bias = g1 * -dt
-    inner = np.zeros((3, 3, 6))
-    inner[0, :, 0:3] = bias
-    inner[1, :, 3:6] = bias
-    inner[2, :, 3:6] = g2 * -(dt * dt)
-    inner[1:3, :, 0:3] = _psi(accel, dt, powers, t2)
-    return inner
+    bias = blocks[:, 0, 1:3] * scale[:, 1:3, :, None]  # -Gamma_1 dt, -Gamma_2 dt^2
+    inner[:, 0, :, 0:3] = bias[:, 0]
+    inner[:, 1:3, :, 3:6] = bias
+    inner[:, 1:3, :, 0:3] = _psi(fx, dt, powers, t2)
+
+
+def _left_bias(accel, dt, body, g0) -> NDArray:
+    """Bias columns ``Phi_l[0:9, 9:15]`` of a window of intervals, shape
+    (N, 9, 6); the arguments are :func:`_phi_left`'s."""
+    hx, scale = _hatted(accel, dt, body)
+    inner = np.zeros((len(dt), 3, 3, 6))
+    _bias_inner(hx[:, 0], dt, body, scale, inner)
+    return (g0.swapaxes(1, 2)[:, None] @ inner).reshape(len(dt), 9, 6)
 
 
 def phi_right(
@@ -291,18 +334,20 @@ def phi_right(
         raise ValueError("phi_right requires dt > 0")
     if xhat.frame is not None and xhat.frame != FrameTag.ECEF_IB:
         raise FrameMismatch(f"phi_right requires ECEF_IB state, got {xhat.frame.name}")
-    body = _gamma_pass(imu.gyro * dt, 3, (1.0, 0.5))
-    *x1, rate = _midpoint(FrameTag.ECEF_IB, xhat, imu.accel, dt, earth, body)
-    return _phi_right(xhat, x1, imu.accel, earth, dt, body, rate)
+    accel, dts = imu.accel.reshape(1, 3), np.array([dt])
+    body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, imu.gyro.reshape(1, 3), accel, dts, earth, 3)
+    x1 = _midpoint(FrameTag.ECEF_IB, xhat, dt, earth, dv[0], g0[0], rate[0])
+    m = _phi_right(xhat, x1, earth, dt, rate[0][0], _left_bias(accel, dts, body, g0)[0])
+    return TransitionBlocks(m, Convention.RIGHT_INVARIANT, dt)
 
 
-def _phi_right(xhat, x1, accel, earth, dt, body, rate) -> TransitionBlocks:
-    """Array core of :func:`phi_right`.
+def _phi_right(xhat, x1, earth, dt, rate, left) -> NDArray:
+    """Array core of :func:`phi_right`, the 15x15 matrix.
 
-    ``x1`` is the (rot, vel, pos) of the ECEF_IB mean step from ``xhat`` and
-    ``rate`` the step's ``gamma_blocks(-w_ie dt, 3)`` of the earth rate, both
-    from :func:`~eqnav.kinematics._midpoint`; ``body`` is the Gamma pass
-    :func:`_phi_left` takes.
+    ``x1`` is the (rot, vel, pos) of the ECEF_IB mean step from ``xhat``,
+    ``rate`` the step's ``gamma_blocks(-w_ie dt, 3)`` of the earth rate (see
+    :func:`~eqnav.kinematics._passes`) and ``left`` the interval's left bias
+    columns ``Phi_l[0:9, 9:15]`` (see :func:`_left_bias`).
     """
     grav = earth.gravitation_ecef(xhat.pos)
     # the step's blocks are of W2's rate -w_ie; Gamma_m(w_ie dt) is their
@@ -321,32 +366,38 @@ def _phi_right(xhat, x1, accel, earth, dt, body, rate) -> TransitionBlocks:
     # bias columns: M(x1) times the left ones; conjugating the group block
     # the same way would cancel earth-radius-sized terms
     rot, vel, pos = x1
-    g0t = (_EYE3 + body[0][0][0]).T
-    left = np.matmul(g0t, _bias_inner(accel, dt, body)).reshape(9, 6)
     att = rot @ left[0:3]
     m[0:3, 9:15] = att
     m[3:6, 9:15] = -hat(vel) @ att - rot @ left[3:6]
     m[6:9, 9:15] = -hat(pos) @ att - rot @ left[6:9]
-    return TransitionBlocks(m, Convention.RIGHT_INVARIANT, dt)
+    return m
 
 
 def qd_matrix(
     phi: TransitionBlocks | NDArray,
     g: NDArray,
     noise: NoiseParams,
-    dt: float,
+    dt: float | NDArray,
 ) -> NDArray:
     """Trapezoidal discrete process noise 0.5 (Phi Gc Phi^T + Gc) dt.
 
     ``Gc = G Qc G^T`` with the continuous PSDs of ``noise``.  The result is
-    symmetrized, hence positive semidefinite up to roundoff.
+    symmetrized, hence positive semidefinite up to roundoff.  A stack of
+    matrices ``phi`` (N, 15, 15) with ``dt`` (N,) gives the stack of their
+    noises, each equal bit for bit to the noise of its matrix alone.
     """
-    if dt <= 0.0:
+    if isinstance(dt, np.ndarray):  # one interval per matrix of a stack
+        bad = min(dt.ravel().tolist()) <= 0.0
+        half = (0.5 * dt)[..., None, None]
+    else:
+        bad = dt <= 0.0
+        half = 0.5 * dt
+    if bad:
         raise ValueError("qd_matrix requires dt > 0")
     phi_m = phi.matrix if isinstance(phi, TransitionBlocks) else np.asarray(phi)
     gc = (g * noise.qc_diag) @ g.T
-    qd = 0.5 * dt * (phi_m @ gc @ phi_m.T + gc)
-    return 0.5 * (qd + qd.T)
+    qd = half * (phi_m @ gc @ phi_m.swapaxes(-1, -2) + gc)
+    return 0.5 * (qd + qd.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,10 @@ class TestInvalidInput:
             ("gyro_psd=nan", "run"),
             ("omega_ie=-1", "verify"),
             ("mu=nan", "observability"),
+            ("lever_x=nan", "simulate"),
+            ("lever_y=inf", "run"),
+            ("scenario=foo", "simulate"),
+            ("gnss_rate=1000", "simulate"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):

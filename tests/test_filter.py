@@ -1,5 +1,8 @@
 """Filter predict/update, runner, and observability analysis."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from eqnav.filter import (
     run,
     update_gnss,
 )
-from eqnav.kinematics import FrameTag, ImuSample, NonMonotonicTime, integrate_imu
+from eqnav.kinematics import _WINDOW, FrameTag, ImuSample, NonMonotonicTime, integrate_imu
 from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
 from eqnav.transition import phi_left, phi_right, qd_matrix
 from eqnav.verify import heave_observability
@@ -101,6 +104,23 @@ class TestFilterStateType:
             FilterState(x0, np.zeros(3), np.zeros(3), p, 0.0)
         with pytest.raises(ValueError, match="positive semidefinite"):
             FilterState(x0, np.zeros(3), np.zeros(3), with_min_eig(2.0), 0.0)
+
+    def test_symmetry_decisions_at_tolerance(self, scenario):
+        """P is admitted up to an asymmetry of 1e-12 max(1, max |P_ij|)."""
+        x0 = scenario[0].samples[0][1]
+        for largest in (0.5, 1e3):
+            p = np.eye(15) * 1e-3
+            p[6, 6] = largest
+            tol = 1e-12 * max(1.0, largest)
+            for i, j in ((0, 1), (1, 0)):
+                for asym, admitted in ((0.9 * tol, True), (1.1 * tol, False)):
+                    q = p.copy()
+                    q[i, j] = asym
+                    if admitted:
+                        FilterState(x0, np.zeros(3), np.zeros(3), q, 0.0)
+                    else:
+                        with pytest.raises(ValueError, match="symmetric"):
+                            FilterState(x0, np.zeros(3), np.zeros(3), q, 0.0)
 
     def test_requires_ecef_ib(self, earth):
         x = lg.identity_element(FrameTag.NED_EB)
@@ -312,6 +332,90 @@ class TestRun:
             )
             with pytest.raises(ValueError, match=f"t={bad[10].t}"):
                 run(bad, [], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+
+    def test_records_match_predict_update_loop(self, scenario, earth):
+        """run() takes each window between fixes in one stacked pass; its
+        records are those of a loop of predict and update_gnss."""
+        truth, imu = scenario
+        imu = list(imu[:301])
+        # two rows whose intervals turn |w dt| = 2.25 rad, past the 2 rad
+        # switch of Psi's coefficients, in a window of 200 epochs (more than
+        # one stacked pass takes)
+        for k in (100, 180):
+            imu[k] = ImuSample(imu[k].t, np.array([0.0, 450.0, 0.0]), imu[k].accel)
+        fixes = [
+            GnssFix(t, x.pos + np.array([0.3, -0.2, 0.1]), np.eye(3))
+            for t, x in (truth.samples[0], truth.samples[50], truth.samples[250])
+        ]
+        assert 250 - 50 > _WINDOW
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        fix_at = {round(f.t * 100): f for f in fixes}
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        for conv in (RIGHT, LEFT):
+            st = FilterState(
+                truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv
+            )
+            records = run(imu, fixes, st, noise, earth, lever)
+            assert len(records) == len(imu)
+            for k, rec in enumerate(records):
+                if k > 0:
+                    st = predict(st, imu[k], noise, earth, imu_prev=imu[k - 1])
+                innovation = nis = None
+                if k in fix_at:
+                    st, innovation, nis = update_gnss(st, fix_at[k], lever)
+                assert rec.t == st.t == imu[k].t
+                for got, want in (
+                    (rec.state.x.rot, st.x.rot), (rec.state.x.vel, st.x.vel),
+                    (rec.state.x.pos, st.x.pos), (rec.state.p, st.p),
+                    (rec.p_diag, np.diag(st.p)),
+                ):
+                    close(got, want)
+                if k in fix_at:
+                    close(rec.state.bg, st.bg)
+                    close(rec.state.ba, st.ba)
+                    close(rec.innovation, innovation)
+                    assert abs(rec.nis - nis) <= 1e-12 * nis
+                else:
+                    assert rec.nis is None and rec.innovation is None
+
+    def test_over_range_row_named_in_window_with_fix(self, scenario, earth):
+        # the stacked pass of the window 1..45 meets the row at epoch 30
+        # before the window's epochs run; the error still names that epoch
+        truth, imu = scenario
+        bad = list(imu[:60])
+        bad[30] = ImuSample(bad[30].t, np.array([0.0, 0.0, 2e5]), bad[30].accel)
+        fix = GnssFix(imu[45].t, truth.samples[45][1].pos.copy(), np.eye(3))
+        for conv in (RIGHT, LEFT):
+            st = FilterState(
+                truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv
+            )
+            with pytest.raises(ValueError, match=re.escape(f"at epoch t={bad[30].t}: ")):
+                run(bad, [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+
+    def test_fix_free_run_memory_bounded(self, scenario, earth):
+        """A 10 000-epoch run without fixes is one window; its stacked pass
+        works through it a bounded number of epochs at a time."""
+        truth, imu = scenario
+        gyro, accel = imu[0].gyro, imu[0].accel
+        stream = [ImuSample(0.01 * k, gyro, accel) for k in range(10_001)]
+        st = FilterState(
+            truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, LEFT
+        )
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        tracemalloc.start()
+        try:
+            records = run(stream, [], st, noise, earth, LeverArm(np.zeros(3)))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(stream)
+        # in one piece, the window's transition matrices and noises alone
+        # would take 2 x 10 000 x 15 x 15 x 8 B = 36 MB
+        assert peak - held < 4e6
 
     def test_fix_at_first_epoch_applied(self, scenario, earth):
         truth, imu = scenario

@@ -490,3 +490,26 @@ class TestIntegrateImu:
         x = random_element(rng)
         with pytest.raises(ValueError):
             integrate_imu(x, [imu], earth)
+
+    @pytest.mark.parametrize("frame", list(FrameTag))
+    def test_matches_midpoint_steps(self, earth, rng, frame):
+        # more uneven steps than one stacked pass takes: each step is
+        # midpoint_step's, bit for bit
+        x = builder_state(earth, frame)
+        times = np.cumsum(rng.uniform(0.004, 0.012, kin._WINDOW + 41))
+        samples = [
+            ImuSample(t, rng.uniform(-0.5, 0.5, 3), rng.uniform(-15.0, 15.0, 3))
+            for t in times.tolist()
+        ]
+        path = integrate_imu(x, samples, earth, frame=frame)
+        assert len(path) == len(samples)
+        want = x
+        for prev, cur, (t, got) in zip(samples[:-1], samples[1:], path[1:]):
+            want = kin.midpoint_step(
+                frame, want, 0.5 * (prev.gyro + cur.gyro), 0.5 * (prev.accel + cur.accel),
+                cur.t - prev.t, earth,
+            )
+            assert t == cur.t
+            np.testing.assert_array_equal(got.rot, want.rot)
+            np.testing.assert_array_equal(got.vel, want.vel)
+            np.testing.assert_array_equal(got.pos, want.pos)

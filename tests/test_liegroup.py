@@ -248,6 +248,33 @@ def test_gamma_pass_half_scale_matches_gamma(rng):
             assert t2 == float(phi @ phi)
 
 
+def test_gamma_pass_stacked_rows_match_gamma(rng):
+    # a stack of rotation vectors, each on its own axis and on one side of a
+    # coefficient switch at scale 1 or 1/2, gives every row's blocks bit for
+    # bit as gamma() gives them, whatever the rows around it
+    thetas = np.array([
+        scale * switch * side
+        for switch in (1e-4, 1e-2, 0.5)
+        for side in (0.99, 1.0 - 1e-9, 1.0 + 1e-9, 1.01)
+        for scale in (1.0, 2.0)
+    ])
+    axes = rng.normal(size=(thetas.size, 3))
+    phi = axes / np.linalg.norm(axes, axis=1)[:, None] * thetas[:, None]
+    blocks, powers, t2 = lg._gamma_pass(phi, 4, (1.0, 0.5))
+    assert blocks.shape == (thetas.size, 2, 4, 3, 3)
+    for k, row in enumerate(phi):
+        for scaled, at in zip(blocks[k], (row, row / 2)):
+            np.testing.assert_array_equal(np.eye(3) + scaled[0], lg.gamma(0, at))
+            for m in range(1, 4):
+                np.testing.assert_array_equal(scaled[m], lg.gamma(m, at))
+        np.testing.assert_array_equal(powers[k, 1], lg.hat(row))
+        np.testing.assert_array_equal(powers[k, 2], lg.hat(row) @ lg.hat(row))
+        assert t2[k] == float(row @ row)
+        alone = lg._gamma_pass(row[None], 4, (1.0, 0.5))
+        np.testing.assert_array_equal(alone[0][0], blocks[k])
+        np.testing.assert_array_equal(alone[1][0], powers[k])
+
+
 def test_is_rotation_decisions(rng):
     rot = lg.so3_exp(rng.normal(size=3))
     assert lg.is_rotation(rot)

@@ -78,6 +78,22 @@ class TestPhiLeft:
         assert np.abs(m[0:3, 12:15]).max() == 0.0
         assert np.abs(m[3:6, 6:9]).max() == 0.0
 
+    def test_window_matches_each_interval(self, rng):
+        # one stacked pass over intervals with |w dt| on both sides of the
+        # 2 rad switch of Psi's coefficients gives each interval's matrix
+        from eqnav.transition import _phi_left
+
+        angles = np.array([0.1, 1.99, 2.01, 3.0, 1e-5, 2.0, 6.0, 0.7])
+        dts = rng.uniform(0.005, 0.02, angles.size)
+        axes = rng.normal(size=(angles.size, 3))
+        gyro = axes / np.linalg.norm(axes, axis=1)[:, None] * (angles / dts)[:, None]
+        accel = rng.uniform(-15.0, 15.0, (angles.size, 3))
+        body = lg._gamma_pass(gyro * dts[:, None], 3, (1.0,))
+        stack = _phi_left(accel, dts, body, np.eye(3) + body[0][:, 0, 0])
+        for k, dt in enumerate(dts.tolist()):
+            want = phi_left(ImuSample(0.0, gyro[k], accel[k]), dt).matrix
+            np.testing.assert_array_equal(stack[k], want)
+
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):
             phi_left(ImuSample(0.0, np.zeros(3), np.zeros(3)), 0.0)
@@ -274,6 +290,24 @@ class TestQdMatrix:
         np.testing.assert_allclose(qd, qd.T, atol=0)
         eig = np.linalg.eigvalsh(qd)
         assert eig.min() >= -1e-15 * max(eig.max(), 1e-300)
+
+
+    def test_stack_matches_each_matrix(self, stationary, earth, rng):
+        # a stack of matrices and intervals gives each matrix's noise
+        x, imu = stationary
+        noise = NoiseParams(1e-6, 1e-5, 1e-9, 1e-8)
+        dts = np.array([0.005, 0.01, 0.02])
+        phis = np.array([
+            phi_right(x, ImuSample(0.0, rng.normal(size=3), imu.accel), earth, dt).matrix
+            for dt in dts
+        ])
+        g = g_matrix(Convention.RIGHT_INVARIANT, x)
+        stack = qd_matrix(phis, g, noise, dts)
+        assert stack.shape == (3, 15, 15)
+        for k, dt in enumerate(dts.tolist()):
+            np.testing.assert_array_equal(stack[k], qd_matrix(phis[k], g, noise, dt))
+        with pytest.raises(ValueError, match="dt > 0"):
+            qd_matrix(phis, g, noise, np.array([0.01, 0.0, 0.01]))
 
 
 class TestGammaIntegrals:
