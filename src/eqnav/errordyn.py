@@ -33,6 +33,7 @@ from .liegroup import (
     Tangent9,
     _EYE3,
     _frozen,
+    _hats,
     compose,
     hat,
     inverse,
@@ -261,20 +262,31 @@ def g_matrix(conv: Convention, xhat: GroupElement) -> NDArray:
     """Noise input matrix G (15x12) for noise vector (w_g, w_a, w_bg, w_ba).
 
     The left form is constant; the right form is rotated into the world
-    frame by the estimated attitude.  Bias random walks enter through
-    identity rows in both conventions.
+    frame by the estimated attitude (see :func:`_g_right`, its array core,
+    which :func:`~eqnav.filter.run` applies to a window's states at once).
+    Bias random walks enter through identity rows in both conventions.
     """
     _require_ecef_ib(xhat)
     if conv is Convention.LEFT_INVARIANT:
         return _G_LEFT.copy()
-    g = np.zeros((15, 12))
-    c = xhat.rot
-    g[0:3, 0:3] = -c
-    g[3:6, 0:3] = hat(xhat.vel) @ c
-    g[3:6, 3:6] = c
-    g[6:9, 0:3] = hat(xhat.pos) @ c
-    g[9:12, 6:9] = _EYE3
-    g[12:15, 9:12] = _EYE3
+    return _g_right(xhat.rot[None], xhat.vel[None], xhat.pos[None])[0]
+
+
+def _g_right(rot, vel, pos) -> NDArray:
+    """Right form of G at each of a stack of states, shape (N, 15, 12).
+
+    ``rot`` (N, 3, 3), ``vel`` and ``pos`` (N, 3) are the states' columns;
+    each matrix is formed by the same floating-point operations as for a
+    stack of one.
+    """
+    rows = len(rot)
+    g = np.zeros((rows, 15, 12))
+    g[:, 9:15] = _G_LEFT[9:15]  # the bias rows, the same in both conventions
+    g[:, 0:3, 0:3] = -rot
+    g[:, 3:6, 3:6] = rot
+    # v^ C and r^ C
+    cross = _hats(np.concatenate([vel, pos])).reshape(2, rows, 3, 3).swapaxes(0, 1) @ rot[:, None]
+    g[:, 3:9, 0:3] = cross.reshape(rows, 6, 3)
     return g
 
 

@@ -20,6 +20,7 @@ from .errordyn import (
     ErrorState15,
     LeverArm,
     NoiseParams,
+    _g_right,
     apply_feedback,
     error_state,
     g_matrix,
@@ -163,9 +164,10 @@ def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]
     of the body rotations and of the earth rate, the mean steps' body-frame
     velocity increments, ``Psi_1``/``Psi_2``, and the left transition
     matrices with their process noise (left convention) or their bias
-    columns (right convention).  The epochs then run in
-    order: the mean step, the right convention's state-dependent blocks and
-    process noise, the covariance recursion.  Every entry is formed by the
+    columns (right convention).  The mean steps then run in order, and for
+    the right convention the transition matrices, G and the process noise
+    of the whole window are formed at once from that mean trajectory.  The
+    covariance recursion runs last.  Every entry is formed by the
     operations a window of one takes, so a window's results do not depend
     on its length.
     """
@@ -182,18 +184,22 @@ def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]
     else:
         bias = _left_bias(accel, dt, body, g0)
 
-    x, p = state.x, state.p
+    xs = [state.x]
+    for k, step in enumerate(dt.tolist()):
+        x1 = _midpoint(FrameTag.ECEF_IB, xs[-1], step, earth, dv[k], g0[k], rate[k])
+        xs.append(GroupElement(*x1, state.x.frame))
+    if not left:
+        rot = np.array([x.rot for x in xs])
+        vel = np.array([x.vel for x in xs])
+        pos = np.array([x.pos for x in xs])
+        phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
+        qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
+
+    p = state.p
     out = []
-    for k, (t, step) in enumerate(zip(times, dt.tolist())):
-        x1 = _midpoint(FrameTag.ECEF_IB, x, step, earth, dv[k], g0[k], rate[k])
-        if left:
-            phi, qd = phis[k], qds[k]
-        else:
-            phi = _phi_right(x, x1, earth, step, rate[k][0], bias[k])
-            qd = qd_matrix(phi, g_matrix(conv, x), noise, step)
+    for t, x, phi, qd in zip(times, xs[1:], phis, qds):
         p = phi @ p @ phi.T + qd
         p = 0.5 * (p + p.T)
-        x = GroupElement(*x1, x.frame)
         out.append(FilterState(x, state.bg, state.ba, p, t, conv))
     return out
 

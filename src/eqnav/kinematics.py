@@ -291,13 +291,17 @@ def _input_matrix(omega: NDArray, col_v: NDArray, col_r: NDArray) -> NDArray:
 
 
 def _w2(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel):
-    """W2 of the variant at the state columns as (rate, vel column, pos column)."""
+    """W2 of the variant at the state columns as (rate, vel column, pos column).
+
+    The rate is ``None`` in the ECEF variants, where it is the earth rate
+    ``-w_ie`` at every state (see :func:`_passes`).
+    """
     if frame is FrameTag.ECEF_EB:
         w_ie = earth.omega_vec
         g = earth.gravity_ecef(pos)
-        return -w_ie, g - np.cross(w_ie, vel), vel + np.cross(w_ie, pos)
+        return None, g - np.cross(w_ie, vel), vel + np.cross(w_ie, pos)
     if frame is FrameTag.ECEF_IB:
-        return -earth.omega_vec, earth.gravitation_ecef(pos), vel
+        return None, earth.gravitation_ecef(pos), vel
     lat, height = earth.ned_lat_height(pos)
     w_ie_n = earth.omega_ie_ned(lat)
     if frame is FrameTag.NED_EB:
@@ -335,7 +339,10 @@ def build_dynamics(
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
 
     w1 = _input_matrix(imu.gyro, imu.accel, np.zeros(3))
-    return DynamicsPair(w1, _input_matrix(*_w2(frame, x.vel, x.pos, earth)), frame)
+    rate, col_v, col_r = _w2(frame, x.vel, x.pos, earth)
+    if rate is None:
+        rate = -earth.omega_vec
+    return DynamicsPair(w1, _input_matrix(rate, col_v, col_r), frame)
 
 
 def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
@@ -345,7 +352,8 @@ def dynamics_matrix(pair: DynamicsPair, x: GroupElement) -> NDArray:
 
 
 def _flow(rot, vel, pos, dv, w2, dt, g0, w2_blocks):
-    """Array core of :func:`flow`, W2 as a (rate, vel column, pos column) triple.
+    """Array core of :func:`flow`, W2 as a (rate, vel column, pos column) triple
+    of which only the columns are read.
 
     ``dv`` is the body-frame velocity increment ``Gamma_1(gyro dt) accel dt``
     and ``g0`` is ``Gamma_0(gyro dt)``, and ``w2_blocks`` starts with

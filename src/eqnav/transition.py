@@ -43,7 +43,6 @@ from .liegroup import (
     gamma,
     gamma_blocks,
     gamma_coefficients,
-    hat,
 )
 
 __all__ = [
@@ -324,6 +323,10 @@ def phi_right(
     frozen and no quadrature is involved.  At a stationary state the result
     coincides with ``expm(F_r dt)`` for the frozen F.
 
+    :func:`~eqnav.filter.run` applies the array core of this function to
+    the mean trajectory of each window between two fixes at once; this is
+    that core on a window of one interval.
+
     Raises
     ------
     ValueError
@@ -337,39 +340,59 @@ def phi_right(
     accel, dts = imu.accel.reshape(1, 3), np.array([dt])
     body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, imu.gyro.reshape(1, 3), accel, dts, earth, 3)
     x1 = _midpoint(FrameTag.ECEF_IB, xhat, dt, earth, dv[0], g0[0], rate[0])
-    m = _phi_right(xhat, x1, earth, dt, rate[0][0], _left_bias(accel, dts, body, g0)[0])
-    return TransitionBlocks(m, Convention.RIGHT_INVARIANT, dt)
+    rot, vel, pos = (np.array(pair) for pair in zip((xhat.rot, xhat.vel, xhat.pos), x1))
+    m = _phi_right(rot, vel, pos, earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0))
+    return TransitionBlocks(m[0], Convention.RIGHT_INVARIANT, dt)
 
 
-def _phi_right(xhat, x1, earth, dt, rate, left) -> NDArray:
-    """Array core of :func:`phi_right`, the 15x15 matrix.
+def _gravitation(earth, pos) -> NDArray:
+    """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its bits."""
+    # one dot product per row, as r.dot(r) in gravitation_ecef
+    r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist()
+    return -earth.mu * pos / np.array([math.sqrt(v) ** 3 for v in r2])[:, None]
 
-    ``x1`` is the (rot, vel, pos) of the ECEF_IB mean step from ``xhat``,
-    ``rate`` the step's ``gamma_blocks(-w_ie dt, 3)`` of the earth rate (see
-    :func:`~eqnav.kinematics._passes`) and ``left`` the interval's left bias
-    columns ``Phi_l[0:9, 9:15]`` (see :func:`_left_bias`).
+
+def _phi_right(rot, vel, pos, earth, dt, rate, left) -> NDArray:
+    """Array core of :func:`phi_right`: the matrices of a window of intervals.
+
+    ``rot`` (N + 1, 3, 3), ``vel`` and ``pos`` (N + 1, 3) are the window's
+    mean trajectory, the start of each interval and then the end of the
+    last (so the end of interval k is row k + 1); ``dt`` (N,) holds the
+    intervals' lengths, ``rate`` (N, 3, 3, 3) their
+    ``gamma_blocks(-w_ie dt, 3)`` of the earth rate (see
+    :func:`~eqnav.kinematics._passes`) and ``left`` (N, 9, 6) their left
+    bias columns ``Phi_l[0:9, 9:15]`` (see :func:`_left_bias`).  Returns
+    shape (N, 15, 15), each matrix by the same floating-point operations as
+    for a window of one.
     """
-    grav = earth.gravitation_ecef(xhat.pos)
-    # the step's blocks are of W2's rate -w_ie; Gamma_m(w_ie dt) is their
-    # transpose
-    dev_e, g1_e, g2_e = rate
-    e = _EYE3 + dev_e  # transposed earth-rotation increment
-
-    m = np.eye(15)
-    m[0:3, 0:3] = e
-    m[3:6, 3:6] = e
-    m[6:9, 6:9] = e
-    m[6:9, 3:6] = e * dt
-    m[3:6, 0:3] = -e @ hat(g1_e.T @ grav) * dt
-    m[6:9, 0:3] = -e @ hat(g2_e.T @ grav) * dt * dt
+    rows = len(dt)
+    grav = _gravitation(earth, pos[:-1])
+    # one hat pass: Gamma_1^T G and Gamma_2^T G of each start (the steps'
+    # blocks are of W2's rate -w_ie; Gamma_m(w_ie dt) is their transpose),
+    # the velocity and the position of each end
+    hx = _hats(np.concatenate([
+        (rate[:, 1:3].swapaxes(-1, -2) @ grav[:, None, :, None]).reshape(-1, 3),
+        vel[1:], pos[1:],
+    ]))
+    e = _EYE3 + rate[:, 0]  # transposed earth-rotation increments
+    dt3 = dt[:, None, None]
+    m = np.zeros((rows, 15, 15))
+    m[:, 9:15] = _BIAS_ROWS
+    m[:, 0:3, 0:3] = m[:, 3:6, 3:6] = m[:, 6:9, 6:9] = e
+    m[:, 6:9, 3:6] = e * dt3
+    # -e (Gamma_1^T G)^ dt and -e (Gamma_2^T G)^ dt dt
+    coupling = (-e)[:, None] @ hx[: 2 * rows].reshape(rows, 2, 3, 3)
+    coupling *= dt3[:, None]
+    coupling[:, 1] *= dt3
+    m[:, 3:9, 0:3] = coupling.reshape(rows, 6, 3)
 
     # bias columns: M(x1) times the left ones; conjugating the group block
     # the same way would cancel earth-radius-sized terms
-    rot, vel, pos = x1
-    att = rot @ left[0:3]
-    m[0:3, 9:15] = att
-    m[3:6, 9:15] = -hat(vel) @ att - rot @ left[3:6]
-    m[6:9, 9:15] = -hat(pos) @ att - rot @ left[6:9]
+    mapped = rot[1:, None] @ left.reshape(rows, 3, 3, 6)  # C times each 3-row block
+    att = mapped[:, 0]
+    vx = -hx[2 * rows :].reshape(2, rows, 3, 3).swapaxes(0, 1)  # -v^, -r^
+    mapped[:, 1:3] = vx @ att[:, None] - mapped[:, 1:3]
+    m[:, 0:9, 9:15] = mapped.reshape(rows, 9, 6)
     return m
 
 
@@ -383,8 +406,9 @@ def qd_matrix(
 
     ``Gc = G Qc G^T`` with the continuous PSDs of ``noise``.  The result is
     symmetrized, hence positive semidefinite up to roundoff.  A stack of
-    matrices ``phi`` (N, 15, 15) with ``dt`` (N,) gives the stack of their
-    noises, each equal bit for bit to the noise of its matrix alone.
+    matrices ``phi`` (N, 15, 15) with ``dt`` (N,), and ``g`` either one
+    matrix or a stack (N, 15, 12) of one per interval, gives the stack of
+    their noises, each equal bit for bit to the noise of its matrices alone.
     """
     if isinstance(dt, np.ndarray):  # one interval per matrix of a stack
         bad = min(dt.ravel().tolist()) <= 0.0
@@ -395,7 +419,7 @@ def qd_matrix(
     if bad:
         raise ValueError("qd_matrix requires dt > 0")
     phi_m = phi.matrix if isinstance(phi, TransitionBlocks) else np.asarray(phi)
-    gc = (g * noise.qc_diag) @ g.T
+    gc = (g * noise.qc_diag) @ g.swapaxes(-1, -2)
     qd = half * (phi_m @ gc @ phi_m.swapaxes(-1, -2) + gc)
     return 0.5 * (qd + qd.swapaxes(-1, -2))
 

@@ -190,6 +190,18 @@ class TestRun:
         assert "imu.csv" in err and "gnss.csv" in err
         assert f"IMU epoch t={t0}" in err
 
+    @pytest.mark.parametrize("conv", ["left", "right"])
+    @pytest.mark.parametrize("lat", [90, -90])
+    def test_polar_start_runs(self, tmp_path, capsys, lat, conv):
+        """A trajectory from a pole starts on the earth's axis; both
+        conventions run it and track the fixes."""
+        sigma = 1.0
+        args = sum([["--set", o] for o in fast_overrides(lat_deg=lat, gnss_sigma=sigma)], [])
+        assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        assert main(["--out", str(tmp_path)] + args + ["--convention", conv, "run"]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["rms_pos"] < 3.0 * sigma
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize(

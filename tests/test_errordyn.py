@@ -309,6 +309,21 @@ class TestGMatrix:
         np.testing.assert_allclose(g[6:9, 0:3], lg.hat(xhat.pos) @ xhat.rot, atol=0)
         assert np.abs(g[6:9, 3:12]).max() == 0.0
 
+    def test_right_stack_matches_each_state(self, xhat, rng):
+        # the stacked right form gives g_matrix of each state, on the earth's
+        # axis too
+        from eqnav.errordyn import _g_right
+
+        states = [xhat, lg.GroupElement(xhat.rot, xhat.vel, np.array([0.0, 0.0, 6356752.3]))]
+        states += [random_element(rng, frame=FrameTag.ECEF_IB) for _ in range(4)]
+        stack = _g_right(
+            np.array([s.rot for s in states]), np.array([s.vel for s in states]),
+            np.array([s.pos for s in states]),
+        )
+        assert stack.shape == (len(states), 15, 12)
+        for k, s in enumerate(states):
+            np.testing.assert_array_equal(stack[k], g_matrix(RIGHT, s))
+
     def test_gqg_positive_semidefinite(self, xhat, rng):
         for conv in (RIGHT, LEFT):
             g = g_matrix(conv, xhat)

@@ -417,6 +417,27 @@ class TestRun:
         # would take 2 x 10 000 x 15 x 15 x 8 B = 36 MB
         assert peak - held < 4e6
 
+    def test_fix_free_right_run_memory_bounded(self, scenario, earth):
+        """The right convention's window also holds its transition matrices,
+        G and noises a bounded number of epochs at a time."""
+        truth, imu = scenario
+        gyro, accel = imu[0].gyro, imu[0].accel
+        stream = [ImuSample(0.01 * k, gyro, accel) for k in range(10_001)]
+        st = FilterState(
+            truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, RIGHT
+        )
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        tracemalloc.start()
+        try:
+            records = run(stream, [], st, noise, earth, LeverArm(np.zeros(3)))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(stream)
+        # in one piece, the window's transition matrices, G and noises
+        # alone would take 10 000 x (2 x 15 x 15 + 15 x 12) x 8 B = 50 MB
+        assert peak - held < 4e6
+
     def test_fix_at_first_epoch_applied(self, scenario, earth):
         truth, imu = scenario
         st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0)

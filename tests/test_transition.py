@@ -196,6 +196,40 @@ class TestPhiRight:
                     gap = np.abs(got[rows, cols] - ref[rows, cols]).max()
                     assert gap <= 1e-10 * np.abs(ref[rows, cols]).max(), (dt, i, j)
 
+    def test_window_matches_each_interval(self, earth, stationary, rng):
+        # the window core over a mean trajectory gives each interval's public
+        # matrix, with |w dt| on both sides of the 2 rad switch of Psi's
+        # coefficients, from a surface state and from one on the earth's axis
+        from eqnav.kinematics import _midpoint, _passes
+        from eqnav.transition import _gravitation, _left_bias, _phi_right
+
+        x, imu = stationary
+        polar = lg.GroupElement(x.rot, x.vel, np.array([0.0, 0.0, -6356752.3]), FrameTag.ECEF_IB)
+        angles = np.array([0.1, 1.99, 2.01, 3.0, 1e-5, 2.0, 6.0, 0.7])
+        dts = rng.uniform(0.005, 0.02, angles.size)
+        axes = rng.normal(size=(angles.size, 3))
+        gyro = axes / np.linalg.norm(axes, axis=1)[:, None] * (angles / dts)[:, None]
+        accel = imu.accel + rng.uniform(-5.0, 5.0, (angles.size, 3))
+        body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, gyro, accel, dts, earth, 3)
+        for start in (x, polar):
+            xs = [start]
+            for k, dt in enumerate(dts.tolist()):
+                step = _midpoint(FrameTag.ECEF_IB, xs[-1], dt, earth, dv[k], g0[k], rate[k])
+                xs.append(lg.GroupElement(*step, FrameTag.ECEF_IB))
+            pos = np.array([s.pos for s in xs])
+            # the stacked gravitation keeps the bits of gravitation_ecef's norm
+            np.testing.assert_array_equal(
+                _gravitation(earth, pos), [earth.gravitation_ecef(r) for r in pos]
+            )
+            stack = _phi_right(
+                np.array([s.rot for s in xs]), np.array([s.vel for s in xs]), pos,
+                earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0),
+            )
+            assert stack.shape == (angles.size, 15, 15)
+            for k, dt in enumerate(dts.tolist()):
+                want = phi_right(xs[k], ImuSample(0.0, gyro[k], accel[k]), earth, dt).matrix
+                np.testing.assert_array_equal(stack[k], want)
+
     def test_frame_check(self, earth, stationary, rng):
         x, imu = stationary
         bad = lg.GroupElement(x.rot, x.vel, x.pos, FrameTag.NED_EB)
@@ -308,6 +342,30 @@ class TestQdMatrix:
             np.testing.assert_array_equal(stack[k], qd_matrix(phis[k], g, noise, dt))
         with pytest.raises(ValueError, match="dt > 0"):
             qd_matrix(phis, g, noise, np.array([0.01, 0.0, 0.01]))
+
+
+    def test_stack_of_g_matches_each_matrix(self, stationary, earth, rng):
+        # a stack of matrices with a stack of G, one per interval, gives each
+        # pair's noise
+        x, imu = stationary
+        noise = NoiseParams(1e-6, 1e-5, 1e-9, 1e-8)
+        dts = np.array([0.005, 0.01, 0.02])
+        states = [
+            lg.GroupElement(
+                lg.so3_exp(rng.normal(size=3)), rng.normal(size=3) * 100.0,
+                x.pos + rng.normal(size=3) * 1e3, FrameTag.ECEF_IB,
+            )
+            for _ in dts
+        ]
+        phis = np.array([
+            phi_right(s, ImuSample(0.0, rng.normal(size=3), imu.accel), earth, dt).matrix
+            for s, dt in zip(states, dts)
+        ])
+        gs = np.array([g_matrix(Convention.RIGHT_INVARIANT, s) for s in states])
+        stack = qd_matrix(phis, gs, noise, dts)
+        assert stack.shape == (3, 15, 15)
+        for k, dt in enumerate(dts.tolist()):
+            np.testing.assert_array_equal(stack[k], qd_matrix(phis[k], gs[k], noise, dt))
 
 
 class TestGammaIntegrals:
