@@ -27,7 +27,7 @@ import numpy as np
 from .errordyn import Convention, LeverArm, NoiseParams
 from .filter import FilterState, GnssFix, run
 from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameTag, GroupElement, so3_log
+from .liegroup import FrameTag, GroupElement, _cross, so3_log
 from .sim import (
     _PROFILES,
     SensorErrorSpec,
@@ -371,7 +371,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                               "geodetic latitude to level the start at")
         x0 = GroupElement(
             earth.ned_rotation(lat, lon),
-            np.cross(earth.omega_vec, fix.pos_ecef),
+            _cross(earth.omega_vec, fix.pos_ecef),
             fix.pos_ecef,
             FrameTag.ECEF_IB,
         )

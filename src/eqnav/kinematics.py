@@ -33,6 +33,7 @@ from .liegroup import (
     FrameTag,
     GroupElement,
     _EYE3,
+    _cross,
     _frozen,
     _gamma_pass,
     compose,
@@ -123,7 +124,7 @@ class EarthModel:
     def gravity_ecef(self, r: NDArray) -> NDArray:
         """Plumb-bob gravity g = G - (omega x)(omega x r) at ECEF position r."""
         w = self.omega_vec
-        return self.gravitation_ecef(r) - np.cross(w, np.cross(w, np.asarray(r)))
+        return self.gravitation_ecef(r) - _cross(w, _cross(w, np.asarray(r)))
 
     # -- ellipsoid geometry ---------------------------------------------
 
@@ -299,7 +300,7 @@ def _w2(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel):
     if frame is FrameTag.ECEF_EB:
         w_ie = earth.omega_vec
         g = earth.gravity_ecef(pos)
-        return None, g - np.cross(w_ie, vel), vel + np.cross(w_ie, pos)
+        return None, g - _cross(w_ie, vel), vel + _cross(w_ie, pos)
     if frame is FrameTag.ECEF_IB:
         return None, earth.gravitation_ecef(pos), vel
     lat, height = earth.ned_lat_height(pos)
@@ -307,8 +308,8 @@ def _w2(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel):
     if frame is FrameTag.NED_EB:
         w_in_n = w_ie_n + earth.transport_rate(lat, height, vel)
         g_n = earth.gravity_ned(lat, height)
-        return -w_in_n, g_n - np.cross(w_ie_n, vel), vel + np.cross(w_ie_n, pos)
-    w_in_n = w_ie_n + earth.transport_rate(lat, height, vel - np.cross(w_ie_n, pos))
+        return -w_in_n, g_n - _cross(w_ie_n, vel), vel + _cross(w_ie_n, pos)
+    w_in_n = w_ie_n + earth.transport_rate(lat, height, vel - _cross(w_ie_n, pos))
     return -w_in_n, earth.gravitation_ned(lat, height), vel
 
 
@@ -533,7 +534,7 @@ def frame_translation(
         if x.frame is not None and x.frame != src:
             raise FrameMismatch(f"translation 2 expects {src.name}, got {x.frame.name}")
         lat, _ = earth.ned_lat_height(x.pos)
-        shift = np.cross(earth.omega_ie_ned(lat), x.pos)
+        shift = _cross(earth.omega_ie_ned(lat), x.pos)
         a = GroupElement(np.eye(3), -shift if reverse else shift, np.zeros(3))
         target = dst
     elif which == 3:
@@ -542,7 +543,7 @@ def frame_translation(
             src, dst = dst, src
         if x.frame is not None and x.frame != src:
             raise FrameMismatch(f"translation 3 expects {src.name}, got {x.frame.name}")
-        shift = np.cross(earth.omega_vec, x.pos)
+        shift = _cross(earth.omega_vec, x.pos)
         a = GroupElement(np.eye(3), -shift if reverse else shift, np.zeros(3))
         target = dst
     else:

@@ -79,6 +79,19 @@ def hat(v: NDArray) -> NDArray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _cross(a: NDArray, b: NDArray) -> NDArray:
+    """Cross product of 3-vectors or stacks of them (..., 3), with np.cross's bits.
+
+    Each component is one product minus another in np.cross's order, so
+    the result is bit for bit np.cross's without its axis handling.  The
+    operands are arrays and broadcast; a stacked result is C-contiguous.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return out if out.ndim == 1 else np.moveaxis(out, 0, -1).copy()
+
+
 def vee(m: NDArray) -> NDArray:
     """Inverse of :func:`hat` for a (near) skew-symmetric matrix."""
     return np.array([m[2, 1], m[0, 2], m[1, 0]])

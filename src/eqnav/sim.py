@@ -6,13 +6,20 @@ from the inverse mechanization without numerical differentiation, and a
 noise-free closed loop (truth -> IMU -> integration) is sharp to the
 integrator's order.
 
+Each stream (truth, IMU, GNSS) comes from one stacked pass of the profile
+over its times, with the bits of the per-sample formulas, and its records
+are then built one by one through their validating constructors.
+
 All randomness flows from explicit seeds; identical seeds give identical
-streams.
+streams.  Each stream draws its noise as one C-order block of standard
+normals, the same sequence as per-sample draws: (N, 2, 3) for the IMU (gyro,
+then accel, per sample) and (M, 3) for the GNSS fixes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +27,8 @@ from numpy.typing import NDArray
 
 from .filter import GnssFix
 from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameTag, GroupElement, _frozen, hat
+from .liegroup import FrameTag, GroupElement, _cross, _frozen, hat
+from .transition import _gravitation
 
 __all__ = [
     "GravityPerturbationReport",
@@ -57,6 +65,17 @@ class TrajectorySpec:
             value = getattr(self, name)
             if not value > 0.0:  # also rejects NaN
                 raise ValueError(f"TrajectorySpec.{name} must be positive, got {value!r}")
+        for name in ("lat_deg", "lon_deg", "height", "speed", "turn_rate"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"TrajectorySpec.{name} must be finite, got {value!r}")
+        if abs(self.lat_deg) > 90.0:
+            raise ValueError(f"TrajectorySpec.lat_deg must be in [-90, 90], got {self.lat_deg!r}")
+        # the moving paths divide by the turn rate, the figure-eight's
+        # heading rate by the speed
+        if self.profile != "static" and self.turn_rate == 0.0:
+            raise ValueError(f"TrajectorySpec.turn_rate must be nonzero for {self.profile}")
+        if self.profile == "figure-eight" and self.speed == 0.0:
+            raise ValueError("TrajectorySpec.speed must be nonzero for figure-eight")
 
 
 @dataclass(frozen=True)
@@ -78,13 +97,25 @@ class SensorErrorSpec:
                 raise ValueError(f"SensorErrorSpec.{name} must be >= 0, got {value!r}")
 
 
+# The profile at N times: attitude C_b^e (N, 3, 3), then (N, 3) each: the
+# transformed inertial-relative velocity v_ib, the ECEF position, the
+# earth-relative velocity, d/dt of v_ib, the exact body rate and specific force
+_Stack = namedtuple("_Stack", "rot vel pos v_eb dv_ib omega_b f_b")
+
+
+def _ned(north: NDArray, east: NDArray) -> NDArray:
+    """Rows (north, east, 0) of a local-plane path."""
+    return np.stack([north, east, np.zeros_like(north)], axis=1)
+
+
 class _Profile:
     """Closed-form local-plane path with heading-aligned attitude.
 
     The path p(t) = (north, east, down) lives in a tangent plane pinned at
     the geodetic origin; attitude is yaw about the local down axis following
     the track course.  Everything needed by the inverse mechanization
-    (velocity, acceleration, heading rate) is exact.
+    (velocity, acceleration, heading rate) is exact.  :meth:`stack` forms
+    it at a vector of times; the single-time methods are its window of one.
     """
 
     def __init__(self, spec: TrajectorySpec, earth: EarthModel):
@@ -96,73 +127,73 @@ class _Profile:
         self.c_ne = earth.ned_rotation(lat, lon)
         self.w_e = earth.omega_vec
 
-    def _path(self, t: float) -> tuple[NDArray, NDArray, NDArray, float, float]:
-        """p, dp, ddp in NED and heading psi, heading rate dpsi."""
+    def _path(self, t: NDArray) -> tuple[NDArray, ...]:
+        """p, dp, ddp (N, 3) in NED and heading psi, heading rate dpsi (N,)."""
         s = self.spec
         if s.profile == "static":
-            z = np.zeros(3)
-            return z, z, z, 0.0, 0.0
-        k = s.turn_rate
+            return *np.zeros((3, t.size, 3)), np.zeros(t.size), np.zeros(t.size)
+        k, v = s.turn_rate, s.speed
+        sin, cos = np.sin(k * t), np.cos(k * t)
         if s.profile == "constant-turn":
-            radius = s.speed / k
-            p = np.array([radius * math.sin(k * t), radius * (1 - math.cos(k * t)), 0.0])
-            dp = np.array([s.speed * math.cos(k * t), s.speed * math.sin(k * t), 0.0])
-            ddp = np.array(
-                [-s.speed * k * math.sin(k * t), s.speed * k * math.cos(k * t), 0.0]
-            )
-            return p, dp, ddp, k * t, k
+            radius = v / k
+            return (_ned(radius * sin, radius * (1 - cos)), _ned(v * cos, v * sin),
+                    _ned(-v * k * sin, v * k * cos), k * t, np.full(t.size, k))
         # figure-eight: lemniscate-like with double-rate east component
-        a = s.speed / k
+        a = v / k
         b = 0.5 * a
-        p = np.array([a * math.sin(k * t), b * math.sin(2 * k * t), 0.0])
-        dp = np.array([a * k * math.cos(k * t), 2 * b * k * math.cos(2 * k * t), 0.0])
-        ddp = np.array(
-            [-a * k * k * math.sin(k * t), -4 * b * k * k * math.sin(2 * k * t), 0.0]
-        )
-        psi = math.atan2(dp[1], dp[0])
-        speed2 = dp[0] ** 2 + dp[1] ** 2
-        dpsi = (ddp[1] * dp[0] - ddp[0] * dp[1]) / speed2
-        return p, dp, ddp, psi, dpsi
+        sin2, cos2 = np.sin(2 * k * t), np.cos(2 * k * t)
+        dn, de = a * k * cos, 2 * b * k * cos2
+        ddn, dde = -a * k * k * sin, -4 * b * k * k * sin2
+        # atan2 and the squares by libm per time, as a single time rounds
+        # them: np.arctan2 is vectorised and an array's ** 2 is x * x
+        rows = list(zip(dn.tolist(), de.tolist()))
+        psi = np.array([math.atan2(y, x) for x, y in rows])
+        dpsi = (dde * dn - ddn * de) / np.array([x**2 + y**2 for x, y in rows])
+        return _ned(a * sin, b * sin2), _ned(dn, de), _ned(ddn, dde), psi, dpsi
 
-    @staticmethod
-    def _yaw(psi: float) -> NDArray:
-        c, s = math.cos(psi), math.sin(psi)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    def stack(self, t: NDArray) -> _Stack:
+        """The profile at each of the times ``t`` (N,), in one pass.
+
+        Each row has the bits of the same formulas at its time alone: one
+        matrix product per row, ``_cross`` and ``gravitation_ecef``'s bits.
+        """
+        t = np.asarray(t, dtype=float)
+        p, dp, ddp, psi, dpsi = self._path(t)
+        c, s, w = np.cos(psi), np.sin(psi), self.w_e
+        yaw = np.zeros((t.size, 3, 3))
+        yaw[:, 0, 0] = yaw[:, 1, 1] = c
+        yaw[:, 0, 1] = -s
+        yaw[:, 1, 0] = s
+        yaw[:, 2, 2] = 1.0
+        rot = self.c_ne @ yaw
+        rot_t = rot.swapaxes(-1, -2)
+        r_eb = self.r0 + (self.c_ne @ p[:, :, None])[..., 0]
+        v_eb = (self.c_ne @ dp[:, :, None])[..., 0]
+        v_ib = v_eb + _cross(w, r_eb)
+        dv_ib = (self.c_ne @ ddp[:, :, None])[..., 0] + _cross(w, v_eb)
+        rate = np.zeros((t.size, 3))
+        rate[:, 2] = dpsi
+        force = dv_ib + _cross(w, v_ib) - _gravitation(self.earth, r_eb)
+        f_b = (rot_t @ force[:, :, None])[..., 0]
+        return _Stack(rot, v_ib, r_eb, v_eb, dv_ib, rate + rot_t @ w, f_b)
 
     def state(self, t: float) -> GroupElement:
         """Ground-truth ECEF_IB state at time t."""
-        p, dp, _, psi, _ = self._path(t)
-        rot = self.c_ne @ self._yaw(psi)
-        r_eb = self.r0 + self.c_ne @ p
-        v_eb = self.c_ne @ dp
-        v_ib = v_eb + np.cross(self.w_e, r_eb)
-        return GroupElement(rot, v_ib, r_eb, FrameTag.ECEF_IB)
+        x = self.stack([t])
+        return GroupElement(x.rot[0], x.vel[0], x.pos[0], FrameTag.ECEF_IB)
 
     def state_derivative(self, t: float) -> NDArray:
         """Exact d/dt of the 5x5 embedding of the truth state."""
-        p, dp, ddp, psi, _ = self._path(t)
-        rot = self.c_ne @ self._yaw(psi)
-        v_eb = self.c_ne @ dp
-        omega_b, _ = self.imu_true(t)
+        x = self.stack([t])
         m = np.zeros((5, 5))
-        m[0:3, 0:3] = rot @ hat(omega_b) - hat(self.w_e) @ rot
-        m[0:3, 3] = self.c_ne @ ddp + np.cross(self.w_e, v_eb)
-        m[0:3, 4] = v_eb
+        m[0:3, 0:3] = x.rot[0] @ hat(x.omega_b[0]) - hat(self.w_e) @ x.rot[0]
+        m[0:3, 3], m[0:3, 4] = x.dv_ib[0], x.v_eb[0]
         return m
 
     def imu_true(self, t: float) -> tuple[NDArray, NDArray]:
         """Exact body angular rate and specific force at time t."""
-        p, dp, ddp, psi, dpsi = self._path(t)
-        rot = self.c_ne @ self._yaw(psi)
-        r_eb = self.r0 + self.c_ne @ p
-        v_eb = self.c_ne @ dp
-        v_ib = v_eb + np.cross(self.w_e, r_eb)
-        dv_ib = self.c_ne @ ddp + np.cross(self.w_e, v_eb)
-        omega_b = np.array([0.0, 0.0, dpsi]) + rot.T @ self.w_e
-        f_b = rot.T @ (
-            dv_ib + np.cross(self.w_e, v_ib) - self.earth.gravitation_ecef(r_eb)
-        )
-        return omega_b, f_b
+        x = self.stack([t])
+        return x.omega_b[0], x.f_b[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +219,11 @@ def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
     profile = _Profile(spec, earth)
     n = int(round(spec.duration * spec.imu_rate))
     times = np.arange(n) / spec.imu_rate
-    samples = [(float(t), profile.state(float(t))) for t in times]
+    x = profile.stack(times)
+    samples = [
+        (t, GroupElement(rot, vel, pos, FrameTag.ECEF_IB))
+        for t, rot, vel, pos in zip(times.tolist(), x.rot, x.vel, x.pos)
+    ]
     return TruthTrajectory(times, samples, profile)
 
 
@@ -205,13 +240,11 @@ def synthesize_imu(
     rate = truth.profile.spec.imu_rate
     sg = math.sqrt(errors.gyro_psd * rate)
     sa = math.sqrt(errors.accel_psd * rate)
-    out = []
-    for t in truth.times:
-        omega_b, f_b = truth.profile.imu_true(float(t))
-        gyro = omega_b + errors.gyro_bias + sg * rng.standard_normal(3)
-        accel = f_b + errors.accel_bias + sa * rng.standard_normal(3)
-        out.append(ImuSample(float(t), gyro, accel))
-    return out
+    x = truth.profile.stack(truth.times)
+    noise = rng.standard_normal((truth.times.size, 2, 3))
+    gyro = x.omega_b + errors.gyro_bias + sg * noise[:, 0]
+    accel = x.f_b + errors.accel_bias + sa * noise[:, 1]
+    return [ImuSample(t, g, a) for t, g, a in zip(truth.times.tolist(), gyro, accel)]
 
 
 def synthesize_gnss(
@@ -234,12 +267,12 @@ def synthesize_gnss(
     rng = np.random.default_rng(seed)
     chol = np.linalg.cholesky(cov)
     stride = max(1, int(round(imu_rate / rate)))
-    out = []
-    for i in range(stride, truth.times.size, stride):
-        t, x = truth.samples[i]
-        antenna = x.pos + x.rot @ lever
-        out.append(GnssFix(t, antenna + chol @ rng.standard_normal(3), cov))
-    return out
+    times = truth.times[stride::stride]
+    x = truth.profile.stack(times)
+    noise = rng.standard_normal((times.size, 3))
+    antenna = x.pos + x.rot @ lever
+    pos = antenna + (chol @ noise[:, :, None])[..., 0]
+    return [GnssFix(t, p, cov) for t, p in zip(times.tolist(), pos)]
 
 
 @dataclass(frozen=True)

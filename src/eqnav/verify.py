@@ -23,7 +23,7 @@ from .kinematics import (
     lift,
     velocity_action,
 )
-from .liegroup import FrameTag, GroupElement, compose, gamma, hat, inverse, so3_exp
+from .liegroup import FrameTag, GroupElement, _cross, compose, gamma, hat, inverse, so3_exp
 from .transition import gamma_integrals_check, phi_left, phi_right
 
 __all__ = ["CheckResult", "gamma_series", "rk4_const", "run_all_checks"]
@@ -48,13 +48,13 @@ def _surface_state(earth: EarthModel, lat_deg: float, lon_deg: float, h: float, 
     if frame is FrameTag.ECEF_EB:
         return GroupElement(c, v_eb, r0, frame)
     if frame is FrameTag.ECEF_IB:
-        return GroupElement(c, v_eb + np.cross(earth.omega_vec, r0), r0, frame)
+        return GroupElement(c, v_eb + _cross(earth.omega_vec, r0), r0, frame)
     r_n = earth.ned_position(lat, h)
     v_n = np.array([30.0, 5.0, -1.0])
     if frame is FrameTag.NED_EB:
         return GroupElement(np.eye(3), v_n, r_n, frame)
     return GroupElement(
-        np.eye(3), v_n + np.cross(earth.omega_ie_ned(lat), r_n), r_n, frame
+        np.eye(3), v_n + _cross(earth.omega_ie_ned(lat), r_n), r_n, frame
     )
 
 
@@ -170,7 +170,7 @@ def check_phi_right(earth: EarthModel, tol: float, seed: int):
     lat, lon, h = math.radians(45.0), math.radians(7.0), 400.0
     r0 = earth.geodetic_to_ecef(lat, lon, h)
     c = earth.ned_rotation(lat, lon)
-    x = GroupElement(c, np.cross(earth.omega_vec, r0), r0, FrameTag.ECEF_IB)
+    x = GroupElement(c, _cross(earth.omega_vec, r0), r0, FrameTag.ECEF_IB)
     imu = ImuSample(0.0, c.T @ earth.omega_vec, -(c.T @ earth.gravity_ecef(r0)))
     worst = 0.0
     for dt in (0.005, 0.01):
@@ -212,15 +212,15 @@ def heave_observability(
     def state(t: float) -> GroupElement:
         r = r0 + up * amp * math.sin(freq * t)
         v_eb = up * amp * freq * math.cos(freq * t)
-        return GroupElement(c, v_eb + np.cross(we, r), r, FrameTag.ECEF_IB)
+        return GroupElement(c, v_eb + _cross(we, r), r, FrameTag.ECEF_IB)
 
     def rates(t: float):
         r = r0 + up * amp * math.sin(freq * t)
         v_eb = up * amp * freq * math.cos(freq * t)
         a_eb = -up * amp * freq * freq * math.sin(freq * t)
-        v_ib = v_eb + np.cross(we, r)
-        dv_ib = a_eb + np.cross(we, v_eb)
-        return c.T @ we, c.T @ (dv_ib + np.cross(we, v_ib) - earth.gravitation_ecef(r))
+        v_ib = v_eb + _cross(we, r)
+        dv_ib = a_eb + _cross(we, v_eb)
+        return c.T @ we, c.T @ (dv_ib + _cross(we, v_ib) - earth.gravitation_ecef(r))
 
     n = int(epoch_dt * m * imu_rate) + 1
     imu = [ImuSample(k / imu_rate, *rates(k / imu_rate)) for k in range(n)]

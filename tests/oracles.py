@@ -1,9 +1,9 @@
 """Independent numeric oracles for the test suite.
 
 Everything here is deliberately brute force (truncated series, dense
-matrix exponentials, Runge-Kutta, composite quadrature) and stays
-independent of the production code paths it checks.  The Gamma power
-series is the one ``eqnav verify`` uses, re-exported from there.
+matrix exponentials, Runge-Kutta, composite quadrature, one time at a
+time) and stays independent of the production code paths it checks.  The
+Gamma power series is the one ``eqnav verify`` uses, re-exported from there.
 """
 
 from __future__ import annotations
@@ -91,3 +91,44 @@ def random_element(rng, vel=10.0, pos=100.0, frame=None) -> GroupElement:
     return GroupElement(
         random_rotation(rng), rng.uniform(-vel, vel, 3), rng.uniform(-pos, pos, 3), frame
     )
+
+
+def profile_sample(spec, earth: EarthModel, t: float):
+    """Truth state and exact IMU of a ``TrajectorySpec`` profile at time t.
+
+    The per-sample closed forms, one time and one 3-vector at a time:
+    returns ``(rot, v_ib, r_eb, omega_b, f_b)``.
+    """
+    lat, lon = math.radians(spec.lat_deg), math.radians(spec.lon_deg)
+    r0 = earth.geodetic_to_ecef(lat, lon, spec.height)
+    c_ne = earth.ned_rotation(lat, lon)
+    w = earth.omega_vec
+    k, v = spec.turn_rate, spec.speed
+    if spec.profile == "static":
+        p = dp = ddp = np.zeros(3)
+        psi, dpsi = 0.0, 0.0
+    elif spec.profile == "constant-turn":
+        radius = v / k
+        p = np.array([radius * math.sin(k * t), radius * (1 - math.cos(k * t)), 0.0])
+        dp = np.array([v * math.cos(k * t), v * math.sin(k * t), 0.0])
+        ddp = np.array([-v * k * math.sin(k * t), v * k * math.cos(k * t), 0.0])
+        psi, dpsi = k * t, k
+    else:
+        a = v / k
+        b = 0.5 * a
+        p = np.array([a * math.sin(k * t), b * math.sin(2 * k * t), 0.0])
+        dp = np.array([a * k * math.cos(k * t), 2 * b * k * math.cos(2 * k * t), 0.0])
+        ddp = np.array(
+            [-a * k * k * math.sin(k * t), -4 * b * k * k * math.sin(2 * k * t), 0.0]
+        )
+        psi = math.atan2(dp[1], dp[0])
+        dpsi = (ddp[1] * dp[0] - ddp[0] * dp[1]) / (dp[0] ** 2 + dp[1] ** 2)
+    c, s = math.cos(psi), math.sin(psi)
+    rot = c_ne @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    r_eb = r0 + c_ne @ p
+    v_eb = c_ne @ dp
+    v_ib = v_eb + np.cross(w, r_eb)
+    dv_ib = c_ne @ ddp + np.cross(w, v_eb)
+    omega_b = np.array([0.0, 0.0, dpsi]) + rot.T @ w
+    f_b = rot.T @ (dv_ib + np.cross(w, v_ib) - earth.gravitation_ecef(r_eb))
+    return rot, v_ib, r_eb, omega_b, f_b

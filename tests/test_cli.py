@@ -85,6 +85,12 @@ class TestSimulate:
         for name in ("imu.csv", "gnss.csv", "truth.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_static_without_turn_rate(self, tmp_path):
+        """The static profile never divides by the turn rate."""
+        args = sum([["--set", o] for o in fast_overrides(scenario="static", turn_rate=0)], [])
+        assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
+        assert len((tmp_path / "imu.csv").read_text().splitlines()) == 251
+
     def test_missing_dir_error(self, tmp_path, capsys):
         missing = tmp_path / "not_there"
         code = main(["--out", str(missing), "simulate"])
@@ -223,6 +229,13 @@ class TestInvalidInput:
             ("lever_y=inf", "run"),
             ("scenario=foo", "simulate"),
             ("gnss_rate=1000", "simulate"),
+            ("turn_rate=0", "simulate"),
+            ("turn_rate=nan", "simulate"),
+            ("lat_deg=95", "simulate"),
+            ("lat_deg=nan", "simulate"),
+            ("lon_deg=inf", "simulate"),
+            ("height=nan", "simulate"),
+            ("speed=nan", "simulate"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):
@@ -233,6 +246,14 @@ class TestInvalidInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting.split("=")[0] in err
+
+    @pytest.mark.parametrize("setting", ["speed=0", "turn_rate=0"])
+    def test_degenerate_figure_eight_exits_2_naming_key(self, tmp_path, capsys, setting):
+        args = sum([["--set", o] for o in fast_overrides(scenario="figure-eight")], [])
+        code = main(["--out", str(tmp_path)] + args + ["--set", setting, "simulate"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"TrajectorySpec.{setting.split('=')[0]}" in err
 
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the

@@ -350,3 +350,20 @@ def test_frozen_overflowing_square_is_finite():
     np.testing.assert_array_equal(lg.Tangent9(huge, huge, huge).phi, huge)
     with pytest.raises(ValueError, match=r"^Tangent9\.rho_r contains non-finite values$"):
         lg.Tangent9(huge, huge, [1e200, -np.inf, 0.0])
+
+
+def test_cross_matches_np_cross_bitwise(rng):
+    # signed zeros, magnitudes from 1e-150 to 1e150 and broadcast stacks
+    scale = 10.0 ** rng.integers(-150, 150, size=(4, 50, 3))
+    a = rng.normal(size=(4, 50, 3)) * scale
+    b = rng.normal(size=(4, 50, 3)) * scale[::-1]
+    a[0, :10] = 0.0
+    b[0, :5] = -0.0
+    a[1, :10, 2] = -0.0
+    w = np.array([0.0, 0.0, 7.292115e-5])
+    cases = [(a[2, 0], b[2, 0]), (a[3, 1], b[0, 0]), (w, b[1]), (w, a), (a[1], b),
+             (a, b), (a[0], b[0]), (b[3], w)]
+    for x, y in cases:
+        got, want = lg._cross(x, y), np.cross(x, y)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

@@ -15,7 +15,48 @@ from eqnav.sim import (
     synthesize_gnss,
     synthesize_imu,
 )
-from oracles import mech_deriv_ecef_ib
+from oracles import mech_deriv_ecef_ib, profile_sample
+
+
+class TestTrajectorySpec:
+    @pytest.mark.parametrize(
+        "profile, field, value",
+        [
+            ("constant-turn", "lat_deg", math.nan),
+            ("constant-turn", "lon_deg", math.inf),
+            ("constant-turn", "height", math.nan),
+            ("constant-turn", "speed", math.nan),
+            ("constant-turn", "turn_rate", math.nan),
+            ("constant-turn", "turn_rate", -math.inf),
+            ("static", "height", math.nan),
+            ("constant-turn", "lat_deg", 95.0),
+            ("static", "lat_deg", -90.5),
+            ("constant-turn", "turn_rate", 0.0),
+            ("figure-eight", "turn_rate", 0.0),
+            ("figure-eight", "speed", 0.0),
+        ],
+    )
+    def test_degenerate_value_names_field(self, profile, field, value):
+        with pytest.raises(ValueError, match=rf"TrajectorySpec\.{field}\b"):
+            TrajectorySpec(profile=profile, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lat_deg": 90.0},
+            {"lat_deg": -90.0, "profile": "figure-eight"},
+            {"profile": "static", "turn_rate": 0.0},
+            {"profile": "static", "speed": 0.0},
+            {"speed": 0.0},
+        ],
+        ids=["north-pole", "south-pole-figure-eight", "static-no-turn", "static-no-speed",
+             "turn-on-the-spot"],
+    )
+    def test_edge_values_synthesize(self, earth, kwargs):
+        spec = TrajectorySpec(duration=1.0, imu_rate=20.0, **kwargs)
+        truth = generate_truth(spec, earth)
+        imu = synthesize_imu(truth, earth, SensorErrorSpec())
+        assert len(truth.samples) == len(imu) == 20
 
 
 class TestGenerateTruth:
@@ -180,6 +221,81 @@ class TestSynthesizeGnss:
         truth = generate_truth(spec, earth)
         with pytest.raises(ValueError):
             synthesize_gnss(truth, np.zeros(3), 20.0, np.eye(3), seed=0)
+
+
+class TestStackedSynthesis:
+    """The stacked streams against the per-sample formulas, bit for bit.
+
+    Each stream comes from one stacked pass over its times; every row is
+    the same floating-point operations as the per-sample closed forms in
+    ``oracles.profile_sample`` (numpy's float64 sin/cos are libm's), so the
+    bound on every synthesized value is zero.
+    """
+
+    @staticmethod
+    def spec(profile, lat_deg=-33.0):
+        return TrajectorySpec(profile=profile, lat_deg=lat_deg, duration=8.0,
+                              imu_rate=25.0, speed=12.0, turn_rate=0.07)
+
+    # at a pole the origin has no x, y offset to round the path's last bits away
+    @pytest.mark.parametrize("lat_deg", [-33.0, 90.0])
+    @pytest.mark.parametrize("profile", ["static", "constant-turn", "figure-eight"])
+    def test_truth_and_imu_match_per_sample_formulas(self, earth, profile, lat_deg):
+        spec = self.spec(profile, lat_deg)
+        truth = generate_truth(spec, earth)
+        imu = synthesize_imu(truth, earth, SensorErrorSpec())
+        assert [t for t, _ in truth.samples] == [s.t for s in imu] == truth.times.tolist()
+        for (t, x), s in zip(truth.samples, imu):
+            rot, v_ib, r_eb, omega_b, f_b = profile_sample(spec, earth, t)
+            for got, want in ((x.rot, rot), (x.vel, v_ib), (x.pos, r_eb),
+                              (s.gyro, omega_b), (s.accel, f_b)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("profile", ["static", "constant-turn", "figure-eight"])
+    def test_noise_is_per_sample_draws(self, earth, profile):
+        truth = generate_truth(self.spec(profile), earth)
+        bg, ba = np.array([1e-4, -2e-4, 3e-5]), np.array([2e-3, 0.0, -1e-3])
+        errs = SensorErrorSpec(bg, ba, gyro_psd=4e-8, accel_psd=4e-6, seed=11)
+        clean = synthesize_imu(truth, earth, SensorErrorSpec())
+        noisy = synthesize_imu(truth, earth, errs)
+        rng = np.random.default_rng(11)
+        sg = math.sqrt(4e-8 * 25.0)
+        sa = math.sqrt(4e-6 * 25.0)
+        for c, n in zip(clean, noisy):
+            gyro_draw, accel_draw = rng.standard_normal(3), rng.standard_normal(3)
+            np.testing.assert_array_equal(n.gyro, c.gyro + bg + sg * gyro_draw)
+            np.testing.assert_array_equal(n.accel, c.accel + ba + sa * accel_draw)
+
+    @pytest.mark.parametrize("lat_deg", [-33.0, 90.0])
+    @pytest.mark.parametrize("profile", ["static", "constant-turn", "figure-eight"])
+    def test_gnss_fixes_match_per_sample_formulas(self, earth, profile, lat_deg):
+        spec = self.spec(profile, lat_deg)
+        truth = generate_truth(spec, earth)
+        lever = np.array([0.5, 0.3, -1.2])
+        cov = np.array([[4.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 0.25]])
+        fixes = synthesize_gnss(truth, lever, 5.0, cov, seed=13)
+        rng = np.random.default_rng(13)
+        chol = np.linalg.cholesky(cov)
+        want_times = truth.times[5::5].tolist()
+        assert [f.t for f in fixes] == want_times
+        for f, t in zip(fixes, want_times):
+            rot, _, r_eb, _, _ = profile_sample(spec, earth, t)
+            want = r_eb + rot @ lever + chol @ rng.standard_normal(3)
+            np.testing.assert_array_equal(f.pos_ecef, want)
+
+    @pytest.mark.parametrize("profile", ["static", "constant-turn", "figure-eight"])
+    def test_single_time_methods_are_rows_of_the_stack(self, earth, profile):
+        truth = generate_truth(self.spec(profile), earth)
+        x = truth.profile.stack(truth.times)
+        for k in (0, 1, 77, truth.times.size - 1):
+            t = truth.times[k]
+            omega_b, f_b = truth.profile.imu_true(t)
+            np.testing.assert_array_equal(omega_b, x.omega_b[k])
+            np.testing.assert_array_equal(f_b, x.f_b[k])
+            state = truth.profile.state(t)
+            np.testing.assert_array_equal(state.rot, x.rot[k])
+            np.testing.assert_array_equal(state.vel, x.vel[k])
+            np.testing.assert_array_equal(state.pos, x.pos[k])
 
 
 class TestGravityPerturbation:
