@@ -232,15 +232,16 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _read_csv(path: Path, expect_header: str, make) -> list:
-    """Rows of a CSV stream, each list of floats passed through ``make``.
+def _read_csv(path: Path, expect_header: str, make) -> tuple[list, list[int]]:
+    """Rows of a CSV stream, each list of floats passed through ``make``,
+    and the file line of each row.
 
     A malformed row, one that ``make`` rejects with ``ValueError``, or one
     whose time (first column) is not strictly after the previous row's
     raises :class:`ConfigError` citing ``path:line``; so does a file with no
     data row after its header.
     """
-    rows = []
+    rows, lines = [], []
     last = None  # time of the previous data row
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -261,6 +262,7 @@ def _read_csv(path: Path, expect_header: str, make) -> list:
                 rows.append(make(values))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            lines.append(lineno)
             if last is not None and not values[0] > last:
                 raise ConfigError(
                     f"{path}:{lineno}: time {values[0]!r} is not after the "
@@ -269,7 +271,7 @@ def _read_csv(path: Path, expect_header: str, make) -> list:
             last = values[0]
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
-    return rows
+    return rows, lines
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -345,10 +347,21 @@ def _truth_row(r: list[float]) -> tuple[float, GroupElement]:
 
 
 def _load_streams(cfg: RunConfig, out: Path):
-    imu = _read_csv(out / "imu.csv", IMU_HEADER, _imu_row)
-    gnss = _read_csv(out / "gnss.csv", GNSS_HEADER, _gnss_row)
+    imu, _ = _read_csv(out / "imu.csv", IMU_HEADER, _imu_row)
+    gnss, gnss_lines = _read_csv(out / "gnss.csv", GNSS_HEADER, _gnss_row)
     truth_path = out / "truth.csv"
-    truth = _read_csv(truth_path, TRUTH_HEADER, _truth_row) if truth_path.exists() else None
+    truth = _read_csv(truth_path, TRUTH_HEADER, _truth_row)[0] if truth_path.exists() else None
+    # a gap in imu.csv can leave a fix without an IMU epoch to apply it at:
+    # the nearest epoch is one of the two around the fix in the sorted times
+    imu_times, fix_times = np.array([s.t for s in imu]), np.array([f.t for f in gnss])
+    k = np.searchsorted(imu_times, fix_times).clip(1, len(imu) - 1)
+    gap = np.minimum(abs(imu_times[k - 1] - fix_times), abs(imu_times[k] - fix_times))
+    bad = np.flatnonzero(gap > cfg.time_slop)
+    if bad.size:
+        raise ConfigError(
+            f"{out / 'gnss.csv'}:{gnss_lines[bad[0]]}: no IMU epoch in {out / 'imu.csv'} "
+            f"within {cfg.time_slop} s of the fix at t={gnss[bad[0]].t}"
+        )
     return imu, gnss, truth
 
 

@@ -26,7 +26,7 @@ from .errordyn import (
     g_matrix,
     h_matrix,
 )
-from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _WINDOW, _midpoint, _passes
+from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _StepError, _WINDOW, _walk
 from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen
 from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
@@ -123,11 +123,8 @@ def predict(
     constants between updates.
 
     This is the propagation :func:`run` applies to each window of epochs
-    between two fixes, on a window of one epoch: the state's biases hold
-    for the whole window, so the work that does not depend on the state
-    estimate is formed for all its epochs at once (see
-    :func:`_propagate`), each epoch by the operations a window of one
-    takes.
+    between two fixes (see :func:`_propagate`), on a window of one epoch,
+    and a failure names its epoch the same way (``at epoch t=...``).
 
     When ``imu_prev`` is given, the interval uses trapezoidal averaging of
     the two samples' rates (second-order input handling for batch runs).
@@ -137,6 +134,9 @@ def predict(
     NonMonotonicTime
         If ``imu.t < state.t``.  A zero-length interval returns the state
         unchanged (duplicate timestamps are rejected at the stream level).
+    ValueError
+        If the epoch fails (e.g. a rotation of more than one turn over the
+        interval), with the epoch named.
     """
     dt = imu.t - state.t
     if dt < 0.0:
@@ -159,48 +159,47 @@ def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]
     ``gyro`` and ``accel`` (N, 3) are the epochs' rates before bias
     correction, ``dt`` (N,) the epochs' intervals (the first from
     ``state.t``).  Only an update changes the biases, so the state's biases
-    correct every epoch of the window, and what does not depend on the
-    state estimate is formed for the whole window at once: the Gamma blocks
-    of the body rotations and of the earth rate, the mean steps' body-frame
-    velocity increments, ``Psi_1``/``Psi_2``, and the left transition
-    matrices with their process noise (left convention) or their bias
-    columns (right convention).  The mean steps then run in order, and for
-    the right convention the transition matrices, G and the process noise
-    of the whole window are formed at once from that mean trajectory.  The
-    covariance recursion runs last.  Every entry is formed by the
-    operations a window of one takes, so a window's results do not depend
-    on its length.
+    correct every epoch of the window.  The stepping walk
+    (:func:`~eqnav.kinematics._walk`) forms what does not depend on the
+    state estimate for the whole window at once (the Gamma blocks of the
+    body rotations and of the earth rate, the mean steps' body-frame
+    velocity increments) and runs the mean steps in order; the transition
+    matrices and their process noise of the whole window are then formed
+    at once, from the Gamma blocks (left convention) or from the walk's
+    stacked mean trajectory (right convention), and the covariance
+    recursion runs last.  Every entry is formed by the operations a window
+    of one takes, so a window's results do not depend on its length.  A
+    failing mean step, an interval over one turn or an invalid state
+    raises ``ValueError`` naming its epoch (``at epoch t=...``).
     """
     conv = state.convention
     gyro = gyro - state.bg
     accel = accel - state.ba
-    # one stacked Gamma pass of the body rotations and the earth rate, at
-    # dt and dt/2, serves the mean steps and the transition matrices
-    body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, 3)
-    left = conv is Convention.LEFT_INVARIANT
-    if left:
-        phis = _phi_left(accel, dt, body, g0)
-        qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
-    else:
-        bias = _left_bias(accel, dt, body, g0)
-
-    xs = [state.x]
-    for k, step in enumerate(dt.tolist()):
-        x1 = _midpoint(FrameTag.ECEF_IB, xs[-1], step, earth, dv[k], g0[k], rate[k])
-        xs.append(GroupElement(*x1, state.x.frame))
-    if not left:
-        rot = np.array([x.rot for x in xs])
-        vel = np.array([x.vel for x in xs])
-        pos = np.array([x.pos for x in xs])
-        phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
-        qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
+    try:
+        # one stacked Gamma pass of the body rotations and the earth rate,
+        # at dt and dt/2, serves the mean steps and the transition matrices
+        (body, rate, _, g0), (rot, vel, pos), xs = _walk(
+            FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, 3
+        )
+        if conv is Convention.LEFT_INVARIANT:
+            phis = _phi_left(accel, dt, body, g0)
+            qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
+        else:
+            bias = _left_bias(accel, dt, body, g0)
+            phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
+            qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
+    except _StepError as exc:
+        raise ValueError(f"at epoch t={times[exc.step]}: {exc}") from exc
 
     p = state.p
     out = []
-    for t, x, phi, qd in zip(times, xs[1:], phis, qds):
+    for t, x, phi, qd in zip(times, xs, phis, qds):
         p = phi @ p @ phi.T + qd
         p = 0.5 * (p + p.T)
-        out.append(FilterState(x, state.bg, state.ba, p, t, conv))
+        try:
+            out.append(FilterState(x, state.bg, state.ba, p, t, conv))
+        except ValueError as exc:
+            raise ValueError(f"at epoch t={t}: {exc}") from exc
     return out
 
 
@@ -359,13 +358,13 @@ def run(
     fix carry the invariant error (its bias part ``truth_biases`` minus the
     estimate, zero without them) and the NEES.
 
-    The epochs after one fix up to and including the next form a window:
-    only an update changes the biases, so they are constant within it, and
-    everything that does not depend on the state estimate is formed for
-    the window at once (see :func:`predict`), in pieces of at most a fixed
-    number of epochs, before its epochs run in order and its fix is
-    applied.  The records equal those of a loop of :func:`predict` and
-    :func:`update_gnss`.
+    The IMU stream is stacked once (times, trapezoidal mean rates and
+    intervals).  The epochs after one fix up to and including the next
+    form a window: only an update changes the biases, so they are constant
+    within it, and each window, in pieces of at most a fixed number of
+    epochs, is sliced from those arrays and propagated in one pass (see
+    :func:`_propagate`) before its fix is applied.  The records equal
+    those of a loop of :func:`predict` and :func:`update_gnss`.
 
     Raises
     ------
@@ -378,16 +377,16 @@ def run(
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
     """
-    for name, times in (("imu", [s.t for s in imu]), ("gnss", [f.t for f in gnss])):
-        for a, b in zip(times[:-1], times[1:]):
-            if b <= a:
-                raise NonMonotonicTime(f"{name} stream not increasing at t={b}")
+    imu_times = np.array([s.t for s in imu])
+    for name, stamps in (("imu", imu_times), ("gnss", np.array([f.t for f in gnss]))):
+        bad = np.flatnonzero(stamps[1:] <= stamps[:-1])
+        if bad.size:
+            raise NonMonotonicTime(f"{name} stream not increasing at t={stamps[bad[0] + 1]}")
 
     truth_map = dict(truth) if truth is not None else {}
 
-    # align each fix with its nearest IMU epoch (no interpolation)
-    imu_times = np.array([s.t for s in imu])
-    # the run's epochs: the initial state, then every IMU epoch after it
+    # the run's epochs: the initial state, then every IMU epoch after it;
+    # each fix is aligned with its nearest IMU epoch (no interpolation)
     first = max(1, int(np.searchsorted(imu_times, initial.t, side="right")))
     fixes_at: dict[int, GnssFix] = {}
     for fix in gnss:
@@ -408,9 +407,6 @@ def run(
             )
         fixes_at[idx] = fix
 
-    def failed(i, exc):
-        return type(exc)(f"at epoch t={imu[i].t}: {exc}")
-
     def record(i, state):
         """Record of IMU epoch ``i`` at ``state``, corrected by the epoch's
         fix if it has one."""
@@ -418,8 +414,8 @@ def run(
         if i in fixes_at:
             try:
                 state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise failed(i, exc) from exc
+            except ValueError as exc:  # LinAlgError included
+                raise type(exc)(f"at epoch t={imu[i].t}: {exc}") from exc
             if state.t in truth_map:
                 db_g = db_a = None
                 if truth_biases is not None:
@@ -433,28 +429,14 @@ def run(
             state.t, state, np.diag(state.p).copy(), innovation, nis, error, nees
         )
 
-    def window(i, end, state):
-        """Predicted states of IMU epochs ``i`` to ``end - 1``."""
-        rows = imu[i - 1 : end]
-        gyro = np.array([s.gyro for s in rows])
-        accel = np.array([s.accel for s in rows])
-        times = [s.t for s in rows[1:]]
-        try:
-            return _propagate(
-                state, 0.5 * (gyro[:-1] + gyro[1:]), 0.5 * (accel[:-1] + accel[1:]),
-                times, np.subtract(times, [state.t, *times[:-1]]), noise, earth,
-            )
-        except (np.linalg.LinAlgError, ValueError):
-            pass
-        # one epoch at a time, so that the error names the epoch it arises at
-        states = []
-        for k in range(i, end):
-            try:
-                state = predict(state, imu[k], noise, earth, imu_prev=imu[k - 1])
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise failed(k, exc) from exc
-            states.append(state)
-        return states
+    # row k - 1 holds IMU epoch k's trapezoidal mean (gyro, accel) and its
+    # interval, the first epoch's from the initial state
+    rates = np.array([v for s in imu for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
+    rates = 0.5 * (rates[:-1] + rates[1:])
+    dts = np.diff(imu_times)
+    times = imu_times.tolist()
+    if first < len(imu):
+        dts[first - 1] = times[first] - initial.t
 
     records = [record(first - 1, initial)]
     # a window ends at each fix epoch and at the last epoch
@@ -463,7 +445,11 @@ def run(
     for stop in stops:
         while i < stop:
             end = min(stop, i + _WINDOW)
-            states = window(i, end, records[-1].state)
+            rows = slice(i - 1, end - 1)
+            states = _propagate(
+                records[-1].state, rates[rows, 0], rates[rows, 1], times[i:end], dts[rows],
+                noise, earth,
+            )
             records += [record(k, s) for k, s in zip(range(i, end), states)]
             i = end
     return records

@@ -69,6 +69,14 @@ class NonMonotonicTime(ValueError):
     """Timestamps in a stream are not strictly increasing."""
 
 
+class _StepError(ValueError):
+    """A failure at one step of a window, ``step`` its index in the window."""
+
+    def __init__(self, step: int, message: str):
+        super().__init__(message)
+        self.step = step
+
+
 @dataclass(frozen=True)
 class ImuSample:
     """One IMU record: angular rate and specific force in the body frame."""
@@ -149,12 +157,16 @@ class EarthModel:
         )
 
     def ecef_to_geodetic(self, r: NDArray) -> tuple[float, float, float]:
-        """Geodetic (lat, lon, height) of an ECEF point, by fixed-point iteration."""
+        """Geodetic (lat, lon, height) of an ECEF point, by fixed-point iteration.
+
+        The returned height is the distance along the normal at ``lat``,
+        ``p cos(lat) + z sin(lat) - a sqrt(1 - e^2 sin^2(lat))``, which
+        cancels nothing at any latitude, the poles included.
+        """
         x, y, z = np.asarray(r, dtype=float)
         lon = math.atan2(y, x)
         p = math.hypot(x, y)
         lat = math.atan2(z, p * (1.0 - self.e2))
-        height = 0.0
         for _ in range(20):
             _, rn = self.curvature_radii(lat)
             height = p / math.cos(lat) - rn if p > 1.0 else z / math.sin(lat) - rn * (
@@ -165,7 +177,10 @@ class EarthModel:
                 lat = lat_new
                 break
             lat = lat_new
-        return lat, lon, height
+        sl = math.sin(lat)
+        return lat, lon, p * math.cos(lat) + z * sl - self.semimajor_axis * math.sqrt(
+            1.0 - self.e2 * sl * sl
+        )
 
     def ned_rotation(self, lat: float, lon: float) -> NDArray:
         """Direction cosine matrix C_n^e from local NED axes to ECEF axes."""
@@ -456,6 +471,36 @@ def _midpoint(frame, x, dt, earth, dv, g0, rate):
     return _flow(x.rot, x.vel, x.pos, dv[0], w2, dt, g0, rate_full)
 
 
+def _walk(frame, x, gyro, accel, dt, earth, n):
+    """The midpoint steps of a window from ``x``: the one propagation path.
+
+    ``gyro``, ``accel`` (N, 3) and ``dt`` (N,) are the steps' body rates
+    and lengths, ``n`` the order of the Gamma blocks :func:`_passes` forms
+    (2 for the mean, 3 when the transition matrices read them too).  The
+    steps run in order from ``x``.  Returns ``(passes, traj, xs)``:
+    ``passes`` is :func:`_passes`'s ``(body, rate, dv, g0)``, ``traj`` the
+    stacked trajectory ``(rot, vel, pos)``, shapes (N + 1, 3, 3) and
+    (N + 1, 3), whose row 0 is ``x`` and row k + 1 the end of step k, and
+    ``xs`` the N stepped states.  A step whose state is invalid raises
+    :class:`_StepError` naming its index.
+    """
+    passes = _passes(frame, gyro, accel, dt, earth, n)
+    _, rate, dv, g0 = passes
+    rows = len(dt) + 1
+    rot, vel, pos = np.empty((rows, 3, 3)), np.empty((rows, 3)), np.empty((rows, 3))
+    rot[0], vel[0], pos[0] = x.rot, x.vel, x.pos
+    xs = []
+    for k, h in enumerate(dt.tolist()):
+        try:
+            step = _midpoint(frame, x, h, earth, dv[k], g0[k], rate[k])
+            rot[k + 1], vel[k + 1], pos[k + 1] = step
+            x = GroupElement(*step, x.frame)
+        except ValueError as exc:
+            raise _StepError(k, str(exc)) from exc
+        xs.append(x)
+    return passes, (rot, vel, pos), xs
+
+
 def midpoint_step(
     frame: FrameTag, x: GroupElement, gyro: NDArray, accel: NDArray,
     dt: float, earth: EarthModel,
@@ -464,16 +509,14 @@ def midpoint_step(
 
     W2 is evaluated at ``x``; a half-step :func:`flow` gives the midpoint
     velocity and position (all that W2 reads), W2 is rebuilt there, and the
-    full step is the exact flow from ``x``: second order in ``dt``.  Raises
-    :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
+    full step is the exact flow from ``x``: second order in ``dt``.  This is
+    the stepping walk every propagation runs, on a window of one step.
+    Raises :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
     """
     if x.frame is not None and x.frame != frame:
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
-    _, rate, dv, g0 = _passes(
-        frame, np.reshape(gyro, (1, 3)), np.reshape(accel, (1, 3)), np.array([dt]), earth, 2
-    )
-    rot, vel, pos = _midpoint(frame, x, dt, earth, dv[0], g0[0], rate[0])
-    return GroupElement(rot, vel, pos, x.frame)
+    gyro, accel = np.reshape(gyro, (1, 3)), np.reshape(accel, (1, 3))
+    return _walk(frame, x, gyro, accel, np.array([dt]), earth, 2)[2][0]
 
 
 def lift(x: GroupElement, pair: DynamicsPair) -> NDArray:
@@ -568,14 +611,15 @@ class GroupAffineReport:
 _AFFINE_SCALE = 1.0e7
 
 
-def _random_element(rng: np.random.Generator):
+def _random_element(rng: np.random.Generator, angle_max: float, vel: float, pos: float):
+    """A random element: rotation angle below ``angle_max`` about a uniform
+    axis, velocity and position entries uniform in (-vel, vel), (-pos, pos)."""
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, math.pi - 0.2)
     return GroupElement(
-        so3_exp(angle * axis),
-        rng.uniform(-_AFFINE_SCALE, _AFFINE_SCALE, 3),
-        rng.uniform(-_AFFINE_SCALE, _AFFINE_SCALE, 3),
+        so3_exp(rng.uniform(0.0, angle_max) * axis),
+        rng.uniform(-vel, vel, 3),
+        rng.uniform(-pos, pos, 3),
     )
 
 
@@ -615,8 +659,8 @@ def check_group_affine(
     rng = rng if rng is not None else np.random.default_rng(0)
     worst = 0.0
     for _ in range(samples):
-        xa = _random_element(rng).as_matrix()
-        xb = _random_element(rng).as_matrix()
+        xa = _random_element(rng, math.pi - 0.2, _AFFINE_SCALE, _AFFINE_SCALE).as_matrix()
+        xb = _random_element(rng, math.pi - 0.2, _AFFINE_SCALE, _AFFINE_SCALE).as_matrix()
         worst = max(worst, group_affine_residual(pair.w1, pair.w2, xa, xb))
     return GroupAffineReport(worst, samples)
 
@@ -689,10 +733,10 @@ def integrate_imu(
     Each interval is one :func:`midpoint_step` with the trapezoidal mean of
     the two samples' rates, so the scheme is second order in the sample
     interval while every step remains an exact flow of a constant pair.
-    What does not depend on the state (the Gamma blocks of every step's
-    body rotation and, in the ECEF variants, of the earth rate, and the
-    body-frame velocity increments) is formed for a window of steps at a
-    time, by the operations :func:`midpoint_step` takes for one step.
+    The steps run through the stepping walk every propagation shares, a
+    window of at most a fixed number of steps at a time, so what does not
+    depend on the state is formed for the window at once.  A step that
+    fails raises ``ValueError`` naming its epoch (``at epoch t=...``).
 
     Returns the list of (t, state) including the initial sample time.
     """
@@ -706,17 +750,14 @@ def integrate_imu(
         raise NonMonotonicTime(f"IMU timestamps not increasing at t={times[bad[0] + 1]}")
     if dts.size and x0.frame is not None and x0.frame != frame:
         raise FrameMismatch(f"state tagged {x0.frame.name}, dynamics for {frame.name}")
-    gyro = np.array([s.gyro for s in samples])
-    accel = np.array([s.accel for s in samples])
-    gyro = 0.5 * (gyro[:-1] + gyro[1:])
-    accel = 0.5 * (accel[:-1] + accel[1:])
+    rates = np.array([v for s in samples for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
+    rates = 0.5 * (rates[:-1] + rates[1:])  # trapezoidal (gyro, accel) of each interval
     out = [(times[0], x0)]
-    x = x0
     for a in range(0, dts.size, _WINDOW):
         b = min(a + _WINDOW, dts.size)
-        _, rate, dv, g0 = _passes(frame, gyro[a:b], accel[a:b], dts[a:b], earth, 2)
-        for k, dt in enumerate(dts[a:b].tolist()):
-            step = _midpoint(frame, x, dt, earth, dv[k], g0[k], rate[k])
-            x = GroupElement(*step, x.frame)
-            out.append((times[a + k + 1], x))
+        try:
+            xs = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth, 2)[2]
+        except _StepError as exc:
+            raise ValueError(f"at epoch t={times[a + exc.step + 1]}: {exc}") from exc
+        out += zip(times[a + 1 : b + 1], xs)
     return out

@@ -74,6 +74,11 @@ class TrajectorySpec:
         # heading rate by the speed
         if self.profile != "static" and self.turn_rate == 0.0:
             raise ValueError(f"TrajectorySpec.turn_rate must be nonzero for {self.profile}")
+        if self.profile != "static" and not math.isfinite(self.speed / self.turn_rate):
+            raise ValueError(
+                f"TrajectorySpec.turn_rate={self.turn_rate!r} is too small: the path "
+                f"radius speed / turn_rate overflows"
+            )
         if self.profile == "figure-eight" and self.speed == 0.0:
             raise ValueError("TrajectorySpec.speed must be nonzero for figure-eight")
 
@@ -124,6 +129,11 @@ class _Profile:
         lat = math.radians(spec.lat_deg)
         lon = math.radians(spec.lon_deg)
         self.r0 = earth.geodetic_to_ecef(lat, lon, spec.height)
+        # the gravitation divides by |r0|^3
+        if not math.sqrt(self.r0 @ self.r0) ** 3 > 0.0:
+            raise ValueError(
+                f"TrajectorySpec.height={spec.height!r} puts the origin at the earth's centre"
+            )
         self.c_ne = earth.ned_rotation(lat, lon)
         self.w_e = earth.omega_vec
 

@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
-from .kinematics import EarthModel, ImuSample, _midpoint, _passes
+from .kinematics import EarthModel, ImuSample, _StepError, _walk
 from .liegroup import (
     _EYE3,
     _frozen,
@@ -194,15 +194,17 @@ def _psi(fx, dt, powers, x2) -> NDArray:
     and ``x2`` (N,) ``|w dt|^2``, both from the caller's Gamma pass of
     ``w dt``.
     Returns ``[Psi_1, Psi_2]`` of each interval, shape (N, 2, 3, 3), each by
-    the same floating-point operations as for a window of one.
+    the same floating-point operations as for a window of one.  The first
+    interval over one turn raises :class:`~eqnav.kinematics._StepError`
+    (a ``ValueError``) naming its index.
     """
     rows = len(dt)
     x = np.sqrt(x2)
     xmax = x.max()
     if not xmax <= MAX_INTERVAL_ROTATION:  # also rejects NaN
         k = np.flatnonzero(~(x <= MAX_INTERVAL_ROTATION))[0]
-        raise ValueError(
-            f"psi_integrals: rotation {x[k]:.6g} rad over dt={float(dt[k])} s exceeds "
+        raise _StepError(
+            k, f"psi_integrals: rotation {x[k]:.6g} rad over dt={float(dt[k])} s exceeds "
             f"{MAX_INTERVAL_ROTATION:.6g} rad (one turn) per interval"
         )
     h = (_PSI_SERIES @ (x2[:, None] ** _PSI_POWERS)[:, :, None]).reshape(rows, 6, 3)
@@ -323,9 +325,9 @@ def phi_right(
     frozen and no quadrature is involved.  At a stationary state the result
     coincides with ``expm(F_r dt)`` for the frozen F.
 
-    :func:`~eqnav.filter.run` applies the array core of this function to
-    the mean trajectory of each window between two fixes at once; this is
-    that core on a window of one interval.
+    The mean step and the matrix come from the stepping walk and the array
+    core :func:`~eqnav.filter.run` applies to each window between two fixes
+    (where a failure names its epoch), here on a window of one interval.
 
     Raises
     ------
@@ -338,10 +340,10 @@ def phi_right(
     if xhat.frame is not None and xhat.frame != FrameTag.ECEF_IB:
         raise FrameMismatch(f"phi_right requires ECEF_IB state, got {xhat.frame.name}")
     accel, dts = imu.accel.reshape(1, 3), np.array([dt])
-    body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, imu.gyro.reshape(1, 3), accel, dts, earth, 3)
-    x1 = _midpoint(FrameTag.ECEF_IB, xhat, dt, earth, dv[0], g0[0], rate[0])
-    rot, vel, pos = (np.array(pair) for pair in zip((xhat.rot, xhat.vel, xhat.pos), x1))
-    m = _phi_right(rot, vel, pos, earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0))
+    (body, rate, _, g0), traj, _ = _walk(
+        FrameTag.ECEF_IB, xhat, imu.gyro.reshape(1, 3), accel, dts, earth, 3
+    )
+    m = _phi_right(*traj, earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0))
     return TransitionBlocks(m[0], Convention.RIGHT_INVARIANT, dt)
 
 

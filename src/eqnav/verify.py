@@ -18,12 +18,13 @@ from .filter import FilterState, observability_matrix
 from .kinematics import (
     EarthModel,
     ImuSample,
+    _random_element,
     build_dynamics,
     check_group_affine,
     lift,
     velocity_action,
 )
-from .liegroup import FrameTag, GroupElement, _cross, compose, gamma, hat, inverse, so3_exp
+from .liegroup import FrameTag, GroupElement, _cross, compose, gamma, hat, inverse
 from .transition import gamma_integrals_check, phi_left, phi_right
 
 __all__ = ["CheckResult", "gamma_series", "rk4_const", "run_all_checks"]
@@ -58,17 +59,6 @@ def _surface_state(earth: EarthModel, lat_deg: float, lon_deg: float, h: float, 
     )
 
 
-def _random_element(rng, angle_max=2.5, vel=1e3, pos=1e3, frame=None):
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    return GroupElement(
-        so3_exp(rng.uniform(0.0, angle_max) * axis),
-        rng.uniform(-vel, vel, 3),
-        rng.uniform(-pos, pos, 3),
-        frame,
-    )
-
-
 def check_group_affine_all(earth: EarthModel, samples: int, tol: float, seed: int):
     rng = np.random.default_rng(seed)
     imu = ImuSample(0.0, rng.uniform(-0.02, 0.02, 3), rng.uniform(-15.0, 15.0, 3))
@@ -88,8 +78,8 @@ def check_lift_equivariance(earth: EarthModel, samples: int, tol: float, seed: i
     pair = build_dynamics(FrameTag.ECEF_IB, x0, imu, earth)
     worst = 0.0
     for _ in range(samples):
-        a = _random_element(rng)
-        x = _random_element(rng)
+        a = _random_element(rng, 2.5, 1e3, 1e3)
+        x = _random_element(rng, 2.5, 1e3, 1e3)
         lam = lift(x, pair)
         moved = lift(compose(a, x), velocity_action(a, pair))
         back = inverse(a).as_matrix() @ moved @ a.as_matrix()

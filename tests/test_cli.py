@@ -1,10 +1,16 @@
 """CLI contracts: file formats, determinism, exit codes, verification."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eqnav.cli import (
     GNSS_HEADER,
@@ -255,6 +261,22 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"TrajectorySpec.{setting.split('=')[0]}" in err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [(["turn_rate=1e-320"], "turn_rate"), (["lat_deg=0", "height=-6378137"], "height")],
+    )
+    def test_degenerate_trajectory_exits_2_naming_key(self, tmp_path, capsys, overrides, key):
+        """A path radius that overflows, or an origin at the earth's centre,
+        is rejected before any arithmetic warns."""
+        args = sum([["--set", o] for o in fast_overrides() + overrides], [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path)] + args + ["simulate"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"TrajectorySpec.{key}" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the
         earth's centre has no latitude to level at."""
@@ -273,6 +295,59 @@ class TestInvalidInput:
         assert code == 2
         err = capsys.readouterr().err
         assert "gnss.csv" in err and f"fix at t={float(cols[0])}" in err
+
+
+@pytest.fixture(scope="module")
+def short_streams(tmp_path_factory):
+    """The CSV streams of a 3 s, 50 Hz run with fixes at 1 Hz, as text."""
+    out = tmp_path_factory.mktemp("streams")
+    args = sum([["--set", o] for o in fast_overrides(duration=3)], [])
+    assert main(["--out", str(out)] + args + ["simulate"]) == 0
+    return {name: (out / name).read_text() for name in ("imu.csv", "gnss.csv", "truth.csv")}
+
+
+class TestIngestion:
+    """Hostile IMU streams run or exit 2 naming the file and line at fault."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_bad_cell_short_row_or_gap(self, short_streams, data):
+        imu_lines = short_streams["imu.csv"].splitlines()
+        rows = len(imu_lines) - 1
+        kind = data.draw(st.sampled_from(["cell", "short", "gap"]), label="kind")
+        if kind == "gap":
+            a = data.draw(st.integers(1, rows - 1), label="first dropped row")
+            b = data.draw(st.integers(a + 1, min(rows, a + 60)), label="end of the block")
+            edited = imu_lines[:a] + imu_lines[b:]  # drops data rows a..b-1 (lines a+1..b)
+        else:
+            r = data.draw(st.integers(1, rows), label="row")
+            cells = imu_lines[r].split(",")
+            if kind == "cell":
+                col = data.draw(st.integers(0, len(cells) - 1), label="column")
+                cells[col] = data.draw(st.sampled_from(["nan", "inf", "-inf"]), label="value")
+            else:
+                cells = cells[: data.draw(st.integers(1, len(cells) - 1), label="kept")]
+            edited = imu_lines[:r] + [",".join(cells)] + imu_lines[r + 1 :]
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for name, text in short_streams.items():
+                (out / name).write_text(text)
+            (out / "imu.csv").write_text("\n".join(edited) + "\n")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(["--out", str(out), "run"])
+        err = stderr.getvalue()
+        if kind != "gap":
+            assert code == 2 and f"imu.csv:{r + 1}: " in err
+            return
+        # the first fix, in file order, whose IMU epoch was dropped
+        kept = {float(line.split(",")[0]) for line in edited[1:]}
+        fixes = short_streams["gnss.csv"].splitlines()[1:]
+        orphans = [k for k, line in enumerate(fixes) if float(line.split(",")[0]) not in kept]
+        if orphans:
+            assert code == 2 and f"gnss.csv:{orphans[0] + 2}: no IMU epoch" in err
+        else:
+            assert code == 0, err
 
 
 class TestVerify:

@@ -17,7 +17,7 @@ from eqnav.filter import (
     run,
     update_gnss,
 )
-from eqnav.kinematics import _WINDOW, FrameTag, ImuSample, NonMonotonicTime, integrate_imu
+from eqnav.kinematics import _WINDOW, FrameTag, ImuSample, NonMonotonicTime, _walk, integrate_imu
 from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
 from eqnav.transition import phi_left, phi_right, qd_matrix
 from eqnav.verify import heave_observability
@@ -395,6 +395,49 @@ class TestRun:
             )
             with pytest.raises(ValueError, match=re.escape(f"at epoch t={bad[30].t}: ")):
                 run(bad, [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+
+    def test_failed_window_propagated_once(self, scenario, earth, monkeypatch):
+        # the window 1..45 fails at epoch 30: it names the epoch from its one
+        # propagation, with no second pass and no per-epoch predict
+        import eqnav.filter as flt
+
+        truth, imu = scenario
+        bad = list(imu[:60])
+        bad[30] = ImuSample(bad[30].t, np.array([0.0, 0.0, 2e5]), bad[30].accel)
+        fix = GnssFix(imu[45].t, truth.samples[45][1].pos.copy(), np.eye(3))
+        walks = []
+
+        def walk(*args):
+            walks.append(len(args[4]))
+            return _walk(*args)
+
+        def no_predict(*args, **kwargs):
+            raise AssertionError("run() called predict")
+
+        monkeypatch.setattr(flt, "_walk", walk)
+        monkeypatch.setattr(flt, "predict", no_predict)
+        for conv in (RIGHT, LEFT):
+            walks.clear()
+            st = FilterState(
+                truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv
+            )
+            with pytest.raises(ValueError, match=re.escape(f"at epoch t={bad[30].t}: ")):
+                run(bad, [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+            assert walks == [45]
+
+    def test_invalid_covariance_names_epoch(self, scenario, earth):
+        # a specific force of 1e200 m/s^2 overflows the epoch's
+        # covariance: the FilterState check fails there and names it
+        truth, imu = scenario
+        bad = list(imu[:40])
+        bad[20] = ImuSample(bad[20].t, bad[20].gyro, np.array([1e200, 0.0, 0.0]))
+        for conv in (RIGHT, LEFT):
+            st = FilterState(
+                truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match=re.escape(f"at epoch t={bad[20].t}: Filter")):
+                    run(bad, [], st, NoiseParams(1e-8, 1e-6), earth, LeverArm(np.zeros(3)))
 
     def test_fix_free_run_memory_bounded(self, scenario, earth):
         """A 10 000-epoch run without fixes is one window; its stacked pass

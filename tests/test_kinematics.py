@@ -79,6 +79,28 @@ class TestEarthModel:
             assert abs(lat2 - lat) < 1e-11 and abs(lon2 - lon) < 1e-12
             assert abs(h2 - h) < 1e-5
 
+    @pytest.mark.parametrize("pole", [90.0, -90.0])
+    @pytest.mark.parametrize("offset_deg", [0.0, 1e-9, 1e-7, 1e-5, 1.1e-5, 1e-4, 1e-3])
+    def test_geodetic_roundtrip_near_poles(self, earth, pole, offset_deg):
+        # within about 1 m of the polar axis p / cos(lat) - R_N cancels
+        lat = math.radians(pole - math.copysign(offset_deg, pole))
+        for lon in (0.0, 2.1):
+            for h in (-100.0, 400.0, 9000.0):
+                lat2, _, h2 = earth.ecef_to_geodetic(earth.geodetic_to_ecef(lat, lon, h))
+                assert abs(lat2 - lat) <= 1e-12
+                assert abs(h2 - h) <= 1e-6
+
+    @pytest.mark.parametrize("pole", [90.0, -90.0])
+    @pytest.mark.parametrize("offset_deg", [0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3])
+    def test_ned_lat_height_near_poles(self, earth, pole, offset_deg):
+        lat = math.radians(pole - math.copysign(offset_deg, pole))
+        for h in (-100.0, 400.0, 9000.0):
+            lat2, h2 = earth.ned_lat_height(earth.ned_position(lat, h))
+            if offset_deg == 0.0:
+                assert lat2 == lat
+            assert abs(lat2 - lat) <= 1e-8
+            assert abs(h2 - h) <= 1e-6
+
     def test_ned_lat_height_roundtrip_low_altitude(self, earth, rng):
         # default branch rule is exact below half the conjugate-height gap
         for _ in range(100):
