@@ -20,14 +20,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errordyn import Convention, LeverArm, NoiseParams
-from .filter import FilterState, GnssFix, run
+from .filter import FilterState, GnssFix, _run
 from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameTag, GroupElement, _cross, so3_log
+from .liegroup import FrameTag, GroupElement, _cross, _rotations_ok, _so3_logs
 from .sim import (
     _PROFILES,
     SensorErrorSpec,
@@ -155,18 +156,8 @@ class RunConfig:
         return sigma**2 * np.eye(3)
 
     def tolerances(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "tol_group_affine",
-                "tol_equivariance",
-                "tol_gamma_series",
-                "tol_gamma_integrals",
-                "tol_phi_left",
-                "tol_phi_right",
-                "tol_null_angle",
-            )
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name.startswith("tol_")}
 
 
 class ConfigError(ValueError):
@@ -221,28 +212,40 @@ def parse_config(path: str | None, overrides: list[str]) -> RunConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and ``rows`` (rows of floats, as many as the header's
+    columns), each value with 17 significant digits."""
+    cols = header.count(",") + 1
+    line = ",".join(["%.17g"] * cols) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        rows = np.asarray(rows, float).reshape(-1, cols)
+        fh.writelines(line % tuple(r) for r in map(np.ndarray.tolist, rows))
 
 
-def _read_csv(path: Path, expect_header: str, make) -> tuple[list, list[int]]:
-    """Rows of a CSV stream, each list of floats passed through ``make``,
-    and the file line of each row.
+def _columns(items, *fields) -> np.ndarray:
+    """One row per item: its ``fields`` (attribute paths such as
+    ``"state.x.rot"``, or functions of the item), flattened, side by side."""
+    getters = [f if callable(f) else attrgetter(f) for f in fields]
+    cols = [np.array([get(i) for i in items]) for get in getters]
+    return np.column_stack([c.reshape(len(c), -1) if len(c) else c for c in cols])
 
-    A malformed row, one that ``make`` rejects with ``ValueError``, or one
-    whose time (first column) is not strictly after the previous row's
-    raises :class:`ConfigError` citing ``path:line``; so does a file with no
-    data row after its header.
+
+def _read_csv(path: Path, expect_header: str, make, check=None) -> tuple[np.ndarray, list[int]]:
+    """Rows of a CSV stream as an (N, columns) float array, and the file
+    line of each row.
+
+    The rows are checked in one pass: every entry finite, and ``check``
+    of the finite rows, if given, the rest of the decision of ``make``
+    (the row's validating constructor, taking its list of floats).  Only
+    the first rejected row goes through ``make``, whose ``ValueError``
+    names the fault.  The first malformed row, rejected row, or row whose
+    time (first column) is not strictly after the previous row's raises
+    :class:`ConfigError` citing ``path:line``; so does a file with no data
+    row after its header.
     """
     rows, lines = [], []
-    last = None  # time of the previous data row
+    malformed = None  # (message, cause) of the first malformed row
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != expect_header:
@@ -253,25 +256,35 @@ def _read_csv(path: Path, expect_header: str, make) -> tuple[list, list[int]]:
                 continue
             parts = line.split(",")
             if len(parts) != want:
-                raise ConfigError(f"{path}:{lineno}: expected {want} columns")
+                malformed = f"{path}:{lineno}: expected {want} columns", None
+                break
             try:
-                values = [float(p) for p in parts]
+                rows.append(list(map(float, parts)))
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad float: {exc}") from exc
-            try:
-                rows.append(make(values))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                malformed = f"{path}:{lineno}: bad float: {exc}", exc
+                break
             lines.append(lineno)
-            if last is not None and not values[0] > last:
-                raise ConfigError(
-                    f"{path}:{lineno}: time {values[0]!r} is not after the "
-                    f"previous row's {last!r}"
-                )
-            last = values[0]
+    values = np.array(rows).reshape(-1, want)
+    t = values[:, 0]
+    ok = np.isfinite(values).all(axis=1)
+    if check is not None:
+        ok[ok] = check(values[ok])
+    ok[1:] &= t[1:] > t[:-1]
+    if not ok.all():
+        k = int(ok.argmin())
+        row = values[k].tolist()
+        try:
+            make(row)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lines[k]}: {exc}") from exc
+        raise ConfigError(
+            f"{path}:{lines[k]}: time {row[0]!r} is not after the previous row's {t[k - 1].item()!r}"
+        )
+    if malformed is not None:
+        raise ConfigError(malformed[0]) from malformed[1]
     if not rows:
         raise ConfigError(f"{path}: no data rows after the header")
-    return rows, lines
+    return values, lines
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -293,33 +306,11 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             truth, cfg.lever().l_b, cfg.gnss_rate, cfg.gnss_cov(), seed=cfg.seed + 1
         )
 
-    _write_csv(
-        out / "imu.csv",
-        IMU_HEADER,
-        ([s.t, *s.gyro, *s.accel] for s in imu),
-    )
-    _write_csv(
-        out / "gnss.csv",
-        GNSS_HEADER,
-        (
-            [
-                f.t,
-                *f.pos_ecef,
-                f.cov[0, 0],
-                f.cov[1, 1],
-                f.cov[2, 2],
-                f.cov[0, 1],
-                f.cov[0, 2],
-                f.cov[1, 2],
-            ]
-            for f in gnss
-        ),
-    )
-    _write_csv(
-        out / "truth.csv",
-        TRUTH_HEADER,
-        ([t, *x.rot.reshape(9), *x.vel, *x.pos] for t, x in truth.samples),
-    )
+    _write_csv(out / "imu.csv", IMU_HEADER, _columns(imu, "t", "gyro", "accel"))
+    _write_csv(out / "gnss.csv", GNSS_HEADER,
+               _columns(gnss, "t", "pos_ecef", lambda f: f.cov.flat[[0, 4, 8, 1, 2, 5]]))
+    _write_csv(out / "truth.csv", TRUTH_HEADER,
+               np.column_stack([truth.times, _columns(truth.states(), "rot", "vel", "pos")]))
     log.info("wrote %d IMU, %d GNSS, %d truth rows", len(imu), len(gnss), len(truth.samples))
     return 0
 
@@ -328,15 +319,12 @@ def _imu_row(r: list[float]) -> ImuSample:
     return ImuSample(r[0], np.array(r[1:4]), np.array(r[4:7]))
 
 
+# gnss.csv columns of the covariance's entries, row by row
+_COV_CELLS = [4, 7, 8, 7, 5, 9, 8, 9, 6]
+
+
 def _gnss_row(r: list[float]) -> GnssFix:
-    cov = np.array(
-        [
-            [r[4], r[7], r[8]],
-            [r[7], r[5], r[9]],
-            [r[8], r[9], r[6]],
-        ]
-    )
-    return GnssFix(r[0], np.array(r[1:4]), cov)
+    return GnssFix(r[0], np.array(r[1:4]), np.array(r)[_COV_CELLS].reshape(3, 3))
 
 
 def _truth_row(r: list[float]) -> tuple[float, GroupElement]:
@@ -346,14 +334,36 @@ def _truth_row(r: list[float]) -> tuple[float, GroupElement]:
     return r[0], GroupElement(rot, np.array(r[10:13]), np.array(r[13:16]), FrameTag.ECEF_IB)
 
 
+def _gnss_accepts(values: np.ndarray) -> np.ndarray:
+    """:class:`GnssFix`'s decision on finite rows of ``gnss.csv``: a positive
+    definite covariance (built from its six entries, it is symmetric)."""
+    return (np.linalg.eigvalsh(values[:, _COV_CELLS].reshape(-1, 3, 3)) > 0.0).all(axis=1)
+
+
+def _truth_accepts(values: np.ndarray) -> np.ndarray:
+    """``_truth_row``'s decision on finite rows of ``truth.csv``."""
+    return _rotations_ok(values[:, 1:10].reshape(-1, 3, 3))
+
+
 def _load_streams(cfg: RunConfig, out: Path):
+    """The ``imu.csv``, ``gnss.csv`` and (if present) ``truth.csv`` streams.
+
+    ``imu.csv`` and ``truth.csv`` are parsed into arrays, (N, 7) and
+    (M, 16) in file column order, and each is checked in one pass over its
+    rows, with the decisions of :class:`ImuSample` and
+    :class:`GroupElement`; only the first rejected row is rebuilt through
+    its constructor, which names the fault at ``file:line``.  Each GNSS fix
+    is a :class:`GnssFix`.  ``truth`` is ``None`` without ``truth.csv``.
+    """
     imu, _ = _read_csv(out / "imu.csv", IMU_HEADER, _imu_row)
-    gnss, gnss_lines = _read_csv(out / "gnss.csv", GNSS_HEADER, _gnss_row)
+    values, gnss_lines = _read_csv(out / "gnss.csv", GNSS_HEADER, _gnss_row, _gnss_accepts)
+    gnss = [_gnss_row(r) for r in values.tolist()]
     truth_path = out / "truth.csv"
-    truth = _read_csv(truth_path, TRUTH_HEADER, _truth_row)[0] if truth_path.exists() else None
+    truth = (_read_csv(truth_path, TRUTH_HEADER, _truth_row, _truth_accepts)[0]
+             if truth_path.exists() else None)
     # a gap in imu.csv can leave a fix without an IMU epoch to apply it at:
     # the nearest epoch is one of the two around the fix in the sorted times
-    imu_times, fix_times = np.array([s.t for s in imu]), np.array([f.t for f in gnss])
+    imu_times, fix_times = imu[:, 0], values[:, 0]
     k = np.searchsorted(imu_times, fix_times).clip(1, len(imu) - 1)
     gap = np.minimum(abs(imu_times[k - 1] - fix_times), abs(imu_times[k] - fix_times))
     bad = np.flatnonzero(gap > cfg.time_slop)
@@ -365,6 +375,13 @@ def _load_streams(cfg: RunConfig, out: Path):
     return imu, gnss, truth
 
 
+def _square_sums(d: np.ndarray) -> float:
+    """Sum over the rows of ``d`` (N, 3) of each row's ``np.sum(row ** 2)``,
+    added in row order from 0.0, with the bits of that loop."""
+    d = d * d
+    return float(np.cumsum(np.append(0.0, (d[:, 0] + d[:, 1]) + d[:, 2]))[-1])
+
+
 def cmd_run(cfg: RunConfig, out: Path) -> int:
     """Run the filter on previously simulated (or ingested) CSV streams."""
     with _config_values():
@@ -372,8 +389,14 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         p0, conv = cfg.initial_cov(), cfg.conv()
     imu, gnss, truth = _load_streams(cfg, out)
 
+    truth_at = {}.get
     if truth is not None:
-        x0 = truth[0][1]
+        rows = dict(zip(truth[:, 0].tolist(), truth))
+
+        def truth_at(t):
+            return _truth_row(rows[t].tolist())[1] if t in rows else None
+
+        x0 = truth_at(truth[0, 0])
     else:
         # dead-reckon start from the first fix, level attitude
         fix = gnss[0]
@@ -382,36 +405,21 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         if not math.isfinite(lat):
             raise ConfigError(f"{out / 'gnss.csv'}: first fix at t={fix.t} has no "
                               "geodetic latitude to level the start at")
-        x0 = GroupElement(
-            earth.ned_rotation(lat, lon),
-            _cross(earth.omega_vec, fix.pos_ecef),
-            fix.pos_ecef,
-            FrameTag.ECEF_IB,
-        )
-    state0 = FilterState(x0, np.zeros(3), np.zeros(3), p0, imu[0].t, conv)
+        x0 = GroupElement(earth.ned_rotation(lat, lon), _cross(earth.omega_vec, fix.pos_ecef),
+                          fix.pos_ecef, FrameTag.ECEF_IB)
+    state0 = FilterState(x0, np.zeros(3), np.zeros(3), p0, imu[0, 0].item(), conv)
     try:
-        records = run(
-            imu, gnss, state0, noise, earth, lever, truth=truth, time_slop=cfg.time_slop
-        )
+        records = _run(imu[:, 0], imu[:, 1:].reshape(-1, 2, 3), gnss, state0, noise, earth,
+                       lever, truth_at, None, cfg.time_slop)
     except ValueError as exc:  # LinAlgError included
         raise ConfigError(
             f"filter run on {out / 'imu.csv'} and {out / 'gnss.csv'} failed: {exc}"
         ) from exc
 
-    nav_header = (
-        TRUTH_HEADER
-        + ",bgx,bgy,bgz,bax,bay,baz,"
-        + ",".join(f"p{i+1}" for i in range(15))
-    )
-    _write_csv(
-        out / "nav_out.csv",
-        nav_header,
-        (
-            [r.t, *r.state.x.rot.reshape(9), *r.state.x.vel, *r.state.x.pos,
-             *r.state.bg, *r.state.ba, *r.p_diag]
-            for r in records
-        ),
-    )
+    nav_header = TRUTH_HEADER + ",bgx,bgy,bgz,bax,bay,baz," + ",".join(f"p{i+1}" for i in range(15))
+    nav = _columns(records, "t", "state.x.rot", "state.x.vel", "state.x.pos", "state.bg",
+                   "state.ba", "p_diag")
+    _write_csv(out / "nav_out.csv", nav_header, nav)
 
     nis_vals = [r.nis for r in records if r.nis is not None]
     summary = {"epochs": len(records), "updates": len(nis_vals)}
@@ -419,31 +427,22 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         summary["mean_nis"] = float(np.mean(nis_vals))
 
     if truth is not None:
-        err_header = (
-            "t," + ",".join(f"e{i+1}" for i in range(15)) + ",nees,inx,iny,inz,nis"
+        err_header = "t," + ",".join(f"e{i+1}" for i in range(15)) + ",nees,inx,iny,inz,nis"
+        _write_csv(
+            out / "err_out.csv",
+            err_header,
+            [[r.t, *r.error, r.nees, *r.innovation, r.nis] for r in records if r.error is not None],
         )
-        rows = []
-        tm = dict(truth)
-        pos_se = vel_se = att_se = 0.0
-        count = 0
-        for r in records:
-            if r.t in tm:
-                xt = tm[r.t]
-                pos_se += float(np.sum((r.state.x.pos - xt.pos) ** 2))
-                vel_se += float(np.sum((r.state.x.vel - xt.vel) ** 2))
-                att_se += float(
-                    np.sum(so3_log(r.state.x.rot @ xt.rot.T) ** 2)
-                )
-                count += 1
-            if r.error is not None:  # a fix epoch with truth
-                rows.append([r.t, *r.error, r.nees, *r.innovation, r.nis])
-        _write_csv(out / "err_out.csv", err_header, rows)
+        # the epochs with a truth row at their time; nav_out.csv starts with
+        # the columns of truth.csv
+        k = np.searchsorted(truth[:, 0], nav[:, 0]).clip(max=len(truth) - 1)
+        hit = truth[k, 0] == nav[:, 0]
+        est, true = nav[hit], truth[k[hit]]
+        rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
+        for name, d in (("rms_pos", est[:, 13:16] - true[:, 13:16]),
+                        ("rms_vel", est[:, 10:13] - true[:, 10:13]), ("rms_att", _so3_logs(rot))):
+            summary[name] = math.sqrt(_square_sums(d) / len(est))
         nees_vals = [r.nees for r in records if r.nees is not None]
-        summary.update(
-            rms_pos=math.sqrt(pos_se / count),
-            rms_vel=math.sqrt(vel_se / count),
-            rms_att=math.sqrt(att_se / count),
-        )
         if nees_vals:
             summary["mean_nees"] = float(np.mean(nees_vals))
 

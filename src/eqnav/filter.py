@@ -27,7 +27,7 @@ from .errordyn import (
     h_matrix,
 )
 from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _StepError, _WINDOW, _walk
-from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen
+from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen, _trusted
 from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
@@ -92,19 +92,41 @@ class FilterState:
             raise ValueError("FilterState.t is not finite")
         _frozen(self, "bg", 3)
         _frozen(self, "ba", 3)
-        p = _frozen(self, "p", (15, 15))
-        # P - P^T is antisymmetric, so its largest entry is its largest
-        # magnitude; the tolerance 1e-12 max(1, max |P_ij|) is at least
-        # 1e-12, so it need not be formed below that
-        asym = float((p - p.T).max())
-        if asym > 1e-12 and asym > 1e-12 * max(1.0, float(np.abs(p).max())):
-            raise ValueError("FilterState.p must be symmetric")
-        # min eig(P) > -tau exactly when P + tau I has a Cholesky factor (up
-        # to its roundoff, ~n^2 eps trace(P), far below tau)
-        shifted = p.copy()
-        shifted.flat[::16] += _PSD_TOL * max(float(p.trace()), 1e-300)
-        if dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] != 0:
-            raise ValueError("FilterState.p must be positive semidefinite")
+        fault = _p_faults(_frozen(self, "p", (15, 15))[None])[0]
+        if fault:
+            raise ValueError(f"FilterState.p {_P_FAULTS[fault]}")
+
+
+_P_FAULTS = (None, "contains non-finite values", "must be symmetric",
+             "must be positive semidefinite")
+
+
+def _p_faults(p: NDArray) -> NDArray:
+    """FilterState's verdict on each P of a stack (N, 15, 15), in one pass:
+    0 if admitted, else the index in ``_P_FAULTS`` of the first check it
+    fails (finite entries, symmetry within 1e-12 max(1, max |P_ij|), no
+    eigenvalue below -tau, tau = 1e-10 max(trace P, 1e-300)).
+
+    min eig(P) > -tau exactly when P + tau I has a Cholesky factor (up to
+    its roundoff, ~n^2 eps trace(P), far below tau).  The shifted stack is
+    formed at once; LAPACK's ``dpotrf`` factors each matrix in place.
+    """
+    # each row holds P^T, whose transpose (a Fortran-ordered view) is P; the
+    # sum of its diagonal view is np.trace's own reduction
+    shifted = p.transpose(0, 2, 1).copy()
+    diag = shifted.reshape(len(p), 225)[:, ::16]
+    diag += _PSD_TOL * np.maximum(diag.sum(axis=1), 1e-300)[:, None]
+    fault = np.array([3 * (dpotrf(m.T, lower=1, clean=0, overwrite_a=1)[1] != 0)
+                      for m in shifted], dtype=int)
+    # P - P^T is antisymmetric, so its largest entry is its largest
+    # magnitude, NaN or infinite if P has a non-finite entry; a stack within
+    # the least tolerance, 1e-12, in one test is finite and symmetric
+    d = p - p.swapaxes(1, 2)
+    if not d.max(initial=0.0) <= 1e-12:
+        asym = d.max(axis=(1, 2))
+        fault[(asym > 1e-12) & (asym > 1e-12 * np.maximum(1.0, np.abs(p).max(axis=(1, 2))))] = 2
+        fault[~np.isfinite(p).all(axis=(1, 2))] = 1
+    return fault
 
 
 def predict(
@@ -148,12 +170,13 @@ def predict(
     if imu_prev is not None:
         gyro = 0.5 * (imu_prev.gyro + imu.gyro)
         accel = 0.5 * (imu_prev.accel + imu.accel)
-    return _propagate(
+    states, _ = _propagate(
         state, gyro.reshape(1, 3), accel.reshape(1, 3), [imu.t], np.array([dt]), noise, earth
-    )[0]
+    )
+    return states[0]
 
 
-def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]:
+def _propagate(state, gyro, accel, times, dt, noise, earth):
     """States of a window of epochs, at ``times``, propagated from ``state``.
 
     ``gyro`` and ``accel`` (N, 3) are the epochs' rates before bias
@@ -163,14 +186,21 @@ def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]
     (:func:`~eqnav.kinematics._walk`) forms what does not depend on the
     state estimate for the whole window at once (the Gamma blocks of the
     body rotations and of the earth rate, the mean steps' body-frame
-    velocity increments) and runs the mean steps in order; the transition
-    matrices and their process noise of the whole window are then formed
-    at once, from the Gamma blocks (left convention) or from the walk's
-    stacked mean trajectory (right convention), and the covariance
-    recursion runs last.  Every entry is formed by the operations a window
-    of one takes, so a window's results do not depend on its length.  A
-    failing mean step, an interval over one turn or an invalid state
-    raises ``ValueError`` naming its epoch (``at epoch t=...``).
+    velocity increments), runs the mean steps in order and checks each
+    stepped state in place; the transition matrices and their process
+    noise of the whole window are then formed at once, from the Gamma
+    blocks (left convention) or from the walk's stacked mean trajectory
+    (right convention), and the covariance recursion runs last.  Every
+    entry is formed by the operations a window of one takes, so a window's
+    results do not depend on its length.
+
+    The window's covariances are checked in one pass, with the decisions
+    of :class:`FilterState`; only the first rejected one is rebuilt
+    through that constructor, to name its fault.  The states are then made
+    without a second check, holding read-only views of the covariance
+    stack, which is returned too, shape (N, 15, 15).  A failing mean step,
+    an interval over one turn or an invalid state raises ``ValueError``
+    naming its epoch (``at epoch t=...``).
     """
     conv = state.convention
     gyro = gyro - state.bg
@@ -191,16 +221,21 @@ def _propagate(state, gyro, accel, times, dt, noise, earth) -> list[FilterState]
     except _StepError as exc:
         raise ValueError(f"at epoch t={times[exc.step]}: {exc}") from exc
 
+    ps = np.empty((len(dt), 15, 15))
     p = state.p
-    out = []
-    for t, x, phi, qd in zip(times, xs, phis, qds):
+    for k, (phi, qd) in enumerate(zip(phis, qds)):
         p = phi @ p @ phi.T + qd
-        p = 0.5 * (p + p.T)
+        p = ps[k] = 0.5 * (p + p.T)
+    bad = np.flatnonzero(_p_faults(ps))
+    if bad.size:
+        k = int(bad[0])
         try:
-            out.append(FilterState(x, state.bg, state.ba, p, t, conv))
+            FilterState(xs[k], state.bg, state.ba, ps[k], times[k], conv)  # names the fault
         except ValueError as exc:
-            raise ValueError(f"at epoch t={t}: {exc}") from exc
-    return out
+            raise ValueError(f"at epoch t={times[k]}: {exc}") from exc
+    ps.setflags(write=False)
+    return [_trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=p, t=t, convention=conv)
+            for x, p, t in zip(xs, ps, times)], ps
 
 
 def update_gnss(
@@ -363,8 +398,13 @@ def run(
     form a window: only an update changes the biases, so they are constant
     within it, and each window, in pieces of at most a fixed number of
     epochs, is sliced from those arrays and propagated in one pass (see
-    :func:`_propagate`) before its fix is applied.  The records equal
-    those of a loop of :func:`predict` and :func:`update_gnss`.
+    :func:`_propagate`) before its fix is applied.  Validation runs once
+    per window: the propagation checks the window's states with the
+    decisions of their constructors, and the states and records are then
+    made without a second check.  The records equal those of a loop of
+    :func:`predict` and :func:`update_gnss`.  The array core,
+    :func:`_run`, takes the stacked stream; ``eqnav run`` calls it with
+    the arrays it parsed.
 
     Raises
     ------
@@ -377,13 +417,27 @@ def run(
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
     """
-    imu_times = np.array([s.t for s in imu])
+    rates = np.array([v for s in imu for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
+    return _run(np.array([s.t for s in imu]), rates, gnss, initial, noise, earth, lever,
+                dict(truth or ()).get, truth_biases, time_slop)
+
+
+def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, truth_biases,
+         time_slop) -> list[EpochRecord]:
+    """Array core of :func:`run` on the stacked IMU stream.
+
+    ``imu_times`` (N,) are the samples' times and ``imu_rates`` (N, 2, 3)
+    their (gyro, accel) rows, finite; ``truth_at(t)`` is the ground truth
+    at time ``t``, ``None`` where there is none.  The states and records
+    of a window's epochs are made once its propagation has checked them
+    (see :func:`_propagate`), with the covariance diagonals of the window
+    taken in one pass; the records of the epochs that apply a fix are
+    built from :func:`update_gnss`'s checked state.
+    """
     for name, stamps in (("imu", imu_times), ("gnss", np.array([f.t for f in gnss]))):
         bad = np.flatnonzero(stamps[1:] <= stamps[:-1])
         if bad.size:
             raise NonMonotonicTime(f"{name} stream not increasing at t={stamps[bad[0] + 1]}")
-
-    truth_map = dict(truth) if truth is not None else {}
 
     # the run's epochs: the initial state, then every IMU epoch after it;
     # each fix is aligned with its nearest IMU epoch (no interpolation)
@@ -406,50 +460,44 @@ def run(
                 f"IMU epoch t={imu_times[idx]}"
             )
         fixes_at[idx] = fix
+    times = imu_times.tolist()
 
-    def record(i, state):
-        """Record of IMU epoch ``i`` at ``state``, corrected by the epoch's
-        fix if it has one."""
+    def record(i, state, p_diag):
+        """Record of IMU epoch ``i`` at ``state`` (covariance diagonal
+        ``p_diag``), corrected by the epoch's fix if it has one."""
         innovation = nis = error = nees = None
         if i in fixes_at:
             try:
                 state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
             except ValueError as exc:  # LinAlgError included
-                raise type(exc)(f"at epoch t={imu[i].t}: {exc}") from exc
-            if state.t in truth_map:
-                db_g = db_a = None
-                if truth_biases is not None:
-                    db_g = truth_biases[0] - state.bg
-                    db_a = truth_biases[1] - state.ba
-                error = error_state(
-                    state.convention, state.x, truth_map[state.t], db_g, db_a
-                ).as_vector()
+                raise type(exc)(f"at epoch t={times[i]}: {exc}") from exc
+            p_diag = np.diag(state.p).copy()
+            x_true = truth_at(state.t)
+            if x_true is not None:
+                db = (None, None) if truth_biases is None else (
+                    truth_biases[0] - state.bg, truth_biases[1] - state.ba)
+                error = error_state(state.convention, state.x, x_true, *db).as_vector()
                 nees = float(error @ np.linalg.solve(state.p, error))
-        return EpochRecord(
-            state.t, state, np.diag(state.p).copy(), innovation, nis, error, nees
-        )
+        return _trusted(EpochRecord, t=state.t, state=state, p_diag=p_diag,
+                        innovation=innovation, nis=nis, error=error, nees=nees)
 
     # row k - 1 holds IMU epoch k's trapezoidal mean (gyro, accel) and its
     # interval, the first epoch's from the initial state
-    rates = np.array([v for s in imu for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
-    rates = 0.5 * (rates[:-1] + rates[1:])
+    rates = 0.5 * (imu_rates[:-1] + imu_rates[1:])
     dts = np.diff(imu_times)
-    times = imu_times.tolist()
-    if first < len(imu):
+    if first < len(times):
         dts[first - 1] = times[first] - initial.t
 
-    records = [record(first - 1, initial)]
+    records = [record(first - 1, initial, np.diag(initial.p).copy())]
     # a window ends at each fix epoch and at the last epoch
-    stops = sorted(k + 1 for k in fixes_at if k >= first) + [len(imu)]
+    stops = sorted(k + 1 for k in fixes_at if k >= first) + [len(times)]
     i = first
     for stop in stops:
         while i < stop:
             end = min(stop, i + _WINDOW)
             rows = slice(i - 1, end - 1)
-            states = _propagate(
-                records[-1].state, rates[rows, 0], rates[rows, 1], times[i:end], dts[rows],
-                noise, earth,
-            )
-            records += [record(k, s) for k, s in zip(range(i, end), states)]
+            states, ps = _propagate(records[-1].state, rates[rows, 0], rates[rows, 1],
+                                    times[i:end], dts[rows], noise, earth)
+            records += map(record, range(i, end), states, np.diagonal(ps, 0, 1, 2).copy())
             i = end
     return records

@@ -34,8 +34,10 @@ from .liegroup import (
     GroupElement,
     _EYE3,
     _cross,
+    _element_ok,
     _frozen,
     _gamma_pass,
+    _trusted,
     compose,
     gamma_blocks,
     hat,
@@ -235,7 +237,10 @@ class EarthModel:
             s2 = 0.5 * (aa + sign * math.sqrt(disc))
             if not 0.0 <= s2 <= 1.0:
                 continue
-            lat = math.copysign(math.asin(min(1.0, math.sqrt(s2))), k)
+            # cos^2(lat) = k^2 (1/s2 - e2) cancels nothing near the poles,
+            # where 1 - s2 would lose half the digits
+            c2 = k2 * (1.0 / s2 - e2) if s2 > 0.0 else 1.0
+            lat = math.copysign(math.atan2(math.sqrt(s2), math.sqrt(c2)), k)
             height = -z_n - a * math.sqrt(1.0 - e2 * s2)
             roots.append((lat, height))
         if not roots:  # |k| beyond the quartic range: clamp to 45 degrees
@@ -481,8 +486,13 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     ``passes`` is :func:`_passes`'s ``(body, rate, dv, g0)``, ``traj`` the
     stacked trajectory ``(rot, vel, pos)``, shapes (N + 1, 3, 3) and
     (N + 1, 3), whose row 0 is ``x`` and row k + 1 the end of step k, and
-    ``xs`` the N stepped states.  A step whose state is invalid raises
-    :class:`_StepError` naming its index.
+    ``xs`` the N stepped states.
+
+    Each stepped state is checked in place, by the scalar rotation test and
+    one finiteness test, the decisions of :class:`GroupElement`; only a
+    state that fails them is rebuilt through its constructor, whose
+    message the :class:`_StepError` naming the step's index carries.  The
+    states that pass become elements without a second check or copy.
     """
     passes = _passes(frame, gyro, accel, dt, earth, n)
     _, rate, dv, g0 = passes
@@ -494,9 +504,13 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
         try:
             step = _midpoint(frame, x, h, earth, dv[k], g0[k], rate[k])
             rot[k + 1], vel[k + 1], pos[k + 1] = step
-            x = GroupElement(*step, x.frame)
+            if not _element_ok(*step):
+                GroupElement(*step, x.frame)  # names the fault
         except ValueError as exc:
             raise _StepError(k, str(exc)) from exc
+        for a in step:  # fresh arrays, held by the element alone
+            a.setflags(write=False)
+        x = _trusted(GroupElement, rot=step[0], vel=step[1], pos=step[2], frame=x.frame)
         xs.append(x)
     return passes, (rot, vel, pos), xs
 

@@ -106,7 +106,22 @@ def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
     """
     if mat.shape != (3, 3):
         return False
-    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
+    return _rotation_test(mat.ravel().tolist(), math.sqrt, tol)
+
+
+def _rotations_ok(rot: NDArray, tol: float = _ROTATION_TOL) -> NDArray:
+    """:func:`is_rotation` of each matrix of a stack (N, 3, 3), with its decisions.
+
+    The residuals are formed by the same operations, element by element
+    over the stack, so each has the bits of the scalar test.
+    """
+    return _rotation_test(rot.reshape(-1, 9).T, np.sqrt, tol)
+
+
+def _rotation_test(entries, sqrt, tol):
+    """The rotation test on the row-major entries of one matrix (floats) or
+    of a stack (arrays), ``sqrt`` the matching correctly rounded root."""
+    a, b, c, d, e, f, g, h, i = entries
     # mat^T mat - I: Gram matrix of the columns (a, d, g), (b, e, h), (c, f, i)
     uu = a * a + d * d + g * g - 1.0
     vv = b * b + e * e + h * h - 1.0
@@ -114,9 +129,9 @@ def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
     uv = a * b + d * e + g * h
     uw = a * c + d * f + g * i
     vw = b * c + e * f + h * i
-    err = math.sqrt(uu * uu + vv * vv + ww * ww + 2.0 * (uv * uv + uw * uw + vw * vw))
+    err = sqrt(uu * uu + vv * vv + ww * ww + 2.0 * (uv * uv + uw * uw + vw * vw))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return err <= tol and abs(det - 1.0) <= tol
+    return (err <= tol) & (abs(det - 1.0) <= tol)
 
 
 # --- Gamma function family ------------------------------------------------
@@ -295,36 +310,49 @@ def so3_log(R: NDArray) -> NDArray:
     Uses the numerically stable atan2 form.  Near the half-turn
     (trace(R) close to -1) the rotation axis is extracted from the largest
     diagonal element and a :class:`DegenerateRotationWarning` is issued;
-    a value is still returned.
+    a value is still returned.  This is :func:`_so3_logs` on a stack of one.
     """
-    R = np.asarray(R, dtype=float)
-    w = 0.5 * vee(R - R.T)  # sin(theta) * axis
-    s = float(np.linalg.norm(w))
-    c = 0.5 * (float(np.trace(R)) - 1.0)
-    theta = math.atan2(s, min(1.0, max(-1.0, c)))
+    return _so3_logs(np.asarray(R, dtype=float).reshape(1, 3, 3))[0]
 
-    if theta > math.pi - SMALL_ANGLE:
+
+def _so3_logs(R: NDArray) -> NDArray:
+    """:func:`so3_log` of each matrix of a stack (N, 3, 3), shape (N, 3).
+
+    Each row has the bits of its matrix alone: the sine vector, its norm
+    (one dot product per row, as ``np.linalg.norm``), the trace and the
+    angle (``math.atan2`` per row) are formed by the same operations for
+    every matrix of the stack.
+    """
+    d = R - R.swapaxes(1, 2)
+    w = 0.5 * np.stack([d[:, 2, 1], d[:, 0, 2], d[:, 1, 0]], axis=1)  # sin(theta) axis
+    s = np.sqrt((w[:, None, :] @ w[:, :, None]).ravel())
+    c = 0.5 * (np.trace(R, axis1=1, axis2=2) - 1.0)
+    theta = np.array(
+        [math.atan2(a, min(1.0, max(-1.0, b))) for a, b in zip(s.tolist(), c.tolist())]
+    )
+    small, half = theta < SMALL_ANGLE, theta > math.pi - SMALL_ANGLE
+    t2 = theta * theta
+    scale = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+    np.divide(theta, s, out=scale, where=~(small | half))
+    out = w * scale[:, None]
+    for k in np.flatnonzero(half).tolist():
         warnings.warn(
             "rotation logarithm near the pi branch; axis from largest diagonal",
             DegenerateRotationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        k = int(np.argmax(np.diag(R)))
-        one_mc = 1.0 - c
+        r, one_mc = R[k], 1.0 - c[k]
+        i = int(np.argmax(np.diag(r)))
         ax = np.empty(3)
-        ax[k] = math.sqrt(max((R[k, k] - c) / one_mc, 0.0))
+        ax[i] = math.sqrt(max((r[i, i] - c[k]) / one_mc, 0.0))
         for j in range(3):
-            if j != k:
-                ax[j] = (R[k, j] + R[j, k]) / (2.0 * one_mc * ax[k])
+            if j != i:
+                ax[j] = (r[i, j] + r[j, i]) / (2.0 * one_mc * ax[i])
         ax /= np.linalg.norm(ax)
-        if s > 0.0 and float(ax @ w) < 0.0:
+        if s[k] > 0.0 and float(ax @ w[k]) < 0.0:
             ax = -ax
-        return theta * ax
-
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        return w * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
-    return w * (theta / s)
+        out[k] = theta[k] * ax
+    return out
 
 
 # --- SE2(3) ----------------------------------------------------------------
@@ -345,6 +373,28 @@ def _frozen(owner, name: str, shape) -> NDArray:
     arr.setflags(write=False)
     object.__setattr__(owner, name, arr)
     return arr
+
+
+def _element_ok(rot: NDArray, vel: NDArray, pos: NDArray) -> bool:
+    """:class:`GroupElement`'s decision on its fields, without a copy: a
+    rotation, by the scalar test, with finite velocity and position."""
+    cols = vel.tolist() + pos.tolist()
+    # the sum is finite only if every entry is; they are tested one by one
+    # only when it is not (a non-finite entry or overflow)
+    return is_rotation(rot) and (math.isfinite(sum(cols)) or all(map(math.isfinite, cols)))
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    ``__post_init__`` does not run: the caller has already made its checks,
+    once for a whole window or stream, and passes read-only arrays (its
+    own fresh ones, or views of its checked stacks) that the instance
+    keeps without copying.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)

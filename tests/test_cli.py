@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import eqnav.cli as cli
 from eqnav.cli import (
     GNSS_HEADER,
     IMU_HEADER,
@@ -304,6 +305,95 @@ def short_streams(tmp_path_factory):
     args = sum([["--set", o] for o in fast_overrides(duration=3)], [])
     assert main(["--out", str(out)] + args + ["simulate"]) == 0
     return {name: (out / name).read_text() for name in ("imu.csv", "gnss.csv", "truth.csv")}
+
+
+
+class TestStreamChecks:
+    """Each stream is checked in one pass, with its constructors' decisions
+    and messages."""
+
+    def test_rejections_name_file_and_line(self, short_streams, tmp_path, capsys):
+        # (file, data row, column, cell from the old one, message after file:line)
+        cases = (
+            ("truth.csv", 3, 11, lambda c: "nan", "GroupElement.vel contains non-finite values"),
+            ("imu.csv", 4, 5, lambda c: "inf", "ImuSample.accel contains non-finite values"),
+            ("gnss.csv", 2, 4, lambda c: "-1.0", "GnssFix.cov must be positive definite"),
+            ("truth.csv", 6, 1, lambda c: repr(float(c) + 1e-6),
+             "GroupElement.rot is not a rotation matrix"),
+        )
+        for name, row, col, cell, message in cases:
+            for stream, text in short_streams.items():
+                (tmp_path / stream).write_text(text)
+            lines = short_streams[name].splitlines()
+            cells = lines[row].split(",")
+            cells[col] = cell(cells[col])
+            lines[row] = ",".join(cells)
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+            assert main(["--out", str(tmp_path), "run"]) == 2
+            assert capsys.readouterr().err == f"error: {tmp_path / name}:{row + 1}: {message}\n"
+
+    def test_batched_checks_match_constructors(self, short_streams, rng, tmp_path):
+        headers = {"imu.csv": IMU_HEADER, "gnss.csv": GNSS_HEADER, "truth.csv": TRUTH_HEADER}
+        makes = {"imu.csv": cli._imu_row, "gnss.csv": cli._gnss_row, "truth.csv": cli._truth_row}
+        checks = {"gnss.csv": cli._gnss_accepts, "truth.csv": cli._truth_accepts}
+        for name, text in short_streams.items():
+            stream = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+            rows = stream[:8]
+            for col in range(len(stream[0])):
+                for value in (np.nan, np.inf, -np.inf):
+                    rows.append(list(stream[1]))
+                    rows[-1][col] = value
+            if name == "gnss.csv":
+                for sxy in (0.999, 1.001, -1.0):  # sxx = syy = 1: PD for |sxy| < 1
+                    rows.append(stream[1][:4] + [1.0, 1.0, 1.0, sxy, 0.0, 0.0])
+            if name == "truth.csv":
+                for delta in (1e-11, 1e-9, 1e-6):
+                    rows.append(list(stream[1]))
+                    rows[-1][1 + rng.integers(9)] += delta
+            messages = []
+            for r in rows:
+                try:
+                    makes[name](r)
+                except ValueError as exc:
+                    messages.append(str(exc))
+                else:
+                    messages.append(None)
+            assert None in messages and len(set(messages)) > 2
+            # alone in its file, each row is accepted or rejected as its
+            # constructor decides, with its message
+            path = tmp_path / name
+            for r, message in zip(rows, messages):
+                path.write_text(headers[name] + "\n" + ",".join(map(repr, r)) + "\n")
+                if message is None:
+                    cli._read_csv(path, headers[name], makes[name], checks.get(name))
+                else:
+                    with pytest.raises(ConfigError) as exc:
+                        cli._read_csv(path, headers[name], makes[name], checks.get(name))
+                    assert str(exc.value) == f"{path}:2: {message}"
+            # in one stream (times made increasing), the first rejected row is named
+            for k, r in enumerate(rows):
+                r[0] = float(k) if np.isfinite(r[0]) else r[0]
+            path.write_text(headers[name] + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+            first = next(k for k, m in enumerate(messages) if m is not None)
+            with pytest.raises(ConfigError) as exc:
+                cli._read_csv(path, headers[name], makes[name], checks.get(name))
+            assert str(exc.value) == f"{path}:{first + 2}: {messages[first]}"
+
+def test_stacked_output_matches_row_loops(rng, tmp_path):
+    """The writer and the summary sums keep the bits of their per-row loops:
+    each value formatted alone with 17 digits, each row's ``np.sum`` of
+    squares added in row order from 0.0."""
+    rows = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+    rows[0] = [np.nan, np.inf, -0.0, 5e-324]
+    cli._write_csv(tmp_path / "out.csv", "a,b,c,d", rows)
+    want = "a,b,c,d\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows.tolist())
+    assert (tmp_path / "out.csv").read_text() == want
+    for scale in (1e-3, 1.0, 1e5):
+        d = rng.normal(size=(500, 3)) * scale
+        total = 0.0
+        for row in d:
+            total += float(np.sum(row ** 2))
+        assert cli._square_sums(d) == total
 
 
 class TestIngestion:

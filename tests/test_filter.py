@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eqnav.filter as flt
 import eqnav.liegroup as lg
 from eqnav.errordyn import Convention, LeverArm, NoiseParams, error_state, g_matrix
 from eqnav.filter import (
@@ -127,6 +128,71 @@ class TestFilterStateType:
         with pytest.raises(lg.FrameMismatch):
             FilterState(x, np.zeros(3), np.zeros(3), np.eye(15), 0.0)
 
+
+def accepts(make) -> bool:
+    """Whether ``make()`` builds its value without a ``ValueError``."""
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+class TestBatchedCovarianceChecks:
+    """The window's one-pass covariance check decides as FilterState does."""
+
+    @staticmethod
+    def cases(rng):
+        """Covariances on both sides of every FilterState decision."""
+        q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
+        rest = np.logspace(-10.0, 0.0, 14)
+
+        def with_min_eig(k):
+            # eigenvalues over ten decades plus one at -k tau
+            lam = -k * 1e-10 * rest.sum() / (1.0 + k * 1e-10)
+            p = q @ np.diag(np.concatenate([[lam], rest])) @ q.T
+            return 0.5 * (p + p.T)
+
+        out = []
+        for _ in range(6):
+            a = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-5, 3, size=15)
+            out.append(a @ a.T)
+        low_rank = rng.normal(size=(15, 10))
+        out += [low_rank @ low_rank.T, np.zeros((15, 15)), np.eye(15)]
+        out += [with_min_eig(k) for k in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)]
+        for largest in (0.5, 1e3):
+            for factor in (0.9, 1.1):
+                p = np.eye(15) * 1e-3
+                p[6, 6] = largest
+                p[0, 1] = factor * 1e-12 * max(1.0, largest)
+                out.append(p)
+        for value in (np.nan, np.inf, -np.inf):
+            for i, j in ((0, 0), (3, 7), (14, 2)):
+                p = np.eye(15)
+                p[i, j] = value
+                out.append(p)
+        return out
+
+    def test_same_decision_on_each_row(self, scenario, rng):
+        x0 = scenario[0].samples[0][1]
+        cases = self.cases(rng)
+        want = [accepts(lambda p=p: FilterState(x0, np.zeros(3), np.zeros(3), p, 0.0))
+                for p in cases]
+        assert True in want and False in want
+        with np.errstate(invalid="ignore", over="ignore"):
+            for p, ok in zip(cases, want):
+                fault = flt._p_faults(p[None])[0]
+                assert (fault == 0) == ok
+                if not ok:  # the message FilterState gives
+                    with pytest.raises(ValueError, match=f"^FilterState.p {flt._P_FAULTS[fault]}$"):
+                        FilterState(x0, np.zeros(3), np.zeros(3), p, 0.0)
+            # in a stack, each row has its verdict alone
+            stack = np.array(cases)
+            order = rng.permutation(len(cases))
+            for start in range(len(cases)):
+                rows = stack[order[start:]]
+                alone = [flt._p_faults(p[None])[0] for p in rows]
+                assert flt._p_faults(rows).tolist() == alone
 
 class TestPredict:
     def test_non_monotonic_rejected(self, scenario, earth):
@@ -438,6 +504,54 @@ class TestRun:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match=re.escape(f"at epoch t={bad[20].t}: Filter")):
                     run(bad, [], st, NoiseParams(1e-8, 1e-6), earth, LeverArm(np.zeros(3)))
+
+    @pytest.mark.parametrize("stage", ["mean", "transition", "overflow", "indefinite"])
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_failure_in_window_named_as_predict_loop(
+        self, scenario, earth, monkeypatch, stage, conv
+    ):
+        """A 100-epoch fix-free window whose epoch 60 fails, in the stage
+        ``stage``, raises what a loop of predict raises, naming that epoch."""
+        truth, imu = scenario
+        k, step = 60, 0.01
+        gyro, accel = imu[0].gyro, imu[0].accel
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        bad_gyro, bad_accel, stretch = gyro, accel, 0.0
+        if stage == "mean":
+            # the velocity increment over a 4 s interval overflows
+            step, bad_accel = 4.0, np.array([1e308, 0.0, 0.0])
+        elif stage == "transition":
+            bad_gyro = np.array([0.0, 0.0, 2e5])  # over one turn in the interval
+        elif stage == "overflow":
+            bad_accel = np.array([1e200, 0.0, 0.0])  # overflows the covariance
+        else:
+            # epoch k's interval, the one 1.25 steps long, has process noise
+            # that takes 1 from the accel-bias variances: P is not PSD there
+            stretch = 0.25 * step
+            qd_matrix_alone = flt.qd_matrix
+
+            def qd_matrix_cut(phis, g, noise, dt):
+                qds = qd_matrix_alone(phis, g, noise, dt).copy()
+                qds[np.abs(dt - 1.25 * step) < 1e-9, 12:, 12:] -= np.eye(3)
+                return qds
+
+            monkeypatch.setattr(flt, "qd_matrix", qd_matrix_cut)
+        stream = [
+            ImuSample(step * j + (stretch if j >= k else 0.0),
+                      bad_gyro if j == k else gyro, bad_accel if j == k else accel)
+            for j in range(101)
+        ]
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as loop:
+                state = st
+                for j in range(1, len(stream)):
+                    state = predict(state, stream[j], noise, earth, imu_prev=stream[j - 1])
+            with pytest.raises(ValueError) as window:
+                run(stream, [], st, noise, earth, LeverArm(np.zeros(3)))
+        assert type(window.value) is type(loop.value)
+        assert str(window.value) == str(loop.value)
+        assert str(window.value).startswith(f"at epoch t={stream[k].t}: ")
 
     def test_fix_free_run_memory_bounded(self, scenario, earth):
         """A 10 000-epoch run without fixes is one window; its stacked pass

@@ -101,6 +101,17 @@ class TestEarthModel:
             assert abs(lat2 - lat) <= 1e-8
             assert abs(h2 - h) <= 1e-6
 
+    @pytest.mark.parametrize("pole", [90.0, -90.0])
+    @pytest.mark.parametrize("offset_deg", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1.0])
+    def test_ned_lat_height_full_precision_near_poles(self, earth, pole, offset_deg):
+        # the latitude comes from the cosine, which has all its digits near a
+        # pole, not from the sine, which has half of them there
+        lat = math.radians(pole - math.copysign(offset_deg, pole))
+        for h in (-100.0, 400.0, 9000.0):
+            lat2, h2 = earth.ned_lat_height(earth.ned_position(lat, h))
+            assert abs(lat2 - lat) <= 1e-14
+            assert abs(h2 - h) <= 1e-6
+
     def test_ned_lat_height_roundtrip_low_altitude(self, earth, rng):
         # default branch rule is exact below half the conjugate-height gap
         for _ in range(100):

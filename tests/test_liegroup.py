@@ -291,6 +291,94 @@ def test_is_rotation_decisions(rng):
 
 
 
+def _accepts_element(rot, vel, pos) -> bool:
+    try:
+        lg.GroupElement(rot, vel, pos)
+    except ValueError:
+        return False
+    return True
+
+
+def _flip_pair(accepted, rejected, entry):
+    """The matrices either side of where the rotation test flips, one ulp
+    apart in ``entry``: bisection from an accepted and a rejected matrix
+    that differ in that entry only."""
+    lo, hi = accepted.copy(), rejected.copy()
+    while True:
+        mid = lo.copy()
+        mid[entry] = 0.5 * (lo[entry] + hi[entry])
+        if mid[entry] in (lo[entry], hi[entry]):
+            return lo, hi
+        if lg.is_rotation(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_stacked_rotation_decisions_match_group_element(rng):
+    """The one-pass rotation test of a stack and the in-place element test
+    decide each row as GroupElement does: random rotations, the tolerance's
+    boundary to the ulp on both residuals, and NaN/inf in each field."""
+    z = np.zeros(3)
+    rots = [lg.so3_exp(rng.normal(size=3) * rng.uniform(0.0, 3.0)) for _ in range(20)]
+    rots += [np.eye(3), np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3)]
+    for r in rots[:4]:
+        # one entry moved until the test flips, on both sides of the entry
+        for entry, delta in (((0, 0), 1e-8), ((1, 2), -1e-8), ((2, 1), 3e-9)):
+            bad = r.copy()
+            bad[entry] += delta
+            assert lg.is_rotation(r) and not lg.is_rotation(bad)
+            lo, hi = _flip_pair(r, bad, entry)
+            for step in (-2, -1, 0, 1, 2):
+                for side in (lo, hi):
+                    m = side.copy()
+                    m[entry] = m[entry] + step * np.spacing(m[entry])
+                    rots.append(m)
+    for value in (np.nan, np.inf, -np.inf):
+        for i in range(9):
+            m = np.eye(3)
+            m.flat[i] = value
+            rots.append(m)
+    rots = np.array(rots)
+    want = [_accepts_element(r, z, z) for r in rots]
+    assert True in want and False in want
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert lg._rotations_ok(rots).tolist() == want
+    for r, ok in zip(rots, want):
+        assert lg._element_ok(r, z, z) == ok == lg.is_rotation(r)
+
+    rot = rots[0]
+    for value in (np.nan, np.inf, -np.inf, 1e308):
+        for field in (1, 2):
+            for i in range(3):
+                cols = [z.copy(), z.copy()]
+                cols[field - 1][i] = value
+                cols[field - 1][(i + 1) % 3] = 1e308  # a finite sum of squares overflows
+                want = _accepts_element(rot, *cols)
+                assert lg._element_ok(rot, *cols) == want
+                assert want == (value == 1e308)
+
+
+@pytest.mark.filterwarnings("ignore::eqnav.liegroup.DegenerateRotationWarning")
+def test_stacked_so3_log_rows_match_single(rng):
+    """Each row of a stacked rotation logarithm has the bits of the matrix
+    alone, on every branch: identity, small angles, generic, near pi."""
+    axes = rng.normal(size=(60, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([
+        [0.0, 1e-12, 1e-8], 10.0 ** rng.uniform(-7, -4, 15), rng.uniform(1e-4, 3.0, 27),
+        math.pi - 10.0 ** rng.uniform(-9, -4, 12), [math.pi, 3.1415, 1e-4],
+    ])
+    stack = np.array([lg.so3_exp(a * v) for a, v in zip(angles, axes)])
+    stack[:10] += rng.normal(size=(10, 3, 3)) * 1e-13
+    logs = lg._so3_logs(stack)
+    for m, got in zip(stack, logs):
+        assert got.tobytes() == lg.so3_log(m).tobytes()
+        assert got.tobytes() == lg._so3_logs(m[None])[0].tobytes()
+    with pytest.warns(lg.DegenerateRotationWarning):
+        lg._so3_logs(stack[-3:-2])
+
+
 def _frozen_cases():
     """(type, field, valid constructor arguments) for every array field
     stored through ``liegroup._frozen``."""
