@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errordyn import Convention, LeverArm, NoiseParams
-from .filter import FilterState, GnssFix, _run
-from .kinematics import EarthModel, ImuSample
-from .liegroup import FrameTag, GroupElement, _cross, _rotations_ok, _so3_logs
+from .filter import FilterState, GnssFix, _cov_faults, _run
+from .kinematics import EarthModel, ImuSample, _StepError
+from .liegroup import FrameTag, GroupElement, _cross, _rotations_ok, _so3_logs, _trusted
 from .sim import (
     _PROFILES,
     SensorErrorSpec,
@@ -335,9 +335,9 @@ def _truth_row(r: list[float]) -> tuple[float, GroupElement]:
 
 
 def _gnss_accepts(values: np.ndarray) -> np.ndarray:
-    """:class:`GnssFix`'s decision on finite rows of ``gnss.csv``: a positive
-    definite covariance (built from its six entries, it is symmetric)."""
-    return (np.linalg.eigvalsh(values[:, _COV_CELLS].reshape(-1, 3, 3)) > 0.0).all(axis=1)
+    """:class:`GnssFix`'s decision on finite rows of ``gnss.csv``, on the
+    covariances built from their six entries (see ``filter._cov_faults``)."""
+    return _cov_faults(values[:, _COV_CELLS].reshape(-1, 3, 3)) == 0
 
 
 def _truth_accepts(values: np.ndarray) -> np.ndarray:
@@ -345,34 +345,31 @@ def _truth_accepts(values: np.ndarray) -> np.ndarray:
     return _rotations_ok(values[:, 1:10].reshape(-1, 3, 3))
 
 
-def _load_streams(cfg: RunConfig, out: Path):
+def _load_streams(out: Path):
     """The ``imu.csv``, ``gnss.csv`` and (if present) ``truth.csv`` streams.
 
-    ``imu.csv`` and ``truth.csv`` are parsed into arrays, (N, 7) and
-    (M, 16) in file column order, and each is checked in one pass over its
-    rows, with the decisions of :class:`ImuSample` and
-    :class:`GroupElement`; only the first rejected row is rebuilt through
-    its constructor, which names the fault at ``file:line``.  Each GNSS fix
-    is a :class:`GnssFix`.  ``truth`` is ``None`` without ``truth.csv``.
+    Each file is parsed into an array, (N, 7), (M, 10) and (K, 16) in file
+    column order, and checked in one pass over its rows, with the decisions
+    of :class:`ImuSample`, :class:`GnssFix` and :class:`GroupElement`; only
+    the first rejected row is rebuilt through its constructor, which names
+    the fault at ``file:line``.  The GNSS fixes are then made from the
+    checked rows without a second check.  Returns ``(imu, gnss, gnss_lines,
+    truth)``: the IMU array, the list of :class:`GnssFix`, the file line of
+    each fix, and the truth array, ``None`` without ``truth.csv``.  Which
+    IMU epoch each fix belongs to is decided by the run
+    (:func:`~eqnav.filter._run`).
     """
     imu, _ = _read_csv(out / "imu.csv", IMU_HEADER, _imu_row)
     values, gnss_lines = _read_csv(out / "gnss.csv", GNSS_HEADER, _gnss_row, _gnss_accepts)
-    gnss = [_gnss_row(r) for r in values.tolist()]
+    pos, cov = values[:, 1:4], values[:, _COV_CELLS].reshape(-1, 3, 3)
+    for a in (pos, cov):
+        a.setflags(write=False)
+    gnss = [_trusted(GnssFix, t=t, pos_ecef=r, cov=c)
+            for t, r, c in zip(values[:, 0].tolist(), pos, cov)]
     truth_path = out / "truth.csv"
     truth = (_read_csv(truth_path, TRUTH_HEADER, _truth_row, _truth_accepts)[0]
              if truth_path.exists() else None)
-    # a gap in imu.csv can leave a fix without an IMU epoch to apply it at:
-    # the nearest epoch is one of the two around the fix in the sorted times
-    imu_times, fix_times = imu[:, 0], values[:, 0]
-    k = np.searchsorted(imu_times, fix_times).clip(1, len(imu) - 1)
-    gap = np.minimum(abs(imu_times[k - 1] - fix_times), abs(imu_times[k] - fix_times))
-    bad = np.flatnonzero(gap > cfg.time_slop)
-    if bad.size:
-        raise ConfigError(
-            f"{out / 'gnss.csv'}:{gnss_lines[bad[0]]}: no IMU epoch in {out / 'imu.csv'} "
-            f"within {cfg.time_slop} s of the fix at t={gnss[bad[0]].t}"
-        )
-    return imu, gnss, truth
+    return imu, gnss, gnss_lines, truth
 
 
 def _square_sums(d: np.ndarray) -> float:
@@ -387,10 +384,16 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
     with _config_values():
         earth, noise, lever = cfg.earth(), cfg.noise(), cfg.lever()
         p0, conv = cfg.initial_cov(), cfg.conv()
-    imu, gnss, truth = _load_streams(cfg, out)
+    imu, gnss, gnss_lines, truth = _load_streams(out)
 
     truth_at = {}.get
     if truth is not None:
+        # the epochs with a truth row at their time; they are imu.csv's,
+        # and nav_out.csv's, times
+        k = np.searchsorted(truth[:, 0], imu[:, 0]).clip(max=len(truth) - 1)
+        hit = truth[k, 0] == imu[:, 0]
+        if not hit.any():
+            raise ConfigError(f"{out / 'truth.csv'}: no row at the time of any IMU epoch")
         rows = dict(zip(truth[:, 0].tolist(), truth))
 
         def truth_at(t):
@@ -411,6 +414,9 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
     try:
         records = _run(imu[:, 0], imu[:, 1:].reshape(-1, 2, 3), gnss, state0, noise, earth,
                        lever, truth_at, None, cfg.time_slop)
+    except _StepError as exc:  # a fix the run cannot apply
+        raise ConfigError(f"{out / 'gnss.csv'}:{gnss_lines[exc.index]}: {exc} "
+                          f"(IMU stream {out / 'imu.csv'})") from exc
     except ValueError as exc:  # LinAlgError included
         raise ConfigError(
             f"filter run on {out / 'imu.csv'} and {out / 'gnss.csv'} failed: {exc}"
@@ -433,10 +439,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
             err_header,
             [[r.t, *r.error, r.nees, *r.innovation, r.nis] for r in records if r.error is not None],
         )
-        # the epochs with a truth row at their time; nav_out.csv starts with
-        # the columns of truth.csv
-        k = np.searchsorted(truth[:, 0], nav[:, 0]).clip(max=len(truth) - 1)
-        hit = truth[k, 0] == nav[:, 0]
+        # nav_out.csv starts with the columns of truth.csv
         est, true = nav[hit], truth[k[hit]]
         rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
         for name, d in (("rms_pos", est[:, 13:16] - true[:, 13:16]),

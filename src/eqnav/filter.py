@@ -26,7 +26,8 @@ from .errordyn import (
     g_matrix,
     h_matrix,
 )
-from .kinematics import EarthModel, ImuSample, NonMonotonicTime, _StepError, _WINDOW, _walk
+from .kinematics import (EarthModel, ImuSample, NonMonotonicTime, _StepError, _increasing,
+                         _intervals, _stream, _walk, _windows)
 from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen, _trusted
 from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
@@ -52,7 +53,12 @@ class SingularInnovationCov(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class GnssFix:
-    """GNSS antenna position fix in ECEF coordinates with its covariance."""
+    """GNSS antenna position fix in ECEF coordinates with its covariance.
+
+    The time and the entries must be finite, and the covariance must pass
+    :func:`_cov_faults` (symmetric, positive definite), whose decision
+    ``eqnav run`` takes on all of ``gnss.csv`` at once.
+    """
 
     t: float
     pos_ecef: NDArray
@@ -62,11 +68,24 @@ class GnssFix:
         if not math.isfinite(self.t):
             raise ValueError("GnssFix.t is not finite")
         _frozen(self, "pos_ecef", 3)
-        cov = _frozen(self, "cov", (3, 3))
-        if np.linalg.norm(cov - cov.T) > 1e-9 * max(1.0, np.linalg.norm(cov)):
-            raise ValueError("GnssFix.cov must be symmetric")
-        if np.any(np.linalg.eigvalsh(cov) <= 0.0):
-            raise ValueError("GnssFix.cov must be positive definite")
+        fault = _cov_faults(_frozen(self, "cov", (3, 3))[None])[0]
+        if fault:
+            raise ValueError(f"GnssFix.cov {_COV_FAULTS[fault]}")
+
+
+_COV_FAULTS = (None, "must be symmetric", "must be positive definite")
+
+
+def _cov_faults(cov: NDArray) -> NDArray:
+    """:class:`GnssFix`'s verdict on each covariance of a finite stack
+    (N, 3, 3), in one pass: 0 if admitted, else the index in ``_COV_FAULTS``
+    of the first check it fails (symmetry, ``|C - C^T| <= 1e-9 max(1, |C|)``
+    in the Frobenius norm; every eigenvalue above 0)."""
+    # the norms of C - C^T and C: one dot product per matrix, as np.linalg.norm's
+    v = np.concatenate([cov - cov.swapaxes(1, 2), cov]).reshape(2, len(cov), 1, 9)
+    asym, size = np.sqrt(v @ v.swapaxes(2, 3)).reshape(2, len(cov))
+    return np.where(asym > 1e-9 * np.maximum(1.0, size), 1,
+                    2 * (np.linalg.eigvalsh(cov) <= 0.0).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -219,7 +238,7 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
             phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
             qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
     except _StepError as exc:
-        raise ValueError(f"at epoch t={times[exc.step]}: {exc}") from exc
+        raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
 
     ps = np.empty((len(dt), 15, 15))
     p = state.p
@@ -393,33 +412,43 @@ def run(
     fix carry the invariant error (its bias part ``truth_biases`` minus the
     estimate, zero without them) and the NEES.
 
-    The IMU stream is stacked once (times, trapezoidal mean rates and
-    intervals).  The epochs after one fix up to and including the next
-    form a window: only an update changes the biases, so they are constant
-    within it, and each window, in pieces of at most a fixed number of
-    epochs, is sliced from those arrays and propagated in one pass (see
-    :func:`_propagate`) before its fix is applied.  Validation runs once
-    per window: the propagation checks the window's states with the
-    decisions of their constructors, and the states and records are then
-    made without a second check.  The records equal those of a loop of
-    :func:`predict` and :func:`update_gnss`.  The array core,
-    :func:`_run`, takes the stacked stream; ``eqnav run`` calls it with
-    the arrays it parsed.
+    The IMU stream is stacked once, checked for time order and cut into
+    intervals (trapezoidal mean rates and lengths) and windows by the
+    stream preparation :func:`~eqnav.kinematics.integrate_imu` shares.
+    The epochs after one fix up to and including the next form a window:
+    only an update changes the biases, so they are constant within it, and
+    each window, in pieces of at most a fixed number of epochs, is sliced
+    from those arrays and propagated in one pass (see :func:`_propagate`)
+    before its fix is applied.  Validation runs once per window: the propagation checks the
+    window's states with the decisions of their constructors, and the
+    states and records are then made without a second check.  The records
+    equal those of a loop of :func:`predict` and :func:`update_gnss`.  The
+    array core, :func:`_run`, takes the stacked stream; ``eqnav run`` calls
+    it with the arrays it parsed.
 
     Raises
     ------
     NonMonotonicTime
         If either stream is not strictly increasing in time, with the
-        offending epoch named.
+        offending epoch named (``imu stream not increasing at t=...``).
     ValueError
         If a GNSS fix has no IMU epoch within ``time_slop``, if it maps to
         an epoch the run skips (before the initial state), if two fixes
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
     """
-    rates = np.array([v for s in imu for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
-    return _run(np.array([s.t for s in imu]), rates, gnss, initial, noise, earth, lever,
-                dict(truth or ()).get, truth_biases, time_slop)
+    return _run(*_stream(imu), gnss, initial, noise, earth, lever, dict(truth or ()).get,
+                truth_biases, time_slop)
+
+
+def _nearest(times: NDArray, t: NDArray) -> NDArray:
+    """Index of the entry of the increasing ``times`` (N >= 1) nearest to
+    each of the increasing ``t``, the earlier one on a tie (the first least
+    ``|times - t_j|`` of a full scan), from one ``searchsorted`` and the two
+    entries on either side of each ``t_j``."""
+    hi = np.searchsorted(times, t).clip(max=len(times) - 1)
+    lo = (hi - 1).clip(min=0)
+    return np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
 
 
 def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, truth_biases,
@@ -428,39 +457,35 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
 
     ``imu_times`` (N,) are the samples' times and ``imu_rates`` (N, 2, 3)
     their (gyro, accel) rows, finite; ``truth_at(t)`` is the ground truth
-    at time ``t``, ``None`` where there is none.  The states and records
-    of a window's epochs are made once its propagation has checked them
-    (see :func:`_propagate`), with the covariance diagonals of the window
-    taken in one pass; the records of the epochs that apply a fix are
-    built from :func:`update_gnss`'s checked state.
+    at time ``t``, ``None`` where there is none.  Each fix is matched to
+    its nearest IMU epoch (:func:`_nearest`), then checked in stream order;
+    a fix the run cannot apply raises a ``ValueError``
+    (:class:`~eqnav.kinematics._StepError`) whose ``index`` is the fix's in
+    ``gnss``.  The states and records of a window's epochs are made once
+    its propagation has checked them (see :func:`_propagate`), with the
+    covariance diagonals of the window taken in one pass; the records of
+    the epochs that apply a fix are built from :func:`update_gnss`'s
+    checked state.
     """
-    for name, stamps in (("imu", imu_times), ("gnss", np.array([f.t for f in gnss]))):
-        bad = np.flatnonzero(stamps[1:] <= stamps[:-1])
-        if bad.size:
-            raise NonMonotonicTime(f"{name} stream not increasing at t={stamps[bad[0] + 1]}")
+    rates, dts = _intervals(imu_times, imu_rates)
+    fix_times = np.array([f.t for f in gnss])
+    _increasing("gnss", fix_times)
+    times = imu_times.tolist()
 
     # the run's epochs: the initial state, then every IMU epoch after it;
     # each fix is aligned with its nearest IMU epoch (no interpolation)
     first = max(1, int(np.searchsorted(imu_times, initial.t, side="right")))
     fixes_at: dict[int, GnssFix] = {}
-    for fix in gnss:
-        idx = int(np.argmin(np.abs(imu_times - fix.t)))
-        if abs(imu_times[idx] - fix.t) > time_slop:
-            raise ValueError(
-                f"no IMU epoch within {time_slop} s of GNSS fix at t={fix.t}"
-            )
-        if idx < first and imu_times[idx] != initial.t:
-            raise ValueError(
-                f"GNSS fix at t={fix.t} maps to IMU epoch t={imu_times[idx]}, "
-                f"which the run from the initial state at t={initial.t} skips"
-            )
+    for j, (idx, fix) in enumerate(zip(_nearest(imu_times, fix_times).tolist(), gnss)):
+        if abs(times[idx] - fix.t) > time_slop:
+            raise _StepError(j, f"no IMU epoch within {time_slop} s of GNSS fix at t={fix.t}")
+        if idx < first and times[idx] != initial.t:
+            raise _StepError(j, f"GNSS fix at t={fix.t} maps to IMU epoch t={times[idx]}, which "
+                             f"the run from the initial state at t={initial.t} skips")
         if idx in fixes_at:
-            raise ValueError(
-                f"GNSS fixes at t={fixes_at[idx].t} and t={fix.t} both map to "
-                f"IMU epoch t={imu_times[idx]}"
-            )
+            raise _StepError(j, f"GNSS fixes at t={fixes_at[idx].t} and t={fix.t} both map to "
+                             f"IMU epoch t={times[idx]}")
         fixes_at[idx] = fix
-    times = imu_times.tolist()
 
     def record(i, state, p_diag):
         """Record of IMU epoch ``i`` at ``state`` (covariance diagonal
@@ -481,23 +506,17 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
         return _trusted(EpochRecord, t=state.t, state=state, p_diag=p_diag,
                         innovation=innovation, nis=nis, error=error, nees=nees)
 
-    # row k - 1 holds IMU epoch k's trapezoidal mean (gyro, accel) and its
-    # interval, the first epoch's from the initial state
-    rates = 0.5 * (imu_rates[:-1] + imu_rates[1:])
-    dts = np.diff(imu_times)
+    # row k - 1 of rates and dts is IMU epoch k's interval; the first
+    # epoch's starts at the initial state
     if first < len(times):
         dts[first - 1] = times[first] - initial.t
 
     records = [record(first - 1, initial, np.diag(initial.p).copy())]
-    # a window ends at each fix epoch and at the last epoch
-    stops = sorted(k + 1 for k in fixes_at if k >= first) + [len(times)]
-    i = first
-    for stop in stops:
-        while i < stop:
-            end = min(stop, i + _WINDOW)
-            rows = slice(i - 1, end - 1)
-            states, ps = _propagate(records[-1].state, rates[rows, 0], rates[rows, 1],
-                                    times[i:end], dts[rows], noise, earth)
-            records += map(record, range(i, end), states, np.diagonal(ps, 0, 1, 2).copy())
-            i = end
+    # a window ends at each fix epoch (epoch k's interval is row k - 1) and
+    # at the last epoch
+    stops = sorted(k for k in fixes_at if k >= first) + [len(dts)]
+    for a, b in _windows(first - 1, stops):
+        states, ps = _propagate(records[-1].state, rates[a:b, 0], rates[a:b, 1],
+                                times[a + 1 : b + 1], dts[a:b], noise, earth)
+        records += map(record, range(a + 1, b + 1), states, np.diagonal(ps, 0, 1, 2).copy())
     return records

@@ -72,11 +72,12 @@ class NonMonotonicTime(ValueError):
 
 
 class _StepError(ValueError):
-    """A failure at one step of a window, ``step`` its index in the window."""
+    """A failure at one entry of a sequence (a step of a window, a fix of a
+    GNSS stream), ``index`` its index in the sequence."""
 
-    def __init__(self, step: int, message: str):
+    def __init__(self, index: int, message: str):
         super().__init__(message)
-        self.step = step
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -283,6 +284,13 @@ class EarthModel:
         return c_ne.T @ self.gravity_ecef(r_e)
 
 
+def _gravitation(earth: EarthModel, pos: NDArray) -> NDArray:
+    """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its bits."""
+    # one dot product per row, as r.dot(r) in gravitation_ecef
+    r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist()
+    return -earth.mu * pos / np.array([math.sqrt(v) ** 3 for v in r2])[:, None]
+
+
 @dataclass(frozen=True)
 class DynamicsPair:
     """Constant input pair (W1, W2) of the group-affine model dX/dt = X W1 + W2 X.
@@ -424,9 +432,47 @@ _CONSTANT_RATE = (FrameTag.ECEF_EB, FrameTag.ECEF_IB)
 _WINDOW = 128
 
 
+def _stream(samples: list[ImuSample]) -> tuple[NDArray, NDArray]:
+    """An IMU stream stacked: the samples' times (N,) and their (gyro, accel)
+    rows (N, 2, 3)."""
+    rates = np.array([v for s in samples for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
+    return np.array([s.t for s in samples]), rates
+
+
+def _increasing(name: str, times: NDArray) -> None:
+    """Raise :class:`NonMonotonicTime` naming the first of ``times`` (the
+    ``name`` stream's) that is not after its predecessor."""
+    bad = np.flatnonzero(times[1:] <= times[:-1])
+    if bad.size:
+        raise NonMonotonicTime(f"{name} stream not increasing at t={times[bad[0] + 1]}")
+
+
+def _intervals(times: NDArray, rates: NDArray) -> tuple[NDArray, NDArray]:
+    """The intervals of a stacked IMU stream (see :func:`_stream`), time
+    ordered: row k - 1 holds epoch k's trapezoidal mean (gyro, accel), shape
+    (N - 1, 2, 3), and its length, shape (N - 1,)."""
+    _increasing("imu", times)
+    return 0.5 * (rates[:-1] + rates[1:]), np.diff(times)
+
+
+def _windows(start: int, stops):
+    """The windows of intervals ``[a, b)`` (rows of :func:`_intervals`) from
+    ``start``, each ending at the next of the increasing ``stops`` or after
+    :data:`_WINDOW` intervals, whichever is first."""
+    for stop in stops:
+        while start < stop:
+            end = min(stop, start + _WINDOW)
+            yield start, end
+            start = end
+
+
 # the full and the half step of the midpoint scheme, as fractions of dt
 _STEPS = np.array([1.0, 0.5])
 _STEPS.setflags(write=False)
+
+# Below this bound on every entry of a body rotation vector its squared norm
+# and the squares of its hat (at most 3 and 2 times 2**1022) are finite.
+_ROTATION_CAP = 2.0**511
 
 
 def _passes(frame, gyro, accel, dt, earth, n):
@@ -441,11 +487,16 @@ def _passes(frame, gyro, accel, dt, earth, n):
     the body rotations' pass, and ``None`` for the NED variants, where it
     moves with the state; ``dv[k]`` is the body-frame velocity increment
     ``Gamma_1(s gyro dt) accel s dt`` of the full and half step (s = 1,
-    1/2), shape (N, 2, 3); ``g0[k]`` is ``Gamma_0(gyro dt)``.
+    1/2), shape (N, 2, 3); ``g0[k]`` is ``Gamma_0(gyro dt)``.  A step whose
+    body rotation is too large to square raises :class:`_StepError`
+    naming it.
     """
     steps = len(dt)
     dt_col = dt[:, None]
     phi = gyro * dt_col
+    if not np.abs(phi).max(initial=0.0) < _ROTATION_CAP:  # also inf
+        k = int((np.abs(phi) < _ROTATION_CAP).all(axis=1).argmin())
+        raise _StepError(k, "body rotation gyro * dt over the interval overflows")
     if frame in _CONSTANT_RATE:
         phi = np.concatenate([phi, -earth.omega_vec * dt_col])
     blocks, powers, t2 = _gamma_pass(phi, n, (1.0, 0.5))
@@ -493,7 +544,10 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     state that fails them is rebuilt through its constructor, whose
     message the :class:`_StepError` naming the step's index carries.  The
     states that pass become elements without a second check or copy.
+    Raises :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
     """
+    if x.frame is not None and x.frame != frame:
+        raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
     passes = _passes(frame, gyro, accel, dt, earth, n)
     _, rate, dv, g0 = passes
     rows = len(dt) + 1
@@ -527,8 +581,6 @@ def midpoint_step(
     the stepping walk every propagation runs, on a window of one step.
     Raises :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
     """
-    if x.frame is not None and x.frame != frame:
-        raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
     gyro, accel = np.reshape(gyro, (1, 3)), np.reshape(accel, (1, 3))
     return _walk(frame, x, gyro, accel, np.array([dt]), earth, 2)[2][0]
 
@@ -747,31 +799,34 @@ def integrate_imu(
     Each interval is one :func:`midpoint_step` with the trapezoidal mean of
     the two samples' rates, so the scheme is second order in the sample
     interval while every step remains an exact flow of a constant pair.
-    The steps run through the stepping walk every propagation shares, a
-    window of at most a fixed number of steps at a time, so what does not
-    depend on the state is formed for the window at once.  A step that
-    fails raises ``ValueError`` naming its epoch (``at epoch t=...``).
+    The stream is stacked and cut into intervals and windows as
+    :func:`~eqnav.filter.run` does it (:func:`_stream`, :func:`_intervals`,
+    :func:`_windows`); the steps run through the stepping walk every
+    propagation shares, a window at a time, so what does not depend on the
+    state is formed for the window at once.
 
     Returns the list of (t, state) including the initial sample time.
+
+    Raises
+    ------
+    NonMonotonicTime
+        If the sample times are not strictly increasing, naming the first
+        time that is not (``imu stream not increasing at t=...``).
+    ValueError
+        If a step fails (e.g. a body rotation too large to evaluate), naming
+        its epoch (``at epoch t=...``).
     """
     frame = frame if frame is not None else x0.frame
     if frame is None:
         raise ValueError("integrate_imu requires a frame tag")
-    times = [s.t for s in samples]
-    dts = np.diff(times)
-    bad = np.flatnonzero(dts <= 0.0)
-    if bad.size:
-        raise NonMonotonicTime(f"IMU timestamps not increasing at t={times[bad[0] + 1]}")
-    if dts.size and x0.frame is not None and x0.frame != frame:
-        raise FrameMismatch(f"state tagged {x0.frame.name}, dynamics for {frame.name}")
-    rates = np.array([v for s in samples for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
-    rates = 0.5 * (rates[:-1] + rates[1:])  # trapezoidal (gyro, accel) of each interval
+    times, rates = _stream(samples)
+    rates, dts = _intervals(times, rates)
+    times = times.tolist()
     out = [(times[0], x0)]
-    for a in range(0, dts.size, _WINDOW):
-        b = min(a + _WINDOW, dts.size)
+    for a, b in _windows(0, [dts.size]):
         try:
             xs = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth, 2)[2]
         except _StepError as exc:
-            raise ValueError(f"at epoch t={times[a + exc.step + 1]}: {exc}") from exc
+            raise ValueError(f"at epoch t={times[a + exc.index + 1]}: {exc}") from exc
         out += zip(times[a + 1 : b + 1], xs)
     return out

@@ -26,9 +26,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .filter import GnssFix
-from .kinematics import EarthModel, ImuSample
+from .kinematics import EarthModel, ImuSample, _gravitation
 from .liegroup import FrameTag, GroupElement, _cross, _frozen, hat
-from .transition import _gravitation
 
 __all__ = [
     "GravityPerturbationReport",

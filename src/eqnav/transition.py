@@ -31,13 +31,12 @@ from numpy.typing import NDArray
 from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
-from .kinematics import EarthModel, ImuSample, _StepError, _walk
+from .kinematics import EarthModel, ImuSample, _StepError, _gravitation, _walk
 from .liegroup import (
     _EYE3,
     _frozen,
     _gamma_pass,
     _hats,
-    FrameMismatch,
     FrameTag,
     GroupElement,
     gamma,
@@ -331,27 +330,21 @@ def phi_right(
 
     Raises
     ------
+    FrameMismatch
+        If ``xhat`` is tagged with a frame other than ECEF_IB (the walk's
+        check).
     ValueError
         If ``dt <= 0``, or if the body rotation ``|w| dt`` over the interval
         exceeds :data:`MAX_INTERVAL_ROTATION` (one turn).
     """
     if dt <= 0.0:
         raise ValueError("phi_right requires dt > 0")
-    if xhat.frame is not None and xhat.frame != FrameTag.ECEF_IB:
-        raise FrameMismatch(f"phi_right requires ECEF_IB state, got {xhat.frame.name}")
     accel, dts = imu.accel.reshape(1, 3), np.array([dt])
     (body, rate, _, g0), traj, _ = _walk(
         FrameTag.ECEF_IB, xhat, imu.gyro.reshape(1, 3), accel, dts, earth, 3
     )
     m = _phi_right(*traj, earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0))
     return TransitionBlocks(m[0], Convention.RIGHT_INVARIANT, dt)
-
-
-def _gravitation(earth, pos) -> NDArray:
-    """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its bits."""
-    # one dot product per row, as r.dot(r) in gravitation_ecef
-    r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist()
-    return -earth.mu * pos / np.array([math.sqrt(v) ** 3 for v in r2])[:, None]
 
 
 def _phi_right(rot, vel, pos, earth, dt, rate, left) -> NDArray:
@@ -412,15 +405,11 @@ def qd_matrix(
     matrix or a stack (N, 15, 12) of one per interval, gives the stack of
     their noises, each equal bit for bit to the noise of its matrices alone.
     """
-    if isinstance(dt, np.ndarray):  # one interval per matrix of a stack
-        bad = min(dt.ravel().tolist()) <= 0.0
-        half = (0.5 * dt)[..., None, None]
-    else:
-        bad = dt <= 0.0
-        half = 0.5 * dt
-    if bad:
+    dt = np.asarray(dt, dtype=float)  # one interval, or one per matrix of a stack
+    if min(dt.ravel().tolist()) <= 0.0:
         raise ValueError("qd_matrix requires dt > 0")
-    phi_m = phi.matrix if isinstance(phi, TransitionBlocks) else np.asarray(phi)
+    half = (0.5 * dt)[..., None, None]
+    phi_m = np.asarray(getattr(phi, "matrix", phi))  # a TransitionBlocks or its matrix
     gc = (g * noise.qc_diag) @ g.swapaxes(-1, -2)
     qd = half * (phi_m @ gc @ phi_m.swapaxes(-1, -2) + gc)
     return 0.5 * (qd + qd.swapaxes(-1, -2))

@@ -203,6 +203,58 @@ class TestRun:
         assert "imu.csv" in err and "gnss.csv" in err
         assert f"IMU epoch t={t0}" in err
 
+    def test_fix_rejections_name_gnss_line(self, short_streams, tmp_path, capsys):
+        """A fix the run cannot apply, one colliding with another at its IMU
+        epoch or one with no IMU epoch within time_slop, exits 2 naming its
+        gnss.csv line."""
+        lines = short_streams["gnss.csv"].splitlines()
+        first = lines[1].split(",")
+        t0 = float(first[0])
+        orphan = lines[2].split(",")
+        orphan[0] = repr(float(orphan[0]) + 0.002)  # the IMU epochs are 20 ms apart
+        cases = (
+            (lines[:2] + [",".join([repr(t0 + 5e-7)] + first[1:])] + lines[2:],
+             f"both map to IMU epoch t={t0}"),
+            (lines[:2] + [",".join(orphan)] + lines[3:], "no IMU epoch within"),
+        )
+        for edited, message in cases:
+            for name, text in short_streams.items():
+                (tmp_path / name).write_text(text)
+            (tmp_path / "gnss.csv").write_text("\n".join(edited) + "\n")
+            assert main(["--out", str(tmp_path), "run"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {tmp_path / 'gnss.csv'}:3: ") and message in err
+            assert "imu.csv" in err and err.count("\n") == 1
+
+    def test_truth_off_the_imu_epochs_exits_2(self, short_streams, tmp_path, capsys):
+        """truth.csv rows at none of the IMU epochs' times leave nothing to
+        score the run against: exit 2 naming truth.csv."""
+        for name, text in short_streams.items():
+            (tmp_path / name).write_text(text)
+        lines = short_streams["truth.csv"].splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        shifted = [",".join([repr(float(r[0]) + 0.005)] + r[1:]) for r in rows]
+        (tmp_path / "truth.csv").write_text("\n".join(lines[:1] + shifted) + "\n")
+        assert main(["--out", str(tmp_path), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'truth.csv'}: no row at the time of any IMU epoch\n"
+
+    def test_overflowing_gyro_row_names_epoch(self, short_streams, tmp_path, capsys):
+        """A gyro row whose |w dt|^2 overflows exits 2 with one line naming
+        the epoch whose interval first averages it, and no numpy warning."""
+        for name, text in short_streams.items():
+            (tmp_path / name).write_text(text)
+        lines = short_streams["imu.csv"].splitlines()
+        cells = lines[20].split(",")
+        cells[1] = "1e300"
+        lines[20] = ",".join(cells)
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(tmp_path), "run"]) == 2
+        err = capsys.readouterr().err
+        assert f"at epoch t={float(cells[0])}: " in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("conv", ["left", "right"])
     @pytest.mark.parametrize("lat", [90, -90])
     def test_polar_start_runs(self, tmp_path, capsys, lat, conv):

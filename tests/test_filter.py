@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,68 @@ class TestGnssFixType:
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError, match="GnssFix.t"):
                 GnssFix(t, np.zeros(3), np.eye(3))
+
+
+class TestGnssCovDecision:
+    """``_cov_faults`` is GnssFix's covariance decision on a stack at once."""
+
+    @staticmethod
+    def rule(c):
+        """GnssFix's checks written out on one matrix alone."""
+        if np.linalg.norm(c - c.T) > 1e-9 * max(1.0, np.linalg.norm(c)):
+            return 1
+        return 2 if np.any(np.linalg.eigvalsh(c) <= 0.0) else 0
+
+    @staticmethod
+    def boundary(rejects, lo, hi):
+        """The adjacent floats (a, b) in [lo, hi] with ``rejects(a)`` false
+        and ``rejects(b)`` true, by bisection on their bit patterns."""
+        a, b = np.array([lo, hi]).view(np.int64).tolist()
+        while b - a > 1:
+            m = (a + b) // 2
+            if rejects(np.int64(m).view(np.float64).item()):
+                b = m
+            else:
+                a = m
+        return np.array([a, b], dtype=np.int64).view(np.float64).tolist()
+
+    def test_matches_constructor_at_bounds(self, rng):
+        cases = []
+        for scale in (1e-3, 1.0, 1e4):
+            m = rng.normal(size=(3, 3))
+            base = scale * (m @ m.T + np.eye(3))
+            base[0, 1] = base[1, 0] = 0.0
+
+            def skewed(d):
+                c = base.copy()
+                c[0, 1] = d  # C - C^T holds d and -d
+                return c
+
+            # the symmetry bound, and one ulp either side of the last
+            # admitted and the first rejected offset
+            a, b = self.boundary(lambda d: self.rule(skewed(d)) == 1, 0.0, scale)
+            for d in (np.nextafter(a, 0.0), a, b, np.nextafter(b, np.inf)):
+                cases.append(skewed(d))
+            assert [self.rule(c) for c in cases[-4:]] == [0, 0, 1, 1]
+        # the positive-definite boundary: a zero, a negative zero, the least
+        # positive and the least negative eigenvalue, and rank-deficient
+        # matrices whose least eigenvalue is roundoff either side of 0
+        for least in (0.0, -0.0, 5e-324, -5e-324):
+            cases.append(np.diag([1.0, 2.0, least]))
+        for _ in range(20):
+            v = rng.normal(size=(3, 2))
+            cases.append(v @ v.T)
+        want = [self.rule(c) for c in cases]
+        assert {0, 1, 2} <= set(want)
+        stack = np.array(cases)
+        for order in (np.arange(len(cases)), rng.permutation(len(cases))):
+            assert flt._cov_faults(stack[order]).tolist() == [want[k] for k in order]
+        for c, fault in zip(cases, want):
+            if fault:
+                with pytest.raises(ValueError, match=flt._COV_FAULTS[fault]):
+                    GnssFix(0.0, np.zeros(3), c)
+            else:
+                GnssFix(0.0, np.zeros(3), c)
 
 
 class TestFilterStateType:
@@ -349,7 +412,82 @@ class TestUpdate:
             update_gnss(st, fix, LeverArm(np.zeros(3)))
 
 
+class TestFixMatching:
+    def test_nearest_is_argmin(self, rng):
+        """One searchsorted and the nearer neighbour, the earlier on a tie,
+        give argmin's index on strictly increasing streams: exact midpoint
+        ties, times outside the stream's span and one-sample streams
+        included."""
+        ties = 0
+        for n in [1, 1, 2, 3, 5] + [40] * 300:
+            if n % 2:
+                # integer multiples of 1/4: every midpoint is an exact tie
+                times = np.cumsum(rng.integers(1, 6, n)) * 0.25 + rng.integers(-20, 20)
+            else:
+                times = np.cumsum(rng.uniform(1e-3, 1.0, n)) + rng.uniform(-1e3, 1e3)
+            span = times[-1] - times[0] + 1.0
+            t = np.sort(np.concatenate([
+                rng.uniform(times[0] - span, times[-1] + span, 30),
+                0.5 * (times[:-1] + times[1:]),
+                times,
+            ]))
+            got = flt._nearest(times, t).tolist()
+            assert got == [int(np.argmin(np.abs(times - tj))) for tj in t]
+            d = np.abs(times[:, None] - t)
+            ties += int(((d == d.min(axis=0)).sum(axis=0) > 1).sum())
+        assert ties > 1000
+
+    def test_rejected_fix_carries_its_index(self, scenario, earth):
+        truth, imu = scenario
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0)
+        pos = truth.samples[0][1].pos.copy()
+        ok = [GnssFix(t, pos, np.eye(3)) for t in (0.0, 0.5, 1.0)]
+        cases = (
+            (ok + [GnssFix(1.0 + 5e-7, pos, np.eye(3))], 3, "both map to IMU epoch t=1.0"),
+            (ok[:2] + [GnssFix(0.7031, pos, np.eye(3))] + ok[2:], 2, "no IMU epoch within"),
+        )
+        for fixes, index, message in cases:
+            with pytest.raises(ValueError, match=message) as err:
+                run(imu[:200], fixes, st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+            assert err.value.index == index
+
+
 class TestRun:
+    def test_duplicate_timestamp_rejected_as_integrate_imu(self, scenario, earth):
+        """run() and integrate_imu prepare the stream the same way: the same
+        rejection, with the same message."""
+        truth, imu = scenario
+        bad = imu[:5] + [ImuSample(imu[4].t, imu[4].gyro, imu[4].accel)] + imu[5:9]
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0)
+        with pytest.raises(NonMonotonicTime) as by_run:
+            run(bad, [], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+        with pytest.raises(NonMonotonicTime) as by_walk:
+            integrate_imu(truth.samples[0][1], bad, earth)
+        message = f"imu stream not increasing at t={imu[4].t}"
+        assert str(by_run.value) == str(by_walk.value) == message
+
+    def test_overflowing_gyro_row_names_epoch(self, scenario, earth):
+        """A gyro row whose |w dt|^2 overflows is named by the first epoch
+        whose interval averages it, with no numpy warning, by run() in both
+        conventions, predict and integrate_imu."""
+        truth, imu = scenario
+        bad = list(imu[:40])
+        bad[20] = ImuSample(bad[20].t, np.array([1e300, 0.0, 0.0]), bad[20].accel)
+        x0, zero = truth.samples[0][1], np.zeros(3)
+        named = re.escape(f"at epoch t={bad[20].t}: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for conv in (LEFT, RIGHT):
+                st = FilterState(x0, zero, zero, default_p0(), 0.0, conv)
+                with pytest.raises(ValueError, match=named):
+                    run(bad, [], st, NoiseParams(0, 0), earth, LeverArm(zero))
+                st = FilterState(x0, zero, zero, default_p0(), bad[19].t, conv)
+                for prev in (bad[19], None):
+                    with pytest.raises(ValueError, match=named):
+                        predict(st, bad[20], NoiseParams(0, 0), earth, prev)
+            with pytest.raises(ValueError, match=named):
+                integrate_imu(x0, bad, earth)
+
     def test_duplicate_timestamp_rejected(self, scenario, earth):
         truth, imu = scenario
         bad = imu[:5] + [ImuSample(imu[4].t, imu[4].gyro, imu[4].accel)]
