@@ -29,14 +29,7 @@ from .errordyn import Convention, LeverArm, NoiseParams
 from .filter import FilterState, GnssFix, _cov_faults, _run
 from .kinematics import EarthModel, ImuSample, _StepError
 from .liegroup import FrameTag, GroupElement, _cross, _rotations_ok, _so3_logs, _trusted
-from .sim import (
-    _PROFILES,
-    SensorErrorSpec,
-    TrajectorySpec,
-    generate_truth,
-    synthesize_gnss,
-    synthesize_imu,
-)
+from .sim import _PROFILES, SensorErrorSpec, TrajectorySpec, _gnss_rows, _imu_rows, _truth_rows
 from .verify import heave_observability, run_all_checks
 
 log = logging.getLogger("eqnav")
@@ -288,12 +281,17 @@ def _read_csv(path: Path, expect_header: str, make, check=None) -> tuple[np.ndar
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    """Write imu.csv, gnss.csv and truth.csv for the configured scenario."""
+    """Write imu.csv, gnss.csv and truth.csv for the configured scenario.
+
+    The files are written from the checked stacks of the synthesis cores;
+    no per-sample record is built.
+    """
     if not out.is_dir():
         raise ConfigError(f"output directory does not exist: {out}")
     with _config_values():
         earth = cfg.earth()
-        truth = generate_truth(cfg.trajectory(), earth)
+        spec = cfg.trajectory()
+        _, times, x = _truth_rows(spec, earth)
         errors = SensorErrorSpec(
             np.array([cfg.sim_gyro_bias_x, cfg.sim_gyro_bias_y, cfg.sim_gyro_bias_z]),
             np.array([cfg.sim_accel_bias_x, cfg.sim_accel_bias_y, cfg.sim_accel_bias_z]),
@@ -301,17 +299,16 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             cfg.accel_psd,
             seed=cfg.seed,
         )
-        imu = synthesize_imu(truth, earth, errors)
-        gnss = synthesize_gnss(
-            truth, cfg.lever().l_b, cfg.gnss_rate, cfg.gnss_cov(), seed=cfg.seed + 1
-        )
+        gyro, accel = _imu_rows(times, x, spec.imu_rate, errors)
+        fix_times, pos, cov = _gnss_rows(times, x, spec.imu_rate, cfg.lever().l_b,
+                                         cfg.gnss_rate, cfg.gnss_cov(), cfg.seed + 1)
 
-    _write_csv(out / "imu.csv", IMU_HEADER, _columns(imu, "t", "gyro", "accel"))
-    _write_csv(out / "gnss.csv", GNSS_HEADER,
-               _columns(gnss, "t", "pos_ecef", lambda f: f.cov.flat[[0, 4, 8, 1, 2, 5]]))
+    _write_csv(out / "imu.csv", IMU_HEADER, np.column_stack([times, gyro, accel]))
+    cov_cells = np.broadcast_to(cov.flat[[0, 4, 8, 1, 2, 5]], (len(fix_times), 6))
+    _write_csv(out / "gnss.csv", GNSS_HEADER, np.column_stack([fix_times, pos, cov_cells]))
     _write_csv(out / "truth.csv", TRUTH_HEADER,
-               np.column_stack([truth.times, _columns(truth.states(), "rot", "vel", "pos")]))
-    log.info("wrote %d IMU, %d GNSS, %d truth rows", len(imu), len(gnss), len(truth.samples))
+               np.column_stack([times, x.rot.reshape(-1, 9), x.vel, x.pos]))
+    log.info("wrote %d IMU, %d GNSS, %d truth rows", len(times), len(fix_times), len(times))
     return 0
 
 

@@ -476,8 +476,10 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
     # each fix is aligned with its nearest IMU epoch (no interpolation)
     first = max(1, int(np.searchsorted(imu_times, initial.t, side="right")))
     fixes_at: dict[int, GnssFix] = {}
-    for j, (idx, fix) in enumerate(zip(_nearest(imu_times, fix_times).tolist(), gnss)):
-        if abs(times[idx] - fix.t) > time_slop:
+    # with no IMU epoch, no fix has one within time_slop
+    near = _nearest(imu_times, fix_times).tolist() if times else [-1] * len(gnss)
+    for j, (idx, fix) in enumerate(zip(near, gnss)):
+        if idx < 0 or abs(times[idx] - fix.t) > time_slop:
             raise _StepError(j, f"no IMU epoch within {time_slop} s of GNSS fix at t={fix.t}")
         if idx < first and times[idx] != initial.t:
             raise _StepError(j, f"GNSS fix at t={fix.t} maps to IMU epoch t={times[idx]}, which "

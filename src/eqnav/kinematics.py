@@ -475,6 +475,17 @@ _STEPS.setflags(write=False)
 _ROTATION_CAP = 2.0**511
 
 
+def _body_rotations(gyro: NDArray, dt) -> NDArray:
+    """The body rotations ``gyro * dt`` (N, 3) of a window's steps, ``dt``
+    their lengths as a column (N, 1) or one scalar.  The first step whose
+    rotation is too large to square raises :class:`_StepError` naming it."""
+    phi = gyro * dt
+    if not np.abs(phi).max(initial=0.0) < _ROTATION_CAP:  # also inf
+        k = int((np.abs(phi) < _ROTATION_CAP).all(axis=1).argmin())
+        raise _StepError(k, "body rotation gyro * dt over the interval overflows")
+    return phi
+
+
 def _passes(frame, gyro, accel, dt, earth, n):
     """The state-independent work of a window of midpoint steps.
 
@@ -493,10 +504,7 @@ def _passes(frame, gyro, accel, dt, earth, n):
     """
     steps = len(dt)
     dt_col = dt[:, None]
-    phi = gyro * dt_col
-    if not np.abs(phi).max(initial=0.0) < _ROTATION_CAP:  # also inf
-        k = int((np.abs(phi) < _ROTATION_CAP).all(axis=1).argmin())
-        raise _StepError(k, "body rotation gyro * dt over the interval overflows")
+    phi = _body_rotations(gyro, dt_col)
     if frame in _CONSTANT_RATE:
         phi = np.concatenate([phi, -earth.omega_vec * dt_col])
     blocks, powers, t2 = _gamma_pass(phi, n, (1.0, 0.5))

@@ -6,9 +6,15 @@ from the inverse mechanization without numerical differentiation, and a
 noise-free closed loop (truth -> IMU -> integration) is sharp to the
 integrator's order.
 
-Each stream (truth, IMU, GNSS) comes from one stacked pass of the profile
-over its times, with the bits of the per-sample formulas, and its records
-are then built one by one through their validating constructors.
+The profile is formed once per truth, in one stacked pass over its times
+with the bits of the per-sample formulas; the IMU stream reads its rates
+from that stack and the GNSS stream its rows at the fix epochs.  Each
+stream is checked once, in one pass over its stack, with the decisions of
+its records' validating constructors: only the first rejected row is
+rebuilt through its constructor, whose message names the fault.  The
+records are then built without a second check, their arrays read-only
+views of the checked stacks.  ``eqnav simulate`` writes its files from
+those stacks (the private cores below) without building any record.
 
 All randomness flows from explicit seeds; identical seeds give identical
 streams.  Each stream draws its noise as one C-order block of standard
@@ -25,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .filter import GnssFix
+from .filter import _COV_FAULTS, GnssFix, _cov_faults
 from .kinematics import EarthModel, ImuSample, _gravitation
-from .liegroup import FrameTag, GroupElement, _cross, _frozen, hat
+from .liegroup import FrameTag, GroupElement, _cross, _frozen, _rotations_ok, _trusted, hat
 
 __all__ = [
     "GravityPerturbationReport",
@@ -97,8 +103,8 @@ class SensorErrorSpec:
         _frozen(self, "accel_bias", 3)
         for name in ("gyro_psd", "accel_psd"):
             value = getattr(self, name)
-            if not value >= 0.0:  # also rejects NaN
-                raise ValueError(f"SensorErrorSpec.{name} must be >= 0, got {value!r}")
+            if not 0.0 <= value < math.inf:  # also rejects NaN
+                raise ValueError(f"SensorErrorSpec.{name} must be finite and >= 0, got {value!r}")
 
 
 # The profile at N times: attitude C_b^e (N, 3, 3), then (N, 3) each: the
@@ -207,14 +213,52 @@ class _Profile:
 
 @dataclass(frozen=True)
 class TruthTrajectory:
-    """Sampled ground truth plus its analytic profile."""
+    """Sampled ground truth plus its analytic profile.
+
+    ``rows`` is the profile at ``times``, formed once by
+    :func:`generate_truth` and checked; its arrays, and ``times``, are
+    read-only, and the states of ``samples`` are views of its rows.
+    """
 
     times: NDArray
     samples: list[tuple[float, GroupElement]]
     profile: _Profile
+    rows: _Stack
 
     def states(self) -> list[GroupElement]:
         return [x for _, x in self.samples]
+
+
+def _readonly(*arrays: NDArray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _finite_rows(*arrays: NDArray) -> NDArray:
+    """Whether each row (leading index) of every array is finite, (N,)."""
+    return np.logical_and.reduce(
+        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in arrays])
+
+
+def _truth_rows(spec: TrajectorySpec, earth: EarthModel) -> tuple[_Profile, NDArray, _Stack]:
+    """Array core of :func:`generate_truth`: the profile, the sample times
+    and the profile's stack at them, read-only.
+
+    The states are checked in one pass with :class:`GroupElement`'s
+    decisions (a rotation by :func:`~eqnav.liegroup.is_rotation`'s test,
+    finite velocity and position); the first rejected row is rebuilt
+    through the constructor, whose ``ValueError`` names the fault.
+    """
+    profile = _Profile(spec, earth)
+    n = int(round(spec.duration * spec.imu_rate))
+    times = np.arange(n) / spec.imu_rate
+    x = profile.stack(times)
+    _readonly(times, *x)
+    ok = _rotations_ok(x.rot) & _finite_rows(x.vel, x.pos)
+    if not ok.all():
+        k = int(ok.argmin())
+        GroupElement(x.rot[k], x.vel[k], x.pos[k], FrameTag.ECEF_IB)  # names the fault
+    return profile, times, x
 
 
 def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
@@ -225,15 +269,35 @@ def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
     mechanization exactly (the profile is constructed from closed-form
     derivatives).
     """
-    profile = _Profile(spec, earth)
-    n = int(round(spec.duration * spec.imu_rate))
-    times = np.arange(n) / spec.imu_rate
-    x = profile.stack(times)
+    profile, times, x = _truth_rows(spec, earth)
     samples = [
-        (t, GroupElement(rot, vel, pos, FrameTag.ECEF_IB))
+        (t, _trusted(GroupElement, rot=rot, vel=vel, pos=pos, frame=FrameTag.ECEF_IB))
         for t, rot, vel, pos in zip(times.tolist(), x.rot, x.vel, x.pos)
     ]
-    return TruthTrajectory(times, samples, profile)
+    return TruthTrajectory(times, samples, profile, x)
+
+
+def _imu_rows(times: NDArray, x: _Stack, rate: float,
+              errors: SensorErrorSpec) -> tuple[NDArray, NDArray]:
+    """Array core of :func:`synthesize_imu`: the gyro and accel rows (N, 3)
+    at ``times`` from the truth stack ``x`` at the IMU ``rate``, read-only.
+
+    The rows are checked in one pass with :class:`ImuSample`'s decisions
+    (finite time and entries); the first rejected row is rebuilt through
+    the constructor, whose ``ValueError`` names the fault.
+    """
+    rng = np.random.default_rng(errors.seed)
+    sg = math.sqrt(errors.gyro_psd * rate)
+    sa = math.sqrt(errors.accel_psd * rate)
+    noise = rng.standard_normal((times.size, 2, 3))
+    gyro = x.omega_b + errors.gyro_bias + sg * noise[:, 0]
+    accel = x.f_b + errors.accel_bias + sa * noise[:, 1]
+    _readonly(gyro, accel)
+    ok = _finite_rows(times, gyro, accel)
+    if not ok.all():
+        k = int(ok.argmin())
+        ImuSample(times[k].item(), gyro[k], accel[k])  # names the fault
+    return gyro, accel
 
 
 def synthesize_imu(
@@ -242,18 +306,52 @@ def synthesize_imu(
     """Exact inverse-mechanization IMU stream plus bias and white noise.
 
     Discrete noise is scaled by sqrt(PSD * rate); the stream is reproducible
-    from ``errors.seed``.
+    from ``errors.seed``.  The exact rates are read from the truth's stack.
     """
     del earth  # gravitation enters through the profile
-    rng = np.random.default_rng(errors.seed)
-    rate = truth.profile.spec.imu_rate
-    sg = math.sqrt(errors.gyro_psd * rate)
-    sa = math.sqrt(errors.accel_psd * rate)
-    x = truth.profile.stack(truth.times)
-    noise = rng.standard_normal((truth.times.size, 2, 3))
-    gyro = x.omega_b + errors.gyro_bias + sg * noise[:, 0]
-    accel = x.f_b + errors.accel_bias + sa * noise[:, 1]
-    return [ImuSample(t, g, a) for t, g, a in zip(truth.times.tolist(), gyro, accel)]
+    gyro, accel = _imu_rows(truth.times, truth.rows, truth.profile.spec.imu_rate, errors)
+    return [_trusted(ImuSample, t=t, gyro=g, accel=a)
+            for t, g, a in zip(truth.times.tolist(), gyro, accel)]
+
+
+def _gnss_rows(times: NDArray, x: _Stack, imu_rate: float, lever: NDArray, rate: float,
+               cov: NDArray, seed: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Array core of :func:`synthesize_gnss` on the truth's ``times`` and
+    stack ``x`` at ``imu_rate``: the fix times (M,), antenna positions
+    (M, 3) and the covariance (3, 3) every fix shares, read-only.
+
+    ``rate``, ``lever`` and ``cov`` are checked before any draw, the
+    covariance with :class:`GnssFix`'s decision; the fixes are then checked
+    in one pass (finite time and position), and the first rejected one is
+    rebuilt through the constructor, whose ``ValueError`` names the fault.
+    """
+    if not rate > 0.0:  # also rejects NaN
+        raise ValueError(f"synthesize_gnss: rate must be positive, got {rate!r}")
+    if rate > imu_rate:
+        raise ValueError("GNSS rate must not exceed the IMU rate")
+    lever = np.asarray(lever, dtype=float).reshape(3)
+    if not np.isfinite(lever).all():
+        raise ValueError("synthesize_gnss: lever contains non-finite values")
+    cov = np.array(cov, dtype=float).reshape(3, 3)
+    if not np.isfinite(cov).all():
+        raise ValueError("synthesize_gnss: cov contains non-finite values")
+    fault = _cov_faults(cov[None])[0]
+    if fault:
+        raise ValueError(f"synthesize_gnss: cov {_COV_FAULTS[fault]}")
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(cov)
+    # a stride past the last sample leaves no fix, and caps imu_rate / rate
+    stride = max(1, int(round(min(imu_rate / rate, times.size + 1))))
+    fix_times = times[stride::stride]
+    noise = rng.standard_normal((fix_times.size, 3))
+    antenna = x.pos[stride::stride] + x.rot[stride::stride] @ lever
+    pos = antenna + (chol @ noise[:, :, None])[..., 0]
+    _readonly(cov, pos)
+    ok = _finite_rows(fix_times, pos)
+    if not ok.all():
+        k = int(ok.argmin())
+        GnssFix(fix_times[k].item(), pos[k], cov)  # names the fault
+    return fix_times, pos, cov
 
 
 def synthesize_gnss(
@@ -266,22 +364,19 @@ def synthesize_gnss(
     """Antenna-position fixes on the IMU time grid with seeded Gaussian noise.
 
     The fix times are the subset of IMU epochs closest to the requested
-    rate; ``rate`` must not exceed the IMU rate.
+    rate; ``rate`` must be positive and must not exceed the IMU rate.  The
+    truth's stack is read at the fix epochs; every fix shares one
+    read-only copy of ``cov``.
+
+    Raises
+    ------
+    ValueError
+        If ``rate``, ``lever`` or ``cov`` is invalid, naming the argument;
+        the covariance with :class:`GnssFix`'s messages.
     """
-    imu_rate = truth.profile.spec.imu_rate
-    if rate > imu_rate:
-        raise ValueError("GNSS rate must not exceed the IMU rate")
-    lever = np.asarray(lever, dtype=float).reshape(3)
-    cov = np.asarray(cov, dtype=float).reshape(3, 3)
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(cov)
-    stride = max(1, int(round(imu_rate / rate)))
-    times = truth.times[stride::stride]
-    x = truth.profile.stack(times)
-    noise = rng.standard_normal((times.size, 3))
-    antenna = x.pos + x.rot @ lever
-    pos = antenna + (chol @ noise[:, :, None])[..., 0]
-    return [GnssFix(t, p, cov) for t, p in zip(times.tolist(), pos)]
+    times, pos, cov = _gnss_rows(truth.times, truth.rows, truth.profile.spec.imu_rate, lever,
+                                 rate, cov, seed)
+    return [_trusted(GnssFix, t=t, pos_ecef=p, cov=cov) for t, p in zip(times.tolist(), pos)]
 
 
 @dataclass(frozen=True)

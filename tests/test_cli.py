@@ -22,6 +22,7 @@ from eqnav.cli import (
     main,
     parse_config,
 )
+from eqnav.sim import SensorErrorSpec, generate_truth, synthesize_gnss, synthesize_imu
 
 
 def fast_overrides(**extra):
@@ -91,6 +92,32 @@ class TestSimulate:
             assert code == 0
         for name in ("imu.csv", "gnss.csv", "truth.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_files_are_the_public_records(self, tmp_path):
+        """The files written from the synthesis stacks equal the ones the
+        public records give, byte for byte."""
+        cfg = parse_config(None, fast_overrides(
+            scenario="figure-eight", seed=4, lever_x=0.5, lever_z=-1.2, sim_gyro_bias_x=1e-4,
+            sim_accel_bias_z=2e-3, gnss_rate=5))
+        stacks, records = tmp_path / "stacks", tmp_path / "records"
+        stacks.mkdir()
+        records.mkdir()
+        assert cmd_simulate(cfg, stacks) == 0
+        earth = cfg.earth()
+        truth = generate_truth(cfg.trajectory(), earth)
+        errors = SensorErrorSpec(np.array([cfg.sim_gyro_bias_x, 0.0, 0.0]),
+                                 np.array([0.0, 0.0, cfg.sim_accel_bias_z]),
+                                 cfg.gyro_psd, cfg.accel_psd, seed=cfg.seed)
+        imu = synthesize_imu(truth, earth, errors)
+        gnss = synthesize_gnss(truth, cfg.lever().l_b, cfg.gnss_rate, cfg.gnss_cov(),
+                               seed=cfg.seed + 1)
+        cli._write_csv(records / "imu.csv", IMU_HEADER, [[s.t, *s.gyro, *s.accel] for s in imu])
+        cli._write_csv(records / "gnss.csv", GNSS_HEADER,
+                       [[f.t, *f.pos_ecef, *f.cov.flat[[0, 4, 8, 1, 2, 5]]] for f in gnss])
+        cli._write_csv(records / "truth.csv", TRUTH_HEADER,
+                       [[t, *x.rot.ravel(), *x.vel, *x.pos] for t, x in truth.samples])
+        for name in ("imu.csv", "gnss.csv", "truth.csv"):
+            assert (stacks / name).read_bytes() == (records / name).read_bytes()
 
     def test_static_without_turn_rate(self, tmp_path):
         """The static profile never divides by the turn rate."""
@@ -278,7 +305,9 @@ class TestInvalidInput:
             ("imu_rate=nan", "simulate"),
             ("gnss_sigma=0", "simulate"),
             ("gyro_psd=-1", "simulate"),
+            ("gyro_psd=inf", "simulate"),
             ("accel_psd=nan", "simulate"),
+            ("accel_psd=inf", "simulate"),
             ("convention=up", "run"),
             ("init_pos_std=nan", "run"),
             ("gyro_psd=nan", "run"),

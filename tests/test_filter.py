@@ -451,6 +451,19 @@ class TestFixMatching:
                 run(imu[:200], fixes, st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
             assert err.value.index == index
 
+    def test_fix_without_imu_stream_rejected(self, scenario, earth):
+        """An empty IMU stream has no epoch for any fix; with no fix the run
+        is its initial record."""
+        truth, _ = scenario
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0)
+        fix = GnssFix(0.0, truth.samples[0][1].pos.copy(), np.eye(3))
+        with pytest.raises(ValueError, match=r"no IMU epoch within 1e-06 s of GNSS fix at t=0\.0") \
+                as err:
+            run([], [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+        assert err.value.index == 0
+        records = run([], [], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
+        assert [r.state for r in records] == [st]
+
 
 class TestRun:
     def test_duplicate_timestamp_rejected_as_integrate_imu(self, scenario, earth):

@@ -1,12 +1,15 @@
 """Truth generation, inverse-IMU synthesis, GNSS synthesis, gravity checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import eqnav.liegroup as lg
-from eqnav.kinematics import integrate_imu
+import eqnav.sim as sim
+from eqnav.filter import GnssFix
+from eqnav.kinematics import ImuSample, integrate_imu
 from eqnav.sim import (
     SensorErrorSpec,
     TrajectorySpec,
@@ -57,6 +60,14 @@ class TestTrajectorySpec:
         truth = generate_truth(spec, earth)
         imu = synthesize_imu(truth, earth, SensorErrorSpec())
         assert len(truth.samples) == len(imu) == 20
+
+
+class TestSensorErrorSpec:
+    @pytest.mark.parametrize("field", ["gyro_psd", "accel_psd"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_bad_psd_names_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^SensorErrorSpec\.{field} must be finite"):
+            SensorErrorSpec(**{field: value})
 
 
 class TestGenerateTruth:
@@ -222,6 +233,40 @@ class TestSynthesizeGnss:
         with pytest.raises(ValueError):
             synthesize_gnss(truth, np.zeros(3), 20.0, np.eye(3), seed=0)
 
+    @pytest.mark.parametrize(
+        "rate, lever, cov, message",
+        [
+            (-5.0, np.zeros(3), np.eye(3), "rate must be positive, got -5.0"),
+            (0.0, np.zeros(3), np.eye(3), "rate must be positive, got 0.0"),
+            (math.nan, np.zeros(3), np.eye(3), "rate must be positive, got nan"),
+            (1.0, np.array([0.0, math.nan, 0.0]), np.eye(3), "lever contains non-finite values"),
+            (1.0, np.zeros(3), np.diag([1.0, math.nan, 1.0]), "cov contains non-finite values"),
+            (1.0, np.zeros(3), np.diag([1.0, -1.0, 1.0]), "cov must be positive definite"),
+            (1.0, np.zeros(3), np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+             "cov must be symmetric"),
+        ],
+        ids=["negative-rate", "zero-rate", "nan-rate", "nan-lever", "nan-cov", "indefinite-cov",
+             "asymmetric-cov"],
+    )
+    def test_bad_argument_named(self, earth, monkeypatch, rate, lever, cov, message):
+        """Rejected before any draw, naming the argument; the covariance
+        with GnssFix.cov's messages."""
+        truth = generate_truth(TrajectorySpec(duration=1.0, imu_rate=50.0), earth)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew noise")
+
+        monkeypatch.setattr(sim.np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=rf"^synthesize_gnss: {message}$"):
+            synthesize_gnss(truth, lever, rate, cov, seed=0)
+
+    def test_rate_below_one_fix_per_stream(self, earth):
+        """A rate whose stride passes the last sample gives no fix, also
+        where imu_rate / rate overflows."""
+        truth = generate_truth(TrajectorySpec(duration=1.0, imu_rate=50.0), earth)
+        for rate in (0.5, 1e-310):
+            assert synthesize_gnss(truth, np.zeros(3), rate, np.eye(3), seed=0) == []
+
 
 class TestStackedSynthesis:
     """The stacked streams against the per-sample formulas, bit for bit.
@@ -283,6 +328,23 @@ class TestStackedSynthesis:
             want = r_eb + rot @ lever + chol @ rng.standard_normal(3)
             np.testing.assert_array_equal(f.pos_ecef, want)
 
+    @pytest.mark.parametrize("lat_deg", [-33.0, 90.0])
+    @pytest.mark.parametrize("profile", ["static", "constant-turn", "figure-eight"])
+    def test_gnss_reads_the_truth_stack(self, earth, profile, lat_deg):
+        """The truth's rows at the fix epochs equal a fresh stack at the fix
+        times, and the fixes the GNSS formulas on that fresh stack."""
+        truth = generate_truth(self.spec(profile, lat_deg), earth)
+        times = truth.times[5::5]
+        fresh = truth.profile.stack(times)
+        for got, want in zip(truth.rows, fresh):
+            np.testing.assert_array_equal(got[5::5], want)
+        lever = np.array([0.5, 0.3, -1.2])
+        cov = np.array([[4.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 0.25]])
+        fixes = synthesize_gnss(truth, lever, 5.0, cov, seed=13)
+        noise = np.random.default_rng(13).standard_normal((times.size, 3))
+        want = fresh.pos + fresh.rot @ lever + (np.linalg.cholesky(cov) @ noise[:, :, None])[..., 0]
+        np.testing.assert_array_equal(np.array([f.pos_ecef for f in fixes]), want)
+
     @pytest.mark.parametrize("profile", ["static", "constant-turn", "figure-eight"])
     def test_single_time_methods_are_rows_of_the_stack(self, earth, profile):
         truth = generate_truth(self.spec(profile), earth)
@@ -296,6 +358,89 @@ class TestStackedSynthesis:
             np.testing.assert_array_equal(state.rot, x.rot[k])
             np.testing.assert_array_equal(state.vel, x.vel[k])
             np.testing.assert_array_equal(state.pos, x.pos[k])
+
+
+class TestStreamChecks:
+    """Each stream is checked once on its stack; the first rejected row
+    raises its record constructor's own message, and the records hold
+    read-only views of the checked stacks."""
+
+    SPEC = dict(profile="figure-eight", duration=8.0, imu_rate=25.0, speed=12.0, turn_rate=0.07)
+    K = 75  # a middle row, the epoch of fix 14 at 5 Hz
+
+    def truth(self, earth):
+        return generate_truth(TrajectorySpec(**self.SPEC), earth)
+
+    def spoiled(self, a, value):
+        """A copy of ``a`` with ``value`` in row K: in one entry, or, for
+        ``"scale"``, as a scaling of the whole row."""
+        a = np.array(a)
+        if value == "scale":
+            a[self.K] *= 1.001
+        else:
+            a.reshape(len(a), -1)[self.K, -1] = value
+        return a
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rot", math.nan), ("rot", math.inf), ("rot", "scale"), ("vel", math.nan),
+         ("vel", -math.inf), ("pos", math.nan), ("pos", math.inf)],
+    )
+    def test_truth_first_rejected_row(self, earth, monkeypatch, field, value):
+        x = self.truth(earth).rows
+        x = x._replace(**{field: self.spoiled(getattr(x, field), value)})
+        monkeypatch.setattr(sim._Profile, "stack", lambda profile, t: x)
+        with pytest.raises(ValueError) as want:
+            lg.GroupElement(x.rot[self.K], x.vel[self.K], x.pos[self.K], lg.FrameTag.ECEF_IB)
+        with pytest.raises(ValueError) as got:
+            self.truth(earth)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("field", ["t", "gyro", "accel"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_imu_first_rejected_row(self, earth, field, value):
+        truth = self.truth(earth)
+        rows = {"t": truth.times, "gyro": truth.rows.omega_b, "accel": truth.rows.f_b}
+        rows[field] = self.spoiled(rows[field], value)
+        spoiled = dataclasses.replace(
+            truth, times=rows["t"], rows=truth.rows._replace(omega_b=rows["gyro"],
+                                                             f_b=rows["accel"]))
+        with pytest.raises(ValueError) as want:
+            ImuSample(rows["t"][self.K], rows["gyro"][self.K], rows["accel"][self.K])
+        with pytest.raises(ValueError) as got:
+            synthesize_imu(spoiled, earth, SensorErrorSpec())
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("field", ["t", "pos_ecef"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_gnss_first_rejected_row(self, earth, field, value):
+        truth = self.truth(earth)
+        if field == "t":
+            spoiled = dataclasses.replace(truth, times=self.spoiled(truth.times, value))
+        else:
+            pos = self.spoiled(truth.rows.pos, value)
+            spoiled = dataclasses.replace(truth, rows=truth.rows._replace(pos=pos))
+        fix = synthesize_gnss(truth, np.zeros(3), 5.0, np.eye(3), seed=2)[14]
+        row = {"t": fix.t, "pos_ecef": fix.pos_ecef.copy()}
+        if field == "t":
+            row["t"] = value
+        else:
+            row["pos_ecef"][-1] = value
+        with pytest.raises(ValueError) as want:
+            GnssFix(row["t"], row["pos_ecef"], np.eye(3))
+        with pytest.raises(ValueError) as got:
+            synthesize_gnss(spoiled, np.zeros(3), 5.0, np.eye(3), seed=2)
+        assert str(got.value) == str(want.value)
+
+    def test_records_are_read_only(self, earth):
+        truth = self.truth(earth)
+        imu = synthesize_imu(truth, earth, SensorErrorSpec(gyro_psd=1e-8, seed=3))
+        fixes = synthesize_gnss(truth, np.array([0.5, 0.3, -1.2]), 5.0, np.eye(3), seed=4)
+        arrays = [truth.times, *truth.rows]
+        arrays += [a for _, x in truth.samples for a in (x.rot, x.vel, x.pos)]
+        arrays += [a for s in imu for a in (s.gyro, s.accel)]
+        arrays += [a for f in fixes for a in (f.pos_ecef, f.cov)]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 class TestGravityPerturbation:

@@ -1,6 +1,7 @@
 """Analytic transition matrices against RK4 and quadrature oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,19 @@ class TestPsiIntegrals:
             psi = psi_integrals(imu.gyro, f, dt)
             assert np.abs(psi.psi1 - g0 @ phi[3:6, 9:12]).max() <= 1e-11, x
             assert np.abs(psi.psi2 - g0 @ phi[6:9, 9:12]).max() <= 1e-11, x
+
+    def test_overflowing_gyro_rejected_without_warning(self):
+        """A body rotation too large to square gets the propagation's
+        decision, not numpy overflow warnings and a math domain error."""
+        gyro, zeros = np.array([1e300, 0.0, 0.0]), np.zeros(3)
+        calls = (lambda: phi_left(ImuSample(0.0, gyro, zeros), 0.01),
+                 lambda: psi_integrals(gyro, zeros, 0.01))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^body rotation gyro \* dt over the "
+                                   r"interval overflows$"):
+                    call()
 
     def test_not_converged_raises(self):
         # 900 rad in one interval: beyond the one-turn domain of the fixed rule
