@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -216,14 +215,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.writelines(line % tuple(r) for r in map(np.ndarray.tolist, rows))
 
 
-def _columns(items, *fields) -> np.ndarray:
-    """One row per item: its ``fields`` (attribute paths such as
-    ``"state.x.rot"``, or functions of the item), flattened, side by side."""
-    getters = [f if callable(f) else attrgetter(f) for f in fields]
-    cols = [np.array([get(i) for i in items]) for get in getters]
-    return np.column_stack([c.reshape(len(c), -1) if len(c) else c for c in cols])
-
-
 def _read_csv(path: Path, expect_header: str, make, check=None) -> tuple[np.ndarray, list[int]]:
     """Rows of a CSV stream as an (N, columns) float array, and the file
     line of each row.
@@ -377,7 +368,7 @@ def _square_sums(d: np.ndarray) -> float:
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
-    """Run the filter on previously simulated (or ingested) CSV streams."""
+    """Run the filter on simulated or ingested CSV streams, from its blocks of arrays."""
     with _config_values():
         earth, noise, lever = cfg.earth(), cfg.noise(), cfg.lever()
         p0, conv = cfg.initial_cov(), cfg.conv()
@@ -391,10 +382,10 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         hit = truth[k, 0] == imu[:, 0]
         if not hit.any():
             raise ConfigError(f"{out / 'truth.csv'}: no row at the time of any IMU epoch")
-        rows = dict(zip(truth[:, 0].tolist(), truth))
 
         def truth_at(t):
-            return _truth_row(rows[t].tolist())[1] if t in rows else None
+            j = int(np.searchsorted(truth[:, 0], t))
+            return _truth_row(truth[j].tolist())[1] if j < len(truth) and truth[j, 0] == t else None
 
         x0 = truth_at(truth[0, 0])
     else:
@@ -408,9 +399,18 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         x0 = GroupElement(earth.ned_rotation(lat, lon), _cross(earth.omega_vec, fix.pos_ecef),
                           fix.pos_ecef, FrameTag.ECEF_IB)
     state0 = FilterState(x0, np.zeros(3), np.zeros(3), p0, imu[0, 0].item(), conv)
-    try:
-        records = _run(imu[:, 0], imu[:, 1:].reshape(-1, 2, 3), gnss, state0, noise, earth,
-                       lever, truth_at, None, cfg.time_slop)
+    blocks = _run(imu[:, 0], imu[:, 1:].reshape(-1, 2, 3), gnss, state0, noise, earth, lever,
+                  truth_at, None, cfg.time_slop)
+    nav, updates = [], []  # nav_out.csv's rows; each fix's (t, innovation, nis, error, nees)
+    try:  # the blocks are made, and a failure raised, as they are read
+        for t, rot, vel, pos, bg, ba, ps, end, fix in blocks:
+            nav.append(np.column_stack([t, rot.reshape(-1, 9), vel, pos,
+                                        np.tile(np.concatenate([bg, ba]), (len(t), 1)),
+                                        np.diagonal(ps, 0, 1, 2)]))
+            nav.append(np.concatenate([[end.t], end.x.rot.ravel(), end.x.vel, end.x.pos, end.bg,
+                                       end.ba, np.diag(end.p)])[None])
+            if fix is not None:
+                updates.append((end.t, *fix))
     except _StepError as exc:  # a fix the run cannot apply
         raise ConfigError(f"{out / 'gnss.csv'}:{gnss_lines[exc.index]}: {exc} "
                           f"(IMU stream {out / 'imu.csv'})") from exc
@@ -419,22 +419,21 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
             f"filter run on {out / 'imu.csv'} and {out / 'gnss.csv'} failed: {exc}"
         ) from exc
 
+    nav = np.concatenate(nav)
     nav_header = TRUTH_HEADER + ",bgx,bgy,bgz,bax,bay,baz," + ",".join(f"p{i+1}" for i in range(15))
-    nav = _columns(records, "t", "state.x.rot", "state.x.vel", "state.x.pos", "state.bg",
-                   "state.ba", "p_diag")
     _write_csv(out / "nav_out.csv", nav_header, nav)
 
-    nis_vals = [r.nis for r in records if r.nis is not None]
-    summary = {"epochs": len(records), "updates": len(nis_vals)}
-    if nis_vals:
-        summary["mean_nis"] = float(np.mean(nis_vals))
+    summary = {"epochs": len(nav), "updates": len(updates)}
+    if updates:
+        summary["mean_nis"] = float(np.mean([nis for _, _, nis, _, _ in updates]))
 
     if truth is not None:
         err_header = "t," + ",".join(f"e{i+1}" for i in range(15)) + ",nees,inx,iny,inz,nis"
         _write_csv(
             out / "err_out.csv",
             err_header,
-            [[r.t, *r.error, r.nees, *r.innovation, r.nis] for r in records if r.error is not None],
+            [[t, *error, nees, *innovation, nis]
+             for t, innovation, nis, error, nees in updates if error is not None],
         )
         # nav_out.csv starts with the columns of truth.csv
         est, true = nav[hit], truth[k[hit]]
@@ -442,7 +441,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         for name, d in (("rms_pos", est[:, 13:16] - true[:, 13:16]),
                         ("rms_vel", est[:, 10:13] - true[:, 10:13]), ("rms_att", _so3_logs(rot))):
             summary[name] = math.sqrt(_square_sums(d) / len(est))
-        nees_vals = [r.nees for r in records if r.nees is not None]
+        nees_vals = [nees for _, _, _, _, nees in updates if nees is not None]
         if nees_vals:
             summary["mean_nees"] = float(np.mean(nees_vals))
 

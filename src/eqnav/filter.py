@@ -189,37 +189,27 @@ def predict(
     if imu_prev is not None:
         gyro = 0.5 * (imu_prev.gyro + imu.gyro)
         accel = 0.5 * (imu_prev.accel + imu.accel)
-    states, _ = _propagate(
+    return _propagate(
         state, gyro.reshape(1, 3), accel.reshape(1, 3), [imu.t], np.array([dt]), noise, earth
-    )
-    return states[0]
+    )[2]
 
 
 def _propagate(state, gyro, accel, times, dt, noise, earth):
-    """States of a window of epochs, at ``times``, propagated from ``state``.
+    """Mean trajectory and covariances of a window propagated from ``state``.
 
-    ``gyro`` and ``accel`` (N, 3) are the epochs' rates before bias
-    correction, ``dt`` (N,) the epochs' intervals (the first from
-    ``state.t``).  Only an update changes the biases, so the state's biases
-    correct every epoch of the window.  The stepping walk
-    (:func:`~eqnav.kinematics._walk`) forms what does not depend on the
-    state estimate for the whole window at once (the Gamma blocks of the
-    body rotations and of the earth rate, the mean steps' body-frame
-    velocity increments), runs the mean steps in order and checks each
-    stepped state in place; the transition matrices and their process
-    noise of the whole window are then formed at once, from the Gamma
-    blocks (left convention) or from the walk's stacked mean trajectory
-    (right convention), and the covariance recursion runs last.  Every
-    entry is formed by the operations a window of one takes, so a window's
-    results do not depend on its length.
-
-    The window's covariances are checked in one pass, with the decisions
-    of :class:`FilterState`; only the first rejected one is rebuilt
-    through that constructor, to name its fault.  The states are then made
-    without a second check, holding read-only views of the covariance
-    stack, which is returned too, shape (N, 15, 15).  A failing mean step,
-    an interval over one turn or an invalid state raises ``ValueError``
-    naming its epoch (``at epoch t=...``).
+    ``gyro`` and ``accel`` (N, 3) are the epochs' rates, which the state's
+    biases correct, ``dt`` (N,) their intervals (the first from
+    ``state.t``) and ``times`` their times.  The stepping walk
+    (:func:`~eqnav.kinematics._walk`) runs and checks the mean steps; the
+    window's transition matrices and process noise are then formed at
+    once, from its Gamma blocks (left convention) or its stacked mean
+    trajectory (right), each by the operations a window of one takes, and
+    the covariance recursion runs last, checked in one pass with
+    :class:`FilterState`'s decisions.  Returns ``((rot, vel, pos), ps,
+    end)``, read-only: the epochs' states (N, 3, 3) and (N, 3) and
+    covariances (N, 15, 15), and the one state built, the last epoch's
+    :class:`FilterState`.  A failing epoch raises ``ValueError`` naming it
+    (``at epoch t=...``).
     """
     conv = state.convention
     gyro = gyro - state.bg
@@ -227,7 +217,7 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     try:
         # one stacked Gamma pass of the body rotations and the earth rate,
         # at dt and dt/2, serves the mean steps and the transition matrices
-        (body, rate, _, g0), (rot, vel, pos), xs = _walk(
+        (body, rate, _, g0), (rot, vel, pos) = _walk(
             FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, 3
         )
         if conv is Convention.LEFT_INVARIANT:
@@ -245,16 +235,15 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     for k, (phi, qd) in enumerate(zip(phis, qds)):
         p = phi @ p @ phi.T + qd
         p = ps[k] = 0.5 * (p + p.T)
-    bad = np.flatnonzero(_p_faults(ps))
-    if bad.size:
-        k = int(bad[0])
-        try:
-            FilterState(xs[k], state.bg, state.ba, ps[k], times[k], conv)  # names the fault
-        except ValueError as exc:
-            raise ValueError(f"at epoch t={times[k]}: {exc}") from exc
+    faults = _p_faults(ps)
+    if faults.any():
+        k = int((faults > 0).argmax())  # the first rejected
+        raise ValueError(f"at epoch t={times[k]}: FilterState.p {_P_FAULTS[faults[k]]}")
     ps.setflags(write=False)
-    return [_trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=p, t=t, convention=conv)
-            for x, p, t in zip(xs, ps, times)], ps
+    x = _trusted(GroupElement, rot=rot[-1], vel=vel[-1], pos=pos[-1], frame=state.x.frame)
+    end = _trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=ps[-1], t=times[-1],
+                   convention=conv)
+    return (rot[1:], vel[1:], pos[1:]), ps, end
 
 
 def update_gnss(
@@ -412,19 +401,14 @@ def run(
     fix carry the invariant error (its bias part ``truth_biases`` minus the
     estimate, zero without them) and the NEES.
 
-    The IMU stream is stacked once, checked for time order and cut into
-    intervals (trapezoidal mean rates and lengths) and windows by the
-    stream preparation :func:`~eqnav.kinematics.integrate_imu` shares.
-    The epochs after one fix up to and including the next form a window:
-    only an update changes the biases, so they are constant within it, and
-    each window, in pieces of at most a fixed number of epochs, is sliced
-    from those arrays and propagated in one pass (see :func:`_propagate`)
-    before its fix is applied.  Validation runs once per window: the propagation checks the
-    window's states with the decisions of their constructors, and the
-    states and records are then made without a second check.  The records
-    equal those of a loop of :func:`predict` and :func:`update_gnss`.  The
-    array core, :func:`_run`, takes the stacked stream; ``eqnav run`` calls
-    it with the arrays it parsed.
+    The IMU stream is stacked once and cut into intervals and windows as
+    :func:`~eqnav.kinematics.integrate_imu` does it.  A window, the epochs
+    after one fix up to and including the next, in pieces of at most a
+    fixed number of epochs, has constant biases and is propagated in one
+    pass (see :func:`_propagate`).  The array core :func:`_run` hands back
+    a block of arrays per window, from which the records are made without
+    a second check; ``eqnav run`` builds none.  The records equal those of
+    a loop of :func:`predict` and :func:`update_gnss`.
 
     Raises
     ------
@@ -437,8 +421,19 @@ def run(
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
     """
-    return _run(*_stream(imu), gnss, initial, noise, earth, lever, dict(truth or ()).get,
-                truth_biases, time_slop)
+    blocks = _run(*_stream(imu), gnss, initial, noise, earth, lever, dict(truth or ()).get,
+                  truth_biases, time_slop)
+    frame, conv = initial.x.frame, initial.convention
+    records = []
+    for times, rot, vel, pos, bg, ba, ps, end, fix in blocks:
+        p_diags = np.diagonal(ps, 0, 1, 2).copy()
+        for t, r, v, q, p, p_diag in zip(times.tolist(), rot, vel, pos, ps, p_diags):
+            x = _trusted(GroupElement, rot=r, vel=v, pos=q, frame=frame)
+            state = _trusted(FilterState, x=x, bg=bg, ba=ba, p=p, t=t, convention=conv)
+            records.append(_trusted(EpochRecord, t=t, state=state, p_diag=p_diag,
+                                    innovation=None, nis=None, error=None, nees=None))
+        records.append(EpochRecord(end.t, end, np.diag(end.p).copy(), *(fix or ())))
+    return records
 
 
 def _nearest(times: NDArray, t: NDArray) -> NDArray:
@@ -452,20 +447,21 @@ def _nearest(times: NDArray, t: NDArray) -> NDArray:
 
 
 def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, truth_biases,
-         time_slop) -> list[EpochRecord]:
-    """Array core of :func:`run` on the stacked IMU stream.
+         time_slop):
+    """Array core of :func:`run` on the stacked IMU stream: a block per window.
 
     ``imu_times`` (N,) are the samples' times and ``imu_rates`` (N, 2, 3)
     their (gyro, accel) rows, finite; ``truth_at(t)`` is the ground truth
-    at time ``t``, ``None`` where there is none.  Each fix is matched to
-    its nearest IMU epoch (:func:`_nearest`), then checked in stream order;
-    a fix the run cannot apply raises a ``ValueError``
-    (:class:`~eqnav.kinematics._StepError`) whose ``index`` is the fix's in
-    ``gnss``.  The states and records of a window's epochs are made once
-    its propagation has checked them (see :func:`_propagate`), with the
-    covariance diagonals of the window taken in one pass; the records of
-    the epochs that apply a fix are built from :func:`update_gnss`'s
-    checked state.
+    at time ``t``, or ``None``.  A fix the run cannot apply, matched to its
+    nearest IMU epoch (:func:`_nearest`), raises a
+    :class:`~eqnav.kinematics._StepError` whose ``index`` is the fix's in ``gnss``.
+
+    A block is ``(t, rot, vel, pos, bg, ba, ps, end, fix)``: the times,
+    states and covariances of the window's epochs before its last (see
+    :func:`_propagate`) and the window's biases; ``end``, the last epoch's
+    :class:`FilterState`, after its fix if it has one; and ``fix``, ``None``
+    or the fix's ``(innovation, nis, error, nees)``, the last two ``None``
+    without truth.  The first block is the initial state's epoch.
     """
     rates, dts = _intervals(imu_times, imu_rates)
     fix_times = np.array([f.t for f in gnss])
@@ -489,36 +485,36 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
                              f"IMU epoch t={times[idx]}")
         fixes_at[idx] = fix
 
-    def record(i, state, p_diag):
-        """Record of IMU epoch ``i`` at ``state`` (covariance diagonal
-        ``p_diag``), corrected by the epoch's fix if it has one."""
-        innovation = nis = error = nees = None
-        if i in fixes_at:
-            try:
-                state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
-            except ValueError as exc:  # LinAlgError included
-                raise type(exc)(f"at epoch t={times[i]}: {exc}") from exc
-            p_diag = np.diag(state.p).copy()
-            x_true = truth_at(state.t)
-            if x_true is not None:
-                db = (None, None) if truth_biases is None else (
-                    truth_biases[0] - state.bg, truth_biases[1] - state.ba)
-                error = error_state(state.convention, state.x, x_true, *db).as_vector()
-                nees = float(error @ np.linalg.solve(state.p, error))
-        return _trusted(EpochRecord, t=state.t, state=state, p_diag=p_diag,
-                        innovation=innovation, nis=nis, error=error, nees=nees)
+    def update(i, state):  # a block's (end, fix) for IMU epoch i at state
+        if i not in fixes_at:
+            return state, None
+        try:
+            state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
+        except ValueError as exc:  # LinAlgError included
+            raise type(exc)(f"at epoch t={times[i]}: {exc}") from exc
+        error = nees = None
+        x_true = truth_at(state.t)
+        if x_true is not None:
+            db = (None, None) if truth_biases is None else (
+                truth_biases[0] - state.bg, truth_biases[1] - state.ba)
+            error = error_state(state.convention, state.x, x_true, *db).as_vector()
+            nees = float(error @ np.linalg.solve(state.p, error))
+        return state, (innovation, nis, error, nees)
 
     # row k - 1 of rates and dts is IMU epoch k's interval; the first
     # epoch's starts at the initial state
     if first < len(times):
         dts[first - 1] = times[first] - initial.t
 
-    records = [record(first - 1, initial, np.diag(initial.p).copy())]
+    state, fix = update(first - 1, initial)
+    yield (imu_times[:0], np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 3)), initial.bg,
+           initial.ba, np.empty((0, 15, 15)), state, fix)
     # a window ends at each fix epoch (epoch k's interval is row k - 1) and
     # at the last epoch
     stops = sorted(k for k in fixes_at if k >= first) + [len(dts)]
     for a, b in _windows(first - 1, stops):
-        states, ps = _propagate(records[-1].state, rates[a:b, 0], rates[a:b, 1],
-                                times[a + 1 : b + 1], dts[a:b], noise, earth)
-        records += map(record, range(a + 1, b + 1), states, np.diagonal(ps, 0, 1, 2).copy())
-    return records
+        (rot, vel, pos), ps, end = _propagate(state, rates[a:b, 0], rates[a:b, 1],
+                                              times[a + 1 : b + 1], dts[a:b], noise, earth)
+        block = imu_times[a + 1 : b], rot[:-1], vel[:-1], pos[:-1], state.bg, state.ba, ps[:-1]
+        state, fix = update(b, end)
+        yield *block, state, fix

@@ -130,7 +130,10 @@ class EarthModel:
     def gravitation_ecef(self, r: NDArray) -> NDArray:
         """Gravitational acceleration G at ECEF position r."""
         r = np.asarray(r, dtype=float)
-        return -self.mu * r / math.sqrt(r.dot(r)) ** 3
+        try:
+            return -self.mu * r / math.sqrt(r.dot(r)) ** 3
+        except OverflowError:  # |r|^3 past the float range, by Python's float power
+            raise ValueError(f"gravitation at |r| = {np.linalg.norm(r):.6g} m overflows") from None
 
     def gravity_ecef(self, r: NDArray) -> NDArray:
         """Plumb-bob gravity g = G - (omega x)(omega x r) at ECEF position r."""
@@ -515,24 +518,24 @@ def _passes(frame, gyro, accel, dt, earth, n):
     return body, rate, dv, _EYE3 + body[0][:, 0, 0]
 
 
-def _midpoint(frame, x, dt, earth, dv, g0, rate):
-    """Array core of :func:`midpoint_step`, returning the stepped (rot, vel, pos).
+def _midpoint(frame, rot, vel, pos, dt, earth, dv, g0, rate):
+    """Array core of :func:`midpoint_step`: the state (rot, vel, pos) stepped.
 
     ``dv``, ``g0`` and ``rate`` are the step's entries of :func:`_passes`;
     ``rate=None`` marks a W2 rate that moves with the state (the NED
-    variants): it is then evaluated at ``x`` and at the midpoint.
+    variants): it is then evaluated at the start state and at the midpoint.
     """
     half = 0.5 * dt
-    w2 = _w2(frame, x.vel, x.pos, earth)
+    w2 = _w2(frame, vel, pos, earth)
     if rate is None:
         rate_half = gamma_blocks(w2[0] * half, 2)
     else:
         rate_full, rate_half = rate[0], rate[1]
-    _, vel, pos = _flow(x.rot, x.vel, x.pos, dv[1], w2, half, None, rate_half)
-    w2 = _w2(frame, vel, pos, earth)
+    _, vel_mid, pos_mid = _flow(rot, vel, pos, dv[1], w2, half, None, rate_half)
+    w2 = _w2(frame, vel_mid, pos_mid, earth)
     if rate is None:
         rate_full = gamma_blocks(w2[0] * dt, 2)
-    return _flow(x.rot, x.vel, x.pos, dv[0], w2, dt, g0, rate_full)
+    return _flow(rot, vel, pos, dv[0], w2, dt, g0, rate_full)
 
 
 def _walk(frame, x, gyro, accel, dt, earth, n):
@@ -540,19 +543,18 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
 
     ``gyro``, ``accel`` (N, 3) and ``dt`` (N,) are the steps' body rates
     and lengths, ``n`` the order of the Gamma blocks :func:`_passes` forms
-    (2 for the mean, 3 when the transition matrices read them too).  The
-    steps run in order from ``x``.  Returns ``(passes, traj, xs)``:
-    ``passes`` is :func:`_passes`'s ``(body, rate, dv, g0)``, ``traj`` the
-    stacked trajectory ``(rot, vel, pos)``, shapes (N + 1, 3, 3) and
-    (N + 1, 3), whose row 0 is ``x`` and row k + 1 the end of step k, and
-    ``xs`` the N stepped states.
+    (2 for the mean, 3 when the transition matrices read them too).
+    Returns ``(passes, traj)``: :func:`_passes`'s ``(body, rate, dv, g0)``
+    and the read-only stacked trajectory ``(rot, vel, pos)``, shapes
+    (N + 1, 3, 3) and (N + 1, 3), row 0 ``x`` and row k + 1 the end of
+    step k.  No element is built; callers make theirs from views of it.
 
-    Each stepped state is checked in place, by the scalar rotation test and
-    one finiteness test, the decisions of :class:`GroupElement`; only a
-    state that fails them is rebuilt through its constructor, whose
-    message the :class:`_StepError` naming the step's index carries.  The
-    states that pass become elements without a second check or copy.
-    Raises :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
+    Each stepped state is checked as it is formed, with the decisions of
+    :class:`GroupElement` (the scalar rotation test and one finiteness
+    test), so no step runs on a rejected state, which is rebuilt through
+    the constructor to name its fault.  A failing step raises
+    :class:`_StepError` naming its index; ``x.frame`` other than ``frame``,
+    :class:`FrameMismatch`.
     """
     if x.frame is not None and x.frame != frame:
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
@@ -560,21 +562,18 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     _, rate, dv, g0 = passes
     rows = len(dt) + 1
     rot, vel, pos = np.empty((rows, 3, 3)), np.empty((rows, 3)), np.empty((rows, 3))
-    rot[0], vel[0], pos[0] = x.rot, x.vel, x.pos
-    xs = []
+    rot[0], vel[0], pos[0] = step = x.rot, x.vel, x.pos
     for k, h in enumerate(dt.tolist()):
         try:
-            step = _midpoint(frame, x, h, earth, dv[k], g0[k], rate[k])
-            rot[k + 1], vel[k + 1], pos[k + 1] = step
+            step = _midpoint(frame, *step, h, earth, dv[k], g0[k], rate[k])
             if not _element_ok(*step):
                 GroupElement(*step, x.frame)  # names the fault
         except ValueError as exc:
             raise _StepError(k, str(exc)) from exc
-        for a in step:  # fresh arrays, held by the element alone
-            a.setflags(write=False)
-        x = _trusted(GroupElement, rot=step[0], vel=step[1], pos=step[2], frame=x.frame)
-        xs.append(x)
-    return passes, (rot, vel, pos), xs
+        rot[k + 1], vel[k + 1], pos[k + 1] = step
+    for a in (rot, vel, pos):
+        a.setflags(write=False)
+    return passes, (rot, vel, pos)
 
 
 def midpoint_step(
@@ -590,7 +589,8 @@ def midpoint_step(
     Raises :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
     """
     gyro, accel = np.reshape(gyro, (1, 3)), np.reshape(accel, (1, 3))
-    return _walk(frame, x, gyro, accel, np.array([dt]), earth, 2)[2][0]
+    rot, vel, pos = _walk(frame, x, gyro, accel, np.array([dt]), earth, 2)[1]
+    return _trusted(GroupElement, rot=rot[1], vel=vel[1], pos=pos[1], frame=x.frame)
 
 
 def lift(x: GroupElement, pair: DynamicsPair) -> NDArray:
@@ -833,8 +833,9 @@ def integrate_imu(
     out = [(times[0], x0)]
     for a, b in _windows(0, [dts.size]):
         try:
-            xs = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth, 2)[2]
+            traj = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth, 2)[1]
         except _StepError as exc:
             raise ValueError(f"at epoch t={times[a + exc.index + 1]}: {exc}") from exc
-        out += zip(times[a + 1 : b + 1], xs)
+        out += ((t, _trusted(GroupElement, rot=rot, vel=vel, pos=pos, frame=x0.frame))
+                for t, rot, vel, pos in zip(times[a + 1 : b + 1], *(c[1:] for c in traj)))
     return out

@@ -284,8 +284,12 @@ def _imu_rows(times: NDArray, x: _Stack, rate: float,
 
     The rows are checked in one pass with :class:`ImuSample`'s decisions
     (finite time and entries); the first rejected row is rebuilt through
-    the constructor, whose ``ValueError`` names the fault.
+    the constructor, whose ``ValueError`` names the fault.  So is a PSD
+    whose product with the rate overflows.
     """
+    for name in ("gyro_psd", "accel_psd"):
+        if not math.isfinite(getattr(errors, name) * rate):
+            raise ValueError(f"SensorErrorSpec.{name} times the IMU rate {rate!r} overflows")
     rng = np.random.default_rng(errors.seed)
     sg = math.sqrt(errors.gyro_psd * rate)
     sa = math.sqrt(errors.accel_psd * rate)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import simpson
 
 from .errordyn import Convention, NoiseParams
 from .kinematics import EarthModel, ImuSample, _StepError, _body_rotations, _gravitation, _walk
@@ -341,7 +340,7 @@ def phi_right(
     if dt <= 0.0:
         raise ValueError("phi_right requires dt > 0")
     accel, dts = imu.accel.reshape(1, 3), np.array([dt])
-    (body, rate, _, g0), traj, _ = _walk(
+    (body, rate, _, g0), traj = _walk(
         FrameTag.ECEF_IB, xhat, imu.gyro.reshape(1, 3), accel, dts, earth, 3
     )
     m = _phi_right(*traj, earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0))
@@ -438,6 +437,7 @@ def gamma_integrals_check(
     triple nested versions against composite Simpson quadrature on
     ``points`` samples of :func:`gamma_blocks`, closed forms from :func:`gamma`.
     """
+    from scipy.integrate import simpson  # here, off `import eqnav`'s path
     if dt <= 0.0:
         raise ValueError("gamma_integrals_check requires dt > 0")
     omega = np.asarray(omega, dtype=float)

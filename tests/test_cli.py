@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -147,6 +151,21 @@ class TestRun:
         assert summary["rms_pos"] <= 1e-5
         assert np.isfinite(summary["mean_nis"])
 
+    def test_run_memory_bounded(self, tmp_path, capsys):
+        """A 10 000-epoch run (50 s at 200 Hz) builds no per-epoch object:
+        its traced peak stays near that of loading the three streams
+        (10.5 MB); with a state and a record per epoch it was 49.9 MB."""
+        args = ["--out", str(tmp_path), "--seed", "7", "--set", "duration=50"]
+        assert main(args + ["simulate"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(args + ["run"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["epochs"] == 10_000
+        assert peak < 16e6
+
     def test_truth_absent_omits_err_out(self, tmp_path, capsys):
         args = sum([["--set", o] for o in fast_overrides()], [])
         assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0
@@ -283,6 +302,26 @@ class TestRun:
         assert f"at epoch t={float(cells[0])}: " in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("conv", ["left", "right"])
+    def test_overflowing_specific_force_names_epoch(self, short_streams, tmp_path, capsys, conv):
+        """A finite ax row that throws the next state past the range of
+        |r|^3 exits 2 with one line naming the epoch whose gravitation
+        overflows, no numpy warning and no nav_out.csv."""
+        for name, text in short_streams.items():
+            (tmp_path / name).write_text(text)
+        lines = short_streams["imu.csv"].splitlines()
+        cells = lines[20].split(",")
+        cells[4] = "1e115"
+        lines[20] = ",".join(cells)
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(tmp_path), "--convention", conv, "run"]) == 2
+        err = capsys.readouterr().err
+        named = float(lines[21].split(",")[0])
+        assert f"at epoch t={named}: gravitation at |r| = " in err and err.count("\n") == 1
+        assert not (tmp_path / "nav_out.csv").exists()
+
+    @pytest.mark.parametrize("conv", ["left", "right"])
     @pytest.mark.parametrize("lat", [90, -90])
     def test_polar_start_runs(self, tmp_path, capsys, lat, conv):
         """A trajectory from a pole starts on the earth's axis; both
@@ -308,6 +347,8 @@ class TestInvalidInput:
             ("gyro_psd=inf", "simulate"),
             ("accel_psd=nan", "simulate"),
             ("accel_psd=inf", "simulate"),
+            ("gyro_psd=1e308", "simulate"),
+            ("accel_psd=1e307", "simulate"),
             ("convention=up", "run"),
             ("init_pos_std=nan", "run"),
             ("gyro_psd=nan", "run"),
@@ -554,6 +595,12 @@ class TestObservabilityCmd:
 
 
 class TestUsage:
+    def test_import_leaves_quadrature_out(self):
+        # scipy.integrate serves only `eqnav verify`; the CLI imports it there
+        code = "import sys, eqnav.cli; assert 'scipy.integrate' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_bad_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

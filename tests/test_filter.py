@@ -501,6 +501,28 @@ class TestRun:
             with pytest.raises(ValueError, match=named):
                 integrate_imu(x0, bad, earth)
 
+    @pytest.mark.parametrize("ax", [1e115, 1e130])
+    def test_overflowing_specific_force_names_epoch(self, scenario, earth, ax):
+        """A finite specific force that throws the next state's position so
+        far that |r|^3 is past the float range fails that epoch's
+        gravitation as a ValueError naming it, with no numpy warning, by
+        run() in both conventions and integrate_imu in ECEF_IB and NED_IB."""
+        truth, imu = scenario
+        bad = list(imu[:40])
+        bad[20] = ImuSample(bad[20].t, bad[20].gyro, np.array([ax, 0.0, 0.0]))
+        x0, zero = truth.samples[0][1], np.zeros(3)
+        named = re.escape(f"at epoch t={bad[21].t}: gravitation at |r| = ") + ".* m overflows"
+        ned = lg.GroupElement(np.eye(3), zero, earth.ned_position(0.7, 400.0), FrameTag.NED_IB)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for conv in (LEFT, RIGHT):
+                st = FilterState(x0, zero, zero, default_p0(), 0.0, conv)
+                with pytest.raises(ValueError, match=named):
+                    run(bad, [], st, NoiseParams(0, 0), earth, LeverArm(zero))
+            for x in (x0, ned):
+                with pytest.raises(ValueError, match=named):
+                    integrate_imu(x, bad, earth)
+
     def test_duplicate_timestamp_rejected(self, scenario, earth):
         truth, imu = scenario
         bad = imu[:5] + [ImuSample(imu[4].t, imu[4].gyro, imu[4].accel)]

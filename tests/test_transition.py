@@ -215,7 +215,8 @@ class TestPhiRight:
         for start in (x, polar):
             xs = [start]
             for k, dt in enumerate(dts.tolist()):
-                step = _midpoint(FrameTag.ECEF_IB, xs[-1], dt, earth, dv[k], g0[k], rate[k])
+                step = _midpoint(FrameTag.ECEF_IB, xs[-1].rot, xs[-1].vel, xs[-1].pos, dt,
+                                 earth, dv[k], g0[k], rate[k])
                 xs.append(lg.GroupElement(*step, FrameTag.ECEF_IB))
             pos = np.array([s.pos for s in xs])
             # the stacked gravitation keeps the bits of gravitation_ecef's norm
