@@ -383,9 +383,17 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         if not hit.any():
             raise ConfigError(f"{out / 'truth.csv'}: no row at the time of any IMU epoch")
 
+        # the states of the rows _read_csv has checked, from read-only views
+        rows = truth[:, 1:10].reshape(-1, 3, 3), truth[:, 10:13], truth[:, 13:16]
+        for a in rows:
+            a.setflags(write=False)
+
         def truth_at(t):
             j = int(np.searchsorted(truth[:, 0], t))
-            return _truth_row(truth[j].tolist())[1] if j < len(truth) and truth[j, 0] == t else None
+            if j < len(truth) and truth[j, 0] == t:
+                return _trusted(GroupElement, rot=rows[0][j], vel=rows[1][j], pos=rows[2][j],
+                                frame=FrameTag.ECEF_IB)
+            return None
 
         x0 = truth_at(truth[0, 0])
     else:

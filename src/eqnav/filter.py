@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpotrf
 
 from .errordyn import (
     Convention,
@@ -93,8 +92,10 @@ class FilterState:
     """Filter mean (group state plus biases) and error covariance.
 
     ``P`` is the covariance of the 15-dimensional invariant error state in
-    the chosen convention.  Instances are immutable; predict/update return
-    new states.
+    the chosen convention: finite, symmetric and positive semidefinite
+    within the tolerances of :func:`_p_faults`, which decides a whole stack
+    of covariances with one numpy Cholesky factorization.  Instances are
+    immutable; predict/update return new states.
     """
 
     x: GroupElement
@@ -128,15 +129,22 @@ def _p_faults(p: NDArray) -> NDArray:
 
     min eig(P) > -tau exactly when P + tau I has a Cholesky factor (up to
     its roundoff, ~n^2 eps trace(P), far below tau).  The shifted stack is
-    formed at once; LAPACK's ``dpotrf`` factors each matrix in place.
+    factored by one ``np.linalg.cholesky`` call, which raises if any matrix
+    has no factor; only then is each matrix factored alone.
     """
-    # each row holds P^T, whose transpose (a Fortran-ordered view) is P; the
-    # sum of its diagonal view is np.trace's own reduction
-    shifted = p.transpose(0, 2, 1).copy()
+    shifted = p.copy()
+    # the sum of the diagonal view is np.trace's own reduction
     diag = shifted.reshape(len(p), 225)[:, ::16]
     diag += _PSD_TOL * np.maximum(diag.sum(axis=1), 1e-300)[:, None]
-    fault = np.array([3 * (dpotrf(m.T, lower=1, clean=0, overwrite_a=1)[1] != 0)
-                      for m in shifted], dtype=int)
+    fault = np.zeros(len(p), dtype=int)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for k, m in enumerate(shifted):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                fault[k] = 3
     # P - P^T is antisymmetric, so its largest entry is its largest
     # magnitude, NaN or infinite if P has a non-finite entry; a stack within
     # the least tolerance, 1e-12, in one test is finite and symmetric
@@ -208,23 +216,30 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     :class:`FilterState`'s decisions.  Returns ``((rot, vel, pos), ps,
     end)``, read-only: the epochs' states (N, 3, 3) and (N, 3) and
     covariances (N, 15, 15), and the one state built, the last epoch's
-    :class:`FilterState`.  A failing epoch raises ``ValueError`` naming it
-    (``at epoch t=...``).
+    :class:`FilterState`.  The first failing epoch, as a loop of
+    :func:`predict` would meet it, raises ``ValueError`` naming it (``at
+    epoch t=...``).
     """
     conv = state.convention
-    gyro = gyro - state.bg
-    accel = accel - state.ba
+    w, f = gyro - state.bg, accel - state.ba
+    failed = None
     try:
         # one stacked Gamma pass of the body rotations and the earth rate,
         # at dt and dt/2, serves the mean steps and the transition matrices
-        (body, rate, _, g0), (rot, vel, pos) = _walk(
-            FrameTag.ECEF_IB, state.x, gyro, accel, dt, earth, 3
-        )
+        (body, rate, _, g0), (rot, vel, pos) = _walk(FrameTag.ECEF_IB, state.x, w, f, dt, earth, 3)
+    except _StepError as exc:
+        if exc.walked is None or exc.index == 0:
+            raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
+        # as in a loop of predict, the covariances of the epochs walked
+        # before the failing step are formed first, and one may fail first
+        failed, ((body, rate, _, g0), (rot, vel, pos)) = exc, exc.walked
+        f, dt = f[: exc.index], dt[: exc.index]
+    try:
         if conv is Convention.LEFT_INVARIANT:
-            phis = _phi_left(accel, dt, body, g0)
+            phis = _phi_left(f, dt, body, g0)
             qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
         else:
-            bias = _left_bias(accel, dt, body, g0)
+            bias = _left_bias(f, dt, body, g0)
             phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
             qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
     except _StepError as exc:
@@ -239,6 +254,8 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     if faults.any():
         k = int((faults > 0).argmax())  # the first rejected
         raise ValueError(f"at epoch t={times[k]}: FilterState.p {_P_FAULTS[faults[k]]}")
+    if failed is not None:
+        raise ValueError(f"at epoch t={times[failed.index]}: {failed}") from failed
     ps.setflags(write=False)
     x = _trusted(GroupElement, rot=rot[-1], vel=vel[-1], pos=pos[-1], frame=state.x.frame)
     end = _trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=ps[-1], t=times[-1],
@@ -259,10 +276,16 @@ def update_gnss(
     the exact group retraction.  Returns the corrected state, the innovation
     and the normalized innovation squared (NIS).
 
+    The innovation covariance S is symmetric, so its eigenvalues decide it:
+    positive, and ``lambda_max / lambda_min``, its 2-norm condition, at
+    most 1e12.  One solve of S against ``[H P | z]`` then gives the gain
+    and the NIS.
+
     Raises
     ------
     SingularInnovationCov
-        If the innovation covariance conditioning exceeds 1e12.
+        If the innovation covariance is not positive definite or its
+        condition exceeds 1e12.
     ValueError
         If the fix time is farther than ``time_slop`` from the state time.
     """
@@ -273,13 +296,16 @@ def update_gnss(
 
     h = h_matrix(state.convention, state.x, lever)
     z = fix.pos_ecef - (state.x.pos + state.x.rot @ lever.l_b)
-    s = h @ state.p @ h.T + fix.cov
+    hp = h @ state.p
+    s = hp @ h.T + fix.cov
     s = 0.5 * (s + s.T)
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > _COND_BOUND:
+    lam = np.linalg.eigvalsh(s)
+    cond = lam[2] / lam[0] if lam[0] > 0.0 else math.inf
+    if not cond <= _COND_BOUND:  # also NaN
         raise SingularInnovationCov(f"innovation covariance condition {cond:.3e}")
 
-    k = np.linalg.solve(s, h @ state.p).T
+    sol = np.linalg.solve(s, np.column_stack([hp, z]))
+    k = sol[:, :15].T
     dx_vec = k @ z
     dx = ErrorState15.from_vector(dx_vec, state.convention)
     x_new, bg_new, ba_new = apply_feedback(
@@ -290,7 +316,7 @@ def update_gnss(
     p_new = ikh @ state.p @ ikh.T + k @ fix.cov @ k.T
     p_new = 0.5 * (p_new + p_new.T)
 
-    nis = float(z @ np.linalg.solve(s, z))
+    nis = float(z @ sol[:, 15])
     new_state = FilterState(x_new, bg_new, ba_new, p_new, state.t, state.convention)
     return new_state, z, nis
 

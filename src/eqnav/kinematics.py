@@ -73,11 +73,14 @@ class NonMonotonicTime(ValueError):
 
 class _StepError(ValueError):
     """A failure at one entry of a sequence (a step of a window, a fix of a
-    GNSS stream), ``index`` its index in the sequence."""
+    GNSS stream), ``index`` its index in the sequence.  A mean step of
+    :func:`_walk` that fails sets ``walked``, the walk's ``(passes, traj)``
+    cut to the steps before it; elsewhere it is ``None``."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
+        self.walked = None
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,29 @@ class ImuSample:
         _frozen(self, "accel", 3)
         if not math.isfinite(self.t):
             raise ValueError("ImuSample.t is not finite")
+
+
+# Below this bound on every entry of a vector its squared norm is finite
+# (at most 3 * 2**1022), and so are the squares of its hat.
+_SQUARE_CAP = 2.0**511
+
+
+def _norm_cube(r2: float | None, pos: NDArray) -> float:
+    """``|r|^3`` of a position r from ``r2``, its ``r . r``: the
+    gravitation's one range decision, which
+    :meth:`EarthModel.gravitation_ecef` and :func:`_gravitation` share.
+    ``r2`` is ``None`` where an entry of r is not below
+    :data:`_SQUARE_CAP` (``r . r`` could overflow, or is NaN); then, or if
+    the cube is past the float range, ``ValueError`` names the largest
+    ``|r|`` of ``pos``, r or the positions (N, 3) it is one of.
+    """
+    try:
+        if r2 is not None:
+            return math.sqrt(r2) ** 3
+    except OverflowError:
+        pass
+    norm = max(math.hypot(*r) for r in np.reshape(pos, (-1, 3)).tolist())
+    raise ValueError(f"gravitation at |r| = {norm:.6g} m overflows")
 
 
 @dataclass(frozen=True)
@@ -128,12 +154,16 @@ class EarthModel:
     # -- gravity -------------------------------------------------------
 
     def gravitation_ecef(self, r: NDArray) -> NDArray:
-        """Gravitational acceleration G at ECEF position r."""
+        """Gravitational acceleration G at ECEF position r.
+
+        Raises ``ValueError`` if ``r . r`` or ``|r|^3`` is past the float
+        range (see :func:`_norm_cube`).
+        """
         r = np.asarray(r, dtype=float)
-        try:
-            return -self.mu * r / math.sqrt(r.dot(r)) ** 3
-        except OverflowError:  # |r|^3 past the float range, by Python's float power
-            raise ValueError(f"gravitation at |r| = {np.linalg.norm(r):.6g} m overflows") from None
+        x, y, z = r.tolist()
+        fits = abs(x) < _SQUARE_CAP and abs(y) < _SQUARE_CAP and abs(z) < _SQUARE_CAP
+        cube = _norm_cube(r.dot(r) if fits else None, r)  # before mu r can overflow
+        return -self.mu * r / cube
 
     def gravity_ecef(self, r: NDArray) -> NDArray:
         """Plumb-bob gravity g = G - (omega x)(omega x r) at ECEF position r."""
@@ -288,10 +318,13 @@ class EarthModel:
 
 
 def _gravitation(earth: EarthModel, pos: NDArray) -> NDArray:
-    """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its bits."""
+    """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its
+    bits and its range decision."""
     # one dot product per row, as r.dot(r) in gravitation_ecef
-    r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist()
-    return -earth.mu * pos / np.array([math.sqrt(v) ** 3 for v in r2])[:, None]
+    fits = np.abs(pos).max(initial=0.0) < _SQUARE_CAP
+    r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist() if fits else [None] * len(pos)
+    cubes = np.array([_norm_cube(v, pos) for v in r2])[:, None]  # before mu r can overflow
+    return -earth.mu * pos / cubes
 
 
 @dataclass(frozen=True)
@@ -473,18 +506,14 @@ def _windows(start: int, stops):
 _STEPS = np.array([1.0, 0.5])
 _STEPS.setflags(write=False)
 
-# Below this bound on every entry of a body rotation vector its squared norm
-# and the squares of its hat (at most 3 and 2 times 2**1022) are finite.
-_ROTATION_CAP = 2.0**511
-
 
 def _body_rotations(gyro: NDArray, dt) -> NDArray:
     """The body rotations ``gyro * dt`` (N, 3) of a window's steps, ``dt``
     their lengths as a column (N, 1) or one scalar.  The first step whose
     rotation is too large to square raises :class:`_StepError` naming it."""
     phi = gyro * dt
-    if not np.abs(phi).max(initial=0.0) < _ROTATION_CAP:  # also inf
-        k = int((np.abs(phi) < _ROTATION_CAP).all(axis=1).argmin())
+    if not np.abs(phi).max(initial=0.0) < _SQUARE_CAP:  # also inf
+        k = int((np.abs(phi) < _SQUARE_CAP).all(axis=1).argmin())
         raise _StepError(k, "body rotation gyro * dt over the interval overflows")
     return phi
 
@@ -553,8 +582,8 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     :class:`GroupElement` (the scalar rotation test and one finiteness
     test), so no step runs on a rejected state, which is rebuilt through
     the constructor to name its fault.  A failing step raises
-    :class:`_StepError` naming its index; ``x.frame`` other than ``frame``,
-    :class:`FrameMismatch`.
+    :class:`_StepError` naming its index, with the walk of the steps
+    before it; ``x.frame`` other than ``frame``, :class:`FrameMismatch`.
     """
     if x.frame is not None and x.frame != frame:
         raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
@@ -569,7 +598,10 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
             if not _element_ok(*step):
                 GroupElement(*step, x.frame)  # names the fault
         except ValueError as exc:
-            raise _StepError(k, str(exc)) from exc
+            error = _StepError(k, str(exc))
+            error.walked = ((tuple(b[:k] for b in passes[0]), rate[:k], dv[:k], g0[:k]),
+                            (rot[: k + 1], vel[: k + 1], pos[: k + 1]))
+            raise error from exc
         rot[k + 1], vel[k + 1], pos[k + 1] = step
     for a in (rot, vel, pos):
         a.setflags(write=False)

@@ -428,6 +428,14 @@ class GammaIntegralsReport:
         return max(self.single, self.double, self.triple)
 
 
+def _simpson(y: NDArray, dt: float) -> NDArray:
+    """Composite Simpson integral over [0, dt] of ``y``, sampled along axis
+    0 at an odd number of equally spaced nodes: the sum over node pairs of
+    h/3 (y_2i + 4 y_2i+1 + y_2i+2), h the node spacing."""
+    h = dt / (len(y) - 1)
+    return h / 3.0 * np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2], axis=0)
+
+
 def gamma_integrals_check(
     omega: NDArray, dt: float, points: int = 4001
 ) -> GammaIntegralsReport:
@@ -435,11 +443,13 @@ def gamma_integrals_check(
 
     Compares ``int Gamma_0(w s) ds = Gamma_1(w dt) dt`` and its double and
     triple nested versions against composite Simpson quadrature on
-    ``points`` samples of :func:`gamma_blocks`, closed forms from :func:`gamma`.
+    ``points`` (odd) samples of :func:`gamma_blocks`, closed forms from
+    :func:`gamma`.
     """
-    from scipy.integrate import simpson  # here, off `import eqnav`'s path
     if dt <= 0.0:
         raise ValueError("gamma_integrals_check requires dt > 0")
+    if points < 3 or points % 2 == 0:
+        raise ValueError(f"gamma_integrals_check needs an odd number of points >= 3, got {points}")
     omega = np.asarray(omega, dtype=float)
     s = np.linspace(0.0, dt, points)
     nodes = np.array([gamma_blocks(omega * si, 3) for si in s])
@@ -447,9 +457,7 @@ def gamma_integrals_check(
     g1s = nodes[:, 1] * s[:, None, None]
     g2s2 = nodes[:, 2] * (s * s)[:, None, None]
 
-    i1 = simpson(g0, x=s, axis=0)
-    i2 = simpson(g1s, x=s, axis=0)
-    i3 = simpson(g2s2, x=s, axis=0)
+    i1, i2, i3 = (_simpson(g, dt) for g in (g0, g1s, g2s2))
 
     theta = omega * dt
     r1 = float(np.max(np.abs(i1 - gamma(1, theta) * dt)))

@@ -301,23 +301,46 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"at epoch t={float(cells[0])}: " in err and err.count("\n") == 1
 
+    @staticmethod
+    def run_with_ax(streams, tmp_path, capsys, conv, line, ax):
+        """Exit code and stderr of a run of ``streams`` whose ``imu.csv``
+        line ``line + 1`` has the ax cell ``ax``, with numpy warnings as
+        errors, and the time of the epoch after that line."""
+        for name, text in streams.items():
+            (tmp_path / name).write_text(text)
+        lines = streams["imu.csv"].splitlines()
+        cells = lines[line].split(",")
+        cells[4] = ax
+        lines[line] = ",".join(cells)
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out", str(tmp_path), "--convention", conv, "run"])
+        return code, capsys.readouterr().err, float(lines[line + 1].split(",")[0])
+
     @pytest.mark.parametrize("conv", ["left", "right"])
     def test_overflowing_specific_force_names_epoch(self, short_streams, tmp_path, capsys, conv):
         """A finite ax row that throws the next state past the range of
         |r|^3 exits 2 with one line naming the epoch whose gravitation
         overflows, no numpy warning and no nav_out.csv."""
-        for name, text in short_streams.items():
-            (tmp_path / name).write_text(text)
-        lines = short_streams["imu.csv"].splitlines()
-        cells = lines[20].split(",")
-        cells[4] = "1e115"
-        lines[20] = ",".join(cells)
-        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["--out", str(tmp_path), "--convention", conv, "run"]) == 2
-        err = capsys.readouterr().err
-        named = float(lines[21].split(",")[0])
+        code, err, named = self.run_with_ax(short_streams, tmp_path, capsys, conv, 20, "1e115")
+        assert code == 2
+        assert f"at epoch t={named}: gravitation at |r| = " in err and err.count("\n") == 1
+        assert not (tmp_path / "nav_out.csv").exists()
+
+    @pytest.mark.parametrize("conv", ["left", "right"])
+    def test_specific_force_past_square_range_names_epoch(self, tmp_path_factory, tmp_path,
+                                                          capsys, conv):
+        """A 3 s seed-7 stream at the default 200 Hz whose imu.csv line 22
+        has ax = 1e160 throws the next state so far that r . r overflows:
+        exit 2 with one line naming that epoch, t = 0.105, not a later
+        fix's epoch after numpy warnings."""
+        out = tmp_path_factory.mktemp("streams")
+        assert main(["--out", str(out), "--seed", "7", "--set", "duration=3", "simulate"]) == 0
+        streams = {name: (out / name).read_text() for name in ("imu.csv", "gnss.csv", "truth.csv")}
+        capsys.readouterr()
+        code, err, named = self.run_with_ax(streams, tmp_path, capsys, conv, 21, "1e160")
+        assert code == 2 and named == 0.105
         assert f"at epoch t={named}: gravitation at |r| = " in err and err.count("\n") == 1
         assert not (tmp_path / "nav_out.csv").exists()
 
@@ -595,9 +618,22 @@ class TestObservabilityCmd:
 
 
 class TestUsage:
-    def test_import_leaves_quadrature_out(self):
-        # scipy.integrate serves only `eqnav verify`; the CLI imports it there
-        code = "import sys, eqnav.cli; assert 'scipy.integrate' not in sys.modules"
+    def test_runtime_runs_without_scipy(self, tmp_path):
+        """numpy is the only runtime dependency: ``import eqnav.cli`` loads
+        no scipy module, and with scipy blocked simulate, run (both
+        conventions) and verify exit 0."""
+        code = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import eqnav.cli
+assert [m for m, v in sys.modules.items() if m.startswith("scipy") and v is not None] == []
+out = {str(tmp_path)!r}
+sets = sum([["--set", o] for o in {fast_overrides(duration=2)!r}], [])
+assert eqnav.cli.main(["--out", out] + sets + ["simulate"]) == 0
+for conv in ("left", "right"):
+    assert eqnav.cli.main(["--out", out] + sets + ["--convention", conv, "run"]) == 0
+assert eqnav.cli.main(["verify"]) == 0
+"""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -9,7 +9,7 @@ import pytest
 
 import eqnav.filter as flt
 import eqnav.liegroup as lg
-from eqnav.errordyn import Convention, LeverArm, NoiseParams, error_state, g_matrix
+from eqnav.errordyn import Convention, LeverArm, NoiseParams, error_state, g_matrix, h_matrix
 from eqnav.filter import (
     FilterState,
     GnssFix,
@@ -403,6 +403,38 @@ class TestUpdate:
         with pytest.raises(SingularInnovationCov):
             update_gnss(st, fix, LeverArm(np.zeros(3)))
 
+    def test_condition_decided_at_bound(self, scenario):
+        """With P = 0, S is the fix covariance diag(1, 1, c), condition 1/c:
+        0.9e12 is admitted, 1.1e12 raised with the condition named."""
+        x0 = scenario[0].samples[0][1]
+        st = FilterState(x0, np.zeros(3), np.zeros(3), np.zeros((15, 15)), 0.0, RIGHT)
+        lever = LeverArm(np.zeros(3))
+        update_gnss(st, GnssFix(0.0, x0.pos.copy(), np.diag([1.0, 1.0, 1 / 0.9e12])), lever)
+        fix = GnssFix(0.0, x0.pos.copy(), np.diag([1.0, 1.0, 1 / 1.1e12]))
+        with pytest.raises(SingularInnovationCov, match=r"condition 1\.100e\+12"):
+            update_gnss(st, fix, lever)
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_stacked_solve_keeps_gain(self, scenario, rng, conv):
+        """The one solve against [H P | z] gives the gain of
+        ``np.linalg.solve(S, H P).T`` bit for bit, so the same covariance,
+        and the NIS of ``z^T S^-1 z`` to rounding."""
+        x0 = scenario[0].samples[0][1]
+        p = default_p0() * 100
+        st = FilterState(x0, np.zeros(3), np.zeros(3), p, 0.0, conv)
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        cov = np.diag([1.0, 2.0, 3.0])
+        fix = GnssFix(0.0, x0.pos + x0.rot @ lever.l_b + rng.normal(size=3), cov)
+        out, z, nis = update_gnss(st, fix, lever)
+        h = h_matrix(conv, x0, lever)
+        s = h @ p @ h.T + cov
+        s = 0.5 * (s + s.T)
+        k = np.linalg.solve(s, h @ p).T
+        ikh = np.eye(15) - k @ h
+        p_new = ikh @ p @ ikh.T + k @ cov @ k.T
+        np.testing.assert_array_equal(out.p, 0.5 * (p_new + p_new.T))
+        assert nis == pytest.approx(z @ np.linalg.solve(s, z), rel=1e-15)
+
     def test_time_slop_enforced(self, scenario, earth):
         truth, _ = scenario
         x0 = truth.samples[0][1]
@@ -501,7 +533,7 @@ class TestRun:
             with pytest.raises(ValueError, match=named):
                 integrate_imu(x0, bad, earth)
 
-    @pytest.mark.parametrize("ax", [1e115, 1e130])
+    @pytest.mark.parametrize("ax", [1e115, 1e130, 1e160])
     def test_overflowing_specific_force_names_epoch(self, scenario, earth, ax):
         """A finite specific force that throws the next state's position so
         far that |r|^3 is past the float range fails that epoch's

@@ -1,6 +1,7 @@
 """Kinematic models: dynamics pairs, flow, lift, actions, frame translations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestEarthModel:
         w = earth.omega_vec
         lhs = earth.gravity_ecef(r) + np.cross(w, np.cross(w, r))
         np.testing.assert_array_equal(lhs, earth.gravitation_ecef(r))
+
+    def test_gravitation_range_decided_once(self, earth):
+        """gravitation_ecef and the stacked _gravitation admit and reject the
+        same positions, with the same message and no numpy warning: r . r
+        past the float range (1e160, 1e300) and |r|^3 alone past it (1e103)
+        are rejected, a far but finite cube (1e102) is not."""
+        for x, admitted in ((1e102, True), (1e103, False), (1e160, False), (1e300, False)):
+            r = np.array([x, -2.0, 3.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if admitted:
+                    np.testing.assert_array_equal(kin._gravitation(earth, r[None])[0],
+                                                  earth.gravitation_ecef(r))
+                    continue
+                messages = []
+                for call in (lambda: earth.gravitation_ecef(r),
+                             lambda: kin._gravitation(earth, np.array([[1.0, 2.0, 3.0], r]))):
+                    with pytest.raises(ValueError) as exc:
+                        call()
+                    messages.append(str(exc.value))
+                assert messages[0] == messages[1] == f"gravitation at |r| = {x:.6g} m overflows"
 
 
 class TestBuildDynamics:

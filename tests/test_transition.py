@@ -13,6 +13,7 @@ from eqnav.errordyn import Convention, NoiseParams, f_matrix, g_matrix
 from eqnav.kinematics import EarthModel, FrameTag, ImuSample, build_dynamics, flow
 from eqnav.transition import (
     TransitionBlocks,
+    _simpson,
     gamma_integrals_check,
     phi_left,
     phi_right,
@@ -395,6 +396,24 @@ class TestGammaIntegrals:
         w3 = rng.normal(size=3)
         w3 *= 3.0 / np.linalg.norm(w3)
         assert gamma_integrals_check(w3, 1.0).max_residual <= 1e-9
+
+    def test_simpson_matches_scipy(self, rng):
+        """The composite Simpson rule gives scipy's on the check's nodes, at
+        `eqnav verify`'s rates and steps, to the rounding of the two sums
+        (each is within 3e-15 of a long-double sum of the same samples)."""
+        for norm, dt in ((0.1, 1.0), (3.0, 1.0), (0.5, 0.3)):
+            w = rng.normal(size=3)
+            w *= norm / np.linalg.norm(w)
+            s = np.linspace(0.0, dt, 4001)
+            nodes = np.array([lg.gamma_blocks(w * si, 3) for si in s])
+            for g in (np.eye(3) + nodes[:, 0], nodes[:, 1] * s[:, None, None],
+                      nodes[:, 2] * (s * s)[:, None, None]):
+                ref = simpson(g, x=s, axis=0)
+                assert np.abs(_simpson(g, dt) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_even_points_rejected(self):
+        with pytest.raises(ValueError, match="odd number of points"):
+            gamma_integrals_check(np.ones(3), 1.0, points=4000)
 
 
 class TestTransitionBlocksType:
