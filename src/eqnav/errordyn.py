@@ -27,13 +27,13 @@ from numpy.typing import NDArray
 
 from .kinematics import EarthModel, ImuSample
 from .liegroup import (
-    FrameMismatch,
     FrameTag,
     GroupElement,
     Tangent9,
     _EYE3,
     _frozen,
     _hats,
+    _resolve_frame,
     compose,
     hat,
     inverse,
@@ -131,27 +131,13 @@ class ErrorState15:
         return ErrorState15(z, z, z, z, z, convention)
 
 
-def _check_frames(xhat: GroupElement, x: GroupElement):
-    if xhat.frame is not None and x.frame is not None and xhat.frame != x.frame:
-        raise FrameMismatch(
-            f"error between frames {xhat.frame.name} and {x.frame.name}"
-        )
-
-
-def _require_ecef_ib(x: GroupElement):
-    if x.frame is not None and x.frame != FrameTag.ECEF_IB:
-        raise FrameMismatch(f"operation requires ECEF_IB state, got {x.frame.name}")
-
-
 def right_error(xhat: GroupElement, x: GroupElement) -> Tangent9:
     """Exact log of the right-invariant error Xhat X^-1."""
-    _check_frames(xhat, x)
     return se23_log(compose(xhat, inverse(x)))
 
 
 def left_error(xhat: GroupElement, x: GroupElement) -> Tangent9:
     """Exact log of the left-invariant error Xhat^-1 X."""
-    _check_frames(xhat, x)
     return se23_log(compose(inverse(xhat), x))
 
 
@@ -168,7 +154,6 @@ def error_state(
     attitude component carries the feedback sign (``C = exp(phi^) Chat`` for
     the right convention).  Bias errors default to zero.
     """
-    _check_frames(xhat, x)
     db_g = np.zeros(3) if db_g is None else np.asarray(db_g, dtype=float)
     db_a = np.zeros(3) if db_a is None else np.asarray(db_a, dtype=float)
     if conv is Convention.RIGHT_INVARIANT:
@@ -223,7 +208,7 @@ def f_matrix(
     estimate through its rotation, velocity, position and the gravitation
     evaluated at the estimated position, plus the constant earth rate.
     """
-    _require_ecef_ib(xhat)
+    _resolve_frame(xhat.frame, FrameTag.ECEF_IB)
     f = np.zeros((15, 15))
     eye = np.eye(3)
     if conv is Convention.RIGHT_INVARIANT:
@@ -266,7 +251,7 @@ def g_matrix(conv: Convention, xhat: GroupElement) -> NDArray:
     which :func:`~eqnav.filter.run` applies to a window's states at once).
     Bias random walks enter through identity rows in both conventions.
     """
-    _require_ecef_ib(xhat)
+    _resolve_frame(xhat.frame, FrameTag.ECEF_IB)
     if conv is Convention.LEFT_INVARIANT:
         return _G_LEFT.copy()
     return _g_right(xhat.rot[None], xhat.vel[None], xhat.pos[None])[0]
@@ -298,7 +283,7 @@ def h_matrix(conv: Convention, xhat: GroupElement, lever: LeverArm) -> NDArray:
     ``H = [-(rhat + Chat l_b)^, 0, -I, 0, 0]``; left convention:
     ``H = [-Chat l_b^, 0, Chat, 0, 0]``.
     """
-    _require_ecef_ib(xhat)
+    _resolve_frame(xhat.frame, FrameTag.ECEF_IB)
     h = np.zeros((3, 15))
     c = xhat.rot
     if conv is Convention.RIGHT_INVARIANT:

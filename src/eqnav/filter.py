@@ -27,7 +27,7 @@ from .errordyn import (
 )
 from .kinematics import (EarthModel, ImuSample, NonMonotonicTime, _StepError, _increasing,
                          _intervals, _stream, _walk, _windows)
-from .liegroup import FrameMismatch, FrameTag, GroupElement, _frozen, _trusted
+from .liegroup import FrameTag, GroupElement, _frozen, _resolve_frame, _trusted
 from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
@@ -106,8 +106,7 @@ class FilterState:
     convention: Convention = field(default=Convention.RIGHT_INVARIANT)
 
     def __post_init__(self):
-        if self.x.frame is not None and self.x.frame != FrameTag.ECEF_IB:
-            raise FrameMismatch("filter state must be in the ECEF_IB frame")
+        _resolve_frame(self.x.frame, FrameTag.ECEF_IB)
         if not math.isfinite(self.t):
             raise ValueError("FilterState.t is not finite")
         _frozen(self, "bg", 3)
@@ -234,23 +233,26 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
         # before the failing step are formed first, and one may fail first
         failed, ((body, rate, _, g0), (rot, vel, pos)) = exc, exc.walked
         f, dt = f[: exc.index], dt[: exc.index]
-    try:
-        if conv is Convention.LEFT_INVARIANT:
-            phis = _phi_left(f, dt, body, g0)
-            qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
-        else:
-            bias = _left_bias(f, dt, body, g0)
-            phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
-            qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
-    except _StepError as exc:
-        raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
+    # _p_faults decides every covariance, so an overflow on the way to one
+    # is its fault, named with its epoch, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if conv is Convention.LEFT_INVARIANT:
+                phis = _phi_left(f, dt, body, g0)
+                qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
+            else:
+                bias = _left_bias(f, dt, body, g0)
+                phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
+                qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
+        except _StepError as exc:
+            raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
 
-    ps = np.empty((len(dt), 15, 15))
-    p = state.p
-    for k, (phi, qd) in enumerate(zip(phis, qds)):
-        p = phi @ p @ phi.T + qd
-        p = ps[k] = 0.5 * (p + p.T)
-    faults = _p_faults(ps)
+        ps = np.empty((len(dt), 15, 15))
+        p = state.p
+        for k, (phi, qd) in enumerate(zip(phis, qds)):
+            p = phi @ p @ phi.T + qd
+            p = ps[k] = 0.5 * (p + p.T)
+        faults = _p_faults(ps)
     if faults.any():
         k = int((faults > 0).argmax())  # the first rejected
         raise ValueError(f"at epoch t={times[k]}: FilterState.p {_P_FAULTS[faults[k]]}")

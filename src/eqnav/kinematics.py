@@ -37,6 +37,7 @@ from .liegroup import (
     _element_ok,
     _frozen,
     _gamma_pass,
+    _resolve_frame,
     _trusted,
     compose,
     gamma_blocks,
@@ -400,9 +401,7 @@ def build_dynamics(
     FrameMismatch
         If ``x.frame`` differs from ``frame``.
     """
-    if x.frame is not None and x.frame != frame:
-        raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
-
+    _resolve_frame(x.frame, frame)
     w1 = _input_matrix(imu.gyro, imu.accel, np.zeros(3))
     rate, col_v, col_r = _w2(frame, x.vel, x.pos, earth)
     if rate is None:
@@ -507,14 +506,15 @@ _STEPS = np.array([1.0, 0.5])
 _STEPS.setflags(write=False)
 
 
-def _body_rotations(gyro: NDArray, dt) -> NDArray:
-    """The body rotations ``gyro * dt`` (N, 3) of a window's steps, ``dt``
-    their lengths as a column (N, 1) or one scalar.  The first step whose
-    rotation is too large to square raises :class:`_StepError` naming it."""
-    phi = gyro * dt
-    if not np.abs(phi).max(initial=0.0) < _SQUARE_CAP:  # also inf
-        k = int((np.abs(phi) < _SQUARE_CAP).all(axis=1).argmin())
-        raise _StepError(k, "body rotation gyro * dt over the interval overflows")
+def _rotations(rate: NDArray, dt, name: str) -> NDArray:
+    """The rotations ``rate * dt`` (N, 3) of a window's steps, or of one
+    step (3,), ``dt`` their lengths as a column (N, 1) or one scalar.  The
+    first step whose rotation is too large to square (or NaN) raises
+    :class:`_StepError` naming it and ``name``, the rate's."""
+    phi = rate * dt
+    if not np.abs(phi).max(initial=0.0) < _SQUARE_CAP:  # also inf and NaN
+        k = int((np.abs(phi) < _SQUARE_CAP).all(axis=-1).argmin())
+        raise _StepError(k, f"{name} * dt over the interval overflows")
     return phi
 
 
@@ -536,7 +536,7 @@ def _passes(frame, gyro, accel, dt, earth, n):
     """
     steps = len(dt)
     dt_col = dt[:, None]
-    phi = _body_rotations(gyro, dt_col)
+    phi = _rotations(gyro, dt_col, "body rotation gyro")
     if frame in _CONSTANT_RATE:
         phi = np.concatenate([phi, -earth.omega_vec * dt_col])
     blocks, powers, t2 = _gamma_pass(phi, n, (1.0, 0.5))
@@ -552,18 +552,19 @@ def _midpoint(frame, rot, vel, pos, dt, earth, dv, g0, rate):
 
     ``dv``, ``g0`` and ``rate`` are the step's entries of :func:`_passes`;
     ``rate=None`` marks a W2 rate that moves with the state (the NED
-    variants): it is then evaluated at the start state and at the midpoint.
+    variants): it is then evaluated at the start state and at the midpoint,
+    and its rotations are checked as the body rotations are.
     """
     half = 0.5 * dt
     w2 = _w2(frame, vel, pos, earth)
     if rate is None:
-        rate_half = gamma_blocks(w2[0] * half, 2)
+        rate_half = gamma_blocks(_rotations(w2[0], half, "navigation-frame rate w_in"), 2)
     else:
         rate_full, rate_half = rate[0], rate[1]
     _, vel_mid, pos_mid = _flow(rot, vel, pos, dv[1], w2, half, None, rate_half)
     w2 = _w2(frame, vel_mid, pos_mid, earth)
     if rate is None:
-        rate_full = gamma_blocks(w2[0] * dt, 2)
+        rate_full = gamma_blocks(_rotations(w2[0], dt, "navigation-frame rate w_in"), 2)
     return _flow(rot, vel, pos, dv[0], w2, dt, g0, rate_full)
 
 
@@ -585,8 +586,7 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     :class:`_StepError` naming its index, with the walk of the steps
     before it; ``x.frame`` other than ``frame``, :class:`FrameMismatch`.
     """
-    if x.frame is not None and x.frame != frame:
-        raise FrameMismatch(f"state tagged {x.frame.name}, dynamics for {frame.name}")
+    _resolve_frame(x.frame, frame)
     passes = _passes(frame, gyro, accel, dt, earth, n)
     _, rate, dv, g0 = passes
     rows = len(dt) + 1
@@ -676,25 +676,17 @@ def frame_translation(
             lat, lon, _ = earth.ecef_to_geodetic(x.pos)
             a = GroupElement(earth.ned_rotation(lat, lon).T, np.zeros(3), np.zeros(3))
             target = inv_map[x.frame]
-    elif which == 2:
-        src, dst = FrameTag.NED_EB, FrameTag.NED_IB
+    elif which in (2, 3):
+        # one velocity shift v +- w_ie x r, the earth rate in NED or ECEF axes
+        ned = which == 2
+        src, target = (FrameTag.NED_EB, FrameTag.NED_IB) if ned else (
+            FrameTag.ECEF_EB, FrameTag.ECEF_IB)
         if reverse:
-            src, dst = dst, src
-        if x.frame is not None and x.frame != src:
-            raise FrameMismatch(f"translation 2 expects {src.name}, got {x.frame.name}")
-        lat, _ = earth.ned_lat_height(x.pos)
-        shift = _cross(earth.omega_ie_ned(lat), x.pos)
+            src, target = target, src
+        _resolve_frame(x.frame, src)
+        w = earth.omega_ie_ned(earth.ned_lat_height(x.pos)[0]) if ned else earth.omega_vec
+        shift = _cross(w, x.pos)
         a = GroupElement(np.eye(3), -shift if reverse else shift, np.zeros(3))
-        target = dst
-    elif which == 3:
-        src, dst = FrameTag.ECEF_EB, FrameTag.ECEF_IB
-        if reverse:
-            src, dst = dst, src
-        if x.frame is not None and x.frame != src:
-            raise FrameMismatch(f"translation 3 expects {src.name}, got {x.frame.name}")
-        shift = _cross(earth.omega_vec, x.pos)
-        a = GroupElement(np.eye(3), -shift if reverse else shift, np.zeros(3))
-        target = dst
     else:
         raise ValueError("which must be 1, 2 or 3")
 

@@ -97,8 +97,8 @@ def vee(m: NDArray) -> NDArray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
-    """True if ``mat`` is orthonormal with determinant +1 within ``tol``.
+def is_rotation(mat: NDArray) -> bool:
+    """True if ``mat`` is orthonormal with determinant +1 within 1e-9.
 
     Orthonormality is the Frobenius norm of ``mat^T mat - I``.  Both
     residuals are formed in scalars; a NaN or infinite entry makes them NaN
@@ -106,19 +106,19 @@ def is_rotation(mat: NDArray, tol: float = _ROTATION_TOL) -> bool:
     """
     if mat.shape != (3, 3):
         return False
-    return _rotation_test(mat.ravel().tolist(), math.sqrt, tol)
+    return _rotation_test(mat.ravel().tolist(), math.sqrt)
 
 
-def _rotations_ok(rot: NDArray, tol: float = _ROTATION_TOL) -> NDArray:
+def _rotations_ok(rot: NDArray) -> NDArray:
     """:func:`is_rotation` of each matrix of a stack (N, 3, 3), with its decisions.
 
     The residuals are formed by the same operations, element by element
     over the stack, so each has the bits of the scalar test.
     """
-    return _rotation_test(rot.reshape(-1, 9).T, np.sqrt, tol)
+    return _rotation_test(rot.reshape(-1, 9).T, np.sqrt)
 
 
-def _rotation_test(entries, sqrt, tol):
+def _rotation_test(entries, sqrt):
     """The rotation test on the row-major entries of one matrix (floats) or
     of a stack (arrays), ``sqrt`` the matching correctly rounded root."""
     a, b, c, d, e, f, g, h, i = entries
@@ -131,7 +131,7 @@ def _rotation_test(entries, sqrt, tol):
     vw = b * c + e * f + h * i
     err = sqrt(uu * uu + vv * vv + ww * ww + 2.0 * (uv * uv + uw * uw + vw * vw))
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return (err <= tol) & (abs(det - 1.0) <= tol)
+    return (err <= _ROTATION_TOL) & (abs(det - 1.0) <= _ROTATION_TOL)
 
 
 # --- Gamma function family ------------------------------------------------
@@ -465,6 +465,9 @@ def identity_element(frame: FrameTag | None = None) -> GroupElement:
 
 
 def _resolve_frame(a: FrameTag | None, b: FrameTag | None) -> FrameTag | None:
+    """The frame of a combination of operands tagged ``a`` and ``b``: the
+    one frame rule.  An untagged operand (``None``) meets any tag; two tags
+    must be equal, else :class:`FrameMismatch` names both."""
     if a is not None and b is not None and a != b:
         raise FrameMismatch(f"cannot combine frames {a.name} and {b.name}")
     return a if a is not None else b

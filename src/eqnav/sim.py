@@ -225,9 +225,6 @@ class TruthTrajectory:
     profile: _Profile
     rows: _Stack
 
-    def states(self) -> list[GroupElement]:
-        return [x for _, x in self.samples]
-
 
 def _readonly(*arrays: NDArray) -> None:
     for a in arrays:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errordyn import Convention, NoiseParams
-from .kinematics import EarthModel, ImuSample, _StepError, _body_rotations, _gravitation, _walk
+from .kinematics import EarthModel, ImuSample, _StepError, _gravitation, _rotations, _walk
 from .liegroup import (
     _EYE3,
     _frozen,
@@ -179,7 +179,7 @@ def psi_integrals(omega: NDArray, f: NDArray, dt: float) -> PsiIntegrals:
     if dt <= 0.0:
         raise ValueError("psi_integrals requires dt > 0")
     omega = np.asarray(omega, dtype=float).reshape(1, 3)
-    _, powers, x2 = _gamma_pass(_body_rotations(omega, dt), 1, (1.0,))
+    _, powers, x2 = _gamma_pass(_rotations(omega, dt, "body rotation gyro"), 1, (1.0,))
     fx = _hats(np.asarray(f, dtype=float).reshape(1, 3) * (dt * dt))
     psi1, psi2 = _psi(fx, np.array([dt]), powers, x2)[0]
     return PsiIntegrals(psi1, psi2)
@@ -238,7 +238,7 @@ def phi_left(imu: ImuSample, dt: float) -> TransitionBlocks:
     """
     if dt <= 0.0:
         raise ValueError("phi_left requires dt > 0")
-    body = _gamma_pass(_body_rotations(imu.gyro.reshape(1, 3), dt), 3, (1.0,))
+    body = _gamma_pass(_rotations(imu.gyro.reshape(1, 3), dt, "body rotation gyro"), 3, (1.0,))
     g0 = _EYE3 + body[0][:, 0, 0]
     m = _phi_left(imu.accel.reshape(1, 3), np.array([dt]), body, g0)[0]
     return TransitionBlocks(m, Convention.LEFT_INVARIANT, dt)

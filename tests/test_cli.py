@@ -344,6 +344,25 @@ class TestRun:
         assert f"at epoch t={named}: gravitation at |r| = " in err and err.count("\n") == 1
         assert not (tmp_path / "nav_out.csv").exists()
 
+    @pytest.mark.parametrize("conv, named", [
+        ("left", "at epoch t=0.38: FilterState.p contains non-finite values"),
+        ("right", "at epoch t=0.4: gravitation at |r| = "),
+    ], ids=["left", "right"])
+    def test_covariance_overflow_names_epoch(self, tmp_path_factory, tmp_path, capsys,
+                                             conv, named):
+        """A 3 s seed-7 stream at 50 Hz whose imu.csv line 21 has ax = 1e160
+        overflows the left covariance at that line's epoch: exit 2 with one
+        stderr line naming it, and no numpy warning before it.  The right
+        convention stops at the next epoch, on the gravitation."""
+        out = tmp_path_factory.mktemp("streams")
+        sets = ["--set", "duration=3", "--set", "imu_rate=50", "--set", "gnss_rate=1"]
+        assert main(["--out", str(out), "--seed", "7"] + sets + ["simulate"]) == 0
+        streams = {name: (out / name).read_text() for name in ("imu.csv", "gnss.csv", "truth.csv")}
+        capsys.readouterr()
+        code, err, _ = self.run_with_ax(streams, tmp_path, capsys, conv, 20, "1e160")
+        assert code == 2
+        assert named in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("conv", ["left", "right"])
     @pytest.mark.parametrize("lat", [90, -90])
     def test_polar_start_runs(self, tmp_path, capsys, lat, conv):
@@ -635,7 +654,7 @@ for conv in ("left", "right"):
 assert eqnav.cli.main(["verify"]) == 0
 """
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path)
 
     def test_bad_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -555,6 +555,22 @@ class TestRun:
                 with pytest.raises(ValueError, match=named):
                     integrate_imu(x, bad, earth)
 
+    @pytest.mark.parametrize("frame", [FrameTag.NED_IB, FrameTag.NED_EB])
+    def test_overflowing_transport_rate_names_epoch(self, scenario, earth, frame):
+        """A specific force of 1e200 throws an NED state's velocity so far
+        that the navigation-frame rate's rotation over the step is too large
+        to square: integrate_imu raises a ValueError naming that epoch, with
+        no numpy warning."""
+        _, imu = scenario
+        bad = list(imu[:40])
+        bad[20] = ImuSample(bad[20].t, bad[20].gyro, np.array([1e200, 0.0, 0.0]))
+        x0 = lg.GroupElement(np.eye(3), np.zeros(3), earth.ned_position(0.7, 400.0), frame)
+        named = re.escape(f"at epoch t={bad[20].t}: navigation-frame rate ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                integrate_imu(x0, bad, earth)
+
     def test_duplicate_timestamp_rejected(self, scenario, earth):
         truth, imu = scenario
         bad = imu[:5] + [ImuSample(imu[4].t, imu[4].gyro, imu[4].accel)]

@@ -275,6 +275,66 @@ def test_gamma_pass_stacked_rows_match_gamma(rng):
         np.testing.assert_array_equal(alone[1][0], powers[k])
 
 
+def _frame_rule_cases():
+    """Each entry point the frame rule guards, as (id, call, tags named):
+    ``call(earth, x)`` passes an element ``x`` tagged ``NED_EB`` (at an NED
+    position) where the entry point wants another frame."""
+    from eqnav.errordyn import (Convention, LeverArm, error_state, f_matrix, g_matrix,
+                                h_matrix, left_error, right_error)
+    from eqnav.filter import FilterState
+    from eqnav.kinematics import (ImuSample, build_dynamics, frame_translation,
+                                  integrate_imu, midpoint_step)
+    from eqnav.transition import phi_right
+
+    ned, ecef_ib, ecef_eb = lg.FrameTag.NED_EB, lg.FrameTag.ECEF_IB, lg.FrameTag.ECEF_EB
+    z = np.zeros(3)
+    imu = ImuSample(0.0, vec(0.01, 0.0, 0.02), vec(0.1, 0.0, -9.8))
+    right = Convention.RIGHT_INVARIANT
+
+    def other(x, frame=ecef_ib):
+        return lg.GroupElement(x.rot, x.vel, x.pos, frame)
+
+    calls = {
+        "integrate_imu": lambda e, x: integrate_imu(
+            x, [imu, ImuSample(0.01, imu.gyro, imu.accel)], e, frame=ecef_ib),
+        "midpoint_step": lambda e, x: midpoint_step(ecef_ib, x, imu.gyro, imu.accel, 0.01, e),
+        "build_dynamics": lambda e, x: build_dynamics(ecef_ib, x, imu, e),
+        "phi_right": lambda e, x: phi_right(x, imu, e, 0.01),
+        "FilterState": lambda e, x: FilterState(x, z, z, np.eye(15), 0.0),
+        "f_matrix": lambda e, x: f_matrix(right, x, imu, e),
+        "g_matrix": lambda e, x: g_matrix(right, x),
+        "h_matrix": lambda e, x: h_matrix(right, x, LeverArm(z)),
+        "error_state": lambda e, x: error_state(right, x, other(x)),
+        "right_error": lambda e, x: right_error(x, other(x)),
+        "left_error": lambda e, x: left_error(x, other(x)),
+        "compose": lambda e, x: lg.compose(x, other(x)),
+    }
+    cases = [(name, call, (ned, ecef_ib)) for name, call in calls.items()]
+    # translations 2 and 3, each way, of a state in the other's frame
+    cases += [
+        ("translation-2", lambda e, x: frame_translation(2, other(x, ecef_eb), e),
+         (ecef_eb, ned)),
+        ("translation-2-reverse",
+         lambda e, x: frame_translation(2, other(x, ecef_eb), e, reverse=True),
+         (ecef_eb, lg.FrameTag.NED_IB)),
+        ("translation-3", lambda e, x: frame_translation(3, x, e), (ned, ecef_eb)),
+        ("translation-3-reverse", lambda e, x: frame_translation(3, x, e, reverse=True),
+         (ned, ecef_ib)),
+    ]
+    return [pytest.param(call, tags, id=name) for name, call, tags in cases]
+
+
+@pytest.mark.parametrize("call, tags", _frame_rule_cases())
+def test_frame_rule_one_message(earth, call, tags):
+    """Every frame check is the one rule of compose: two different tags
+    raise FrameMismatch, and the message names both."""
+    x = lg.GroupElement(np.eye(3), vec(30.0, 5.0, -1.0), earth.ned_position(0.7, 400.0),
+                        lg.FrameTag.NED_EB)
+    with pytest.raises(lg.FrameMismatch) as err:
+        call(earth, x)
+    assert str(err.value) == f"cannot combine frames {tags[0].name} and {tags[1].name}"
+
+
 def test_is_rotation_decisions(rng):
     rot = lg.so3_exp(rng.normal(size=3))
     assert lg.is_rotation(rot)
