@@ -360,11 +360,36 @@ def _load_streams(out: Path):
     return imu, gnss, gnss_lines, truth
 
 
-def _square_sums(d: np.ndarray) -> float:
-    """Sum over the rows of ``d`` (N, 3) of each row's ``np.sum(row ** 2)``,
-    added in row order from 0.0, with the bits of that loop."""
+def _square_sums(d: np.ndarray, start: float = 0.0) -> float:
+    """``start`` plus, over the rows of ``d`` (N, 3), each row's
+    ``np.sum(row ** 2)``, added in row order, with the bits of that loop."""
     d = d * d
-    return float(np.cumsum(np.append(0.0, (d[:, 0] + d[:, 1]) + d[:, 2]))[-1])
+    return float(np.cumsum(np.append(start, (d[:, 0] + d[:, 1]) + d[:, 2]))[-1])
+
+
+# rows of nav_out.csv the summary scores at a time
+_SUMMARY_ROWS = 1024
+
+
+def _rms_errors(nav: np.ndarray, truth: np.ndarray, hit: np.ndarray, k: np.ndarray) -> dict:
+    """The summary's RMS position, velocity and attitude errors of the rows
+    of ``nav`` (nav_out.csv's, which start with truth.csv's columns) that
+    ``hit`` marks, against their truth rows ``truth[k]``.
+
+    The rows are scored :data:`_SUMMARY_ROWS` at a time, each sum carried
+    from one piece to the next in row order, so the sums have the bits of
+    one pass over all rows while only a piece's rows are ever copied.
+    """
+    rows = np.flatnonzero(hit)
+    sums = [0.0, 0.0, 0.0]
+    for a in range(0, len(rows), _SUMMARY_ROWS):
+        piece = rows[a : a + _SUMMARY_ROWS]
+        est, true = nav[piece], truth[k[piece]]
+        rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
+        terms = est[:, 13:16] - true[:, 13:16], est[:, 10:13] - true[:, 10:13], _so3_logs(rot)
+        sums = [_square_sums(d, total) for d, total in zip(terms, sums)]
+    return {name: math.sqrt(total / len(rows))
+            for name, total in zip(("rms_pos", "rms_vel", "rms_att"), sums)}
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
@@ -443,12 +468,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
             [[t, *error, nees, *innovation, nis]
              for t, innovation, nis, error, nees in updates if error is not None],
         )
-        # nav_out.csv starts with the columns of truth.csv
-        est, true = nav[hit], truth[k[hit]]
-        rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
-        for name, d in (("rms_pos", est[:, 13:16] - true[:, 13:16]),
-                        ("rms_vel", est[:, 10:13] - true[:, 10:13]), ("rms_att", _so3_logs(rot))):
-            summary[name] = math.sqrt(_square_sums(d) / len(est))
+        summary.update(_rms_errors(nav, truth, hit, k))
         nees_vals = [nees for _, _, _, _, nees in updates if nees is not None]
         if nees_vals:
             summary["mean_nees"] = float(np.mean(nees_vals))

@@ -172,7 +172,9 @@ def predict(
 
     This is the propagation :func:`run` applies to each window of epochs
     between two fixes (see :func:`_propagate`), on a window of one epoch,
-    and a failure names its epoch the same way (``at epoch t=...``).
+    and a failure names its epoch the same way (``at epoch t=...``).  The
+    mean walk steps a window of one: the midpoint step itself, bit for
+    bit.
 
     When ``imu_prev`` is given, the interval uses trapezoidal averaging of
     the two samples' rates (second-order input handling for batch runs).
@@ -206,36 +208,42 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
 
     ``gyro`` and ``accel`` (N, 3) are the epochs' rates, which the state's
     biases correct, ``dt`` (N,) their intervals (the first from
-    ``state.t``) and ``times`` their times.  The stepping walk
-    (:func:`~eqnav.kinematics._walk`) runs and checks the mean steps; the
-    window's transition matrices and process noise are then formed at
-    once, from its Gamma blocks (left convention) or its stacked mean
-    trajectory (right), each by the operations a window of one takes, and
-    the covariance recursion runs last, checked in one pass with
-    :class:`FilterState`'s decisions.  Returns ``((rot, vel, pos), ps,
-    end)``, read-only: the epochs' states (N, 3, 3) and (N, 3) and
-    covariances (N, 15, 15), and the one state built, the last epoch's
-    :class:`FilterState`.  The first failing epoch, as a loop of
-    :func:`predict` would meet it, raises ``ValueError`` naming it (``at
-    epoch t=...``).
+    ``state.t``) and ``times`` their times.  The mean walk
+    (:func:`~eqnav.kinematics._walk`) solves a window of several mean
+    steps by sweeps and checks them: its rotations, and the left
+    convention's covariances, which do not read the mean, are those of a
+    loop of :func:`predict` bit for bit; velocity and position agree with
+    that loop to roundoff (the walk's stopping rule), and the right
+    convention's covariances with them.  The window's transition matrices
+    and process noise are then formed at once, from its Gamma blocks (left
+    convention) or its stacked mean trajectory (right), each by the
+    operations a window of one takes, and the covariance recursion runs
+    last, checked in one pass with :class:`FilterState`'s decisions.
+    Returns ``((rot, vel, pos), ps, end)``, read-only: the epochs' states
+    (N, 3, 3) and (N, 3) and covariances (N, 15, 15), and the one state
+    built, the last epoch's :class:`FilterState`.  The first failing
+    epoch, as a loop of :func:`predict` would meet it, raises
+    ``ValueError`` naming it (``at epoch t=...``).
     """
     conv = state.convention
     w, f = gyro - state.bg, accel - state.ba
     failed = None
-    try:
-        # one stacked Gamma pass of the body rotations and the earth rate,
-        # at dt and dt/2, serves the mean steps and the transition matrices
-        (body, rate, _, g0), (rot, vel, pos) = _walk(FrameTag.ECEF_IB, state.x, w, f, dt, earth, 3)
-    except _StepError as exc:
-        if exc.walked is None or exc.index == 0:
-            raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
-        # as in a loop of predict, the covariances of the epochs walked
-        # before the failing step are formed first, and one may fail first
-        failed, ((body, rate, _, g0), (rot, vel, pos)) = exc, exc.walked
-        f, dt = f[: exc.index], dt[: exc.index]
-    # _p_faults decides every covariance, so an overflow on the way to one
-    # is its fault, named with its epoch, not a numpy warning
+    # the walk's checks and _p_faults decide every state and covariance, so
+    # an overflow on the way to one is its fault, named with its epoch, not
+    # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # one stacked Gamma pass of the body rotations serves the mean
+            # steps and the transition matrices
+            (body, rate, _, g0), (rot, vel, pos) = _walk(FrameTag.ECEF_IB, state.x, w, f, dt,
+                                                         earth, 3)
+        except _StepError as exc:
+            if exc.walked is None or exc.index == 0:
+                raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
+            # as in a loop of predict, the covariances of the epochs walked
+            # before the failing step are formed first, and one may fail first
+            failed, ((body, rate, _, g0), (rot, vel, pos)) = exc, exc.walked
+            f, dt = f[: exc.index], dt[: exc.index]
         try:
             if conv is Convention.LEFT_INVARIANT:
                 phis = _phi_left(f, dt, body, g0)
@@ -435,8 +443,12 @@ def run(
     fixed number of epochs, has constant biases and is propagated in one
     pass (see :func:`_propagate`).  The array core :func:`_run` hands back
     a block of arrays per window, from which the records are made without
-    a second check; ``eqnav run`` builds none.  The records equal those of
-    a loop of :func:`predict` and :func:`update_gnss`.
+    a second check; ``eqnav run`` builds none.  The records are those of
+    a loop of :func:`predict` and :func:`update_gnss` to roundoff: the
+    window's mean steps are solved together by sweeps that stop within a
+    few ulps of stepping them one at a time (see
+    :func:`~eqnav.kinematics._walk`); failures name the epoch that loop
+    names.
 
     Raises
     ------

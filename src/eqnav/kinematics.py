@@ -33,11 +33,13 @@ from .liegroup import (
     FrameTag,
     GroupElement,
     _EYE3,
+    _all_rotations,
     _cross,
     _element_ok,
     _frozen,
     _gamma_pass,
     _resolve_frame,
+    _rotations_ok,
     _trusted,
     compose,
     gamma_blocks,
@@ -104,22 +106,28 @@ class ImuSample:
 _SQUARE_CAP = 2.0**511
 
 
-def _norm_cube(r2: float | None, pos: NDArray) -> float:
-    """``|r|^3`` of a position r from ``r2``, its ``r . r``: the
-    gravitation's one range decision, which
-    :meth:`EarthModel.gravitation_ecef` and :func:`_gravitation` share.
-    ``r2`` is ``None`` where an entry of r is not below
-    :data:`_SQUARE_CAP` (``r . r`` could overflow, or is NaN); then, or if
-    the cube is past the float range, ``ValueError`` names the largest
-    ``|r|`` of ``pos``, r or the positions (N, 3) it is one of.
+def _norm_cube(r: NDArray) -> float:
+    """``|r|^3`` of a position r (3,): the gravitation's one range decision,
+    which :meth:`EarthModel.gravitation_ecef` and the stacked
+    :func:`_cubes` share.  ``r . r`` is formed only if every entry of r is
+    below :data:`_SQUARE_CAP` (so it cannot overflow; NaN is not); if one
+    is not, or the cube is past the float range, the error of
+    :func:`_past_range` is raised.
     """
-    try:
-        if r2 is not None:
-            return math.sqrt(r2) ** 3
-    except OverflowError:
-        pass
+    x, y, z = r.tolist()
+    if abs(x) < _SQUARE_CAP and abs(y) < _SQUARE_CAP and abs(z) < _SQUARE_CAP:
+        try:
+            return math.sqrt(r.dot(r)) ** 3
+        except OverflowError:
+            pass
+    raise _past_range(r)
+
+
+def _past_range(pos: NDArray) -> ValueError:
+    """The ``ValueError`` of positions past the gravitation's range, naming
+    the largest ``|r|`` of ``pos``, one position (3,) or several (N, 3)."""
     norm = max(math.hypot(*r) for r in np.reshape(pos, (-1, 3)).tolist())
-    raise ValueError(f"gravitation at |r| = {norm:.6g} m overflows")
+    return ValueError(f"gravitation at |r| = {norm:.6g} m overflows")
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,7 @@ class EarthModel:
         range (see :func:`_norm_cube`).
         """
         r = np.asarray(r, dtype=float)
-        x, y, z = r.tolist()
-        fits = abs(x) < _SQUARE_CAP and abs(y) < _SQUARE_CAP and abs(z) < _SQUARE_CAP
-        cube = _norm_cube(r.dot(r) if fits else None, r)  # before mu r can overflow
+        cube = _norm_cube(r)  # before mu r can overflow
         return -self.mu * r / cube
 
     def gravity_ecef(self, r: NDArray) -> NDArray:
@@ -318,13 +324,41 @@ class EarthModel:
         return c_ne.T @ self.gravity_ecef(r_e)
 
 
-def _gravitation(earth: EarthModel, pos: NDArray) -> NDArray:
+# Below this bound on r . r, |r|^3 is finite: at most 2**1020.
+_CUBE_CAP = 2.0**680
+
+
+def _cubes(pos: NDArray, strict: bool) -> NDArray:
+    """:func:`_norm_cube` of each row of ``pos`` (N, 3).  A row past the
+    range raises the error of :func:`_past_range` naming the largest
+    ``|r|`` of ``pos``, or with ``strict=False`` gives NaN.
+
+    ``r . r`` is one dot product per row, with ``r.dot(r)``'s bits.  When
+    every entry is below :data:`_SQUARE_CAP` and every ``r . r`` below
+    :data:`_CUBE_CAP`, no row is out of range and the rows are not decided
+    one by one; the cube stays a per-row ``math`` power, whose bits
+    numpy's ``power`` does not keep.
+    """
+    if np.abs(pos).max(initial=0.0) < _SQUARE_CAP:  # r . r cannot overflow (NaN compares false)
+        r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist()
+        if max(r2, default=0.0) < _CUBE_CAP:
+            return np.array([math.sqrt(v) ** 3 for v in r2])
+    cubes = np.full(len(pos), math.nan)
+    for k, r in enumerate(pos):
+        try:
+            cubes[k] = _norm_cube(r)
+        except ValueError:  # past the range
+            if strict:
+                raise _past_range(pos) from None
+    return cubes
+
+
+def _gravitation(earth: EarthModel, pos: NDArray, strict: bool = True) -> NDArray:
     """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its
-    bits and its range decision."""
-    # one dot product per row, as r.dot(r) in gravitation_ecef
-    fits = np.abs(pos).max(initial=0.0) < _SQUARE_CAP
-    r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist() if fits else [None] * len(pos)
-    cubes = np.array([_norm_cube(v, pos) for v in r2])[:, None]  # before mu r can overflow
+    bits and its range decision: a row past the range raises ``ValueError``
+    naming the largest ``|r|`` of ``pos``, or with ``strict=False`` is
+    NaN (see :func:`_cubes`)."""
+    cubes = _cubes(pos, strict)[:, None]  # before mu r can overflow
     return -earth.mu * pos / cubes
 
 
@@ -376,6 +410,35 @@ def _w2(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel):
         return -w_in_n, g_n - _cross(w_ie_n, vel), vel + _cross(w_ie_n, pos)
     w_in_n = w_ie_n + earth.transport_rate(lat, height, vel - _cross(w_ie_n, pos))
     return -w_in_n, earth.gravitation_ned(lat, height), vel
+
+
+def _gravity(frame: FrameTag, pos: NDArray, earth: EarthModel) -> NDArray:
+    """W2's gravity term of an ECEF variant at each row of ``pos`` (N, 3),
+    with :meth:`EarthModel.gravity_ecef`'s bits (ECEF_EB) or
+    :meth:`EarthModel.gravitation_ecef`'s (ECEF_IB); NaN at a position
+    past the gravitation's range (see :func:`_gravitation`)."""
+    grav = _gravitation(earth, pos, strict=False)
+    if frame is FrameTag.ECEF_EB:
+        w = earth.omega_vec
+        grav = grav - _cross(w, _cross(w, pos))
+    return grav
+
+
+def _col_v(frame: FrameTag, grav: NDArray, vel: NDArray, earth: EarthModel) -> NDArray:
+    """:func:`_w2`'s velocity column of an ECEF variant at stacked states,
+    columns (N, 3, 1), from its gravity term: ``g - w_ie x v`` (ECEF_EB),
+    ``G`` (ECEF_IB)."""
+    if frame is FrameTag.ECEF_EB:
+        return grav - _cross(earth.omega_vec, vel[..., 0])[..., None]
+    return grav
+
+
+def _col_r(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel) -> NDArray:
+    """:func:`_w2`'s position column of an ECEF variant at stacked states,
+    columns (N, 3, 1): ``v + w_ie x r`` (ECEF_EB), ``v`` (ECEF_IB)."""
+    if frame is FrameTag.ECEF_EB:
+        return vel + _cross(earth.omega_vec, pos[..., 0])[..., None]
+    return vel
 
 
 def build_dynamics(
@@ -527,21 +590,32 @@ def _passes(frame, gyro, accel, dt, earth, n):
     at scales 1 and 1/2 (full and half step); ``rate[k]`` is step k's
     ``[full, half]`` blocks of W2's rate, shape (2, n, 3, 3), for the ECEF
     variants, where that rate is the earth rate at every state and shares
-    the body rotations' pass, and ``None`` for the NED variants, where it
-    moves with the state; ``dv[k]`` is the body-frame velocity increment
-    ``Gamma_1(s gyro dt) accel s dt`` of the full and half step (s = 1,
-    1/2), shape (N, 2, 3); ``g0[k]`` is ``Gamma_0(gyro dt)``.  A step whose
-    body rotation is too large to square raises :class:`_StepError`
-    naming it.
+    the body rotations' pass, one row per distinct interval length of the
+    window (a simulated stream's window has about two), and ``None`` for
+    the NED variants, where it moves with the state; ``dv[k]`` is the
+    body-frame velocity increment ``Gamma_1(s gyro dt) accel s dt`` of the
+    full and half step (s = 1, 1/2), shape (N, 2, 3); ``g0[k]`` is
+    ``Gamma_0(gyro dt)``.  A step whose body rotation is too large to
+    square raises :class:`_StepError` naming it.
     """
     steps = len(dt)
     dt_col = dt[:, None]
     phi = _rotations(gyro, dt_col, "body rotation gyro")
+    rows, earth_dt = None, dt_col  # each step's earth-rate row where lengths repeat
     if frame in _CONSTANT_RATE:
-        phi = np.concatenate([phi, -earth.omega_vec * dt_col])
+        if steps > 1:
+            lengths = dt.tolist()
+            index = {h: k for k, h in enumerate(dict.fromkeys(lengths))}  # distinct lengths
+            if len(index) < steps:
+                rows = [index[h] for h in lengths]
+                earth_dt = np.array(list(index))[:, None]
+        phi = np.concatenate([phi, -earth.omega_vec * earth_dt])
     blocks, powers, t2 = _gamma_pass(phi, n, (1.0, 0.5))
     body = (blocks[:steps], powers[:steps], t2[:steps])
-    rate = blocks[steps:] if frame in _CONSTANT_RATE else [None] * steps
+    if frame not in _CONSTANT_RATE:
+        rate = [None] * steps
+    else:
+        rate = blocks[steps:] if rows is None else blocks[steps:][rows]
     a_dt = accel[:, None, :, None] * (dt_col * _STEPS)[:, :, None, None]
     dv = (body[0][:, :, 1] @ a_dt)[..., 0]
     return body, rate, dv, _EYE3 + body[0][:, 0, 0]
@@ -568,6 +642,145 @@ def _midpoint(frame, rot, vel, pos, dt, earth, dv, g0, rate):
     return _flow(rot, vel, pos, dv[0], w2, dt, g0, rate_full)
 
 
+def _step_error(k: int, exc: ValueError, passes, traj) -> _StepError:
+    """The :class:`_StepError` of a walk whose step k fails with ``exc``,
+    carrying the walk's ``passes`` and trajectory ``traj`` cut to the
+    steps before it."""
+    body, rate, dv, g0 = passes
+    error = _StepError(k, str(exc))
+    error.walked = ((tuple(b[:k] for b in body), rate[:k], dv[:k], g0[:k]),
+                    tuple(a[: k + 1] for a in traj))
+    return error
+
+
+def _stepped(frame, x, passes, dt, earth):
+    """The trajectory of :func:`_walk` stepped one step at a time.
+
+    Each stepped state is checked as it is formed, with the decisions of
+    :class:`GroupElement` (the scalar rotation test and one finiteness
+    test), so no step runs on a rejected state, which is rebuilt through
+    the constructor to name its fault.
+    """
+    _, rate, dv, g0 = passes
+    rows = len(dt) + 1
+    rot, vel, pos = np.empty((rows, 3, 3)), np.empty((rows, 3)), np.empty((rows, 3))
+    rot[0], vel[0], pos[0] = step = x.rot, x.vel, x.pos
+    for k, h in enumerate(dt.tolist()):
+        try:
+            step = _midpoint(frame, *step, h, earth, dv[k], g0[k], rate[k])
+            if not _element_ok(*step):
+                GroupElement(*step, x.frame)  # names the fault
+        except ValueError as exc:
+            raise _step_error(k, exc, passes, (rot, vel, pos)) from exc
+        rot[k + 1], vel[k + 1], pos[k + 1] = step
+    return rot, vel, pos
+
+
+# A window's sweeps stop once no coordinate of a step's start or midpoint
+# position moves by more than this many ulps of the largest (see _swept).
+_SWEEP_ULPS = 4
+
+
+def _swept(frame, x, passes, dt, earth):
+    """The trajectory of :func:`_walk` in an ECEF variant, solved by sweeps
+    over all the window's steps at once.
+
+    Only the gravity term of W2 ties a step to the state it starts from:
+    W2's rate is the earth rate at every state, so the rotations are the
+    stepping recursion ``R <- R g0_k + dev_k (R g0_k)``, formed once, bit
+    for bit.  The rest is Picard iteration (waveform relaxation:
+    Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982).
+    The first sweep reads ``x`` as every step's start.  A sweep forms the
+    gravity at all start and midpoint positions in one call, then every
+    step's velocity and position increments, by the operations of one
+    step, and adds them to ``x`` in step order by one cumulative sum; the
+    positions take the sweep's new velocities.  Step k reads only the rows
+    before it, so after k sweeps the first k steps are stepping's.  The
+    sweeps stop once no coordinate of the next sweep's start and midpoint
+    positions is more than :data:`_SWEEP_ULPS` ulps of the largest from
+    this sweep's, and never after more sweeps than steps.
+
+    The stepped states are checked once the sweeps end (see
+    :func:`_fault`).  A failing step leaves NaN in the reads of the steps
+    after it, which never compare as settled, so the window takes every
+    sweep and is stepping's.
+    """
+    _, rate, dv, g0 = passes
+    steps = len(dt)
+    dt_col = dt[:, None, None]
+    half_col = 0.5 * dt_col
+    dev, j, dev_h, j_h = rate[:, 0, 0], rate[:, 0, 1], rate[:, 1, 0], rate[:, 1, 1]
+    rot = np.empty((steps + 1, 3, 3))
+    r = rot[0] = x.rot
+    for k, (g, d) in enumerate(zip(g0, dev)):
+        r = r @ g
+        r = rot[k + 1] = r + d @ r
+    # vectors are columns (..., 3, 1), so each product is one gemv with the
+    # bits of the step's; each sweep adds its increments in place
+    rdv = rot[:-1, None] @ dv[..., None]  # each step's rot dv, full and half step
+    vel = np.empty((2 * steps + 1, 3, 1))  # v_0, then each step's rot dv and rest
+    pos = np.empty((steps + 1, 3, 1))  # r_0, then each step's increment
+    vel[::2], pos[:] = x.vel[:, None], x.pos[:, None]  # the first sweep's starts: x
+    v_s, r_s = vel[:-1:2], pos[:-1]  # the steps' starts, as the last sweep left them
+    v_mid = None
+    for sweep in range(steps):  # no more sweeps than steps
+        # where the sweep reads the gravity: the starts, then the midpoints
+        reads = np.empty((2 * steps, 3, 1))
+        reads[:steps] = r_s
+        np.add(r_s, dev_h @ r_s + j_h @ (_col_r(frame, v_s, r_s, earth) * half_col),
+               out=reads[steps:])
+        if sweep and np.abs(reads - at).max() <= _SWEEP_ULPS * np.spacing(np.abs(at).max()):
+            break  # NaN compares false: a failing window takes every sweep
+        at, mid = reads, reads[steps:]
+        grav = _gravity(frame, at[..., 0], earth)[..., None]
+        g_s = j_h @ (_col_v(frame, grav[:steps], v_s, earth) * half_col)
+        if frame is FrameTag.ECEF_EB:  # W2 at the midpoint reads its velocity
+            v_a = rdv[:, 1] + v_s
+            v_mid = v_a + (dev_h @ v_a + g_s)
+        e = dev @ (rdv[:, 0] + v_s) + j @ (_col_v(frame, grav[steps:], v_mid, earth) * dt_col)
+        d_r = dev @ r_s
+        vel[1::2], vel[2::2] = rdv[:, 0], e
+        np.add.accumulate(vel, axis=0, out=vel)
+        # the positions take this sweep's velocities
+        v_a = rdv[:, 1] + v_s
+        v_mid = v_a + (dev_h @ v_a + g_s)
+        pos[1:] = d_r + j @ (_col_r(frame, v_mid, mid, earth) * dt_col)
+        np.add.accumulate(pos, axis=0, out=pos)
+    traj = rot, vel[::2, :, 0], pos[..., 0]
+    # the squares' sum is finite only if every entry is (or it overflows)
+    if not (math.isfinite(np.vdot(vel, vel) + np.vdot(pos, pos)) and _all_rotations(rot[1:])):
+        _fault(x, passes, traj, at, grav, earth)
+    return traj
+
+
+def _fault(x, passes, traj, at, grav, earth) -> None:
+    """Raise the :class:`_StepError` of a swept window's first failing
+    step, as stepping one at a time meets it; return if no step fails (a
+    finite sum of squares overflowed).
+
+    ``at`` and ``grav`` are the last sweep's gravity positions (N start
+    rows, then N midpoint rows) and gravity.
+    """
+    rot, vel, pos = traj
+    steps = len(rot) - 1
+    ok = (_rotations_ok(rot[1:]) & np.isfinite(vel[1:]).all(axis=1)
+          & np.isfinite(pos[1:]).all(axis=1))
+    bad_g = ~np.isfinite(grav[..., 0]).all(axis=1)
+    # a step's checks, in the order stepping makes them: the gravity at its
+    # start, then at its midpoint, then its state
+    faults = (bad_g[:steps], bad_g[steps:], ~ok)
+    found = [(int(m.argmax()), i) for i, m in enumerate(faults) if m.any()]
+    if not found:
+        return
+    k, kind = min(found)
+    try:
+        if kind < 2:
+            earth.gravitation_ecef(at[k + kind * steps, :, 0])
+        GroupElement(rot[k + 1], vel[k + 1], pos[k + 1], x.frame)  # names the fault
+    except ValueError as exc:
+        raise _step_error(k, exc, passes, traj) from exc
+
+
 def _walk(frame, x, gyro, accel, dt, earth, n):
     """The midpoint steps of a window from ``x``: the one propagation path.
 
@@ -579,33 +792,30 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     (N + 1, 3, 3) and (N + 1, 3), row 0 ``x`` and row k + 1 the end of
     step k.  No element is built; callers make theirs from views of it.
 
-    Each stepped state is checked as it is formed, with the decisions of
-    :class:`GroupElement` (the scalar rotation test and one finiteness
-    test), so no step runs on a rejected state, which is rebuilt through
-    the constructor to name its fault.  A failing step raises
-    :class:`_StepError` naming its index, with the walk of the steps
-    before it; ``x.frame`` other than ``frame``, :class:`FrameMismatch`.
+    Step k is :func:`midpoint_step`'s: W2 at the start, a half step to the
+    midpoint, W2 there, and the full step from the start.  An ECEF window
+    of two or more steps is solved by sweeps (:func:`_swept`): its
+    rotations are stepping's bit for bit, its velocities and positions
+    agree with stepping to roundoff.  A window of one, and every NED
+    window, is stepped (:func:`_stepped`), stepping's bits: a sweep of one
+    step is the step, and in NED each sweep would form the state-dependent
+    rates and gravity again, row by row.
+
+    The first failing step, as stepping one at a time meets it (a
+    gravitation past its range, an NED rate rotation too large to square,
+    a state :class:`GroupElement` rejects), raises :class:`_StepError`
+    naming its index, with the walk of the steps before it.  ``x.frame``
+    other than ``frame`` raises :class:`FrameMismatch`.  Callers run it
+    under ``np.errstate(over="ignore", invalid="ignore")``: the walk names
+    its faults, so their inf and NaN make no numpy warning.
     """
     _resolve_frame(x.frame, frame)
     passes = _passes(frame, gyro, accel, dt, earth, n)
-    _, rate, dv, g0 = passes
-    rows = len(dt) + 1
-    rot, vel, pos = np.empty((rows, 3, 3)), np.empty((rows, 3)), np.empty((rows, 3))
-    rot[0], vel[0], pos[0] = step = x.rot, x.vel, x.pos
-    for k, h in enumerate(dt.tolist()):
-        try:
-            step = _midpoint(frame, *step, h, earth, dv[k], g0[k], rate[k])
-            if not _element_ok(*step):
-                GroupElement(*step, x.frame)  # names the fault
-        except ValueError as exc:
-            error = _StepError(k, str(exc))
-            error.walked = ((tuple(b[:k] for b in passes[0]), rate[:k], dv[:k], g0[:k]),
-                            (rot[: k + 1], vel[: k + 1], pos[: k + 1]))
-            raise error from exc
-        rot[k + 1], vel[k + 1], pos[k + 1] = step
-    for a in (rot, vel, pos):
+    walk = _swept if frame in _CONSTANT_RATE and len(dt) > 1 else _stepped
+    traj = walk(frame, x, passes, dt, earth)
+    for a in traj:
         a.setflags(write=False)
-    return passes, (rot, vel, pos)
+    return passes, traj
 
 
 def midpoint_step(
@@ -617,11 +827,14 @@ def midpoint_step(
     W2 is evaluated at ``x``; a half-step :func:`flow` gives the midpoint
     velocity and position (all that W2 reads), W2 is rebuilt there, and the
     full step is the exact flow from ``x``: second order in ``dt``.  This is
-    the stepping walk every propagation runs, on a window of one step.
-    Raises :class:`FrameMismatch` if ``x.frame`` is not ``frame``.
+    the mean walk every propagation runs (:func:`_walk`), on a window of
+    one step; an ECEF window of several steps, solved by sweeps, agrees
+    with a loop of this step to roundoff.  Raises :class:`FrameMismatch` if
+    ``x.frame`` is not ``frame``.
     """
     gyro, accel = np.reshape(gyro, (1, 3)), np.reshape(accel, (1, 3))
-    rot, vel, pos = _walk(frame, x, gyro, accel, np.array([dt]), earth, 2)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk names its faults
+        rot, vel, pos = _walk(frame, x, gyro, accel, np.array([dt]), earth, 2)[1]
     return _trusted(GroupElement, rot=rot[1], vel=vel[1], pos=pos[1], frame=x.frame)
 
 
@@ -833,9 +1046,11 @@ def integrate_imu(
     interval while every step remains an exact flow of a constant pair.
     The stream is stacked and cut into intervals and windows as
     :func:`~eqnav.filter.run` does it (:func:`_stream`, :func:`_intervals`,
-    :func:`_windows`); the steps run through the stepping walk every
-    propagation shares, a window at a time, so what does not depend on the
-    state is formed for the window at once.
+    :func:`_windows`); the mean walk every propagation shares
+    (:func:`_walk`) solves an ECEF window's steps at once, by sweeps over
+    the window that stop within a few ulps of stepping them one at a time
+    (the rotations are the stepping recursion's, bit for bit); NED windows
+    are stepped.
 
     Returns the list of (t, state) including the initial sample time.
 
@@ -857,7 +1072,9 @@ def integrate_imu(
     out = [(times[0], x0)]
     for a, b in _windows(0, [dts.size]):
         try:
-            traj = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth, 2)[1]
+            with np.errstate(over="ignore", invalid="ignore"):  # the walk names its faults
+                traj = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth,
+                             2)[1]
         except _StepError as exc:
             raise ValueError(f"at epoch t={times[a + exc.index + 1]}: {exc}") from exc
         out += ((t, _trusted(GroupElement, rot=rot, vel=vel, pos=pos, frame=x0.frame))

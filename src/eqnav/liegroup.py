@@ -14,6 +14,7 @@ left Jacobian of SO(3).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -116,6 +117,20 @@ def _rotations_ok(rot: NDArray) -> NDArray:
     over the stack, so each has the bits of the scalar test.
     """
     return _rotation_test(rot.reshape(-1, 9).T, np.sqrt)
+
+
+# Below this many matrices the scalar rotation test, matrix by matrix,
+# costs less than the stacked one's fixed cost (measured at 1, 20 and 128).
+_STACKED_ROTATIONS = 24
+
+
+def _all_rotations(rot: NDArray) -> bool:
+    """True if every matrix of a stack (N, 3, 3) passes :func:`is_rotation`,
+    with :func:`_rotations_ok`'s decisions: matrix by matrix below
+    :data:`_STACKED_ROTATIONS` matrices, stacked from there."""
+    if len(rot) < _STACKED_ROTATIONS:
+        return all(_rotation_test(r, math.sqrt) for r in rot.reshape(-1, 9).tolist())
+    return bool(_rotation_test(rot.reshape(-1, 9).T, np.sqrt).all())
 
 
 def _rotation_test(entries, sqrt):
@@ -245,6 +260,17 @@ def _hats(v: NDArray) -> NDArray:
     return w.take(_HAT_TAKE, axis=1).reshape(-1, 3, 3)
 
 
+@functools.lru_cache(maxsize=8)
+def _scale_columns(scales: tuple[float, ...]) -> tuple[NDArray, NDArray]:
+    """The scales of a :func:`_gamma_pass` and their squares as read-only
+    columns (len(scales), 1, 1, 1), formed once per tuple of scales."""
+    s = np.array(scales).reshape(len(scales), 1, 1, 1)
+    s2 = s * s
+    for a in (s, s2):
+        a.setflags(write=False)
+    return s, s2
+
+
 def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
     """Gamma blocks of ``s * phi`` for each ``s`` in ``scales``, from one hat.
 
@@ -279,10 +305,10 @@ def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
         for s in scales:
             c += gamma_coefficients(1, n + 1, s * s * tk2, s * thk)
     c = np.array(c).reshape(rows, len(scales), n + 1, 1, 1)
-    s = np.array(scales).reshape(len(scales), 1, 1, 1)
+    s, s2 = _scale_columns(scales)
     # Gamma_m(s phi) = I/m! + (s c_{m+1}) phi^ + (s^2 c_{m+2}) (phi^)^2
     blocks = c[:, :, :-1] * s * powers[:, None, None, 1]
-    blocks += c[:, :, 1:] * (s * s) * powers[:, None, None, 2]
+    blocks += c[:, :, 1:] * s2 * powers[:, None, None, 2]
     blocks[:, :, 1:] += _SCALED_EYES[1:n]
     if single:
         return blocks[0], powers[0], t2[0]

@@ -324,7 +324,7 @@ def phi_right(
     frozen and no quadrature is involved.  At a stationary state the result
     coincides with ``expm(F_r dt)`` for the frozen F.
 
-    The mean step and the matrix come from the stepping walk and the array
+    The mean step and the matrix come from the mean walk and the array
     core :func:`~eqnav.filter.run` applies to each window between two fixes
     (where a failure names its epoch), here on a window of one interval.
 
@@ -340,9 +340,10 @@ def phi_right(
     if dt <= 0.0:
         raise ValueError("phi_right requires dt > 0")
     accel, dts = imu.accel.reshape(1, 3), np.array([dt])
-    (body, rate, _, g0), traj = _walk(
-        FrameTag.ECEF_IB, xhat, imu.gyro.reshape(1, 3), accel, dts, earth, 3
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk names its faults
+        (body, rate, _, g0), traj = _walk(
+            FrameTag.ECEF_IB, xhat, imu.gyro.reshape(1, 3), accel, dts, earth, 3
+        )
     m = _phi_right(*traj, earth, dts, rate[:, 0], _left_bias(accel, dts, body, g0))
     return TransitionBlocks(m[0], Convention.RIGHT_INVARIANT, dt)
 

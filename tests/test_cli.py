@@ -166,6 +166,40 @@ class TestRun:
         assert json.loads(capsys.readouterr().out)["epochs"] == 10_000
         assert peak < 16e6
 
+    @pytest.mark.parametrize("every", [True, False])
+    def test_summary_errors_in_bounded_memory(self, rng, every):
+        """The summary's RMS errors allocate less than one copy of the nav
+        array (scoring copies of all rows took 2.5) and keep the bits of
+        scoring all rows at once, whether every epoch has its truth row or
+        only some do."""
+        import math
+
+        from eqnav.liegroup import _so3_logs, so3_exp
+
+        n = 20_000
+        rots = np.array([so3_exp(a) for a in rng.normal(scale=0.3, size=(2 * n, 3))])
+        nav = np.column_stack([np.arange(n) * 0.005, rots[:n].reshape(n, 9),
+                               rng.normal(size=(n, 27))])
+        hit = np.ones(n, dtype=bool) if every else rng.uniform(size=n) < 0.7
+        truth = np.column_stack([nav[:, 0], rots[n:].reshape(n, 9),
+                                 nav[:, 10:16] + rng.normal(scale=1e-3, size=(n, 6))])[hit]
+        k = (np.cumsum(hit) - 1).clip(min=0)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            got = cli._rms_errors(nav, truth, hit, k)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < nav.nbytes
+        est, true = nav[hit], truth[k[hit]]
+        rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
+        want = {name: math.sqrt(cli._square_sums(d) / len(est))
+                for name, d in (("rms_pos", est[:, 13:16] - true[:, 13:16]),
+                                ("rms_vel", est[:, 10:13] - true[:, 10:13]),
+                                ("rms_att", _so3_logs(rot)))}
+        assert got == want
+
     def test_truth_absent_omits_err_out(self, tmp_path, capsys):
         args = sum([["--set", o] for o in fast_overrides()], [])
         assert main(["--out", str(tmp_path)] + args + ["simulate"]) == 0

@@ -548,8 +548,11 @@ class TestIntegrateImu:
 
     @pytest.mark.parametrize("frame", list(FrameTag))
     def test_matches_midpoint_steps(self, earth, rng, frame):
-        # more uneven steps than one stacked pass takes: each step is
-        # midpoint_step's, bit for bit
+        # more uneven steps than one window takes: NED windows are stepped,
+        # with midpoint_step's bits; the sweeps solve each ECEF window to
+        # roundoff of stepping it (bounds about 100 times the worst of 40
+        # seeds: velocity 1.3e-12 m/s, position 1.2e-10 m), its rotations,
+        # which do not depend on the state, bit for bit
         x = builder_state(earth, frame)
         times = np.cumsum(rng.uniform(0.004, 0.012, kin._WINDOW + 41))
         samples = [
@@ -566,5 +569,173 @@ class TestIntegrateImu:
             )
             assert t == cur.t
             np.testing.assert_array_equal(got.rot, want.rot)
-            np.testing.assert_array_equal(got.vel, want.vel)
-            np.testing.assert_array_equal(got.pos, want.pos)
+            if frame in (FrameTag.NED_EB, FrameTag.NED_IB):
+                np.testing.assert_array_equal(got.vel, want.vel)
+                np.testing.assert_array_equal(got.pos, want.pos)
+            else:
+                assert np.abs(got.vel - want.vel).max() <= 1e-10
+                assert np.abs(got.pos - want.pos).max() <= 1e-8
+
+    @pytest.mark.parametrize("frame", [FrameTag.ECEF_EB, FrameTag.ECEF_IB])
+    def test_ecef_rotations_bit_identical(self, earth, frame):
+        """The ECEF rotations of a 128-step window are midpoint_step's, bit
+        for bit: W2's rate is the earth rate at every state, so the walk
+        forms them once by the stepping recursion."""
+        from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_imu
+
+        spec = TrajectorySpec(profile="figure-eight", duration=1.0, imu_rate=200.0, speed=10.0,
+                              turn_rate=0.3)
+        truth = generate_truth(spec, earth)
+        imu = synthesize_imu(truth, earth, SensorErrorSpec(gyro_psd=1e-6, accel_psd=1e-4, seed=3))
+        x = truth.samples[0][1]
+        if frame is FrameTag.ECEF_EB:
+            x = frame_translation(3, x, earth, reverse=True)
+        rates = np.array([[s.gyro, s.accel] for s in imu])
+        mean, dts = 0.5 * (rates[:-1] + rates[1:]), np.diff([s.t for s in imu])
+        assert len(dts) >= kin._WINDOW
+        mean, dts = mean[: kin._WINDOW], dts[: kin._WINDOW]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rot = kin._walk(frame, x, mean[:, 0], mean[:, 1], dts, earth, 2)[1][0]
+        want = x
+        for k, (gyro, accel) in enumerate(mean):
+            want = kin.midpoint_step(frame, want, gyro, accel, dts[k], earth)
+            np.testing.assert_array_equal(rot[k + 1], want.rot)
+
+
+class TestSweeps:
+    """The sweeps that solve a window's mean trajectory (``kinematics._walk``),
+    counted by their gravity reads: one ``_gravity`` call per sweep."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The number of sweeps of each walk run while the fixture is in use."""
+        import eqnav.filter as flt
+
+        counts, gravity, walk = [], kin._gravity, kin._walk
+
+        def counted_gravity(*args):
+            counts[-1] += 1
+            return gravity(*args)
+
+        def counted_walk(*args):
+            counts.append(0)
+            return walk(*args)
+
+        monkeypatch.setattr(kin, "_gravity", counted_gravity)
+        monkeypatch.setattr(kin, "_walk", counted_walk)
+        monkeypatch.setattr(flt, "_walk", counted_walk)
+        return counts
+
+    @pytest.mark.parametrize("frame", list(FrameTag))
+    def test_windows_of_one_and_ned_windows_are_stepped(self, earth, imu, sweeps, frame):
+        """A window of one (midpoint_step, predict, phi_right) takes no sweep
+        in any frame, and an NED window of several steps none either; an
+        ECEF window of several steps is swept."""
+        x = builder_state(earth, frame)
+        for dt in (1e-3, 0.01, 1.0):
+            kin.midpoint_step(frame, x, imu.gyro, imu.accel, dt, earth)
+        integrate_imu(x, [ImuSample(0.01 * k, imu.gyro, imu.accel) for k in range(5)], earth)
+        assert sweeps[:3] == [0, 0, 0]
+        assert (sweeps[3] == 0) == (frame in (FrameTag.NED_EB, FrameTag.NED_IB))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160, 1e308])
+    @pytest.mark.parametrize("frame", [FrameTag.ECEF_EB, FrameTag.ECEF_IB])
+    def test_swept_state_decided_as_stepped(self, earth, imu, sweeps, frame, value):
+        """A swept window decides its last state as stepping does: a specific
+        force of NaN or inf (velocity and position not finite) is rejected
+        with GroupElement's message, naming the step; 1e160 and 1e308 (a
+        finite state whose sum of squares overflows) are accepted, with no
+        warning, through the walk and through integrate_imu."""
+        x = builder_state(earth, frame)
+        gyro, accel = np.tile(imu.gyro, (3, 1)), np.tile(imu.accel, (3, 1))
+        accel[2, 0] = value
+        dt = np.full(3, 0.005)
+
+        def stepped():
+            y = x
+            for k in range(3):
+                y = kin.midpoint_step(frame, y, gyro[k], accel[k], dt[k], earth)
+            return y
+
+        if not math.isfinite(value):
+            with pytest.raises(ValueError, match="GroupElement") as want:
+                stepped()
+            with pytest.raises(kin._StepError) as got, np.errstate(over="ignore",
+                                                                   invalid="ignore"):
+                kin._walk(frame, x, gyro, accel, dt, earth, 2)
+            assert (got.value.index, str(got.value)) == (2, str(want.value))
+            return
+        want = stepped()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rot, vel, pos = kin._walk(frame, x, gyro, accel, dt, earth, 2)[1]
+        assert sweeps[-1] >= 1
+        assert np.isfinite(vel).all() and np.isfinite(pos).all()
+        assert math.isinf(sum(v * v for v in vel[-1].tolist()))
+        np.testing.assert_array_equal(rot[-1], want.rot)
+        np.testing.assert_allclose(vel[-1], want.vel, rtol=1e-12)
+        np.testing.assert_allclose(pos[-1], want.pos, rtol=1e-12)
+        samples = [ImuSample(0.005 * k, imu.gyro, accel[min(k, 2)] if k == 3 else imu.accel)
+                   for k in range(4)]
+        path = integrate_imu(x, samples, earth, frame=frame)
+        assert np.isfinite(path[-1][1].vel).all()
+        assert math.isinf(sum(v * v for v in path[-1][1].vel.tolist()))
+
+    @pytest.mark.parametrize("profile", ["constant-turn", "figure-eight"])
+    def test_windows_at_200_hz_take_at_most_four_sweeps(self, earth, sweeps, profile):
+        """128-epoch windows at 200 Hz: three sweeps, sometimes four."""
+        from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_imu
+
+        spec = TrajectorySpec(profile=profile, duration=5.0, imu_rate=200.0, speed=10.0,
+                              turn_rate=0.02 if profile == "constant-turn" else 0.3)
+        truth = generate_truth(spec, earth)
+        imu = synthesize_imu(truth, earth, SensorErrorSpec())
+        integrate_imu(truth.samples[0][1], imu, earth)
+        assert len(sweeps) == -(-(len(imu) - 1) // kin._WINDOW)
+        assert max(sweeps) <= 4
+
+    def test_criterion_9_windows_take_at_most_four_sweeps(self, earth, sweeps):
+        """Criterion 9's runs: 50 Hz, a fix a second, noisy rates and biases."""
+        from eqnav.errordyn import Convention, LeverArm, NoiseParams
+        from eqnav.filter import FilterState, run
+        from eqnav.sim import (SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss,
+                               synthesize_imu)
+
+        spec = TrajectorySpec(profile="constant-turn", duration=10.0, imu_rate=50.0,
+                              gnss_rate=1.0, speed=10.0, turn_rate=0.02)
+        truth = generate_truth(spec, earth)
+        lever = np.array([0.5, 0.3, -1.2])
+        p0 = np.diag([4e-8] * 3 + [4e-4] * 3 + [0.25] * 3 + [1e-10] * 3 + [1e-8] * 3)
+        for seed in (1, 2):
+            errs = SensorErrorSpec(np.full(3, 1e-5), np.full(3, 1e-4), 4e-8, 4e-6, seed=seed)
+            imu = synthesize_imu(truth, earth, errs)
+            gnss = synthesize_gnss(truth, lever, 1.0, np.eye(3), seed=seed)
+            st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), p0, 0.0,
+                             Convention.LEFT_INVARIANT)
+            run(imu, gnss, st, NoiseParams(4e-8, 4e-6, 1e-16, 1e-14), earth, LeverArm(lever))
+        assert len(sweeps) == 2 * 10  # a window per second
+        assert max(sweeps) <= 4
+
+
+def test_earth_rate_rows_one_per_distinct_length(earth, rng, monkeypatch):
+    """The ECEF earth-rate Gamma blocks of a window are formed once per
+    distinct interval length, as rows of the body rotations' pass, and each
+    step's are the row of a pass of ``-omega_vec * dt`` over every step at
+    scales 1 and 1/2, bit for bit: on a simulated stream's window, a
+    jittered one and a window of one."""
+    rows, gamma_pass = [], kin._gamma_pass
+
+    def counted(phi, n, scales):
+        rows.append(len(phi))
+        return gamma_pass(phi, n, scales)
+
+    monkeypatch.setattr(kin, "_gamma_pass", counted)
+    uniform = np.diff(np.arange(kin._WINDOW + 1) / 200.0)
+    assert len(set(uniform.tolist())) < 10
+    for dt in (uniform, rng.uniform(0.004, 0.012, 40), uniform[:1]):
+        gyro, accel = rng.normal(scale=0.3, size=(2, len(dt), 3))
+        for n in (2, 3):
+            rate = kin._passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, n)[1]
+            want = gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
+            np.testing.assert_array_equal(rate, want)
+            assert rows[-1] == len(dt) + len(set(dt.tolist()))

@@ -376,9 +376,10 @@ def _flip_pair(accepted, rejected, entry):
 
 
 def test_stacked_rotation_decisions_match_group_element(rng):
-    """The one-pass rotation test of a stack and the in-place element test
-    decide each row as GroupElement does: random rotations, the tolerance's
-    boundary to the ulp on both residuals, and NaN/inf in each field."""
+    """The one-pass rotation test of a stack, the test of a whole stack and
+    the in-place element test decide each row as GroupElement does: random
+    rotations, the tolerance's boundary to the ulp on both residuals, and
+    NaN/inf in each field."""
     z = np.zeros(3)
     rots = [lg.so3_exp(rng.normal(size=3) * rng.uniform(0.0, 3.0)) for _ in range(20)]
     rots += [np.eye(3), np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3)]
@@ -404,6 +405,12 @@ def test_stacked_rotation_decisions_match_group_element(rng):
     assert True in want and False in want
     with np.errstate(invalid="ignore", over="ignore"):
         assert lg._rotations_ok(rots).tolist() == want
+        for r, ok in zip(rots, want):
+            assert lg._all_rotations(r[None]) == ok == lg.is_rotation(r)
+        # whole stacks, matrix by matrix and stacked (from 24 matrices)
+        for size in (1, 2, 23, 24, 25, len(rots)):
+            for a in range(0, len(rots) - size + 1, 7):
+                assert lg._all_rotations(rots[a : a + size]) == all(want[a : a + size])
     for r, ok in zip(rots, want):
         assert lg._element_ok(r, z, z) == ok == lg.is_rotation(r)
 

@@ -202,7 +202,7 @@ class TestPhiRight:
         # the window core over a mean trajectory gives each interval's public
         # matrix, with |w dt| on both sides of the 2 rad switch of Psi's
         # coefficients, from a surface state and from one on the earth's axis
-        from eqnav.kinematics import _midpoint, _passes
+        from eqnav.kinematics import _passes, midpoint_step
         from eqnav.transition import _gravitation, _left_bias, _phi_right
 
         x, imu = stationary
@@ -212,13 +212,11 @@ class TestPhiRight:
         axes = rng.normal(size=(angles.size, 3))
         gyro = axes / np.linalg.norm(axes, axis=1)[:, None] * (angles / dts)[:, None]
         accel = imu.accel + rng.uniform(-5.0, 5.0, (angles.size, 3))
-        body, rate, dv, g0 = _passes(FrameTag.ECEF_IB, gyro, accel, dts, earth, 3)
+        body, rate, _, g0 = _passes(FrameTag.ECEF_IB, gyro, accel, dts, earth, 3)
         for start in (x, polar):
             xs = [start]
             for k, dt in enumerate(dts.tolist()):
-                step = _midpoint(FrameTag.ECEF_IB, xs[-1].rot, xs[-1].vel, xs[-1].pos, dt,
-                                 earth, dv[k], g0[k], rate[k])
-                xs.append(lg.GroupElement(*step, FrameTag.ECEF_IB))
+                xs.append(midpoint_step(FrameTag.ECEF_IB, xs[-1], gyro[k], accel[k], dt, earth))
             pos = np.array([s.pos for s in xs])
             # the stacked gravitation keeps the bits of gravitation_ecef's norm
             np.testing.assert_array_equal(
