@@ -158,10 +158,12 @@ class ConfigError(ValueError):
 
 @contextlib.contextmanager
 def _config_values():
-    """A ``ValueError`` from building models out of the configuration exits 2."""
+    """A ``ValueError`` from building models out of the configuration, or a
+    ``MemoryError`` from an array it sizes past what can be allocated,
+    exits 2."""
     try:
         yield
-    except ValueError as exc:  # ConfigError and LinAlgError included
+    except (ValueError, MemoryError) as exc:  # ConfigError and LinAlgError included
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
@@ -420,7 +422,10 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                                 frame=FrameTag.ECEF_IB)
             return None
 
-        x0 = truth_at(truth[0, 0])
+        x0 = truth_at(imu[0, 0])
+        if x0 is None:
+            raise ConfigError(f"{out / 'truth.csv'}: no row at the first IMU epoch's time "
+                              f"t={imu[0, 0].item()!r} to start from")
     else:
         # dead-reckon start from the first fix, level attitude
         fix = gnss[0]

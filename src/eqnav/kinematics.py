@@ -39,7 +39,6 @@ from .liegroup import (
     _frozen,
     _gamma_pass,
     _resolve_frame,
-    _rotations_ok,
     _trusted,
     compose,
     gamma_blocks,
@@ -328,10 +327,10 @@ class EarthModel:
 _CUBE_CAP = 2.0**680
 
 
-def _cubes(pos: NDArray, strict: bool) -> NDArray:
+def _cubes(pos: NDArray) -> NDArray:
     """:func:`_norm_cube` of each row of ``pos`` (N, 3).  A row past the
     range raises the error of :func:`_past_range` naming the largest
-    ``|r|`` of ``pos``, or with ``strict=False`` gives NaN.
+    ``|r|`` of ``pos``.
 
     ``r . r`` is one dot product per row, with ``r.dot(r)``'s bits.  When
     every entry is below :data:`_SQUARE_CAP` and every ``r . r`` below
@@ -343,22 +342,17 @@ def _cubes(pos: NDArray, strict: bool) -> NDArray:
         r2 = (pos[:, None, :] @ pos[:, :, None]).ravel().tolist()
         if max(r2, default=0.0) < _CUBE_CAP:
             return np.array([math.sqrt(v) ** 3 for v in r2])
-    cubes = np.full(len(pos), math.nan)
-    for k, r in enumerate(pos):
-        try:
-            cubes[k] = _norm_cube(r)
-        except ValueError:  # past the range
-            if strict:
-                raise _past_range(pos) from None
-    return cubes
+    try:
+        return np.array([_norm_cube(r) for r in pos])
+    except ValueError:  # past the range
+        raise _past_range(pos) from None
 
 
-def _gravitation(earth: EarthModel, pos: NDArray, strict: bool = True) -> NDArray:
+def _gravitation(earth: EarthModel, pos: NDArray) -> NDArray:
     """``earth.gravitation_ecef`` of each row of ``pos`` (N, 3), with its
     bits and its range decision: a row past the range raises ``ValueError``
-    naming the largest ``|r|`` of ``pos``, or with ``strict=False`` is
-    NaN (see :func:`_cubes`)."""
-    cubes = _cubes(pos, strict)[:, None]  # before mu r can overflow
+    naming the largest ``|r|`` of ``pos`` (see :func:`_cubes`)."""
+    cubes = _cubes(pos)[:, None]  # before mu r can overflow
     return -earth.mu * pos / cubes
 
 
@@ -415,9 +409,9 @@ def _w2(frame: FrameTag, vel: NDArray, pos: NDArray, earth: EarthModel):
 def _gravity(frame: FrameTag, pos: NDArray, earth: EarthModel) -> NDArray:
     """W2's gravity term of an ECEF variant at each row of ``pos`` (N, 3),
     with :meth:`EarthModel.gravity_ecef`'s bits (ECEF_EB) or
-    :meth:`EarthModel.gravitation_ecef`'s (ECEF_IB); NaN at a position
-    past the gravitation's range (see :func:`_gravitation`)."""
-    grav = _gravitation(earth, pos, strict=False)
+    :meth:`EarthModel.gravitation_ecef`'s (ECEF_IB).  A position past the
+    gravitation's range raises ``ValueError`` (see :func:`_gravitation`)."""
+    grav = _gravitation(earth, pos)
     if frame is FrameTag.ECEF_EB:
         w = earth.omega_vec
         grav = grav - _cross(w, _cross(w, pos))
@@ -642,26 +636,17 @@ def _midpoint(frame, rot, vel, pos, dt, earth, dv, g0, rate):
     return _flow(rot, vel, pos, dv[0], w2, dt, g0, rate_full)
 
 
-def _step_error(k: int, exc: ValueError, passes, traj) -> _StepError:
-    """The :class:`_StepError` of a walk whose step k fails with ``exc``,
-    carrying the walk's ``passes`` and trajectory ``traj`` cut to the
-    steps before it."""
-    body, rate, dv, g0 = passes
-    error = _StepError(k, str(exc))
-    error.walked = ((tuple(b[:k] for b in body), rate[:k], dv[:k], g0[:k]),
-                    tuple(a[: k + 1] for a in traj))
-    return error
-
-
 def _stepped(frame, x, passes, dt, earth):
     """The trajectory of :func:`_walk` stepped one step at a time.
 
     Each stepped state is checked as it is formed, with the decisions of
     :class:`GroupElement` (the scalar rotation test and one finiteness
     test), so no step runs on a rejected state, which is rebuilt through
-    the constructor to name its fault.
+    the constructor to name its fault.  A failing step k raises
+    :class:`_StepError` carrying the walk's passes and trajectory cut to
+    the steps before it.
     """
-    _, rate, dv, g0 = passes
+    body, rate, dv, g0 = passes
     rows = len(dt) + 1
     rot, vel, pos = np.empty((rows, 3, 3)), np.empty((rows, 3)), np.empty((rows, 3))
     rot[0], vel[0], pos[0] = step = x.rot, x.vel, x.pos
@@ -671,7 +656,10 @@ def _stepped(frame, x, passes, dt, earth):
             if not _element_ok(*step):
                 GroupElement(*step, x.frame)  # names the fault
         except ValueError as exc:
-            raise _step_error(k, exc, passes, (rot, vel, pos)) from exc
+            error = _StepError(k, str(exc))
+            error.walked = ((tuple(b[:k] for b in body), rate[:k], dv[:k], g0[:k]),
+                            (rot[: k + 1], vel[: k + 1], pos[: k + 1]))
+            raise error from exc
         rot[k + 1], vel[k + 1], pos[k + 1] = step
     return rot, vel, pos
 
@@ -700,10 +688,12 @@ def _swept(frame, x, passes, dt, earth):
     positions is more than :data:`_SWEEP_ULPS` ulps of the largest from
     this sweep's, and never after more sweeps than steps.
 
-    The stepped states are checked once the sweeps end (see
-    :func:`_fault`).  A failing step leaves NaN in the reads of the steps
-    after it, which never compare as settled, so the window takes every
-    sweep and is stepping's.
+    A failing window is stepped once more (:func:`_stepped`) to name its
+    fault: as soon as a sweep's gravity read is past the gravitation's
+    range (or NaN), or once the sweeps end if a state fails their one
+    check (the rotations, and a sum of squares that is finite only if
+    every entry is; a finite state so far out that the sum overflows is
+    stepped too, and accepted).
     """
     _, rate, dv, g0 = passes
     steps = len(dt)
@@ -730,9 +720,12 @@ def _swept(frame, x, passes, dt, earth):
         np.add(r_s, dev_h @ r_s + j_h @ (_col_r(frame, v_s, r_s, earth) * half_col),
                out=reads[steps:])
         if sweep and np.abs(reads - at).max() <= _SWEEP_ULPS * np.spacing(np.abs(at).max()):
-            break  # NaN compares false: a failing window takes every sweep
+            break
         at, mid = reads, reads[steps:]
-        grav = _gravity(frame, at[..., 0], earth)[..., None]
+        try:
+            grav = _gravity(frame, at[..., 0], earth)[..., None]
+        except ValueError:  # past the range, or NaN: stepping names the fault
+            return _stepped(frame, x, passes, dt, earth)
         g_s = j_h @ (_col_v(frame, grav[:steps], v_s, earth) * half_col)
         if frame is FrameTag.ECEF_EB:  # W2 at the midpoint reads its velocity
             v_a = rdv[:, 1] + v_s
@@ -746,39 +739,10 @@ def _swept(frame, x, passes, dt, earth):
         v_mid = v_a + (dev_h @ v_a + g_s)
         pos[1:] = d_r + j @ (_col_r(frame, v_mid, mid, earth) * dt_col)
         np.add.accumulate(pos, axis=0, out=pos)
-    traj = rot, vel[::2, :, 0], pos[..., 0]
     # the squares' sum is finite only if every entry is (or it overflows)
     if not (math.isfinite(np.vdot(vel, vel) + np.vdot(pos, pos)) and _all_rotations(rot[1:])):
-        _fault(x, passes, traj, at, grav, earth)
-    return traj
-
-
-def _fault(x, passes, traj, at, grav, earth) -> None:
-    """Raise the :class:`_StepError` of a swept window's first failing
-    step, as stepping one at a time meets it; return if no step fails (a
-    finite sum of squares overflowed).
-
-    ``at`` and ``grav`` are the last sweep's gravity positions (N start
-    rows, then N midpoint rows) and gravity.
-    """
-    rot, vel, pos = traj
-    steps = len(rot) - 1
-    ok = (_rotations_ok(rot[1:]) & np.isfinite(vel[1:]).all(axis=1)
-          & np.isfinite(pos[1:]).all(axis=1))
-    bad_g = ~np.isfinite(grav[..., 0]).all(axis=1)
-    # a step's checks, in the order stepping makes them: the gravity at its
-    # start, then at its midpoint, then its state
-    faults = (bad_g[:steps], bad_g[steps:], ~ok)
-    found = [(int(m.argmax()), i) for i, m in enumerate(faults) if m.any()]
-    if not found:
-        return
-    k, kind = min(found)
-    try:
-        if kind < 2:
-            earth.gravitation_ecef(at[k + kind * steps, :, 0])
-        GroupElement(rot[k + 1], vel[k + 1], pos[k + 1], x.frame)  # names the fault
-    except ValueError as exc:
-        raise _step_error(k, exc, passes, traj) from exc
+        return _stepped(frame, x, passes, dt, earth)  # names the fault, if a step fails
+    return rot, vel[::2, :, 0], pos[..., 0]
 
 
 def _walk(frame, x, gyro, accel, dt, earth, n):
@@ -804,7 +768,9 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     The first failing step, as stepping one at a time meets it (a
     gravitation past its range, an NED rate rotation too large to square,
     a state :class:`GroupElement` rejects), raises :class:`_StepError`
-    naming its index, with the walk of the steps before it.  ``x.frame``
+    naming its index, with the walk of the steps before it; stepping
+    names every fault, a failing swept window's included, which is
+    stepped once more.  ``x.frame``
     other than ``frame`` raises :class:`FrameMismatch`.  Callers run it
     under ``np.errstate(over="ignore", invalid="ignore")``: the walk names
     its faults, so their inf and NaN make no numpy warning.

@@ -221,15 +221,12 @@ def gamma(m: int, phi: NDArray) -> NDArray:
     Returns
     -------
     ndarray, shape (3, 3)
+        Block m of :func:`gamma_blocks` (plus I for m = 0).
     """
     if not 0 <= m <= 3:
         raise ValueError(f"gamma order must be in 0..3, got {m}")
-    phi = np.asarray(phi, dtype=float)
-    t2 = float(phi @ phi)
-    theta = math.sqrt(t2)
-    a, b = gamma_coefficients(m + 1, m + 2, t2, theta)
-    px = hat(phi)
-    return _INV_FACTORIAL[m] * _EYE3 + a * px + b * (px @ px)
+    block = gamma_blocks(phi, m + 1)[m]
+    return _EYE3 + block if m == 0 else block
 
 
 def gamma_blocks(phi: NDArray, n: int) -> NDArray:
@@ -238,8 +235,8 @@ def gamma_blocks(phi: NDArray, n: int) -> NDArray:
     Every order comes from one hat, one hat^2 and one sin/cos evaluation of
     the same rotation vector, 1 <= n <= 4.  The first block is the deviation
     of the exponential from the identity, formed without cancellation (see
-    :func:`gamma0_deviation`); ``I + blocks[0]`` equals ``gamma(0, phi)``
-    bit for bit, and ``blocks[m]`` equals ``gamma(m, phi)`` for m >= 1.
+    :func:`gamma0_deviation`); ``gamma(m, phi)`` is ``blocks[m]``, plus I
+    for m = 0.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"gamma_blocks count must be in 1..4, got {n}")
@@ -293,7 +290,7 @@ def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
     single = phi.ndim == 1
     phi = phi.reshape(-1, 3)
     rows = len(phi)
-    # one dot product per row, as in gamma()
+    # one dot product per row
     t2 = (phi[:, None, :] @ phi[:, :, None]).reshape(rows)
     powers = np.empty((rows, 3, 3, 3))
     powers[:, 0] = _EYE3

@@ -319,6 +319,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'truth.csv'}: no row at the time of any IMU epoch\n"
 
+    def test_run_starts_at_the_first_imu_epochs_truth(self, short_streams, tmp_path, capsys):
+        """The run starts from the truth row at imu.csv's first time: a
+        truth.csv that starts a second later exits 2 naming truth.csv and
+        that time, and one with an earlier row before it runs as if that
+        row were not there."""
+        for name, text in short_streams.items():
+            (tmp_path / name).write_text(text)
+        assert main(["--out", str(tmp_path), "run"]) == 0
+        want = (tmp_path / "nav_out.csv").read_bytes()
+        (tmp_path / "nav_out.csv").unlink()
+        lines = short_streams["truth.csv"].splitlines()
+        t0 = float(lines[1].split(",")[0])
+        (tmp_path / "truth.csv").write_text("\n".join(lines[:1] + lines[51:]) + "\n")
+        assert main(["--out", str(tmp_path), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'truth.csv'}: ") and f"t={t0!r}" in err
+        assert err.count("\n") == 1 and not (tmp_path / "nav_out.csv").exists()
+        # a row 5 ms before the first, at the state dead-reckoned back to it
+        cells = [float(c) for c in lines[1].split(",")]
+        cells[0] -= 0.005
+        cells[13:16] = [r - 0.005 * v for r, v in zip(cells[13:16], cells[10:13])]
+        earlier = ",".join(map(repr, cells))
+        (tmp_path / "truth.csv").write_text("\n".join(lines[:1] + [earlier] + lines[1:]) + "\n")
+        assert main(["--out", str(tmp_path), "run"]) == 0
+        assert (tmp_path / "nav_out.csv").read_bytes() == want
+
     def test_overflowing_gyro_row_names_epoch(self, short_streams, tmp_path, capsys):
         """A gyro row whose |w dt|^2 overflows exits 2 with one line naming
         the epoch whose interval first averages it, and no numpy warning."""
@@ -475,6 +501,13 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"TrajectorySpec.{key}" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_unallocatable_sample_count_exits_2(self, tmp_path, capsys):
+        """60 s at 1e12 Hz asks for a 437 TiB time array, past any address
+        space, so the allocation is refused at once: exit 2 in one line."""
+        assert main(["--out", str(tmp_path), "--set", "imu_rate=1e12", "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
 
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the

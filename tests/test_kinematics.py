@@ -681,6 +681,33 @@ class TestSweeps:
         assert np.isfinite(path[-1][1].vel).all()
         assert math.isinf(sum(v * v for v in path[-1][1].vel.tolist()))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("frame", [FrameTag.ECEF_EB, FrameTag.ECEF_IB])
+    def test_swept_fault_is_steppings(self, earth, imu, frame):
+        """A 20-step window at 200 Hz whose step 6 has ax = 1e115 fails at
+        step 7, on the gravitation, as a loop of midpoint_step does: same
+        index, same message, and a walked trajectory with the loop's
+        states bit for bit."""
+        x = builder_state(earth, frame)
+        gyro, accel = np.tile(imu.gyro, (20, 1)), np.tile(imu.accel, (20, 1))
+        accel[6, 0] = 1e115
+        dt = np.full(20, 0.005)
+        want = [x]
+        with pytest.raises(ValueError) as stepped:
+            for k in range(20):
+                want.append(kin.midpoint_step(frame, want[-1], gyro[k], accel[k], dt[k], earth))
+        assert len(want) == 8
+        with pytest.raises(kin._StepError) as got, np.errstate(over="ignore", invalid="ignore"):
+            kin._walk(frame, x, gyro, accel, dt, earth, 2)
+        assert (got.value.index, str(got.value)) == (7, str(stepped.value))
+        assert str(got.value) == "gravitation at |r| = 1.25e+110 m overflows"
+        rot, vel, pos = got.value.walked[1]
+        assert len(rot) == len(vel) == len(pos) == 8
+        for k, state in enumerate(want):
+            np.testing.assert_array_equal(rot[k], state.rot)
+            np.testing.assert_array_equal(vel[k], state.vel)
+            np.testing.assert_array_equal(pos[k], state.pos)
+
     @pytest.mark.parametrize("profile", ["constant-turn", "figure-eight"])
     def test_windows_at_200_hz_take_at_most_four_sweeps(self, earth, sweeps, profile):
         """128-epoch windows at 200 Hz: three sweeps, sometimes four."""
