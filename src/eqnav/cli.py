@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,7 +231,7 @@ def _read_csv(path: Path, expect_header: str, make, check=None) -> tuple[np.ndar
     :class:`ConfigError` citing ``path:line``; so does a file with no data
     row after its header.
     """
-    rows, lines = [], []
+    flat, lines = array("d"), []  # the rows' floats, one flat buffer
     malformed = None  # (message, cause) of the first malformed row
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -244,13 +245,13 @@ def _read_csv(path: Path, expect_header: str, make, check=None) -> tuple[np.ndar
             if len(parts) != want:
                 malformed = f"{path}:{lineno}: expected {want} columns", None
                 break
-            try:
-                rows.append(list(map(float, parts)))
+            try:  # the row whole, so a bad float leaves no partial row
+                flat.extend(tuple(map(float, parts)))
             except ValueError as exc:
                 malformed = f"{path}:{lineno}: bad float: {exc}", exc
                 break
             lines.append(lineno)
-    values = np.array(rows).reshape(-1, want)
+    values = np.frombuffer(flat).reshape(-1, want)
     t = values[:, 0]
     ok = np.isfinite(values).all(axis=1)
     if check is not None:
@@ -268,7 +269,7 @@ def _read_csv(path: Path, expect_header: str, make, check=None) -> tuple[np.ndar
         )
     if malformed is not None:
         raise ConfigError(malformed[0]) from malformed[1]
-    if not rows:
+    if not lines:
         raise ConfigError(f"{path}: no data rows after the header")
     return values, lines
 

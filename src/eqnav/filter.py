@@ -223,11 +223,17 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     (N, 3, 3) and (N, 3) and covariances (N, 15, 15), and the one state
     built, the last epoch's :class:`FilterState`.  The first failing
     epoch, as a loop of :func:`predict` would meet it, raises
-    ``ValueError`` naming it (``at epoch t=...``).
+    ``ValueError`` naming it (``at epoch t=...``).  A mean step or
+    transition that fails at epoch k > 0 has the window's first k epochs
+    propagated again, as that loop does, so one of their covariances that
+    fails first is named instead (a cost only a failed window pays: one
+    more walk, no per-epoch predict).  Their Phi and Qd read only the
+    rates in the left convention, so those covariances are the failed
+    pass's bit for bit; the right convention's read the mean and agree
+    with it to roundoff.
     """
     conv = state.convention
     w, f = gyro - state.bg, accel - state.ba
-    failed = None
     # the walk's checks and _p_faults decide every state and covariance, so
     # an overflow on the way to one is its fault, named with its epoch, not
     # a numpy warning
@@ -237,14 +243,6 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
             # steps and the transition matrices
             (body, rate, _, g0), (rot, vel, pos) = _walk(FrameTag.ECEF_IB, state.x, w, f, dt,
                                                          earth, 3)
-        except _StepError as exc:
-            if exc.walked is None or exc.index == 0:
-                raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
-            # as in a loop of predict, the covariances of the epochs walked
-            # before the failing step are formed first, and one may fail first
-            failed, ((body, rate, _, g0), (rot, vel, pos)) = exc, exc.walked
-            f, dt = f[: exc.index], dt[: exc.index]
-        try:
             if conv is Convention.LEFT_INVARIANT:
                 phis = _phi_left(f, dt, body, g0)
                 qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
@@ -253,7 +251,12 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
                 phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
                 qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
         except _StepError as exc:
-            raise ValueError(f"at epoch t={times[exc.index]}: {exc}") from exc
+            # as in a loop of predict, the epochs before the failing one are
+            # propagated first, and one of their covariances may fail first
+            k = exc.index
+            if k:
+                _propagate(state, gyro[:k], accel[:k], times[:k], dt[:k], noise, earth)
+            raise ValueError(f"at epoch t={times[k]}: {exc}") from exc
 
         ps = np.empty((len(dt), 15, 15))
         p = state.p
@@ -264,8 +267,6 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     if faults.any():
         k = int((faults > 0).argmax())  # the first rejected
         raise ValueError(f"at epoch t={times[k]}: FilterState.p {_P_FAULTS[faults[k]]}")
-    if failed is not None:
-        raise ValueError(f"at epoch t={times[failed.index]}: {failed}") from failed
     ps.setflags(write=False)
     x = _trusted(GroupElement, rot=rot[-1], vel=vel[-1], pos=pos[-1], frame=state.x.frame)
     end = _trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=ps[-1], t=times[-1],

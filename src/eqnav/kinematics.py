@@ -75,14 +75,13 @@ class NonMonotonicTime(ValueError):
 
 class _StepError(ValueError):
     """A failure at one entry of a sequence (a step of a window, a fix of a
-    GNSS stream), ``index`` its index in the sequence.  A mean step of
-    :func:`_walk` that fails sets ``walked``, the walk's ``(passes, traj)``
-    cut to the steps before it; elsewhere it is ``None``."""
+    GNSS stream), ``index`` its index in the sequence.  It carries no
+    partial result: a caller that needs the entries before the failing one
+    forms them again from the first ``index`` entries."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
-        self.walked = None
 
 
 @dataclass(frozen=True)
@@ -643,10 +642,10 @@ def _stepped(frame, x, passes, dt, earth):
     :class:`GroupElement` (the scalar rotation test and one finiteness
     test), so no step runs on a rejected state, which is rebuilt through
     the constructor to name its fault.  A failing step k raises
-    :class:`_StepError` carrying the walk's passes and trajectory cut to
-    the steps before it.
+    :class:`_StepError` with index k; the steps before it are not handed
+    back (a caller that needs them walks the first k steps again).
     """
-    body, rate, dv, g0 = passes
+    _, rate, dv, g0 = passes
     rows = len(dt) + 1
     rot, vel, pos = np.empty((rows, 3, 3)), np.empty((rows, 3)), np.empty((rows, 3))
     rot[0], vel[0], pos[0] = step = x.rot, x.vel, x.pos
@@ -656,10 +655,7 @@ def _stepped(frame, x, passes, dt, earth):
             if not _element_ok(*step):
                 GroupElement(*step, x.frame)  # names the fault
         except ValueError as exc:
-            error = _StepError(k, str(exc))
-            error.walked = ((tuple(b[:k] for b in body), rate[:k], dv[:k], g0[:k]),
-                            (rot[: k + 1], vel[: k + 1], pos[: k + 1]))
-            raise error from exc
+            raise _StepError(k, str(exc)) from exc
         rot[k + 1], vel[k + 1], pos[k + 1] = step
     return rot, vel, pos
 
@@ -768,12 +764,13 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     The first failing step, as stepping one at a time meets it (a
     gravitation past its range, an NED rate rotation too large to square,
     a state :class:`GroupElement` rejects), raises :class:`_StepError`
-    naming its index, with the walk of the steps before it; stepping
-    names every fault, a failing swept window's included, which is
-    stepped once more.  ``x.frame``
-    other than ``frame`` raises :class:`FrameMismatch`.  Callers run it
-    under ``np.errstate(over="ignore", invalid="ignore")``: the walk names
-    its faults, so their inf and NaN make no numpy warning.
+    naming its index and nothing more; stepping names every fault, a
+    failing swept window's included, which is stepped once more.  A caller
+    that needs the steps before the failing one k walks the first k steps
+    again (see :func:`~eqnav.filter._propagate`).  ``x.frame`` other than
+    ``frame`` raises :class:`FrameMismatch`.  Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``: the walk names its
+    faults, so their inf and NaN make no numpy warning.
     """
     _resolve_frame(x.frame, frame)
     passes = _passes(frame, gyro, accel, dt, earth, n)

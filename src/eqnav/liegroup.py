@@ -512,8 +512,8 @@ def inverse(x: GroupElement) -> GroupElement:
 
 def se23_exp(xi: Tangent9, frame: FrameTag | None = None) -> GroupElement:
     """Group exponential: (Gamma_0(phi), Gamma_1(phi) rho_v, Gamma_1(phi) rho_r)."""
-    j = gamma(1, xi.phi)
-    return GroupElement(gamma(0, xi.phi), j @ xi.rho_v, j @ xi.rho_r, frame)
+    dev, j = gamma_blocks(xi.phi, 2)
+    return GroupElement(_EYE3 + dev, j @ xi.rho_v, j @ xi.rho_r, frame)
 
 
 def se23_log(x: GroupElement) -> Tangent9:

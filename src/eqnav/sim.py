@@ -244,12 +244,17 @@ def _truth_rows(spec: TrajectorySpec, earth: EarthModel) -> tuple[_Profile, NDAr
     The states are checked in one pass with :class:`GroupElement`'s
     decisions (a rotation by :func:`~eqnav.liegroup.is_rotation`'s test,
     finite velocity and position); the first rejected row is rebuilt
-    through the constructor, whose ``ValueError`` names the fault.
+    through the constructor, whose ``ValueError`` names the fault.  A
+    sample count no array can hold raises ``MemoryError`` naming
+    ``duration``, ``imu_rate`` and the count.
     """
     profile = _Profile(spec, earth)
     n = int(round(spec.duration * spec.imu_rate))
-    times = np.arange(n) / spec.imu_rate
-    x = profile.stack(times)
+    try:
+        times = np.arange(n) / spec.imu_rate
+        x = profile.stack(times)
+    except MemoryError as exc:
+        raise MemoryError(f"duration * imu_rate = {n} IMU samples: {exc}") from exc
     _readonly(times, *x)
     ok = _rotations_ok(x.rot) & _finite_rows(x.vel, x.pos)
     if not ok.all():

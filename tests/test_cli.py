@@ -504,10 +504,12 @@ class TestInvalidInput:
 
     def test_unallocatable_sample_count_exits_2(self, tmp_path, capsys):
         """60 s at 1e12 Hz asks for a 437 TiB time array, past any address
-        space, so the allocation is refused at once: exit 2 in one line."""
+        space, so the allocation is refused at once: exit 2 in one line
+        naming both keys and the sample count."""
         assert main(["--out", str(tmp_path), "--set", "imu_rate=1e12", "simulate"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+        assert "duration * imu_rate = 60000000000000 IMU samples: " in err
 
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the
@@ -562,6 +564,19 @@ class TestStreamChecks:
             (tmp_path / name).write_text("\n".join(lines) + "\n")
             assert main(["--out", str(tmp_path), "run"]) == 2
             assert capsys.readouterr().err == f"error: {tmp_path / name}:{row + 1}: {message}\n"
+
+    def test_bad_float_mid_row_names_its_line(self, short_streams, tmp_path, capsys):
+        # the cells before the bad one parse: none of them may stay in the stream
+        for stream, text in short_streams.items():
+            (tmp_path / stream).write_text(text)
+        lines = short_streams["imu.csv"].splitlines()
+        cells = lines[4].split(",")
+        cells[3] = "abc"
+        lines[4] = ",".join(cells)
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        assert main(["--out", str(tmp_path), "run"]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'imu.csv'}:5: bad float: "
+                                           "could not convert string to float: 'abc'\n")
 
     def test_batched_checks_match_constructors(self, short_streams, rng, tmp_path):
         headers = {"imu.csv": IMU_HEADER, "gnss.csv": GNSS_HEADER, "truth.csv": TRUTH_HEADER}

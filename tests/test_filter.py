@@ -689,8 +689,9 @@ class TestRun:
                 run(bad, [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
 
     def test_failed_window_propagated_once(self, scenario, earth, monkeypatch):
-        # the window 1..45 fails at epoch 30: it names the epoch from its one
-        # propagation, with no second pass and no per-epoch predict
+        # the window 1..45 fails at epoch 30 (a transition over one turn): it
+        # names the epoch from one window pass and one pass of the 29 epochs
+        # before it, with no per-epoch predict
         import eqnav.filter as flt
 
         truth, imu = scenario
@@ -715,7 +716,7 @@ class TestRun:
             )
             with pytest.raises(ValueError, match=re.escape(f"at epoch t={bad[30].t}: ")):
                 run(bad, [fix], st, NoiseParams(0, 0), earth, LeverArm(np.zeros(3)))
-            assert walks == [45]
+            assert walks == [45, 29]
 
     def test_invalid_covariance_names_epoch(self, scenario, earth):
         # a specific force of 1e200 m/s^2 overflows the epoch's
@@ -778,6 +779,28 @@ class TestRun:
         assert type(window.value) is type(loop.value)
         assert str(window.value) == str(loop.value)
         assert str(window.value).startswith(f"at epoch t={stream[k].t}: ")
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_earlier_transition_fault_named_before_later_one(self, scenario, earth, conv):
+        """Epoch 40 turns over one turn and epoch 60's body rotation is too
+        large to square: the window names epoch 40, as a loop of predict
+        does, though the stacked pass meets epoch 60's fault first."""
+        truth, imu = scenario
+        gyro, accel = imu[0].gyro, imu[0].accel
+        bad = {40: np.array([0.0, 0.0, 2e5]), 60: np.array([1e300, 0.0, 0.0])}
+        stream = [ImuSample(0.01 * j, bad.get(j, gyro), accel) for j in range(101)]
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as loop:
+                state = st
+                for j in range(1, len(stream)):
+                    state = predict(state, stream[j], noise, earth, imu_prev=stream[j - 1])
+            with pytest.raises(ValueError) as window:
+                run(stream, [], st, noise, earth, LeverArm(np.zeros(3)))
+        assert str(window.value) == str(loop.value)
+        assert str(window.value).startswith(f"at epoch t={stream[40].t}: ")
+        assert "one turn" in str(window.value)
 
     def test_fix_free_run_memory_bounded(self, scenario, earth):
         """A 10 000-epoch run without fixes is one window; its stacked pass

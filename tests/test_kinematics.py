@@ -686,8 +686,7 @@ class TestSweeps:
     def test_swept_fault_is_steppings(self, earth, imu, frame):
         """A 20-step window at 200 Hz whose step 6 has ax = 1e115 fails at
         step 7, on the gravitation, as a loop of midpoint_step does: same
-        index, same message, and a walked trajectory with the loop's
-        states bit for bit."""
+        index, same message."""
         x = builder_state(earth, frame)
         gyro, accel = np.tile(imu.gyro, (20, 1)), np.tile(imu.accel, (20, 1))
         accel[6, 0] = 1e115
@@ -701,12 +700,6 @@ class TestSweeps:
             kin._walk(frame, x, gyro, accel, dt, earth, 2)
         assert (got.value.index, str(got.value)) == (7, str(stepped.value))
         assert str(got.value) == "gravitation at |r| = 1.25e+110 m overflows"
-        rot, vel, pos = got.value.walked[1]
-        assert len(rot) == len(vel) == len(pos) == 8
-        for k, state in enumerate(want):
-            np.testing.assert_array_equal(rot[k], state.rot)
-            np.testing.assert_array_equal(vel[k], state.vel)
-            np.testing.assert_array_equal(pos[k], state.pos)
 
     @pytest.mark.parametrize("profile", ["constant-turn", "figure-eight"])
     def test_windows_at_200_hz_take_at_most_four_sweeps(self, earth, sweeps, profile):

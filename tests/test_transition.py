@@ -265,9 +265,10 @@ class TestPsiIntegrals:
         slow = np.array([0.3, -0.2, 0.4])
         # |omega| dt = 0.27 rad and 3 rad
         for omega in (slow, slow * (6.0 / np.linalg.norm(slow))):
-            vals = np.array(
-                [lg.hat(lg.gamma(0, omega * t) @ f) @ lg.gamma(1, omega * t) * t for t in s]
-            )
+            # hat(Gamma_0(omega t) f) Gamma_1(omega t) t at every node, from one
+            # stacked Gamma pass: each node's blocks are gamma's bit for bit
+            blocks = lg._gamma_pass(omega * s[:, None], 2, (1.0,))[0][:, 0]
+            vals = lg._hats((np.eye(3) + blocks[:, 0]) @ f) @ blocks[:, 1] * s[:, None, None]
             ref1 = simpson(vals, x=s, axis=0)
             ref2 = simpson((dt - s)[:, None, None] * vals, x=s, axis=0)
             psi = psi_integrals(omega, f, dt)
