@@ -293,11 +293,11 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             cfg.accel_psd,
             seed=cfg.seed,
         )
-        gyro, accel = _imu_rows(times, x, spec.imu_rate, errors)
+        rates = _imu_rows(times, x, spec.imu_rate, errors)
         fix_times, pos, cov = _gnss_rows(times, x, spec.imu_rate, cfg.lever().l_b,
                                          cfg.gnss_rate, cfg.gnss_cov(), cfg.seed + 1)
 
-    _write_csv(out / "imu.csv", IMU_HEADER, np.column_stack([times, gyro, accel]))
+    _write_csv(out / "imu.csv", IMU_HEADER, np.column_stack([times, rates.reshape(-1, 6)]))
     cov_cells = np.broadcast_to(cov.flat[[0, 4, 8, 1, 2, 5]], (len(fix_times), 6))
     _write_csv(out / "gnss.csv", GNSS_HEADER, np.column_stack([fix_times, pos, cov_cells]))
     _write_csv(out / "truth.csv", TRUTH_HEADER,

@@ -9,6 +9,7 @@ parametrization.  A single gain/Joseph code path serves both conventions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,13 +420,13 @@ class EpochRecord:
 
 
 def run(
-    imu: list[ImuSample],
-    gnss: list[GnssFix],
+    imu: Sequence[ImuSample],
+    gnss: Sequence[GnssFix],
     initial: FilterState,
     noise: NoiseParams,
     earth: EarthModel,
     lever: LeverArm,
-    truth: list[tuple[float, GroupElement]] | None = None,
+    truth: Iterable[tuple[float, GroupElement]] | None = None,
     truth_biases: tuple[NDArray, NDArray] | None = None,
     time_slop: float = 1e-6,
 ) -> list[EpochRecord]:
@@ -438,18 +439,21 @@ def run(
     fix carry the invariant error (its bias part ``truth_biases`` minus the
     estimate, zero without them) and the NEES.
 
-    The IMU stream is stacked once and cut into intervals and windows as
-    :func:`~eqnav.kinematics.integrate_imu` does it.  A window, the epochs
-    after one fix up to and including the next, in pieces of at most a
-    fixed number of epochs, has constant biases and is propagated in one
-    pass (see :func:`_propagate`).  The array core :func:`_run` hands back
-    a block of arrays per window, from which the records are made without
-    a second check; ``eqnav run`` builds none.  The records are those of
-    a loop of :func:`predict` and :func:`update_gnss` to roundoff: the
-    window's mean steps are solved together by sweeps that stop within a
-    few ulps of stepping them one at a time (see
-    :func:`~eqnav.kinematics._walk`); failures name the epoch that loop
-    names.
+    ``imu`` is a list of :class:`ImuSample` or the sequence
+    :func:`~eqnav.sim.synthesize_imu` returns (or a slice of it), whose
+    stacks are read without building a sample; ``truth`` is read once,
+    into a map from time to state.  The IMU stream is stacked once and cut
+    into intervals and windows as :func:`~eqnav.kinematics.integrate_imu`
+    does it.  A window, the epochs after one fix up to and including the
+    next, in pieces of at most a fixed number of epochs, has constant
+    biases and is propagated in one pass (see :func:`_propagate`).  The
+    array core :func:`_run` hands back a block of arrays per window, from
+    which the records are made without a second check; ``eqnav run``
+    builds none.  The records are those of a loop of :func:`predict` and
+    :func:`update_gnss` to roundoff: the window's mean steps are solved
+    together by sweeps that stop within a few ulps of stepping them one at
+    a time (see :func:`~eqnav.kinematics._walk`); failures name the epoch
+    that loop names.
 
     Raises
     ------

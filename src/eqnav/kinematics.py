@@ -23,6 +23,7 @@ property and for the induced linear action on vector fields.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,66 @@ class ImuSample:
         _frozen(self, "accel", 3)
         if not math.isfinite(self.t):
             raise ValueError("ImuSample.t is not finite")
+
+
+def _imu_record(stacks: tuple[NDArray, NDArray], k: int) -> ImuSample:
+    """The :class:`ImuSample` of row k of a checked stream's ``stacks``, its
+    times (N,) and (gyro, accel) rows (N, 2, 3), its arrays views."""
+    times, rates = stacks
+    return _trusted(ImuSample, t=float(times[k]), gyro=rates[k, 0], accel=rates[k, 1])
+
+
+class _Records(Sequence):
+    """A read-only sequence of records over stacked, checked arrays.
+
+    Record k is ``make(arrays, k)``, built without a check from views of
+    row k of each of ``arrays`` when it is first read, and kept: a record
+    read twice is built once.  A slice is a sequence of the same kind over
+    the same stacks and built records, and builds nothing; iteration
+    builds only the records it yields.  ``+`` with a list, or another such
+    sequence, gives a list.  :func:`_stream` takes the stacks of an IMU
+    stream (``make`` :func:`_imu_record`, ``arrays`` the times (N,) and
+    (gyro, accel) rows (N, 2, 3)) without building a record.
+    """
+
+    __slots__ = ("_make", "_arrays", "_built", "_rows")
+
+    def __init__(self, make, arrays: tuple[NDArray, ...], built=None, rows=None):
+        self._make, self._arrays = make, arrays
+        self._built = [None] * len(arrays[0]) if built is None else built
+        self._rows = range(len(arrays[0])) if rows is None else rows  # rows of the stacks
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _build(self, k: int):
+        record = self._built[k] = self._make(self._arrays, k)
+        return record
+
+    # a record is never false: ``built[k] or`` reads a built one
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Records(self._make, self._arrays, self._built, self._rows[i])
+        k = self._rows[i]
+        return self._built[k] or self._build(k)
+
+    def __iter__(self):
+        built = self._built
+        for k in self._rows:
+            yield built[k] or self._build(k)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def stacks(self) -> tuple[NDArray, ...]:
+        """The rows of the stacks this sequence holds: views for a slice
+        of step 1, copies otherwise."""
+        r = self._rows
+        key = slice(r.start, r.stop) if r.step == 1 else np.arange(r.start, r.stop, r.step)
+        return tuple(a[key] for a in self._arrays)
 
 
 # Below this bound on every entry of a vector its squared norm is finite
@@ -523,9 +584,13 @@ _CONSTANT_RATE = (FrameTag.ECEF_EB, FrameTag.ECEF_IB)
 _WINDOW = 128
 
 
-def _stream(samples: list[ImuSample]) -> tuple[NDArray, NDArray]:
+def _stream(samples: Sequence[ImuSample]) -> tuple[NDArray, NDArray]:
     """An IMU stream stacked: the samples' times (N,) and their (gyro, accel)
-    rows (N, 2, 3)."""
+    rows (N, 2, 3).  A synthesized stream (a :class:`_Records` of
+    :func:`_imu_record`), or a slice of one, hands over its stacks, read-only
+    views with the bits of stacking its records, and builds none."""
+    if isinstance(samples, _Records) and samples._make is _imu_record:
+        return samples.stacks()
     rates = np.array([v for s in samples for v in (s.gyro, s.accel)]).reshape(-1, 2, 3)
     return np.array([s.t for s in samples]), rates
 
@@ -761,16 +826,19 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     step is the step, and in NED each sweep would form the state-dependent
     rates and gravity again, row by row.
 
-    The first failing step, as stepping one at a time meets it (a
-    gravitation past its range, an NED rate rotation too large to square,
-    a state :class:`GroupElement` rejects), raises :class:`_StepError`
-    naming its index and nothing more; stepping names every fault, a
-    failing swept window's included, which is stepped once more.  A caller
-    that needs the steps before the failing one k walks the first k steps
-    again (see :func:`~eqnav.filter._propagate`).  ``x.frame`` other than
-    ``frame`` raises :class:`FrameMismatch`.  Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``: the walk names its
-    faults, so their inf and NaN make no numpy warning.
+    A failing step (a body rotation too large to square, a gravitation
+    past its range, an NED rate rotation too large to square, a state
+    :class:`GroupElement` rejects) raises :class:`_StepError` naming its
+    index and nothing more; stepping names every fault, a failing swept
+    window's included, which is stepped once more.  The body rotations of
+    every step are decided before the first is walked, so a later step's
+    can be named before an earlier step's walk fails: a caller that names
+    the fault a loop of :func:`midpoint_step` meets, or needs the steps
+    before the failing one k, walks the first k steps again (see
+    :func:`_dead_reckoned`, :func:`~eqnav.filter._propagate`).
+    ``x.frame`` other than ``frame`` raises :class:`FrameMismatch`.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
+    the walk names its faults, so their inf and NaN make no numpy warning.
     """
     _resolve_frame(x.frame, frame)
     passes = _passes(frame, gyro, accel, dt, earth, n)
@@ -996,9 +1064,27 @@ def check_dstar_action(
 # --- dead reckoning ---------------------------------------------------------
 
 
+def _dead_reckoned(frame, x, rates, dts, times, earth):
+    """The trajectory of :func:`_walk` over a window of ``rates`` (N, 2, 3)
+    and ``dts`` (N,) from ``x``, ``times`` the steps' end times.  The first
+    failing step, as a loop of :func:`midpoint_step` meets it, raises
+    ``ValueError`` naming its epoch: a step k > 0 that the walk names
+    first has the window's first k steps walked again, and one of them
+    that fails first is named instead (the walk decides every body
+    rotation before it steps, so a later one can be named first)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the walk names its faults
+            return _walk(frame, x, rates[:, 0], rates[:, 1], dts, earth, 2)[1]
+    except _StepError as exc:
+        k = exc.index
+        if k:
+            _dead_reckoned(frame, x, rates[:k], dts[:k], times[:k], earth)
+        raise ValueError(f"at epoch t={times[k]}: {exc}") from exc
+
+
 def integrate_imu(
     x0: GroupElement,
-    samples: list[ImuSample],
+    samples: Sequence[ImuSample],
     earth: EarthModel,
     frame: FrameTag | None = None,
 ) -> list[tuple[float, GroupElement]]:
@@ -1007,13 +1093,15 @@ def integrate_imu(
     Each interval is one :func:`midpoint_step` with the trapezoidal mean of
     the two samples' rates, so the scheme is second order in the sample
     interval while every step remains an exact flow of a constant pair.
-    The stream is stacked and cut into intervals and windows as
-    :func:`~eqnav.filter.run` does it (:func:`_stream`, :func:`_intervals`,
-    :func:`_windows`); the mean walk every propagation shares
-    (:func:`_walk`) solves an ECEF window's steps at once, by sweeps over
-    the window that stop within a few ulps of stepping them one at a time
-    (the rotations are the stepping recursion's, bit for bit); NED windows
-    are stepped.
+    ``samples`` is a list of :class:`ImuSample` or the sequence
+    :func:`~eqnav.sim.synthesize_imu` returns (or a slice of it), whose
+    stacks are read without building a record.  The stream is stacked and
+    cut into intervals and windows as :func:`~eqnav.filter.run` does it
+    (:func:`_stream`, :func:`_intervals`, :func:`_windows`); the mean walk
+    every propagation shares (:func:`_walk`) solves an ECEF window's steps
+    at once, by sweeps over the window that stop within a few ulps of
+    stepping them one at a time (the rotations are the stepping
+    recursion's, bit for bit); NED windows are stepped.
 
     Returns the list of (t, state) including the initial sample time.
 
@@ -1024,7 +1112,8 @@ def integrate_imu(
         time that is not (``imu stream not increasing at t=...``).
     ValueError
         If a step fails (e.g. a body rotation too large to evaluate), naming
-        its epoch (``at epoch t=...``).
+        the epoch a loop of :func:`midpoint_step` stops at
+        (``at epoch t=...``).
     """
     frame = frame if frame is not None else x0.frame
     if frame is None:
@@ -1034,12 +1123,7 @@ def integrate_imu(
     times = times.tolist()
     out = [(times[0], x0)]
     for a, b in _windows(0, [dts.size]):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # the walk names its faults
-                traj = _walk(frame, out[-1][1], rates[a:b, 0], rates[a:b, 1], dts[a:b], earth,
-                             2)[1]
-        except _StepError as exc:
-            raise ValueError(f"at epoch t={times[a + exc.index + 1]}: {exc}") from exc
+        traj = _dead_reckoned(frame, out[-1][1], rates[a:b], dts[a:b], times[a + 1 : b + 1], earth)
         out += ((t, _trusted(GroupElement, rot=rot, vel=vel, pos=pos, frame=x0.frame))
                 for t, rot, vel, pos in zip(times[a + 1 : b + 1], *(c[1:] for c in traj)))
     return out

@@ -12,9 +12,13 @@ from that stack and the GNSS stream its rows at the fix epochs.  Each
 stream is checked once, in one pass over its stack, with the decisions of
 its records' validating constructors: only the first rejected row is
 rebuilt through its constructor, whose message names the fault.  The
-records are then built without a second check, their arrays read-only
-views of the checked stacks.  ``eqnav simulate`` writes its files from
-those stacks (the private cores below) without building any record.
+records are built without a second check, their arrays read-only views of
+the checked stacks: the GNSS fixes at once, the truth states and IMU
+samples only when a caller reads them (the sequences of
+``kinematics._Records``), so a filter run or a dead reckoning on a
+synthesized stream, which reads its stacks, builds no IMU sample.
+``eqnav simulate`` writes its files from those stacks (the private cores
+below) without building any record.
 
 All randomness flows from explicit seeds; identical seeds give identical
 streams.  Each stream draws its noise as one C-order block of standard
@@ -26,13 +30,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .filter import _COV_FAULTS, GnssFix, _cov_faults
-from .kinematics import EarthModel, ImuSample, _gravitation
+from .kinematics import EarthModel, ImuSample, _gravitation, _imu_record, _Records
 from .liegroup import FrameTag, GroupElement, _cross, _frozen, _rotations_ok, _trusted, hat
 
 __all__ = [
@@ -217,11 +222,13 @@ class TruthTrajectory:
 
     ``rows`` is the profile at ``times``, formed once by
     :func:`generate_truth` and checked; its arrays, and ``times``, are
-    read-only, and the states of ``samples`` are views of its rows.
+    read-only.  ``samples`` is the read-only sequence of ``(t, state)`` over
+    them: a state is made from views of its rows, without a second check,
+    when it is first read, and kept; a slice builds none.
     """
 
     times: NDArray
-    samples: list[tuple[float, GroupElement]]
+    samples: Sequence[tuple[float, GroupElement]]
     profile: _Profile
     rows: _Stack
 
@@ -263,26 +270,31 @@ def _truth_rows(spec: TrajectorySpec, earth: EarthModel) -> tuple[_Profile, NDAr
     return profile, times, x
 
 
+def _truth_record(stacks: tuple[NDArray, ...], k: int) -> tuple[float, GroupElement]:
+    """The ``(t, state)`` of row k of the checked truth ``stacks`` (times,
+    rot, vel, pos), the state's arrays views."""
+    times, rot, vel, pos = stacks
+    return float(times[k]), _trusted(GroupElement, rot=rot[k], vel=vel[k], pos=pos[k],
+                                     frame=FrameTag.ECEF_IB)
+
+
 def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
     """Sample the analytic profile at the IMU rate.
 
     Emits exactly ``round(duration * imu_rate)`` samples starting at t = 0
     (endpoint excluded).  The samples satisfy the transformed ECEF
     mechanization exactly (the profile is constructed from closed-form
-    derivatives).
+    derivatives).  ``samples`` is built as :class:`TruthTrajectory` says.
     """
     profile, times, x = _truth_rows(spec, earth)
-    samples = [
-        (t, _trusted(GroupElement, rot=rot, vel=vel, pos=pos, frame=FrameTag.ECEF_IB))
-        for t, rot, vel, pos in zip(times.tolist(), x.rot, x.vel, x.pos)
-    ]
+    samples = _Records(_truth_record, (times, x.rot, x.vel, x.pos))
     return TruthTrajectory(times, samples, profile, x)
 
 
-def _imu_rows(times: NDArray, x: _Stack, rate: float,
-              errors: SensorErrorSpec) -> tuple[NDArray, NDArray]:
-    """Array core of :func:`synthesize_imu`: the gyro and accel rows (N, 3)
-    at ``times`` from the truth stack ``x`` at the IMU ``rate``, read-only.
+def _imu_rows(times: NDArray, x: _Stack, rate: float, errors: SensorErrorSpec) -> NDArray:
+    """Array core of :func:`synthesize_imu`: the (gyro, accel) rows
+    (N, 2, 3) at ``times`` from the truth stack ``x`` at the IMU ``rate``,
+    read-only.
 
     The rows are checked in one pass with :class:`ImuSample`'s decisions
     (finite time and entries); the first rejected row is rebuilt through
@@ -296,28 +308,35 @@ def _imu_rows(times: NDArray, x: _Stack, rate: float,
     sg = math.sqrt(errors.gyro_psd * rate)
     sa = math.sqrt(errors.accel_psd * rate)
     noise = rng.standard_normal((times.size, 2, 3))
-    gyro = x.omega_b + errors.gyro_bias + sg * noise[:, 0]
-    accel = x.f_b + errors.accel_bias + sa * noise[:, 1]
-    _readonly(gyro, accel)
-    ok = _finite_rows(times, gyro, accel)
+    rates = np.empty_like(noise)
+    rates[:, 0] = x.omega_b + errors.gyro_bias + sg * noise[:, 0]
+    rates[:, 1] = x.f_b + errors.accel_bias + sa * noise[:, 1]
+    _readonly(rates)
+    ok = _finite_rows(times, rates)
     if not ok.all():
         k = int(ok.argmin())
-        ImuSample(times[k].item(), gyro[k], accel[k])  # names the fault
-    return gyro, accel
+        ImuSample(times[k].item(), rates[k, 0], rates[k, 1])  # names the fault
+    return rates
 
 
 def synthesize_imu(
     truth: TruthTrajectory, earth: EarthModel, errors: SensorErrorSpec
-) -> list[ImuSample]:
+) -> Sequence[ImuSample]:
     """Exact inverse-mechanization IMU stream plus bias and white noise.
 
     Discrete noise is scaled by sqrt(PSD * rate); the stream is reproducible
     from ``errors.seed``.  The exact rates are read from the truth's stack.
+
+    Returns a read-only sequence of :class:`ImuSample` over the checked
+    stacks of times and rates: a sample is made from views of its row,
+    without a second check, when it is first read, and kept; a slice builds
+    none.  :func:`~eqnav.filter.run` and
+    :func:`~eqnav.kinematics.integrate_imu` read the stacks of such a
+    stream, or of a slice of one, and build no sample.
     """
     del earth  # gravitation enters through the profile
-    gyro, accel = _imu_rows(truth.times, truth.rows, truth.profile.spec.imu_rate, errors)
-    return [_trusted(ImuSample, t=t, gyro=g, accel=a)
-            for t, g, a in zip(truth.times.tolist(), gyro, accel)]
+    rates = _imu_rows(truth.times, truth.rows, truth.profile.spec.imu_rate, errors)
+    return _Records(_imu_record, (truth.times, rates))
 
 
 def _gnss_rows(times: NDArray, x: _Stack, imu_rate: float, lever: NDArray, rate: float,

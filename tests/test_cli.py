@@ -151,6 +151,19 @@ class TestRun:
         assert summary["rms_pos"] <= 1e-5
         assert np.isfinite(summary["mean_nis"])
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the right-invariant filter is not consistent at CLI defaults "
+        "(seed 7: mean NEES 1443.46 right against 4.632 left; 24.29 against 6.46 at "
+        "duration=10); its error in exponential coordinates should bring it near the left's"))
+    def test_right_nees_near_left_at_defaults(self, tmp_path, capsys):
+        args = ["--out", str(tmp_path), "--seed", "7"]
+        assert main(args + ["simulate"]) == 0
+        nees = {}
+        for conv in ("left", "right"):
+            assert main(args + ["--convention", conv, "run"]) == 0
+            nees[conv] = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["mean_nees"]
+        assert nees["right"] <= 1.5 * nees["left"]
+
     def test_run_memory_bounded(self, tmp_path, capsys):
         """A 10 000-epoch run (50 s at 200 Hz) builds no per-epoch object:
         its traced peak stays near that of loading the three streams

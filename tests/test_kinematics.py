@@ -546,6 +546,37 @@ class TestIntegrateImu:
         with pytest.raises(ValueError):
             integrate_imu(x, [imu], earth)
 
+    @pytest.mark.filterwarnings("error")
+    def test_names_the_fault_a_loop_of_midpoint_steps_meets(self, earth):
+        """A 20-sample constant-turn stream at 200 Hz with ax = 1e115 at
+        sample 5 and gx = 1e300 at sample 15: the walk decides every body
+        rotation before it steps, so it names sample 15's first; the
+        epochs before it are walked again, and the gravitation at t=0.03,
+        where a loop of midpoint_step stops, is named."""
+        from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_imu
+
+        spec = TrajectorySpec(profile="constant-turn", duration=0.1, imu_rate=200.0)
+        truth = generate_truth(spec, earth)
+        samples = list(synthesize_imu(truth, earth, SensorErrorSpec()))
+        assert len(samples) == 20
+        s = samples[5]
+        samples[5] = ImuSample(s.t, s.gyro, np.array([1e115, *s.accel[1:]]))
+        s = samples[15]
+        samples[15] = ImuSample(s.t, np.array([1e300, *s.gyro[1:]]), s.accel)
+        x = truth.samples[0][1]
+        with pytest.raises(ValueError) as stepped:
+            want = x
+            for prev, cur in zip(samples[:-1], samples[1:]):
+                want = kin.midpoint_step(
+                    FrameTag.ECEF_IB, want, 0.5 * (prev.gyro + cur.gyro),
+                    0.5 * (prev.accel + cur.accel), cur.t - prev.t, earth,
+                )
+        assert cur.t == 0.03
+        with pytest.raises(ValueError) as got:
+            integrate_imu(x, samples, earth)
+        assert str(got.value) == f"at epoch t=0.03: {stepped.value}"
+        assert str(got.value) == "at epoch t=0.03: gravitation at |r| = 6.25e+109 m overflows"
+
     @pytest.mark.parametrize("frame", list(FrameTag))
     def test_matches_midpoint_steps(self, earth, rng, frame):
         # more uneven steps than one window takes: NED windows are stepped,

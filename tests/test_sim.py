@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import eqnav.kinematics as kin
 import eqnav.liegroup as lg
 import eqnav.sim as sim
-from eqnav.filter import GnssFix
+from eqnav.errordyn import Convention, LeverArm, NoiseParams
+from eqnav.filter import FilterState, GnssFix, run
 from eqnav.kinematics import ImuSample, integrate_imu
 from eqnav.sim import (
     SensorErrorSpec,
@@ -442,6 +444,140 @@ class TestStreamChecks:
         arrays += [a for f in fixes for a in (f.pos_ecef, f.cov)]
         assert not any(a.flags.writeable for a in arrays)
 
+
+class TestRecordStreams:
+    """The synthesized IMU stream and the truth's samples are read-only
+    sequences over their checked stacks: a record is made when it is first
+    read, with the bits of the records the stacks gave one by one."""
+
+    SPEC = dict(profile="figure-eight", duration=2.0, imu_rate=50.0, speed=10.0, turn_rate=0.3)
+    ERRORS = SensorErrorSpec(np.full(3, 1e-5), np.full(3, 1e-4), 4e-8, 4e-6, seed=5)
+
+    @pytest.fixture
+    def streams(self, earth):
+        truth = generate_truth(TrajectorySpec(**self.SPEC), earth)
+        return truth, synthesize_imu(truth, earth, self.ERRORS)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of IMU samples built since the fixture was set up."""
+        count, trusted = [0], kin._trusted
+
+        def counted(cls, **fields):
+            count[0] += cls is ImuSample
+            return trusted(cls, **fields)
+
+        monkeypatch.setattr(kin, "_trusted", counted)
+        return count
+
+    def test_records_equal_eager_records(self, earth, streams):
+        truth, imu = streams
+        times = truth.times.tolist()
+        rates = sim._imu_rows(truth.times, truth.rows, truth.profile.spec.imu_rate, self.ERRORS)
+        want_imu = [ImuSample(t, g, a) for t, g, a in zip(times, rates[:, 0], rates[:, 1])]
+        want_truth = [(t, lg.GroupElement(r, v, q, lg.FrameTag.ECEF_IB))
+                      for t, r, v, q in zip(times, truth.rows.rot, truth.rows.vel, truth.rows.pos)]
+        assert len(imu) == len(truth.samples) == len(want_imu) == 100
+        for s, want in zip(imu, want_imu):
+            assert type(s) is ImuSample and type(s.t) is float and s.t == want.t
+            for got, arr in ((s.gyro, want.gyro), (s.accel, want.accel)):
+                np.testing.assert_array_equal(got, arr)
+                assert not got.flags.writeable
+        for (t, x), (t_want, x_want) in zip(truth.samples, want_truth):
+            assert type(t) is float and t == t_want and x.frame is x_want.frame
+            for got, arr in ((x.rot, x_want.rot), (x.vel, x_want.vel), (x.pos, x_want.pos)):
+                np.testing.assert_array_equal(got, arr)
+                assert not got.flags.writeable
+
+    def test_sequence_operations(self, earth, streams):
+        truth, imu = streams
+        records = list(imu)
+        assert len(records) == len(imu) and all(a is b for a, b in zip(records, imu))
+        assert imu[-1] is records[-1] and imu[-len(imu)] is records[0]
+        for key in (slice(5, 9), slice(-7, None), slice(None, None, -3), slice(2, 50, 7),
+                    slice(40, 10), slice(-200, 3)):
+            part = imu[key]
+            assert type(part) is type(imu)
+            assert list(part) == records[key]
+            assert [t for t, _ in truth.samples[key]] == truth.times.tolist()[key]
+        assert imu[10:20][-2] is records[18] and imu[::2][3:5][1] is records[8]
+        joined = imu[:5] + [ImuSample(imu[4].t, imu[4].gyro, imu[4].accel)] + imu[5:9]
+        assert type(joined) is list and len(joined) == 10
+        assert joined[:5] == records[:5] and joined[6:] == records[5:9]
+        assert imu[3:5] + imu[:1] == records[3:5] + records[:1]
+        with pytest.raises(IndexError):
+            imu[len(imu)]
+        with pytest.raises(IndexError):
+            imu[5:9][4]
+
+    def test_records_built_when_read(self, earth, built):
+        imu = synthesize_imu(generate_truth(TrajectorySpec(**self.SPEC), earth), earth,
+                             self.ERRORS)
+        assert built[0] == 0
+        part = imu[10:60]
+        assert built[0] == 0
+        assert imu[12] is imu[12] is part[2] is part[-48]  # built once
+        assert built[0] == 1
+        for _ in zip(range(3), imu[40:]):  # iteration builds what it yields
+            pass
+        assert built[0] == 4
+        assert list(imu[10:14])[2] is imu[12]
+        assert built[0] == 7
+
+    @pytest.mark.parametrize("key", [slice(None), slice(7, 61), slice(-30, None),
+                                     slice(3, 90, 4), slice(50, 5, -2), slice(20, 20)])
+    def test_stream_stacks_are_stacked_records(self, streams, key):
+        imu = streams[1][key]
+        got, want = kin._stream(imu), kin._stream(list(imu))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_run_on_stream_builds_no_sample(self, earth, streams, built, conv):
+        """run() reads the stream's stacks: no sample is built, and the
+        records are those of the run on its list, bit for bit."""
+        truth, imu = streams
+        lever = np.array([0.5, 0.3, -1.2])
+        gnss = synthesize_gnss(truth, lever, 5.0, np.eye(3), seed=6)
+        p0 = np.diag([4e-8] * 3 + [4e-4] * 3 + [0.25] * 3 + [1e-10] * 3 + [1e-8] * 3)
+        st = FilterState(truth.samples[3][1], np.zeros(3), np.zeros(3), p0, truth.samples[3][0],
+                         conv)
+        args = st, NoiseParams(4e-8, 4e-6, 1e-16, 1e-14), earth, LeverArm(lever)
+        biases = self.ERRORS.gyro_bias, self.ERRORS.accel_bias
+        for part in (imu, imu[:77]):
+            fixes = [f for f in gnss if f.t <= part[-1].t]
+            built[0] = 0
+            lazy = run(part, fixes, *args, truth=truth.samples, truth_biases=biases)
+            assert built[0] == 0
+            eager = run(list(part), fixes, *args, truth=list(truth.samples), truth_biases=biases)
+            assert len(lazy) == len(eager) == len(part) - 3
+            for a, b in zip(lazy, eager):
+                assert a.t == b.t and a.nis == b.nis and a.nees == b.nees
+                for x, y in ((a.state.x.rot, b.state.x.rot), (a.state.x.vel, b.state.x.vel),
+                             (a.state.x.pos, b.state.x.pos), (a.state.p, b.state.p),
+                             (a.p_diag, b.p_diag), (a.innovation, b.innovation),
+                             (a.error, b.error)):
+                    np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("frame", [lg.FrameTag.ECEF_IB, lg.FrameTag.NED_EB])
+    def test_integrate_imu_on_stream_builds_no_sample(self, earth, streams, built, frame):
+        truth, imu = streams
+        x0 = truth.samples[0][1]
+        if frame is lg.FrameTag.NED_EB:
+            x0 = kin.frame_translation(1, kin.frame_translation(3, x0, earth, reverse=True),
+                                       earth, reverse=True)
+        for part in (imu, imu[40:]):
+            lazy = integrate_imu(x0, part, earth, frame=frame)
+            assert built[0] == 0
+            eager = integrate_imu(x0, list(part), earth, frame=frame)
+            assert len(lazy) == len(eager) == len(part)
+            for (t, x), (t_want, want) in zip(lazy, eager):
+                assert t == t_want
+                for a, b in ((x.rot, want.rot), (x.vel, want.vel), (x.pos, want.pos)):
+                    np.testing.assert_array_equal(a, b)
+            built[0] = 0
 
 class TestGravityPerturbation:
     def test_zero_dr(self, earth):
