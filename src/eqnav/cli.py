@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errordyn import Convention, LeverArm, NoiseParams
-from .filter import FilterState, GnssFix, _cov_faults, _run
+from .filter import FilterState, GnssFix, _check_slop, _cov_faults, _run, _truth_at
 from .kinematics import EarthModel, ImuSample, _StepError
 from .liegroup import FrameTag, GroupElement, _cross, _rotations_ok, _so3_logs, _trusted
 from .sim import _PROFILES, SensorErrorSpec, TrajectorySpec, _gnss_rows, _imu_rows, _truth_rows
@@ -278,7 +278,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Write imu.csv, gnss.csv and truth.csv for the configured scenario.
 
     The files are written from the checked stacks of the synthesis cores;
-    no per-sample record is built.
+    no per-sample record is built.  A scenario that gives no GNSS fix
+    exits 2 before any file is written: ``run`` could not read it.
     """
     if not out.is_dir():
         raise ConfigError(f"output directory does not exist: {out}")
@@ -296,6 +297,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         rates = _imu_rows(times, x, spec.imu_rate, errors)
         fix_times, pos, cov = _gnss_rows(times, x, spec.imu_rate, cfg.lever().l_b,
                                          cfg.gnss_rate, cfg.gnss_cov(), cfg.seed + 1)
+        if not len(fix_times):  # a gnss.csv that `run` rejects
+            raise ConfigError(f"duration={cfg.duration!r} ends before the first fix at "
+                              f"gnss_rate={cfg.gnss_rate!r}: gnss.csv would have no rows")
 
     _write_csv(out / "imu.csv", IMU_HEADER, np.column_stack([times, rates.reshape(-1, 6)]))
     cov_cells = np.broadcast_to(cov.flat[[0, 4, 8, 1, 2, 5]], (len(fix_times), 6))
@@ -400,6 +404,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
     with _config_values():
         earth, noise, lever = cfg.earth(), cfg.noise(), cfg.lever()
         p0, conv = cfg.initial_cov(), cfg.conv()
+        _check_slop(cfg.time_slop)
     imu, gnss, gnss_lines, truth = _load_streams(out)
 
     truth_at = {}.get
@@ -415,14 +420,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         rows = truth[:, 1:10].reshape(-1, 3, 3), truth[:, 10:13], truth[:, 13:16]
         for a in rows:
             a.setflags(write=False)
-
-        def truth_at(t):
-            j = int(np.searchsorted(truth[:, 0], t))
-            if j < len(truth) and truth[j, 0] == t:
-                return _trusted(GroupElement, rot=rows[0][j], vel=rows[1][j], pos=rows[2][j],
-                                frame=FrameTag.ECEF_IB)
-            return None
-
+        truth_at = _truth_at(truth[:, 0], lambda j: _trusted(
+            GroupElement, rot=rows[0][j], vel=rows[1][j], pos=rows[2][j], frame=FrameTag.ECEF_IB))
         x0 = truth_at(imu[0, 0])
         if x0 is None:
             raise ConfigError(f"{out / 'truth.csv'}: no row at the first IMU epoch's time "

@@ -26,8 +26,8 @@ from .errordyn import (
     g_matrix,
     h_matrix,
 )
-from .kinematics import (EarthModel, ImuSample, NonMonotonicTime, _StepError, _increasing,
-                         _intervals, _stream, _walk, _windows)
+from .kinematics import (EarthModel, ImuSample, NonMonotonicTime, _Records, _StepError,
+                         _increasing, _intervals, _stream, _walk, _windows)
 from .liegroup import FrameTag, GroupElement, _frozen, _resolve_frame, _trusted
 from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
@@ -275,6 +275,12 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     return (rot[1:], vel[1:], pos[1:]), ps, end
 
 
+def _check_slop(time_slop: float) -> None:
+    """Raise ``ValueError`` naming ``time_slop`` unless it is >= 0."""
+    if not time_slop >= 0.0:  # also NaN
+        raise ValueError(f"time_slop must be >= 0, got {time_slop!r}")
+
+
 def update_gnss(
     state: FilterState,
     fix: GnssFix,
@@ -299,8 +305,11 @@ def update_gnss(
         If the innovation covariance is not positive definite or its
         condition exceeds 1e12.
     ValueError
-        If the fix time is farther than ``time_slop`` from the state time.
+        If ``time_slop`` is not >= 0 (NaN included; ``inf`` sets no
+        bound), naming it, or if the fix time is farther than it from the
+        state time.
     """
+    _check_slop(time_slop)
     if abs(fix.t - state.t) > time_slop:
         raise ValueError(
             f"fix at t={fix.t} not aligned with state t={state.t} within {time_slop}"
@@ -441,16 +450,22 @@ def run(
 
     ``imu`` is a list of :class:`ImuSample` or the sequence
     :func:`~eqnav.sim.synthesize_imu` returns (or a slice of it), whose
-    stacks are read without building a sample; ``truth`` is read once,
-    into a map from time to state.  The IMU stream is stacked once and cut
-    into intervals and windows as :func:`~eqnav.kinematics.integrate_imu`
-    does it.  A window, the epochs after one fix up to and including the
-    next, in pieces of at most a fixed number of epochs, has constant
-    biases and is propagated in one pass (see :func:`_propagate`).  The
-    array core :func:`_run` hands back a block of arrays per window, from
-    which the records are made without a second check; ``eqnav run``
-    builds none.  The records are those of a loop of :func:`predict` and
-    :func:`update_gnss` to roundoff: the window's mean steps are solved
+    stacks are read without building a sample.  ``truth`` is a list of
+    ``(t, state)`` in any order (the last pair at a repeated time is the
+    one read), or :attr:`~eqnav.sim.TruthTrajectory.samples` (or a slice
+    of it), which is looked up on its stack of times and builds only the
+    states the fix epochs read (see :func:`_truth_at`).  ``time_slop``
+    must be >= 0; ``inf`` sets no bound.
+
+    The IMU stream is stacked once and cut into intervals and windows as
+    :func:`~eqnav.kinematics.integrate_imu` does it.  A window, the epochs
+    after one fix up to and including the next, in pieces of at most a
+    fixed number of epochs, has constant biases and is propagated in one
+    pass (see :func:`_propagate`).  The array core :func:`_run` hands back
+    a block of arrays per window, from which the records are made without
+    a second check; ``eqnav run`` builds none.  The records are those of a
+    loop of :func:`predict` and :func:`update_gnss` to roundoff: in
+    ECEF_IB, the filter's frame, the window's mean steps are solved
     together by sweeps that stop within a few ulps of stepping them one at
     a time (see :func:`~eqnav.kinematics._walk`); failures name the epoch
     that loop names.
@@ -461,13 +476,19 @@ def run(
         If either stream is not strictly increasing in time, with the
         offending epoch named (``imu stream not increasing at t=...``).
     ValueError
-        If a GNSS fix has no IMU epoch within ``time_slop``, if it maps to
+        If ``time_slop`` is not >= 0 (NaN included), naming it; if a GNSS
+        fix has no IMU epoch within ``time_slop``, if it maps to
         an epoch the run skips (before the initial state), if two fixes
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
     """
-    blocks = _run(*_stream(imu), gnss, initial, noise, earth, lever, dict(truth or ()).get,
-                  truth_biases, time_slop)
+    _check_slop(time_slop)
+    if not isinstance(truth, _Records):
+        truth = list(truth or ())
+    at = truth.stacks()[0] if isinstance(truth, _Records) else np.array([t for t, _ in truth])
+    truth_at = _truth_at(at, lambda j: truth[j][1])
+    blocks = _run(*_stream(imu), gnss, initial, noise, earth, lever, truth_at, truth_biases,
+                  time_slop)
     frame, conv = initial.x.frame, initial.convention
     records = []
     for times, rot, vel, pos, bg, ba, ps, end, fix in blocks:
@@ -479,6 +500,22 @@ def run(
                                     innovation=None, nis=None, error=None, nees=None))
         records.append(EpochRecord(end.t, end, np.diag(end.p).copy(), *(fix or ())))
     return records
+
+
+def _truth_at(times: NDArray, state):
+    """The ``truth_at`` of :func:`_run` over a ground truth whose row j,
+    at ``times[j]``, holds the state ``state(j)``: ``truth_at(t)`` is the
+    state of the last row at ``t`` (in row order; ``times`` need not
+    increase), found by one ``searchsorted`` over the times sorted once,
+    or ``None``.  Only the states looked up are made."""
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+
+    def truth_at(t):
+        j = int(np.searchsorted(times, t, side="right")) - 1
+        return state(int(order[j])) if j >= 0 and times[j] == t else None
+
+    return truth_at
 
 
 def _nearest(times: NDArray, t: NDArray) -> NDArray:

@@ -252,11 +252,15 @@ def _truth_rows(spec: TrajectorySpec, earth: EarthModel) -> tuple[_Profile, NDAr
     decisions (a rotation by :func:`~eqnav.liegroup.is_rotation`'s test,
     finite velocity and position); the first rejected row is rebuilt
     through the constructor, whose ``ValueError`` names the fault.  A
-    sample count no array can hold raises ``MemoryError`` naming
-    ``duration``, ``imu_rate`` and the count.
+    sample count past numpy's largest array (inf included) raises
+    ``ValueError``, and one that memory cannot hold ``MemoryError``, each
+    naming ``duration``, ``imu_rate`` and the count.
     """
     profile = _Profile(spec, earth)
-    n = int(round(spec.duration * spec.imu_rate))
+    n = spec.duration * spec.imu_rate
+    if not n < 2.0**60:  # inf too: 8 bytes a time, past numpy's largest array
+        raise ValueError(f"duration * imu_rate = {n} IMU samples: more than an array can hold")
+    n = int(round(n))
     try:
         times = np.arange(n) / spec.imu_rate
         x = profile.stack(times)
@@ -285,6 +289,8 @@ def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
     (endpoint excluded).  The samples satisfy the transformed ECEF
     mechanization exactly (the profile is constructed from closed-form
     derivatives).  ``samples`` is built as :class:`TruthTrajectory` says.
+    A sample count no array can hold raises ``ValueError`` (or
+    ``MemoryError``, past memory) naming it.
     """
     profile, times, x = _truth_rows(spec, earth)
     samples = _Records(_truth_record, (times, x.rot, x.vel, x.pos))

@@ -480,6 +480,8 @@ class TestInvalidInput:
             ("lon_deg=inf", "simulate"),
             ("height=nan", "simulate"),
             ("speed=nan", "simulate"),
+            ("time_slop=nan", "run"),
+            ("time_slop=-1", "run"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):
@@ -523,6 +525,31 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
         assert "duration * imu_rate = 60000000000000 IMU samples: " in err
+
+    @pytest.mark.parametrize("setting, count", [
+        ("duration=inf", "inf"), ("imu_rate=inf", "inf"), ("duration=1e308", "inf"),
+        ("duration=1e300", "2e+302"),
+    ])
+    def test_unformable_sample_count_exits_2(self, tmp_path, capsys, setting, count):
+        """A sample count past numpy's largest array, inf included, exits 2
+        in one line naming it as an unallocatable count is named."""
+        assert main(["--out", str(tmp_path), "--set", setting, "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+        assert f"duration * imu_rate = {count} IMU samples: " in err
+        assert not list(tmp_path.iterdir())
+
+    def test_stream_without_fix_exits_2_before_writing(self, tmp_path, capsys):
+        """At 1 Hz the first fix falls at t = 1 s, after a 1 s stream's last
+        sample: simulate writes no gnss.csv that run would reject, and no
+        other file either."""
+        assert main(["--out", str(tmp_path), "--set", "duration=1", "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+        assert "duration=1.0" in err and "gnss_rate=1.0" in err
+        assert not list(tmp_path.iterdir())
+        assert main(["--out", str(tmp_path), "--set", "duration=1.01", "simulate"]) == 0
+        assert main(["--out", str(tmp_path), "--set", "duration=1.01", "run"]) == 0
 
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the

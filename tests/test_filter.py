@@ -886,6 +886,89 @@ class TestRun:
                 if r.nis is None:
                     assert r.error is None and r.nees is None
 
+    def test_fresh_truth_builds_only_the_states_read(self, earth, monkeypatch):
+        """A run on a fresh TruthTrajectory's samples builds the states of
+        its fix epochs and no other, where a map of them built all 1000;
+        its records are those of a run on a list of the same pairs."""
+        import eqnav.sim as sim
+
+        built, record = [0], sim._truth_record
+
+        def counted(stacks, k):
+            built[0] += 1
+            return record(stacks, k)
+
+        monkeypatch.setattr(sim, "_truth_record", counted)
+        spec = TrajectorySpec(profile="constant-turn", duration=10.0, imu_rate=100.0,
+                              gnss_rate=1.0, speed=10.0, turn_rate=0.02)
+        truth = generate_truth(spec, earth)
+        imu = synthesize_imu(truth, earth, SensorErrorSpec(np.full(3, 1e-5), np.full(3, 1e-4),
+                                                           4e-8, 4e-6, seed=2))
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=3)
+        noise = NoiseParams(4e-8, 4e-6, 1e-16, 1e-14)
+        for conv in (LEFT, RIGHT):
+            fresh = generate_truth(spec, earth)
+            built[0] = 0
+            st = FilterState(fresh.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0,
+                             conv)
+            got = run(imu, gnss, st, noise, earth, LeverArm(np.zeros(3)), truth=fresh.samples)
+            assert len(truth.samples) == 1000 and len(gnss) == 9
+            assert built[0] <= len(gnss) + 1
+            want = run(imu, gnss, st, noise, earth, LeverArm(np.zeros(3)),
+                       truth=list(truth.samples))
+            assert len(got) == len(want) and sum(r.nees is not None for r in got) == len(gnss)
+            for a, b in zip(got, want):
+                assert (a.t, a.nis, a.nees) == (b.t, b.nis, b.nees)
+                for x, y in ((a.error, b.error), (a.state.x.pos, b.state.x.pos),
+                             (a.p_diag, b.p_diag)):
+                    np.testing.assert_array_equal(x, y)
+
+    def test_truth_list_read_as_a_map(self, scenario, earth):
+        """A caller's truth list may come in any order, and the last pair at
+        a repeated time is the one read, as a dict of the pairs reads it;
+        a slice of the samples, reversed or strided, is looked up too."""
+        truth, imu = scenario
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=5)[:3]
+        noise = NoiseParams(1e-10, 1e-8, 1e-16, 1e-14)
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, LEFT)
+        t1, x1 = truth.samples[100]
+        moved = lg.GroupElement(x1.rot, x1.vel, x1.pos + 5.0, x1.frame)
+        pairs = list(truth.samples)[::-1] + [(t1, moved)] + [(99.0, x1)]
+        want = run(imu[:301], gnss, st, noise, earth, LeverArm(np.zeros(3)),
+                   truth=sorted(dict(pairs).items()))
+        for given in (pairs, iter(pairs)):
+            got = run(imu[:301], gnss, st, noise, earth, LeverArm(np.zeros(3)), truth=given)
+            assert [r.nees for r in got] == [r.nees for r in want]
+        plain = run(imu[:301], gnss, st, noise, earth, LeverArm(np.zeros(3)),
+                    truth=list(truth.samples))
+        assert got[100].t == t1 and got[100].nees > 100 * plain[100].nees  # the moved state
+        for part in (truth.samples[::-1], truth.samples[::50], truth.samples[250:]):
+            got = run(imu[:301], gnss, st, noise, earth, LeverArm(np.zeros(3)), truth=part)
+            times = {t for t, _ in part}
+            assert [r.nees for r in got] == [r.nees if r.t in times else None for r in plain]
+
+    @pytest.mark.parametrize("slop", [np.nan, -1.0, -1e-300])
+    def test_time_slop_not_below_zero(self, scenario, earth, slop):
+        """A time_slop that is NaN or negative is rejected by name, by run()
+        and by update_gnss; inf sets no bound."""
+        truth, imu = scenario
+        x0 = truth.samples[0][1]
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=5)[:2]
+        st = FilterState(x0, np.zeros(3), np.zeros(3), default_p0(), 0.0, LEFT)
+        noise, lever = NoiseParams(1e-10, 1e-8, 1e-16, 1e-14), LeverArm(np.zeros(3))
+        message = f"time_slop must be >= 0, got {slop!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(imu[:201], gnss, st, noise, earth, lever, time_slop=slop)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(imu[:201], [], st, noise, earth, lever, time_slop=slop)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            update_gnss(st, GnssFix(0.0, x0.pos.copy(), np.eye(3)), lever, slop)
+        fix = GnssFix(0.5, x0.pos.copy(), np.eye(3))
+        assert update_gnss(st, fix, lever, np.inf)[0].t == 0.0
+        got = run(imu[:201], gnss, st, noise, earth, lever, time_slop=np.inf)
+        want = run(imu[:201], gnss, st, noise, earth, lever)
+        assert [r.nis for r in got] == [r.nis for r in want]
+
     def test_left_right_agree_on_noise_free_data(self, earth):
         spec = TrajectorySpec(
             profile="constant-turn", duration=60.0, imu_rate=50.0, gnss_rate=1.0,

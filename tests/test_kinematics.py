@@ -579,11 +579,11 @@ class TestIntegrateImu:
 
     @pytest.mark.parametrize("frame", list(FrameTag))
     def test_matches_midpoint_steps(self, earth, rng, frame):
-        # more uneven steps than one window takes: NED windows are stepped,
-        # with midpoint_step's bits; the sweeps solve each ECEF window to
-        # roundoff of stepping it (bounds about 100 times the worst of 40
-        # seeds: velocity 1.3e-12 m/s, position 1.2e-10 m), its rotations,
-        # which do not depend on the state, bit for bit
+        # more uneven steps than one window takes: NED and ECEF_EB windows
+        # are stepped, with midpoint_step's bits; the sweeps solve each
+        # ECEF_IB window to roundoff of stepping it (bounds about 100 times
+        # the worst of 40 seeds: velocity 1.3e-12 m/s, position 1.2e-10 m),
+        # its rotations, which do not depend on the state, bit for bit
         x = builder_state(earth, frame)
         times = np.cumsum(rng.uniform(0.004, 0.012, kin._WINDOW + 41))
         samples = [
@@ -600,7 +600,7 @@ class TestIntegrateImu:
             )
             assert t == cur.t
             np.testing.assert_array_equal(got.rot, want.rot)
-            if frame in (FrameTag.NED_EB, FrameTag.NED_IB):
+            if frame is not FrameTag.ECEF_IB:
                 np.testing.assert_array_equal(got.vel, want.vel)
                 np.testing.assert_array_equal(got.pos, want.pos)
             else:
@@ -635,14 +635,14 @@ class TestIntegrateImu:
 
 class TestSweeps:
     """The sweeps that solve a window's mean trajectory (``kinematics._walk``),
-    counted by their gravity reads: one ``_gravity`` call per sweep."""
+    counted by their gravitation reads: one ``_gravitation`` call per sweep."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
         """The number of sweeps of each walk run while the fixture is in use."""
         import eqnav.filter as flt
 
-        counts, gravity, walk = [], kin._gravity, kin._walk
+        counts, gravity, walk = [], kin._gravitation, kin._walk
 
         def counted_gravity(*args):
             counts[-1] += 1
@@ -652,7 +652,7 @@ class TestSweeps:
             counts.append(0)
             return walk(*args)
 
-        monkeypatch.setattr(kin, "_gravity", counted_gravity)
+        monkeypatch.setattr(kin, "_gravitation", counted_gravity)
         monkeypatch.setattr(kin, "_walk", counted_walk)
         monkeypatch.setattr(flt, "_walk", counted_walk)
         return counts
@@ -660,14 +660,14 @@ class TestSweeps:
     @pytest.mark.parametrize("frame", list(FrameTag))
     def test_windows_of_one_and_ned_windows_are_stepped(self, earth, imu, sweeps, frame):
         """A window of one (midpoint_step, predict, phi_right) takes no sweep
-        in any frame, and an NED window of several steps none either; an
-        ECEF window of several steps is swept."""
+        in any frame, and an NED or ECEF_EB window of several steps none
+        either; an ECEF_IB window of several steps is swept."""
         x = builder_state(earth, frame)
         for dt in (1e-3, 0.01, 1.0):
             kin.midpoint_step(frame, x, imu.gyro, imu.accel, dt, earth)
         integrate_imu(x, [ImuSample(0.01 * k, imu.gyro, imu.accel) for k in range(5)], earth)
         assert sweeps[:3] == [0, 0, 0]
-        assert (sweeps[3] == 0) == (frame in (FrameTag.NED_EB, FrameTag.NED_IB))
+        assert (sweeps[3] == 0) == (frame is not FrameTag.ECEF_IB)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160, 1e308])
@@ -677,7 +677,8 @@ class TestSweeps:
         force of NaN or inf (velocity and position not finite) is rejected
         with GroupElement's message, naming the step; 1e160 and 1e308 (a
         finite state whose sum of squares overflows) are accepted, with no
-        warning, through the walk and through integrate_imu."""
+        warning, through the walk and through integrate_imu.  Only an
+        ECEF_IB window is swept; an ECEF_EB one is stepped."""
         x = builder_state(earth, frame)
         gyro, accel = np.tile(imu.gyro, (3, 1)), np.tile(imu.accel, (3, 1))
         accel[2, 0] = value
@@ -700,7 +701,7 @@ class TestSweeps:
         want = stepped()
         with np.errstate(over="ignore", invalid="ignore"):
             rot, vel, pos = kin._walk(frame, x, gyro, accel, dt, earth, 2)[1]
-        assert sweeps[-1] >= 1
+        assert (sweeps[-1] >= 1) == (frame is FrameTag.ECEF_IB)
         assert np.isfinite(vel).all() and np.isfinite(pos).all()
         assert math.isinf(sum(v * v for v in vel[-1].tolist()))
         np.testing.assert_array_equal(rot[-1], want.rot)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ class TestGenerateTruth:
         spec = TrajectorySpec(profile="static", duration=60.0, imu_rate=200.0)
         truth = generate_truth(spec, earth)
         assert len(truth.samples) == 12000
+
+    @pytest.mark.parametrize("duration, imu_rate, count", [
+        (math.inf, 200.0, "inf"), (60.0, math.inf, "inf"), (1e308, 200.0, "inf"),
+        (1e300, 200.0, "2e+302"), (2.0**58, 4.0, "1.152921504606847e+18"),
+    ])
+    def test_unformable_sample_count_named(self, earth, duration, imu_rate, count):
+        """A sample count past numpy's largest array of times (2**60 of
+        them) raises ValueError naming it, before any array is formed."""
+        spec = TrajectorySpec(profile="static", duration=duration, imu_rate=imu_rate)
+        want = f"duration * imu_rate = {count} IMU samples: more than an array can hold"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            generate_truth(spec, earth)
 
     def test_static_velocity_identity(self, earth):
         spec = TrajectorySpec(profile="static", duration=1.0, imu_rate=10.0)
