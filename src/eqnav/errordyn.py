@@ -33,6 +33,8 @@ from .liegroup import (
     _EYE3,
     _frozen,
     _hats,
+    _inverted,
+    _product,
     _resolve_frame,
     compose,
     hat,
@@ -152,17 +154,37 @@ def error_state(
 
     The group part uses the error element of the chosen convention; the
     attitude component carries the feedback sign (``C = exp(phi^) Chat`` for
-    the right convention).  Bias errors default to zero.
+    the right convention).  Bias errors default to zero.  The states' frames
+    must agree (the one frame rule of :func:`~eqnav.liegroup.compose`).
+
+    This wraps the array core :func:`_error_vector`, with its bits: the
+    error element is formed unchecked, and the one check is
+    :class:`ErrorState15`'s, on the result.
     """
-    db_g = np.zeros(3) if db_g is None else np.asarray(db_g, dtype=float)
-    db_a = np.zeros(3) if db_a is None else np.asarray(db_a, dtype=float)
+    _resolve_frame(xhat.frame, x.frame)
+    db_g = np.zeros(3) if db_g is None else np.asarray(db_g, dtype=float).reshape(3)
+    db_a = np.zeros(3) if db_a is None else np.asarray(db_a, dtype=float).reshape(3)
+    vec = _error_vector(conv, (xhat.rot, xhat.vel, xhat.pos), (x.rot, x.vel, x.pos), db_g, db_a)
+    return ErrorState15.from_vector(vec, conv)
+
+
+def _error_vector(conv: Convention, xhat, x, db_g: NDArray, db_a: NDArray) -> NDArray:
+    """The 15-vector of :func:`error_state` between two states' arrays.
+
+    ``xhat`` and ``x`` are ``(rot, vel, pos)`` triples, ``db_g`` and
+    ``db_a`` 3-vectors.  The error element, ``Xhat X^-1`` (right) or
+    ``Xhat^-1 X`` (left), is formed by :func:`~eqnav.liegroup.compose`'s
+    and :func:`~eqnav.liegroup.inverse`'s arithmetic, with their bits, and
+    nothing is checked: the caller decides the result once.  The error
+    chart lives here and in :func:`_retract`, and nowhere else.
+    """
     if conv is Convention.RIGHT_INVARIANT:
-        eta = compose(xhat, inverse(x))
-        phi = -so3_log(eta.rot)
+        rot, vel, pos = _product(xhat, _inverted(*x))
+        phi = -so3_log(rot)
     else:
-        eta = compose(inverse(xhat), x)
-        phi = so3_log(eta.rot)
-    return ErrorState15(phi, eta.vel, eta.pos, db_g, db_a, conv)
+        rot, vel, pos = _product(_inverted(*xhat), x)
+        phi = so3_log(rot)
+    return np.concatenate([phi, vel, pos, db_g, db_a])
 
 
 def apply_feedback(
@@ -181,18 +203,34 @@ def apply_feedback(
     additive corrections ``C = exp(phi^) Chat``,
     ``v = vhat - Jrho_v - vhat x phi``, ``r = rhat - Jrho_r - rhat x phi``.
     Biases update as ``b, bg + dx.db_g``.
+
+    This wraps the array core :func:`_retract`, with its bits: ``eta`` and
+    its inverse are formed unchecked, and the one check is
+    :class:`~eqnav.liegroup.GroupElement`'s, on the corrected state.
     """
     if dx.convention is not conv:
         raise ValueError(
             f"error state convention {dx.convention} does not match {conv}"
         )
-    if conv is Convention.RIGHT_INVARIANT:
-        eta = GroupElement(so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r)
-        corrected = compose(inverse(eta), xhat)
-    else:
-        eta = GroupElement(so3_exp(dx.phi), dx.jrho_v, dx.jrho_r)
-        corrected = compose(xhat, eta)
+    corrected = GroupElement(*_retract(conv, xhat.rot, xhat.vel, xhat.pos, dx.as_vector()),
+                             xhat.frame)
     return corrected, np.asarray(bg) + dx.db_g, np.asarray(ba) + dx.db_a
+
+
+def _retract(conv: Convention, rot: NDArray, vel: NDArray, pos: NDArray, dx: NDArray):
+    """:func:`apply_feedback`'s group retraction on arrays: the state
+    ``(rot, vel, pos)`` corrected by the 15-vector ``dx`` (its bias part is
+    not read), as a ``(rot, vel, pos)`` triple.
+
+    ``eta``, its inverse and the product are formed by
+    :func:`~eqnav.liegroup.compose`'s and :func:`~eqnav.liegroup.inverse`'s
+    arithmetic, with their bits, and nothing is checked: the caller
+    decides the result once (``update_gnss`` with ``GroupElement``'s
+    decision).  With :func:`_error_vector`, this holds the error chart.
+    """
+    if conv is Convention.RIGHT_INVARIANT:
+        return _product(_inverted(so3_exp(-dx[0:3]), dx[3:6], dx[6:9]), (rot, vel, pos))
+    return _product((rot, vel, pos), (so3_exp(dx[0:3]), dx[3:6], dx[6:9]))
 
 
 def f_matrix(

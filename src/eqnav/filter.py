@@ -20,15 +20,16 @@ from .errordyn import (
     ErrorState15,
     LeverArm,
     NoiseParams,
+    _error_vector,
     _g_right,
+    _retract,
     apply_feedback,
-    error_state,
     g_matrix,
     h_matrix,
 )
 from .kinematics import (EarthModel, ImuSample, NonMonotonicTime, _Records, _StepError,
                          _increasing, _intervals, _stream, _walk, _windows)
-from .liegroup import FrameTag, GroupElement, _frozen, _resolve_frame, _trusted
+from .liegroup import FrameTag, GroupElement, _element_ok, _frozen, _resolve_frame, _trusted
 from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
 
 __all__ = [
@@ -299,6 +300,17 @@ def update_gnss(
     most 1e12.  One solve of S against ``[H P | z]`` then gives the gain
     and the NIS.
 
+    The update runs on arrays, with the bits of
+    :func:`~eqnav.errordyn.apply_feedback` and :class:`FilterState`'s
+    constructor, and is checked once, on its result:
+    :func:`~eqnav.liegroup._element_ok` on the corrected state, finite
+    biases and one :func:`_p_faults` on the updated P.  An admitted result
+    becomes the new state without a second check; a rejected one is built
+    again through the constructors (:class:`~eqnav.errordyn.ErrorState15`,
+    :class:`~eqnav.liegroup.GroupElement`, :class:`FilterState`), whose
+    message names the fault.  The time check is one comparison: the slop
+    is examined only when the fix is not within it.
+
     Raises
     ------
     SingularInnovationCov
@@ -306,17 +318,19 @@ def update_gnss(
         condition exceeds 1e12.
     ValueError
         If ``time_slop`` is not >= 0 (NaN included; ``inf`` sets no
-        bound), naming it, or if the fix time is farther than it from the
-        state time.
+        bound), naming it, if the fix time is farther than it from the
+        state time, or if the corrected state or its covariance is
+        rejected, naming the field.
     """
-    _check_slop(time_slop)
-    if abs(fix.t - state.t) > time_slop:
+    if not abs(fix.t - state.t) <= time_slop:  # also NaN
+        _check_slop(time_slop)
         raise ValueError(
             f"fix at t={fix.t} not aligned with state t={state.t} within {time_slop}"
         )
 
-    h = h_matrix(state.convention, state.x, lever)
-    z = fix.pos_ecef - (state.x.pos + state.x.rot @ lever.l_b)
+    conv, x = state.convention, state.x
+    h = h_matrix(conv, x, lever)
+    z = fix.pos_ecef - (x.pos + x.rot @ lever.l_b)
     hp = h @ state.p
     s = hp @ h.T + fix.cov
     s = 0.5 * (s + s.T)
@@ -327,19 +341,28 @@ def update_gnss(
 
     sol = np.linalg.solve(s, np.column_stack([hp, z]))
     k = sol[:, :15].T
-    dx_vec = k @ z
-    dx = ErrorState15.from_vector(dx_vec, state.convention)
-    x_new, bg_new, ba_new = apply_feedback(
-        state.convention, state.x, dx, state.bg, state.ba
-    )
+    dx = k @ z
+    bg, ba = state.bg + dx[9:12], state.ba + dx[12:15]
+    # a sum is finite only if every term is: a gain or bias that is not, or
+    # a sum that overflows, goes to the constructors below
+    finite = math.isfinite(sum(dx.tolist() + bg.tolist() + ba.tolist()))
+    rvp = _retract(conv, x.rot, x.vel, x.pos, dx) if finite else None
 
     ikh = np.eye(15) - k @ h
-    p_new = ikh @ state.p @ ikh.T + k @ fix.cov @ k.T
-    p_new = 0.5 * (p_new + p_new.T)
-
+    p = ikh @ state.p @ ikh.T + k @ fix.cov @ k.T
+    p = 0.5 * (p + p.T)
     nis = float(z @ sol[:, 15])
-    new_state = FilterState(x_new, bg_new, ba_new, p_new, state.t, state.convention)
-    return new_state, z, nis
+
+    if rvp is None or not _element_ok(*rvp) or _p_faults(p[None])[0]:
+        # built again through the constructors, which name the fault (or
+        # admit the state, past an overflowing sum)
+        dx = ErrorState15.from_vector(dx, conv)
+        x_new, bg, ba = apply_feedback(conv, x, dx, state.bg, state.ba)
+        return FilterState(x_new, bg, ba, p, state.t, conv), z, nis
+    for a in (*rvp, bg, ba, p):
+        a.setflags(write=False)
+    x_new = _trusted(GroupElement, rot=rvp[0], vel=rvp[1], pos=rvp[2], frame=x.frame)
+    return _trusted(FilterState, x=x_new, bg=bg, ba=ba, p=p, t=state.t, convention=conv), z, nis
 
 
 @dataclass(frozen=True)
@@ -481,6 +504,9 @@ def run(
         an epoch the run skips (before the initial state), if two fixes
         map to the same IMU epoch, or if an epoch fails (e.g. a rotation of
         more than one turn over an IMU interval), with the epoch named.
+        A fix epoch's fault is ``update_gnss``'s; where truth is given and
+        the updated P is singular, the NEES is undefined, and
+        ``numpy.linalg.LinAlgError`` says so, naming the epoch.
     """
     _check_slop(time_slop)
     if not isinstance(truth, _Records):
@@ -518,6 +544,22 @@ def _truth_at(times: NDArray, state):
     return truth_at
 
 
+def _nees(state: FilterState, error: NDArray) -> float:
+    """The NEES ``error^T P^-1 error`` of the 15-vector ``error`` at
+    ``state``, by one solve.  A P the solve finds singular raises
+    ``LinAlgError`` saying so; a non-finite result whose error
+    :class:`ErrorState15` rejects (as :func:`error_state` would) raises its
+    ``ValueError``."""
+    try:
+        nees = float(error @ np.linalg.solve(state.p, error))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("the covariance FilterState.p is singular, so the NEES is "
+                                    f"undefined ({exc})") from exc
+    if not math.isfinite(nees):
+        ErrorState15.from_vector(error, state.convention)
+    return nees
+
+
 def _nearest(times: NDArray, t: NDArray) -> NDArray:
     """Index of the entry of the increasing ``times`` (N >= 1) nearest to
     each of the increasing ``t``, the earlier one on a tie (the first least
@@ -544,6 +586,11 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
     :class:`FilterState`, after its fix if it has one; and ``fix``, ``None``
     or the fix's ``(innovation, nis, error, nees)``, the last two ``None``
     without truth.  The first block is the initial state's epoch.
+
+    A fix epoch is checked once: :func:`update_gnss` decides its result
+    (``time_slop``, checked by the callers, is read only if the fix is
+    out of it), and the error against the truth comes straight from
+    :func:`~eqnav.errordyn._error_vector`.
     """
     rates, dts = _intervals(imu_times, imu_rates)
     fix_times = np.array([f.t for f in gnss])
@@ -572,15 +619,17 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
             return state, None
         try:
             state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
+            error = nees = None
+            x_true = truth_at(state.t)
+            if x_true is not None:
+                x = state.x
+                db = np.zeros((2, 3)) if truth_biases is None else (
+                    truth_biases[0] - state.bg, truth_biases[1] - state.ba)
+                error = _error_vector(state.convention, (x.rot, x.vel, x.pos),
+                                      (x_true.rot, x_true.vel, x_true.pos), *db)
+                nees = _nees(state, error)
         except ValueError as exc:  # LinAlgError included
             raise type(exc)(f"at epoch t={times[i]}: {exc}") from exc
-        error = nees = None
-        x_true = truth_at(state.t)
-        if x_true is not None:
-            db = (None, None) if truth_biases is None else (
-                truth_biases[0] - state.bg, truth_biases[1] - state.ba)
-            error = error_state(state.convention, state.x, x_true, *db).as_vector()
-            nees = float(error @ np.linalg.solve(state.p, error))
         return state, (innovation, nis, error, nees)
 
     # row k - 1 of rates and dts is IMU epoch k's interval; the first

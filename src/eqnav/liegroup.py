@@ -499,15 +499,31 @@ def _resolve_frame(a: FrameTag | None, b: FrameTag | None) -> FrameTag | None:
 def compose(x: GroupElement, y: GroupElement) -> GroupElement:
     """Group product x*y in the factored (R, v, p) form."""
     frame = _resolve_frame(x.frame, y.frame)
-    return GroupElement(
-        x.rot @ y.rot, x.rot @ y.vel + x.vel, x.rot @ y.pos + x.pos, frame
-    )
+    return GroupElement(*_product((x.rot, x.vel, x.pos), (y.rot, y.vel, y.pos)), frame)
 
 
 def inverse(x: GroupElement) -> GroupElement:
     """Group inverse (R^T, -R^T v, -R^T p)."""
-    rt = x.rot.T
-    return GroupElement(rt, -(rt @ x.vel), -(rt @ x.pos), x.frame)
+    return GroupElement(*_inverted(x.rot, x.vel, x.pos), x.frame)
+
+
+def _product(x, y):
+    """:func:`compose`'s arithmetic on ``(rot, vel, pos)`` triples of
+    arrays, unchecked: ``(Rx Ry, Rx vy + vx, Rx py + px)``."""
+    (rx, vx, px), (ry, vy, py) = x, y
+    return rx @ ry, rx @ vy + vx, rx @ py + px
+
+
+def _inverted(rot, vel, pos):
+    """:func:`inverse`'s arithmetic on the arrays of an element, unchecked:
+    ``(R^T, -R^T v, -R^T p)``, the rotation a transposed view of ``rot``.
+
+    :class:`GroupElement` stores its copy in the same (Fortran) order, and
+    a product's bits follow its operands' order, so a product with the
+    view has the bits of one with the inverse element's rotation.
+    """
+    rt = rot.T
+    return rt, -(rt @ vel), -(rt @ pos)
 
 
 def se23_exp(xi: Tangent9, frame: FrameTag | None = None) -> GroupElement:

@@ -551,6 +551,22 @@ class TestInvalidInput:
         assert main(["--out", str(tmp_path), "--set", "duration=1.01", "simulate"]) == 0
         assert main(["--out", str(tmp_path), "--set", "duration=1.01", "run"]) == 0
 
+    @pytest.mark.parametrize("convention", ["left", "right"])
+    def test_singular_covariance_at_fix_exits_2_naming_epoch(self, tmp_path, capsys, convention):
+        """With no gyro bias uncertainty and no bias random walk, P is
+        singular at the first fix, so its NEES against truth.csv is
+        undefined: exit 2 in one line naming the epoch, and no output."""
+        base = ["--out", str(tmp_path), "--seed", "7", "--set", "duration=3"]
+        assert main(base + ["simulate"]) == 0
+        code = main(base + ["--set", "init_bg_std=0", "--set", "gyro_bias_psd=0",
+                            "--convention", convention, "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: filter run on ") and err.count("\n") == 1
+        assert err.endswith(": at epoch t=1.0: the covariance FilterState.p is singular, so "
+                            "the NEES is undefined (Singular matrix)\n")
+        assert not (tmp_path / "nav_out.csv").exists()
+
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the
         earth's centre has no latitude to level at."""

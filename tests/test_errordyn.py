@@ -9,6 +9,8 @@ from eqnav.errordyn import (
     ErrorState15,
     LeverArm,
     NoiseParams,
+    _error_vector,
+    _retract,
     apply_feedback,
     error_state,
     f_matrix,
@@ -375,3 +377,102 @@ class TestHMatrix:
             fd[:, j] = (innovation(e) - innovation(-e)) / (2 * eps)
         rel = np.abs(h - fd).max() / np.abs(h).max()
         assert rel <= 1e-5
+
+
+def random_states(rng, count):
+    """``count`` random earth-scale ECEF_IB states."""
+    return [random_element(rng, vel=1e3, pos=7e6, frame=FrameTag.ECEF_IB) for _ in range(count)]
+
+
+def random_dx(rng):
+    """A random 15-vector error: attitude to about 0.3 rad, velocity and
+    position to meters, biases small."""
+    return rng.normal(size=15) * np.repeat([0.1, 1.0, 10.0, 1e-4, 1e-3], 3)
+
+
+def arrays(x):
+    return x.rot, x.vel, x.pos
+
+
+class TestArrayCores:
+    """The retraction and the error chart on arrays (``errordyn._retract``,
+    ``errordyn._error_vector``) have the bits of the group formulas they
+    replace on the fix path, over 200 random states per convention."""
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_retraction_is_the_group_formula(self, conv, rng):
+        for xhat in random_states(rng, 200):
+            dx = random_dx(rng)
+            phi, jv, jr = dx[0:3], dx[3:6], dx[6:9]
+            if conv is RIGHT:
+                want = lg.compose(lg.inverse(lg.GroupElement(lg.so3_exp(-phi), jv, jr)), xhat)
+            else:
+                want = lg.compose(xhat, lg.GroupElement(lg.so3_exp(phi), jv, jr))
+            got = _retract(conv, *arrays(xhat), dx)
+            for a, b in zip(got, arrays(want)):
+                np.testing.assert_array_equal(a, b)
+            out, bg, ba = apply_feedback(conv, xhat, ErrorState15.from_vector(dx, conv),
+                                         np.zeros(3), np.zeros(3))
+            for a, b in zip(arrays(out), arrays(want)):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.concatenate([bg, ba]), dx[9:15])
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_error_is_the_group_formula(self, conv, rng):
+        for xhat, x in zip(random_states(rng, 200), random_states(rng, 200)):
+            db_g, db_a = rng.normal(size=3) * 1e-4, rng.normal(size=3) * 1e-3
+            if conv is RIGHT:
+                eta = lg.compose(xhat, lg.inverse(x))
+                phi = -lg.so3_log(eta.rot)
+            else:
+                eta = lg.compose(lg.inverse(xhat), x)
+                phi = lg.so3_log(eta.rot)
+            want = np.concatenate([phi, eta.vel, eta.pos, db_g, db_a])
+            np.testing.assert_array_equal(
+                _error_vector(conv, arrays(xhat), arrays(x), db_g, db_a), want)
+            np.testing.assert_array_equal(error_state(conv, xhat, x, db_g, db_a).as_vector(), want)
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_update_is_the_object_formula(self, conv, rng):
+        """update_gnss on arrays returns the state, P and NIS of the update
+        written out through the checked types, bit for bit."""
+        from eqnav.filter import FilterState, GnssFix, update_gnss
+
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        scale = np.repeat([1e-3, 0.1, 3.0, 1e-4, 1e-3], 3)
+        for x in random_states(rng, 200):
+            a = rng.normal(size=(15, 15)) * scale[:, None]
+            p = a @ a.T + np.diag(scale**2)
+            p = 0.5 * (p + p.T)
+            st = FilterState(x, rng.normal(size=3) * 1e-4, rng.normal(size=3) * 1e-3, p, 2.0,
+                             conv)
+            c = rng.normal(size=(3, 3))
+            fix = GnssFix(2.0, x.pos + x.rot @ lever.l_b + rng.normal(size=3) * 3.0,
+                          c @ c.T + np.eye(3))
+
+            h = h_matrix(conv, x, lever)
+            z = fix.pos_ecef - (x.pos + x.rot @ lever.l_b)
+            hp = h @ p
+            s = hp @ h.T + fix.cov
+            s = 0.5 * (s + s.T)
+            sol = np.linalg.solve(s, np.column_stack([hp, z]))
+            k = sol[:, :15].T
+            dx = ErrorState15.from_vector(k @ z, conv)
+            if conv is RIGHT:
+                eta = lg.GroupElement(lg.so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r)
+                x_new = lg.compose(lg.inverse(eta), x)
+            else:
+                x_new = lg.compose(x, lg.GroupElement(lg.so3_exp(dx.phi), dx.jrho_v, dx.jrho_r))
+            ikh = np.eye(15) - k @ h
+            p_new = ikh @ p @ ikh.T + k @ fix.cov @ k.T
+            want = FilterState(x_new, st.bg + dx.db_g, st.ba + dx.db_a, 0.5 * (p_new + p_new.T),
+                               st.t, conv)
+
+            got, innovation, nis = update_gnss(st, fix, lever)
+            for u, v in ((got.x.rot, want.x.rot), (got.x.vel, want.x.vel),
+                         (got.x.pos, want.x.pos), (got.bg, want.bg), (got.ba, want.ba),
+                         (got.p, want.p), (innovation, z)):
+                np.testing.assert_array_equal(u, v)
+            assert nis == float(z @ sol[:, 15])
+            assert (got.t, got.convention, got.x.frame) == (st.t, conv, FrameTag.ECEF_IB)
+            assert not any(v.flags.writeable for v in (got.x.rot, got.x.pos, got.bg, got.p))

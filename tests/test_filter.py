@@ -969,6 +969,110 @@ class TestRun:
         want = run(imu[:201], gnss, st, noise, earth, lever)
         assert [r.nis for r in got] == [r.nis for r in want]
 
+    def test_applied_fix_checked_once(self, scenario, earth, monkeypatch):
+        """An applied fix, its error and its NEES make no validating copy
+        (``_frozen``) and exactly one covariance check (``_p_faults``):
+        the update runs on arrays and decides its result once."""
+        import eqnav.errordyn as ed
+
+        truth, imu = scenario
+        bg, ba = np.array([1e-5, -2e-5, 3e-5]), np.array([1e-3, 2e-3, -1e-3])
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=5)[:3]
+        noise = NoiseParams(1e-10, 1e-8, 1e-16, 1e-14)
+        states = [FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0,
+                              conv) for conv in (RIGHT, LEFT)]
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        frozen, checks, per_update = [0], [0], []
+        copy, faults, update = lg._frozen, flt._p_faults, flt.update_gnss
+
+        def counted_frozen(*args):
+            frozen[0] += 1
+            return copy(*args)
+
+        def counted_faults(p):
+            checks[0] += 1
+            return faults(p)
+
+        def counted_update(*args):
+            before = checks[0]
+            out = update(*args)
+            per_update.append(checks[0] - before)
+            return out
+
+        for module in (lg, ed, flt):
+            monkeypatch.setattr(module, "_frozen", counted_frozen)
+        monkeypatch.setattr(flt, "_p_faults", counted_faults)
+        monkeypatch.setattr(flt, "update_gnss", counted_update)
+        for st in states:
+            per_update.clear()
+            recs = run(imu[:301], gnss, st, noise, earth, lever, truth=truth.samples,
+                       truth_biases=(bg, ba))
+            assert sum(r.nees is not None for r in recs) == len(gnss)
+            assert frozen[0] == 0
+            assert per_update == [1] * len(gnss)
+
+    def test_update_faults_keep_their_messages(self, scenario, earth):
+        """Each way an update fails keeps its message: a fix out of the time
+        slop, an ill-conditioned innovation covariance, and an updated P
+        the covariance check rejects (a bias variance of -0.9 tau, admitted
+        before the fix, is past the tolerance once the fix shrinks the
+        trace), named with the epoch inside a run."""
+        x0 = scenario[0].samples[0][1]
+        lever = LeverArm(np.zeros(3))
+        st = FilterState(x0, np.zeros(3), np.zeros(3), default_p0(), 0.0, LEFT)
+        with pytest.raises(ValueError) as info:
+            update_gnss(st, GnssFix(0.5, x0.pos.copy(), np.eye(3)), lever)
+        assert str(info.value) == "fix at t=0.5 not aligned with state t=0.0 within 1e-06"
+
+        imu = scenario[1][:21]
+        ill = GnssFix(0.0, x0.pos.copy(), np.diag([1.0, 1.0, 1 / 1.1e12]))
+        p = np.diag([1e-8] * 3 + [1e-4] * 3 + [1e6] * 3 + [1e-10] * 3 + [1e-8] * 3)
+        p[12, 12] = -0.9e-10 * (np.trace(p) - p[12, 12])
+        for conv in (RIGHT, LEFT):
+            zero = FilterState(x0, np.zeros(3), np.zeros(3), np.zeros((15, 15)), 0.0, conv)
+            with pytest.raises(SingularInnovationCov) as info:
+                run(imu, [ill], zero, NoiseParams(0, 0), earth, lever)
+            assert str(info.value) == "at epoch t=0.0: innovation covariance condition 1.100e+12"
+            wide = FilterState(x0, np.zeros(3), np.zeros(3), p, 0.0, conv)
+            fix = GnssFix(0.0, x0.pos + 1.0, 1e-2 * np.eye(3))
+            with pytest.raises(ValueError) as info:
+                run(imu, [fix], wide, NoiseParams(0, 0), earth, lever)
+            assert str(info.value) == "at epoch t=0.0: FilterState.p must be positive semidefinite"
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_singular_covariance_nees_names_epoch(self, scenario, earth, conv):
+        """With no gyro bias uncertainty and no bias random walk, P is
+        singular at a fix: the NEES against the truth is undefined, and the
+        run says so, naming the epoch."""
+        truth, imu = scenario
+        p = default_p0()
+        p[9:12, 9:12] = 0.0
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), p, 0.0, conv)
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=5)[:2]
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            run(imu[:201], gnss, st, NoiseParams(1e-10, 1e-8), earth, LeverArm(np.zeros(3)),
+                truth=truth.samples)
+        assert str(info.value) == (f"at epoch t={gnss[0].t}: the covariance FilterState.p is "
+                                   "singular, so the NEES is undefined (Singular matrix)")
+        # without truth there is no NEES, and the run goes through
+        assert run(imu[:201], gnss, st, NoiseParams(1e-10, 1e-8), earth,
+                   LeverArm(np.zeros(3)))[-1].t == imu[200].t
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_overflowing_error_named(self, scenario, earth, conv):
+        """A truth state whose velocity, turned into the error's frame,
+        overflows gives no silent NEES: the error's type names the fault
+        with the epoch."""
+        truth, imu = scenario
+        gnss = synthesize_gnss(truth, np.zeros(3), 1.0, np.eye(3), seed=5)[:1]
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, conv)
+        x = dict(truth.samples)[gnss[0].t]
+        wild = lg.GroupElement(x.rot, np.array([1.7e308, 1.7e308, 1.7e308]), x.pos, x.frame)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(f"at epoch t={gnss[0].t}: ErrorState15.")):
+                run(imu[:201], gnss, st, NoiseParams(1e-10, 1e-8), earth, LeverArm(np.zeros(3)),
+                    truth=[(gnss[0].t, wild)])
+
     def test_left_right_agree_on_noise_free_data(self, earth):
         spec = TrajectorySpec(
             profile="constant-turn", duration=60.0, imu_rate=50.0, gnss_rate=1.0,

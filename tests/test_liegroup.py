@@ -163,6 +163,22 @@ class TestGroupStructure:
             )
         assert worst <= 1e-10
 
+    def test_compose_and_inverse_are_the_written_formulas(self, rng):
+        """compose and inverse, on their unchecked array arithmetic, have the
+        bits of the formulas written out on the elements' fields, over 200
+        random earth-scale pairs."""
+        for _ in range(200):
+            a = random_element(rng, vel=1e3, pos=7e6)
+            b = random_element(rng, vel=1e3, pos=7e6)
+            rt = b.rot.T
+            inv = lg.inverse(b)
+            for got, want in ((inv.rot, rt), (inv.vel, -(rt @ b.vel)), (inv.pos, -(rt @ b.pos))):
+                np.testing.assert_array_equal(got, want)
+            ab = lg.compose(a, inv)
+            np.testing.assert_array_equal(ab.rot, a.rot @ inv.rot)
+            np.testing.assert_array_equal(ab.vel, a.rot @ inv.vel + a.vel)
+            np.testing.assert_array_equal(ab.pos, a.rot @ inv.pos + a.pos)
+
     def test_frame_mismatch(self):
         a = lg.identity_element(lg.FrameTag.ECEF_IB)
         b = lg.identity_element(lg.FrameTag.NED_EB)
