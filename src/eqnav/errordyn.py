@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .kinematics import EarthModel, ImuSample
+from .kinematics import _SQUARE_CAP, EarthModel, ImuSample
 from .liegroup import (
     FrameTag,
     GroupElement,
@@ -206,15 +206,29 @@ def apply_feedback(
 
     This wraps the array core :func:`_retract`, with its bits: ``eta`` and
     its inverse are formed unchecked, and the one check is
-    :class:`~eqnav.liegroup.GroupElement`'s, on the corrected state.
+    :class:`~eqnav.liegroup.GroupElement`'s, on the corrected state.  An
+    attitude correction too large for the exponential
+    (:func:`_retractable`) raises ``ValueError`` naming it.
     """
     if dx.convention is not conv:
         raise ValueError(
             f"error state convention {dx.convention} does not match {conv}"
         )
+    phi = dx.phi.tolist()
+    if not _retractable(phi):
+        raise ValueError(f"correction ErrorState15.phi has an entry of magnitude "
+                         f"{max(map(abs, phi)):.3e}, too large for the exponential to square")
     corrected = GroupElement(*_retract(conv, xhat.rot, xhat.vel, xhat.pos, dx.as_vector()),
                              xhat.frame)
     return corrected, np.asarray(bg) + dx.db_g, np.asarray(ba) + dx.db_a
+
+
+def _retractable(phi: list[float]) -> bool:
+    """Whether the retraction's exponential takes the finite attitude
+    correction ``phi`` (3 floats): every entry below ``2**511`` in
+    magnitude, so its squared norm and the square of its hat are finite
+    (the rule of the walk's body rotations)."""
+    return max(map(abs, phi)) < _SQUARE_CAP
 
 
 def _retract(conv: Convention, rot: NDArray, vel: NDArray, pos: NDArray, dx: NDArray):
@@ -225,8 +239,9 @@ def _retract(conv: Convention, rot: NDArray, vel: NDArray, pos: NDArray, dx: NDA
     ``eta``, its inverse and the product are formed by
     :func:`~eqnav.liegroup.compose`'s and :func:`~eqnav.liegroup.inverse`'s
     arithmetic, with their bits, and nothing is checked: the caller
-    decides the result once (``update_gnss`` with ``GroupElement``'s
-    decision).  With :func:`_error_vector`, this holds the error chart.
+    decides the correction first (:func:`_retractable`) and the result
+    once (``update_gnss`` with ``GroupElement``'s decision).  With
+    :func:`_error_vector`, this holds the error chart.
     """
     if conv is Convention.RIGHT_INVARIANT:
         return _product(_inverted(so3_exp(-dx[0:3]), dx[3:6], dx[6:9]), (rot, vel, pos))

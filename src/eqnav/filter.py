@@ -23,6 +23,7 @@ from .errordyn import (
     _error_vector,
     _g_right,
     _retract,
+    _retractable,
     apply_feedback,
     g_matrix,
     h_matrix,
@@ -329,36 +330,41 @@ def update_gnss(
         )
 
     conv, x = state.convention, state.x
-    h = h_matrix(conv, x, lever)
-    z = fix.pos_ecef - (x.pos + x.rot @ lever.l_b)
-    hp = h @ state.p
-    s = hp @ h.T + fix.cov
-    s = 0.5 * (s + s.T)
-    lam = np.linalg.eigvalsh(s)
-    cond = lam[2] / lam[0] if lam[0] > 0.0 else math.inf
-    if not cond <= _COND_BOUND:  # also NaN
-        raise SingularInnovationCov(f"innovation covariance condition {cond:.3e}")
+    # the decisions below name every fault of the result, so an overflow on
+    # the way to one is that fault, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = h_matrix(conv, x, lever)
+        z = fix.pos_ecef - (x.pos + x.rot @ lever.l_b)
+        hp = h @ state.p
+        s = hp @ h.T + fix.cov
+        s = 0.5 * (s + s.T)
+        lam = np.linalg.eigvalsh(s)
+        cond = lam[2] / lam[0] if lam[0] > 0.0 else math.inf
+        if not cond <= _COND_BOUND:  # also NaN
+            raise SingularInnovationCov(f"innovation covariance condition {cond:.3e}")
 
-    sol = np.linalg.solve(s, np.column_stack([hp, z]))
-    k = sol[:, :15].T
-    dx = k @ z
-    bg, ba = state.bg + dx[9:12], state.ba + dx[12:15]
-    # a sum is finite only if every term is: a gain or bias that is not, or
-    # a sum that overflows, goes to the constructors below
-    finite = math.isfinite(sum(dx.tolist() + bg.tolist() + ba.tolist()))
-    rvp = _retract(conv, x.rot, x.vel, x.pos, dx) if finite else None
+        sol = np.linalg.solve(s, np.column_stack([hp, z]))
+        k = sol[:, :15].T
+        dx = k @ z
+        bg, ba = state.bg + dx[9:12], state.ba + dx[12:15]
+        d = dx.tolist()
+        # a sum is finite only if every term is: a gain or bias that is not,
+        # a sum that overflows, or an attitude correction the retraction's
+        # exponential cannot take goes to the constructors below
+        ok = math.isfinite(sum(d + bg.tolist() + ba.tolist())) and _retractable(d[0:3])
+        rvp = _retract(conv, x.rot, x.vel, x.pos, dx) if ok else None
 
-    ikh = np.eye(15) - k @ h
-    p = ikh @ state.p @ ikh.T + k @ fix.cov @ k.T
-    p = 0.5 * (p + p.T)
-    nis = float(z @ sol[:, 15])
+        ikh = np.eye(15) - k @ h
+        p = ikh @ state.p @ ikh.T + k @ fix.cov @ k.T
+        p = 0.5 * (p + p.T)
+        nis = float(z @ sol[:, 15])
 
-    if rvp is None or not _element_ok(*rvp) or _p_faults(p[None])[0]:
-        # built again through the constructors, which name the fault (or
-        # admit the state, past an overflowing sum)
-        dx = ErrorState15.from_vector(dx, conv)
-        x_new, bg, ba = apply_feedback(conv, x, dx, state.bg, state.ba)
-        return FilterState(x_new, bg, ba, p, state.t, conv), z, nis
+        if rvp is None or not _element_ok(*rvp) or _p_faults(p[None])[0]:
+            # built again through the constructors, which name the fault (or
+            # admit the state, past an overflowing sum)
+            dx = ErrorState15.from_vector(dx, conv)
+            x_new, bg, ba = apply_feedback(conv, x, dx, state.bg, state.ba)
+            return FilterState(x_new, bg, ba, p, state.t, conv), z, nis
     for a in (*rvp, bg, ba, p):
         a.setflags(write=False)
     x_new = _trusted(GroupElement, rot=rvp[0], vel=rvp[1], pos=rvp[2], frame=x.frame)
@@ -461,7 +467,7 @@ def run(
     truth: Iterable[tuple[float, GroupElement]] | None = None,
     truth_biases: tuple[NDArray, NDArray] | None = None,
     time_slop: float = 1e-6,
-) -> list[EpochRecord]:
+) -> Sequence[EpochRecord]:
     """Interleave predictions and GNSS updates over time-sorted streams.
 
     Fixes are applied at the nearest IMU epoch within ``time_slop`` of their
@@ -475,18 +481,27 @@ def run(
     :func:`~eqnav.sim.synthesize_imu` returns (or a slice of it), whose
     stacks are read without building a sample.  ``truth`` is a list of
     ``(t, state)`` in any order (the last pair at a repeated time is the
-    one read), or :attr:`~eqnav.sim.TruthTrajectory.samples` (or a slice
-    of it), which is looked up on its stack of times and builds only the
-    states the fix epochs read (see :func:`_truth_at`).  ``time_slop``
-    must be >= 0; ``inf`` sets no bound.
+    one read), :attr:`~eqnav.sim.TruthTrajectory.samples` (or a slice of
+    it), which is looked up on its stack of times and builds only the
+    states the fix epochs read (see :func:`_truth_at`), or any other
+    sequence of such pairs, read as a list.  ``time_slop`` must be >= 0;
+    ``inf`` sets no bound.
+
+    Returns a read-only sequence of :class:`EpochRecord`, one per epoch
+    from the initial state's, over the blocks of arrays the array core
+    :func:`_run` hands back, one per window (see
+    :class:`~eqnav.kinematics._Records`).  The run builds the record of
+    each window's last epoch, whose state it has made anyway; the record
+    of an epoch inside a window is made from views of the block's rows,
+    without a second check, when it is first read, and kept, so ``len``
+    and the last record cost no per-epoch object.  ``eqnav run`` reads
+    the blocks and builds no record.
 
     The IMU stream is stacked once and cut into intervals and windows as
     :func:`~eqnav.kinematics.integrate_imu` does it.  A window, the epochs
     after one fix up to and including the next, in pieces of at most a
     fixed number of epochs, has constant biases and is propagated in one
-    pass (see :func:`_propagate`).  The array core :func:`_run` hands back
-    a block of arrays per window, from which the records are made without
-    a second check; ``eqnav run`` builds none.  The records are those of a
+    pass (see :func:`_propagate`).  The records are those of a
     loop of :func:`predict` and :func:`update_gnss` to roundoff: in
     ECEF_IB, the filter's frame, the window's mean steps are solved
     together by sweeps that stop within a few ulps of stepping them one at
@@ -509,23 +524,32 @@ def run(
         ``numpy.linalg.LinAlgError`` says so, naming the epoch.
     """
     _check_slop(time_slop)
-    if not isinstance(truth, _Records):
+    stacks = truth.stacks() if isinstance(truth, _Records) else None
+    if stacks is None:
         truth = list(truth or ())
-    at = truth.stacks()[0] if isinstance(truth, _Records) else np.array([t for t, _ in truth])
+    at = np.array([t for t, _ in truth]) if stacks is None else stacks[0]
     truth_at = _truth_at(at, lambda j: truth[j][1])
-    blocks = _run(*_stream(imu), gnss, initial, noise, earth, lever, truth_at, truth_biases,
-                  time_slop)
-    frame, conv = initial.x.frame, initial.convention
-    records = []
-    for times, rot, vel, pos, bg, ba, ps, end, fix in blocks:
-        p_diags = np.diagonal(ps, 0, 1, 2).copy()
-        for t, r, v, q, p, p_diag in zip(times.tolist(), rot, vel, pos, ps, p_diags):
-            x = _trusted(GroupElement, rot=r, vel=v, pos=q, frame=frame)
-            state = _trusted(FilterState, x=x, bg=bg, ba=ba, p=p, t=t, convention=conv)
-            records.append(_trusted(EpochRecord, t=t, state=state, p_diag=p_diag,
-                                    innovation=None, nis=None, error=None, nees=None))
-        records.append(EpochRecord(end.t, end, np.diag(end.p).copy(), *(fix or ())))
-    return records
+    blocks, starts, built = [], [], []
+    for block in _run(*_stream(imu), gnss, initial, noise, earth, lever, truth_at,
+                      truth_biases, time_slop):
+        end, fix = block[-2:]
+        blocks.append(block)
+        starts.append(len(built))
+        built += [None] * len(block[0])
+        built.append(EpochRecord(end.t, end, np.diag(end.p).copy(), *(fix or ())))
+    return _Records(_epoch_record, blocks, starts, built)
+
+
+def _epoch_record(block: tuple, k: int) -> EpochRecord:
+    """The :class:`EpochRecord` of row k of a block of :func:`_run`, an
+    epoch before the window's last, its arrays views of the block's rows
+    and its ``p_diag`` a fresh copy of its covariance's diagonal."""
+    times, rot, vel, pos, bg, ba, ps, end, _ = block
+    t = float(times[k])
+    x = _trusted(GroupElement, rot=rot[k], vel=vel[k], pos=pos[k], frame=end.x.frame)
+    state = _trusted(FilterState, x=x, bg=bg, ba=ba, p=ps[k], t=t, convention=end.convention)
+    return _trusted(EpochRecord, t=t, state=state, p_diag=np.diagonal(ps[k]).copy(),
+                    innovation=None, nis=None, error=None, nees=None)
 
 
 def _truth_at(times: NDArray, state):

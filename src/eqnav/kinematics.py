@@ -23,8 +23,10 @@ property and for the induced linear action on vector fields.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -107,37 +109,52 @@ def _imu_record(stacks: tuple[NDArray, NDArray], k: int) -> ImuSample:
     return _trusted(ImuSample, t=float(times[k]), gyro=rates[k, 0], accel=rates[k, 1])
 
 
-class _Records(Sequence):
-    """A read-only sequence of records over stacked, checked arrays.
+def _state_record(frame: FrameTag | None, stacks: tuple[NDArray, ...],
+                  k: int) -> tuple[float, GroupElement]:
+    """The ``(t, state)`` of row k of checked ``stacks`` (times, rot, vel,
+    pos), the state in ``frame``, its arrays views."""
+    times, rot, vel, pos = stacks
+    return float(times[k]), _trusted(GroupElement, rot=rot[k], vel=vel[k], pos=pos[k],
+                                     frame=frame)
 
-    Record k is ``make(arrays, k)``, built without a check from views of
-    row k of each of ``arrays`` when it is first read, and kept: a record
-    read twice is built once.  A slice is a sequence of the same kind over
-    the same stacks and built records, and builds nothing; iteration
+
+class _Records(Sequence):
+    """A read-only sequence of records over blocks of stacked, checked arrays.
+
+    ``blocks`` is a list of tuples, each holding stacks whose rows are
+    records, and ``starts`` the index of each block's row 0 among the
+    records (increasing; one block at 0 by default).  Record k of block w
+    is ``make(blocks[w], k - starts[w])``, built without a check from
+    views of that row when it is first read, and kept: a record read twice
+    is built once.  ``built`` may hold records made beforehand (``None``
+    for the others), one entry per record; by default it is the rows of
+    the one block, none built.  A slice is a sequence of the same kind
+    over the same blocks and built records, and builds nothing; iteration
     builds only the records it yields.  ``+`` with a list, or another such
     sequence, gives a list.  :func:`_stream` takes the stacks of an IMU
-    stream (``make`` :func:`_imu_record`, ``arrays`` the times (N,) and
+    stream (``make`` :func:`_imu_record`, one block of the times (N,) and
     (gyro, accel) rows (N, 2, 3)) without building a record.
     """
 
-    __slots__ = ("_make", "_arrays", "_built", "_rows")
+    __slots__ = ("_make", "_blocks", "_starts", "_built", "_rows")
 
-    def __init__(self, make, arrays: tuple[NDArray, ...], built=None, rows=None):
-        self._make, self._arrays = make, arrays
-        self._built = [None] * len(arrays[0]) if built is None else built
-        self._rows = range(len(arrays[0])) if rows is None else rows  # rows of the stacks
+    def __init__(self, make, blocks: list[tuple], starts=(0,), built=None, rows=None):
+        self._make, self._blocks, self._starts = make, blocks, starts
+        self._built = [None] * len(blocks[0][0]) if built is None else built
+        self._rows = range(len(self._built)) if rows is None else rows  # indices in built
 
     def __len__(self):
         return len(self._rows)
 
     def _build(self, k: int):
-        record = self._built[k] = self._make(self._arrays, k)
+        w = bisect_right(self._starts, k) - 1
+        record = self._built[k] = self._make(self._blocks[w], k - self._starts[w])
         return record
 
     # a record is never false: ``built[k] or`` reads a built one
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _Records(self._make, self._arrays, self._built, self._rows[i])
+            return _Records(self._make, self._blocks, self._starts, self._built, self._rows[i])
         k = self._rows[i]
         return self._built[k] or self._build(k)
 
@@ -152,12 +169,15 @@ class _Records(Sequence):
     def __radd__(self, other):
         return list(other) + list(self)
 
-    def stacks(self) -> tuple[NDArray, ...]:
-        """The rows of the stacks this sequence holds: views for a slice
-        of step 1, copies otherwise."""
+    def stacks(self) -> tuple[NDArray, ...] | None:
+        """The rows of the stacks this sequence holds, if its records are
+        the rows of one block (views for a slice of step 1, copies
+        otherwise); else ``None``."""
+        if len(self._blocks) != 1 or len(self._blocks[0][0]) != len(self._built):
+            return None
         r = self._rows
         key = slice(r.start, r.stop) if r.step == 1 else np.arange(r.start, r.stop, r.step)
-        return tuple(a[key] for a in self._arrays)
+        return tuple(a[key] for a in self._blocks[0])
 
 
 # Below this bound on every entry of a vector its squared norm is finite
@@ -1056,7 +1076,7 @@ def integrate_imu(
     samples: Sequence[ImuSample],
     earth: EarthModel,
     frame: FrameTag | None = None,
-) -> list[tuple[float, GroupElement]]:
+) -> Sequence[tuple[float, GroupElement]]:
     """Dead-reckon a state through an IMU stream with the exact group flow.
 
     Each interval is one :func:`midpoint_step` with the trapezoidal mean of
@@ -1073,7 +1093,11 @@ def integrate_imu(
     recursion's, bit for bit); NED and ECEF_EB windows are stepped, with a
     loop of :func:`midpoint_step`'s bits.
 
-    Returns the list of (t, state) including the initial sample time.
+    Returns the read-only sequence (see :class:`_Records`) of (t, state),
+    one per sample, from ``(t0, x0)``, over the windows' stacked
+    trajectories: a state is made from views of its rows, without a
+    check, when it is first read, and kept.  Only each window's last
+    state, which the next window starts from, is made by the call.
 
     Raises
     ------
@@ -1090,10 +1114,15 @@ def integrate_imu(
         raise ValueError("integrate_imu requires a frame tag")
     times, rates = _stream(samples)
     rates, dts = _intervals(times, rates)
-    times = times.tolist()
-    out = [(times[0], x0)]
+    at = times.tolist()
+    # a window's block is its trajectory from its first state, already built
+    blocks, starts, built, x = [], [], [(at[0], x0)], x0
     for a, b in _windows(0, [dts.size]):
-        traj = _dead_reckoned(frame, out[-1][1], rates[a:b], dts[a:b], times[a + 1 : b + 1], earth)
-        out += ((t, _trusted(GroupElement, rot=rot, vel=vel, pos=pos, frame=x0.frame))
-                for t, rot, vel, pos in zip(times[a + 1 : b + 1], *(c[1:] for c in traj)))
-    return out
+        traj = _dead_reckoned(frame, x, rates[a:b], dts[a:b], at[a + 1 : b + 1], earth)
+        blocks.append((times[a : b + 1], *traj))
+        starts.append(a)
+        x = _trusted(GroupElement, rot=traj[0][-1], vel=traj[1][-1], pos=traj[2][-1],
+                     frame=x0.frame)
+        built += [None] * (b - a - 1)
+        built.append((at[b], x))
+    return _Records(partial(_state_record, x0.frame), blocks, starts, built)

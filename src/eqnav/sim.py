@@ -32,12 +32,14 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .filter import _COV_FAULTS, GnssFix, _cov_faults
-from .kinematics import EarthModel, ImuSample, _gravitation, _imu_record, _Records
+from .kinematics import (EarthModel, ImuSample, _gravitation, _imu_record, _Records,
+                         _state_record)
 from .liegroup import FrameTag, GroupElement, _cross, _frozen, _rotations_ok, _trusted, hat
 
 __all__ = [
@@ -274,12 +276,9 @@ def _truth_rows(spec: TrajectorySpec, earth: EarthModel) -> tuple[_Profile, NDAr
     return profile, times, x
 
 
-def _truth_record(stacks: tuple[NDArray, ...], k: int) -> tuple[float, GroupElement]:
-    """The ``(t, state)`` of row k of the checked truth ``stacks`` (times,
-    rot, vel, pos), the state's arrays views."""
-    times, rot, vel, pos = stacks
-    return float(times[k]), _trusted(GroupElement, rot=rot[k], vel=vel[k], pos=pos[k],
-                                     frame=FrameTag.ECEF_IB)
+# the ``(t, state)`` of row k of the checked truth stacks (times, rot, vel,
+# pos), the state's arrays views
+_truth_record = partial(_state_record, FrameTag.ECEF_IB)
 
 
 def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
@@ -293,7 +292,7 @@ def generate_truth(spec: TrajectorySpec, earth: EarthModel) -> TruthTrajectory:
     ``MemoryError``, past memory) naming it.
     """
     profile, times, x = _truth_rows(spec, earth)
-    samples = _Records(_truth_record, (times, x.rot, x.vel, x.pos))
+    samples = _Records(_truth_record, [(times, x.rot, x.vel, x.pos)])
     return TruthTrajectory(times, samples, profile, x)
 
 
@@ -342,7 +341,7 @@ def synthesize_imu(
     """
     del earth  # gravitation enters through the profile
     rates = _imu_rows(truth.times, truth.rows, truth.profile.spec.imu_rate, errors)
-    return _Records(_imu_record, (truth.times, rates))
+    return _Records(_imu_record, [(truth.times, rates)])
 
 
 def _gnss_rows(times: NDArray, x: _Stack, imu_rate: float, lever: NDArray, rate: float,

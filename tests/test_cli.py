@@ -437,6 +437,31 @@ class TestRun:
         assert named in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("conv", ["left", "right"])
+    def test_fix_past_float_range_names_correction(self, tmp_path_factory, tmp_path, capsys,
+                                                   conv):
+        """A 3 s seed-7 stream whose gnss.csv line 3 has x = 1e300 gives the
+        fix at t = 2 an attitude correction too large to square: exit 2
+        with one stderr line naming the epoch and the correction, no numpy
+        warning before it and no nav_out.csv."""
+        out = tmp_path_factory.mktemp("streams")
+        assert main(["--out", str(out), "--seed", "7", "--set", "duration=3", "simulate"]) == 0
+        capsys.readouterr()
+        for name in ("imu.csv", "truth.csv"):
+            (tmp_path / name).write_text((out / name).read_text())
+        lines = (out / "gnss.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "1e300"
+        lines[2] = ",".join(cells)
+        (tmp_path / "gnss.csv").write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--out", str(tmp_path), "--convention", conv, "run"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "at epoch t=2.0: correction ErrorState15.phi has an entry of magnitude " in err
+        assert not (tmp_path / "nav_out.csv").exists()
+
+    @pytest.mark.parametrize("conv", ["left", "right"])
     @pytest.mark.parametrize("lat", [90, -90])
     def test_polar_start_runs(self, tmp_path, capsys, lat, conv):
         """A trajectory from a pole starts on the earth's axis; both

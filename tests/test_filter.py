@@ -9,7 +9,8 @@ import pytest
 
 import eqnav.filter as flt
 import eqnav.liegroup as lg
-from eqnav.errordyn import Convention, LeverArm, NoiseParams, error_state, g_matrix, h_matrix
+from eqnav.errordyn import (Convention, ErrorState15, LeverArm, NoiseParams, apply_feedback,
+                            error_state, g_matrix, h_matrix)
 from eqnav.filter import (
     FilterState,
     GnssFix,
@@ -439,6 +440,32 @@ class TestUpdate:
         p_new = ikh @ p @ ikh.T + k @ cov @ k.T
         np.testing.assert_array_equal(out.p, 0.5 * (p_new + p_new.T))
         assert nis == pytest.approx(z @ np.linalg.solve(s, z), rel=1e-15)
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_fix_past_float_range_names_correction(self, scenario, conv):
+        """A fix at x = 1e300 m gives an attitude correction too large for
+        the retraction's exponential to square: update_gnss raises one
+        ValueError naming it, and no numpy warning on the way (the left
+        NIS overflows).  apply_feedback decides the same correction by the
+        same rule, an entry below 2**511."""
+        x0 = scenario[0].samples[0][1]
+        st = FilterState(x0, np.zeros(3), np.zeros(3), default_p0(), 0.0, conv)
+        pos = x0.pos.copy()
+        pos[0] = 1e300
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        named = (r"^correction ErrorState15\.phi has an entry of magnitude \d\.\d{3}e\+\d+, "
+                 "too large")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                update_gnss(st, GnssFix(0.0, pos, np.eye(3)), lever)
+            for phi, admitted in ((np.nextafter(2.0**511, 0.0), True), (2.0**511, False)):
+                dx = ErrorState15.from_vector(np.r_[0.0, -phi, np.zeros(13)], conv)
+                if admitted:
+                    apply_feedback(conv, x0, dx, np.zeros(3), np.zeros(3))
+                else:
+                    with pytest.raises(ValueError, match=named):
+                        apply_feedback(conv, x0, dx, np.zeros(3), np.zeros(3))
 
     def test_time_slop_enforced(self, scenario, earth):
         truth, _ = scenario

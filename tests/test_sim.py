@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import eqnav.filter as flt
 import eqnav.kinematics as kin
 import eqnav.liegroup as lg
 import eqnav.sim as sim
@@ -591,6 +592,188 @@ class TestRecordStreams:
                 for a, b in ((x.rot, want.rot), (x.vel, want.vel), (x.pos, want.pos)):
                     np.testing.assert_array_equal(a, b)
             built[0] = 0
+
+class TestOutputRecords:
+    """run() and integrate_imu hand back read-only sequences over their
+    windows' blocks: a record of a window's interior is built when it is
+    first read, with the bits of the records the loop over the blocks made
+    at once, which is kept below as the reference."""
+
+    SPEC = dict(profile="figure-eight", duration=8.0, imu_rate=50.0, speed=10.0, turn_rate=0.3)
+    ERRORS = SensorErrorSpec(np.full(3, 1e-5), np.full(3, 1e-4), 4e-8, 4e-6, seed=5)
+    LEVER = np.array([0.5, 0.3, -1.2])
+
+    @pytest.fixture(scope="class")
+    def streams(self, earth):
+        """Truth, IMU (400 epochs) and 5 Hz fixes with none from 2 to 6 s,
+        so the window over that gap is cut at the window length."""
+        truth = generate_truth(TrajectorySpec(**self.SPEC), earth)
+        gnss = synthesize_gnss(truth, self.LEVER, 5.0, np.eye(3), seed=6)
+        return truth, synthesize_imu(truth, earth, self.ERRORS), [
+            f for f in gnss if not 2.0 <= f.t <= 6.0]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The records, filter states and group elements built, by class,
+        through the filter's and the kinematics' unchecked constructor."""
+        count = {}
+
+        def counting(trusted):
+            def counted(cls, **fields):
+                count[cls.__name__] = count.get(cls.__name__, 0) + 1
+                return trusted(cls, **fields)
+            return counted
+
+        monkeypatch.setattr(flt, "_trusted", counting(flt._trusted))
+        monkeypatch.setattr(kin, "_trusted", counting(kin._trusted))
+        return count
+
+    def args(self, earth, streams, conv):
+        truth, imu, gnss = streams
+        p0 = np.diag([4e-8] * 3 + [4e-4] * 3 + [0.25] * 3 + [1e-10] * 3 + [1e-8] * 3)
+        # the initial state between two IMU epochs
+        t0 = 0.5 * (truth.times[3].item() + truth.times[4].item())
+        st = FilterState(truth.samples[3][1], np.zeros(3), np.zeros(3), p0, t0, conv)
+        return (imu, gnss, st, NoiseParams(4e-8, 4e-6, 1e-16, 1e-14), earth,
+                LeverArm(self.LEVER))
+
+    def eager_run(self, imu, gnss, st, noise, earth, lever, truth, biases):
+        """The records of run() as the loop over _run's blocks made them,
+        every one at once: the reference."""
+        truth = list(truth)
+        truth_at = flt._truth_at(np.array([t for t, _ in truth]), lambda j: truth[j][1])
+        blocks = flt._run(*kin._stream(imu), gnss, st, noise, earth, lever, truth_at, biases,
+                          1e-6)
+        frame, conv = st.x.frame, st.convention
+        records = []
+        for times, rot, vel, pos, bg, ba, ps, end, fix in blocks:
+            p_diags = np.diagonal(ps, 0, 1, 2).copy()
+            for t, r, v, q, p, p_diag in zip(times.tolist(), rot, vel, pos, ps, p_diags):
+                x = lg._trusted(lg.GroupElement, rot=r, vel=v, pos=q, frame=frame)
+                state = lg._trusted(FilterState, x=x, bg=bg, ba=ba, p=p, t=t, convention=conv)
+                records.append(lg._trusted(flt.EpochRecord, t=t, state=state, p_diag=p_diag,
+                                           innovation=None, nis=None, error=None, nees=None))
+            records.append(flt.EpochRecord(end.t, end, np.diag(end.p).copy(), *(fix or ())))
+        return records
+
+    @staticmethod
+    def eager_path(x0, samples, earth, frame):
+        """The (t, state) of integrate_imu as the loop over the windows'
+        trajectories made them, every one at once: the reference."""
+        times, rates = kin._stream(samples)
+        rates, dts = kin._intervals(times, rates)
+        times = times.tolist()
+        out = [(times[0], x0)]
+        for a, b in kin._windows(0, [dts.size]):
+            traj = kin._dead_reckoned(frame, out[-1][1], rates[a:b], dts[a:b],
+                                      times[a + 1 : b + 1], earth)
+            out += ((t, lg._trusted(lg.GroupElement, rot=rot, vel=vel, pos=pos, frame=x0.frame))
+                    for t, rot, vel, pos in zip(times[a + 1 : b + 1], *(c[1:] for c in traj)))
+        return out
+
+    @staticmethod
+    def same(got, want):
+        """The same array, bit for bit, with the same shape and
+        writeability; or both ``None``."""
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable == want.flags.writeable
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_run_records_equal_eager_records(self, earth, streams, conv):
+        truth = streams[0]
+        args = self.args(earth, streams, conv)
+        biases = self.ERRORS.gyro_bias, self.ERRORS.accel_bias
+        got = run(*args, truth=truth.samples, truth_biases=biases)
+        want = self.eager_run(*args, truth.samples, biases)
+        assert len(got) == len(want) == 400 - 3
+        assert sum(r.nees is not None for r in want) == len(args[1]) == 18
+        for a, b in zip(got, want):
+            assert type(a) is flt.EpochRecord and type(a.t) is float and a.t == b.t
+            assert (a.nis, a.nees) == (b.nis, b.nees)
+            sa, sb = a.state, b.state
+            assert type(sa) is FilterState and type(sa.x) is lg.GroupElement
+            assert type(sa.t) is float and sa.t == sb.t
+            assert (sa.convention, sa.x.frame) == (sb.convention, sb.x.frame)
+            for x, y in ((sa.x.rot, sb.x.rot), (sa.x.vel, sb.x.vel), (sa.x.pos, sb.x.pos),
+                         (sa.bg, sb.bg), (sa.ba, sb.ba), (sa.p, sb.p), (a.p_diag, b.p_diag),
+                         (a.innovation, b.innovation), (a.error, b.error)):
+                self.same(x, y)
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_run_builds_records_when_read(self, earth, streams, built, conv):
+        """run() builds the states of its window ends alone, and no record
+        of a window's interior; len and the last record build none, and a
+        record read is built once."""
+        args = self.args(earth, streams, conv)
+        recs = run(*args)
+        by_run = dict(built)
+        # the initial epoch, the 18 windows ending at a fix, the one cut in
+        # the gap and the last
+        ends = len(list(flt._run(*kin._stream(args[0]), *args[1:], lambda t: None, None, 1e-6)))
+        assert ends == 21
+        # the windows' ends and the fixes' results alone
+        assert by_run == {"FilterState": ends - 1 + 18, "GroupElement": ends - 1 + 18}
+        built.clear()
+        assert len(recs) == 397 and recs[-1].t == streams[0].times[-1] and recs[0].t == args[2].t
+        assert recs[-1] is recs[len(recs) - 1]
+        assert built == {}
+        r = recs[5]
+        assert recs[5] is r is recs[2:9][3] is recs[::-1][-6]
+        assert built == {"EpochRecord": 1, "FilterState": 1, "GroupElement": 1}
+        everything = list(recs)
+        assert built["EpochRecord"] == len(recs) - ends and everything[5] is r
+        joined = recs[:2] + [r] + recs[-2:]
+        assert type(joined) is list and joined == everything[:2] + [r] + everything[-2:]
+        assert type(recs[3:9]) is type(recs) and list(recs[3:9]) == everything[3:9]
+
+    @pytest.mark.parametrize("frame", [lg.FrameTag.ECEF_IB, lg.FrameTag.NED_EB])
+    def test_integrate_imu_states_equal_eager_states(self, earth, streams, frame):
+        truth, imu, _ = streams
+        x0 = truth.samples[0][1]
+        if frame is lg.FrameTag.NED_EB:
+            x0 = kin.frame_translation(1, kin.frame_translation(3, x0, earth, reverse=True),
+                                       earth, reverse=True)
+        for part in (imu, imu[7:300], list(imu[:2])):
+            got = integrate_imu(x0, part, earth, frame=frame)
+            want = self.eager_path(x0, part, earth, frame)
+            assert len(got) == len(want) == len(part)
+            assert got[0][1] is x0
+            for (t, x), (t_want, x_want) in zip(got, want):
+                assert type(t) is float and t == t_want and x.frame is x_want.frame
+                for a, b in ((x.rot, x_want.rot), (x.vel, x_want.vel), (x.pos, x_want.pos)):
+                    self.same(a, b)
+
+    def test_integrate_imu_builds_window_ends(self, earth, streams, built):
+        """integrate_imu builds each window's last state, which the next
+        window starts from, and no other; len and the last state build
+        none."""
+        truth, imu, _ = streams
+        path = integrate_imu(truth.samples[0][1], imu, earth)
+        assert built == {"GroupElement": 4}  # 399 steps in windows of at most 128
+        built.clear()
+        assert len(path) == 400 and path[-1][0] == truth.times[-1]
+        assert built == {}
+        assert path[200] is path[200]
+        assert built == {"GroupElement": 1}
+        list(path)
+        assert built == {"GroupElement": 400 - 1 - 4}
+
+    def test_one_window_path_read_as_truth(self, earth, streams):
+        """A dead-reckoned path is a truth run() reads, one window or
+        several, as it reads the list of its pairs."""
+        truth, imu, _ = streams
+        args = self.args(earth, streams, Convention.LEFT_INVARIANT)
+        for n in (100, 400):
+            path = integrate_imu(truth.samples[0][1], imu[:n], earth)
+            gnss = [f for f in args[1] if f.t <= truth.times[n - 1]]
+            got = run(imu[:n], gnss, *args[2:], truth=path)
+            want = run(imu[:n], gnss, *args[2:], truth=list(path))
+            assert sum(r.nees is not None for r in got) > 0
+            assert [r.nees for r in got] == [r.nees for r in want]
+
 
 class TestGravityPerturbation:
     def test_zero_dr(self, earth):
