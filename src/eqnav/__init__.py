@@ -10,8 +10,6 @@ from .errordyn import (
     f_matrix,
     g_matrix,
     h_matrix,
-    left_error,
-    right_error,
 )
 from .filter import (
     EpochRecord,

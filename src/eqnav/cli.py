@@ -385,18 +385,25 @@ def _rms_errors(nav: np.ndarray, truth: np.ndarray, hit: np.ndarray, k: np.ndarr
 
     The rows are scored :data:`_SUMMARY_ROWS` at a time, each sum carried
     from one piece to the next in row order, so the sums have the bits of
-    one pass over all rows while only a piece's rows are ever copied.
+    one pass over all rows while only a piece's rows are ever copied.  A
+    sum that overflows is a fault: :class:`ConfigError` names the error
+    and the epoch of the row at which its sum first overflows.
     """
     rows = np.flatnonzero(hit)
-    sums = [0.0, 0.0, 0.0]
-    for a in range(0, len(rows), _SUMMARY_ROWS):
-        piece = rows[a : a + _SUMMARY_ROWS]
-        est, true = nav[piece], truth[k[piece]]
-        rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
-        terms = est[:, 13:16] - true[:, 13:16], est[:, 10:13] - true[:, 10:13], _so3_logs(rot)
-        sums = [_square_sums(d, total) for d, total in zip(terms, sums)]
-    return {name: math.sqrt(total / len(rows))
-            for name, total in zip(("rms_pos", "rms_vel", "rms_att"), sums)}
+    names, sums = ("rms_pos", "rms_vel", "rms_att"), [0.0, 0.0, 0.0]
+    with np.errstate(over="ignore"):  # an overflowing sum is named below
+        for a in range(0, len(rows), _SUMMARY_ROWS):
+            piece = rows[a : a + _SUMMARY_ROWS]
+            est, true = nav[piece], truth[k[piece]]
+            rot = est[:, 1:10].reshape(-1, 3, 3) @ true[:, 1:10].reshape(-1, 3, 3).swapaxes(1, 2)
+            terms = est[:, 13:16] - true[:, 13:16], est[:, 10:13] - true[:, 10:13], _so3_logs(rot)
+            for i, d in enumerate(terms):
+                start, sums[i] = sums[i], _square_sums(d, sums[i])
+                if not math.isfinite(sums[i]):  # the first row whose running sum overflows
+                    j = np.isfinite(np.cumsum(np.append(start, np.sum(d * d, axis=1)))[1:]).argmin()
+                    raise ConfigError(f"{names[i]}: the sum of squared errors overflows at epoch "
+                                      f"t={nav[piece[j], 0].item()!r}")
+    return {name: math.sqrt(total / len(rows)) for name, total in zip(names, sums)}
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
@@ -458,6 +465,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
         ) from exc
 
     nav = np.concatenate(nav)
+    # the summary's scores are decided before any output is written
+    rms = _rms_errors(nav, truth, hit, k) if truth is not None else {}
     nav_header = TRUTH_HEADER + ",bgx,bgy,bgz,bax,bay,baz," + ",".join(f"p{i+1}" for i in range(15))
     _write_csv(out / "nav_out.csv", nav_header, nav)
 
@@ -473,7 +482,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
             [[t, *error, nees, *innovation, nis]
              for t, innovation, nis, error, nees in updates if error is not None],
         )
-        summary.update(_rms_errors(nav, truth, hit, k))
+        summary.update(rms)
         nees_vals = [nees for _, _, _, _, nees in updates if nees is not None]
         if nees_vals:
             summary["mean_nees"] = float(np.mean(nees_vals))

@@ -2,19 +2,24 @@
 
 The right-invariant error is the group element ``eta_R = Xhat X^-1`` (world
 frame mismatch); the left-invariant error is ``eta_L = Xhat^-1 X`` (body
-frame mismatch).  The 15-dimensional filter error state appends gyro and
-accelerometer bias errors ``db = b_true - b_hat``:
+frame mismatch).  The filter reads either in exponential coordinates,
+``xi = se23_log(eta) = (phi, rho_v, rho_r)``, the one chart in which the
+invariant error propagates log-linearly (Barrau & Bonnabel, "The invariant
+extended Kalman filter as a stable observer", IEEE TAC 2017), and corrects
+by the group exponential.  The 15-dimensional filter error state appends
+gyro and accelerometer bias errors ``db = b_true - b_hat``:
 
-* right convention: ``(phi_e, Jrho_v, Jrho_r, db_g, db_a)`` where ``phi_e``
-  is the earth-frame attitude error in the feedback sense
-  ``C = exp(phi_e^) Chat`` and ``Jrho_v``/``Jrho_r`` are the exact velocity
-  and position columns of ``eta_R``;
-* left convention: ``(phi_b, Jrho_v^b, Jrho_r^b, db_g, db_a)`` with
-  ``phi_b = log(rot(eta_L))`` and the columns of ``eta_L``.
+* right convention: ``(-phi, rho_v, rho_r, db_g, db_a)`` of ``eta_R``; the
+  attitude component ``phi_e = -phi`` is the earth-frame attitude error in
+  the feedback sense ``C = exp(phi_e^) Chat``;
+* left convention: ``(phi, rho_v, rho_r, db_g, db_a)`` of ``eta_L``.
 
-Both parametrizations are exact (no small-angle step); the linearized F, G
-and H matrices below are their first-order dynamics and measurement models,
-validated against finite differences of the exact maps in the test suite.
+The chart is written once, in :mod:`~eqnav.liegroup`'s ``_log`` and
+``_exp``; :func:`_error_vector` and :func:`_retract` add only the
+convention's order and the sign of ``phi``.  It is exact (no small-angle
+step); the linearized F, G and H matrices below are its first-order
+dynamics and measurement models, validated against finite differences of
+the exact maps in the test suite.
 """
 
 from __future__ import annotations
@@ -29,19 +34,15 @@ from .kinematics import _SQUARE_CAP, EarthModel, ImuSample
 from .liegroup import (
     FrameTag,
     GroupElement,
-    Tangent9,
     _EYE3,
+    _exp,
     _frozen,
     _hats,
     _inverted,
+    _log,
     _product,
     _resolve_frame,
-    compose,
     hat,
-    inverse,
-    se23_log,
-    so3_exp,
-    so3_log,
 )
 
 __all__ = [
@@ -54,8 +55,6 @@ __all__ = [
     "f_matrix",
     "g_matrix",
     "h_matrix",
-    "left_error",
-    "right_error",
 ]
 
 
@@ -103,8 +102,11 @@ class LeverArm:
 class ErrorState15:
     """15-dimensional invariant error state, convention-tagged.
 
-    Components: attitude error ``phi``, group velocity/position error
-    columns ``jrho_v``/``jrho_r``, and bias errors ``db = b_true - b_hat``.
+    Components: attitude error ``phi``, the velocity and position
+    components ``rho_v``/``rho_r`` of the error element's logarithm (held
+    in the fields ``jrho_v``/``jrho_r``, named for the group columns
+    ``Gamma_1(phi) rho`` they held before the filter read its error in
+    exponential coordinates), and bias errors ``db = b_true - b_hat``.
     States of different conventions must never be mixed in arithmetic.
     """
 
@@ -133,16 +135,6 @@ class ErrorState15:
         return ErrorState15(z, z, z, z, z, convention)
 
 
-def right_error(xhat: GroupElement, x: GroupElement) -> Tangent9:
-    """Exact log of the right-invariant error Xhat X^-1."""
-    return se23_log(compose(xhat, inverse(x)))
-
-
-def left_error(xhat: GroupElement, x: GroupElement) -> Tangent9:
-    """Exact log of the left-invariant error Xhat^-1 X."""
-    return se23_log(compose(inverse(xhat), x))
-
-
 def error_state(
     conv: Convention,
     xhat: GroupElement,
@@ -152,14 +144,16 @@ def error_state(
 ) -> ErrorState15:
     """Exact invariant error state between an estimate and a true state.
 
-    The group part uses the error element of the chosen convention; the
-    attitude component carries the feedback sign (``C = exp(phi^) Chat`` for
-    the right convention).  Bias errors default to zero.  The states' frames
+    The group part is the logarithm of the error element of the chosen
+    convention, ``se23_log(Xhat X^-1)`` (right) or ``se23_log(Xhat^-1 X)``
+    (left); the right convention's attitude component carries the feedback
+    sign (``C = exp(phi^) Chat``), the negated ``phi`` of that logarithm.
+    Bias errors default to zero.  The states' frames
     must agree (the one frame rule of :func:`~eqnav.liegroup.compose`).
 
     This wraps the array core :func:`_error_vector`, with its bits: the
-    error element is formed unchecked, and the one check is
-    :class:`ErrorState15`'s, on the result.
+    error element and its logarithm are formed unchecked, and the one
+    check is :class:`ErrorState15`'s, on the result.
     """
     _resolve_frame(xhat.frame, x.frame)
     db_g = np.zeros(3) if db_g is None else np.asarray(db_g, dtype=float).reshape(3)
@@ -174,17 +168,15 @@ def _error_vector(conv: Convention, xhat, x, db_g: NDArray, db_a: NDArray) -> ND
     ``xhat`` and ``x`` are ``(rot, vel, pos)`` triples, ``db_g`` and
     ``db_a`` 3-vectors.  The error element, ``Xhat X^-1`` (right) or
     ``Xhat^-1 X`` (left), is formed by :func:`~eqnav.liegroup.compose`'s
-    and :func:`~eqnav.liegroup.inverse`'s arithmetic, with their bits, and
-    nothing is checked: the caller decides the result once.  The error
-    chart lives here and in :func:`_retract`, and nowhere else.
+    and :func:`~eqnav.liegroup.inverse`'s arithmetic and its logarithm by
+    :func:`~eqnav.liegroup.se23_log`'s, with their bits, and nothing is
+    checked: the caller decides the result once.  The right convention
+    negates ``phi``.
     """
-    if conv is Convention.RIGHT_INVARIANT:
-        rot, vel, pos = _product(xhat, _inverted(*x))
-        phi = -so3_log(rot)
-    else:
-        rot, vel, pos = _product(_inverted(*xhat), x)
-        phi = so3_log(rot)
-    return np.concatenate([phi, vel, pos, db_g, db_a])
+    right = conv is Convention.RIGHT_INVARIANT
+    phi, rho_v, rho_r = _log(*(_product(xhat, _inverted(*x)) if right
+                               else _product(_inverted(*xhat), x)))
+    return np.concatenate([-phi if right else phi, rho_v, rho_r, db_g, db_a])
 
 
 def apply_feedback(
@@ -196,16 +188,17 @@ def apply_feedback(
 ) -> tuple[GroupElement, NDArray, NDArray]:
     """Correct a state estimate with an estimated error state.
 
-    Uses the exact group retraction that inverts :func:`error_state`:
-    right convention ``X = eta^-1 Xhat`` with
-    ``eta = (exp(-phi^), Jrho_v, Jrho_r)``, left convention
-    ``X = Xhat eta``.  To first order the right form reduces to the
-    additive corrections ``C = exp(phi^) Chat``,
-    ``v = vhat - Jrho_v - vhat x phi``, ``r = rhat - Jrho_r - rhat x phi``.
+    Uses the exact group retraction by the exponential that inverts
+    :func:`error_state`: right convention ``X = se23_exp(xi)^-1 Xhat`` with
+    ``xi = (-phi, rho_v, rho_r)``, left convention ``X = Xhat se23_exp(xi)``
+    with ``xi = (phi, rho_v, rho_r)`` (``rho_v``, ``rho_r`` the fields
+    ``dx.jrho_v``, ``dx.jrho_r``).  To first order the right form reduces
+    to the additive corrections ``C = exp(phi^) Chat``,
+    ``v = vhat - rho_v - vhat x phi``, ``r = rhat - rho_r - rhat x phi``.
     Biases update as ``b, bg + dx.db_g``.
 
-    This wraps the array core :func:`_retract`, with its bits: ``eta`` and
-    its inverse are formed unchecked, and the one check is
+    This wraps the array core :func:`_retract`, with its bits: the
+    exponential and its inverse are formed unchecked, and the one check is
     :class:`~eqnav.liegroup.GroupElement`'s, on the corrected state.  An
     attitude correction too large for the exponential
     (:func:`_retractable`) raises ``ValueError`` naming it.
@@ -236,16 +229,17 @@ def _retract(conv: Convention, rot: NDArray, vel: NDArray, pos: NDArray, dx: NDA
     ``(rot, vel, pos)`` corrected by the 15-vector ``dx`` (its bias part is
     not read), as a ``(rot, vel, pos)`` triple.
 
-    ``eta``, its inverse and the product are formed by
-    :func:`~eqnav.liegroup.compose`'s and :func:`~eqnav.liegroup.inverse`'s
-    arithmetic, with their bits, and nothing is checked: the caller
-    decides the correction first (:func:`_retractable`) and the result
-    once (``update_gnss`` with ``GroupElement``'s decision).  With
-    :func:`_error_vector`, this holds the error chart.
+    The exponential of the correction, with ``phi`` negated for the right
+    convention, its inverse and the product are formed by
+    :func:`~eqnav.liegroup.se23_exp`'s, :func:`~eqnav.liegroup.inverse`'s
+    and :func:`~eqnav.liegroup.compose`'s arithmetic, with their bits, and
+    nothing is checked: the caller decides the correction first
+    (:func:`_retractable`) and the result once (``update_gnss`` with
+    ``GroupElement``'s decision).
     """
     if conv is Convention.RIGHT_INVARIANT:
-        return _product(_inverted(so3_exp(-dx[0:3]), dx[3:6], dx[6:9]), (rot, vel, pos))
-    return _product((rot, vel, pos), (so3_exp(dx[0:3]), dx[3:6], dx[6:9]))
+        return _product(_inverted(*_exp(-dx[0:3], dx[3:6], dx[6:9])), (rot, vel, pos))
+    return _product((rot, vel, pos), _exp(dx[0:3], dx[3:6], dx[6:9]))
 
 
 def f_matrix(

@@ -97,8 +97,9 @@ class FilterState:
     ``P`` is the covariance of the 15-dimensional invariant error state in
     the chosen convention: finite, symmetric and positive semidefinite
     within the tolerances of :func:`_p_faults`, which decides a whole stack
-    of covariances with one numpy Cholesky factorization.  Instances are
-    immutable; predict/update return new states.
+    of covariances with one numpy Cholesky factorization.  ``t`` is kept as
+    a Python float, whatever real number type it is given as.  Instances
+    are immutable; predict/update return new states.
     """
 
     x: GroupElement
@@ -112,6 +113,7 @@ class FilterState:
         _resolve_frame(self.x.frame, FrameTag.ECEF_IB)
         if not math.isfinite(self.t):
             raise ValueError("FilterState.t is not finite")
+        object.__setattr__(self, "t", float(self.t))
         _frozen(self, "bg", 3)
         _frozen(self, "ba", 3)
         fault = _p_faults(_frozen(self, "p", (15, 15))[None])[0]
@@ -521,7 +523,8 @@ def run(
         more than one turn over an IMU interval), with the epoch named.
         A fix epoch's fault is ``update_gnss``'s; where truth is given and
         the updated P is singular, the NEES is undefined, and
-        ``numpy.linalg.LinAlgError`` says so, naming the epoch.
+        ``numpy.linalg.LinAlgError`` says so, naming the epoch.  A fix
+        whose NIS or NEES overflows is named with its epoch.
     """
     _check_slop(time_slop)
     stacks = truth.stacks() if isinstance(truth, _Records) else None
@@ -573,7 +576,8 @@ def _nees(state: FilterState, error: NDArray) -> float:
     ``state``, by one solve.  A P the solve finds singular raises
     ``LinAlgError`` saying so; a non-finite result whose error
     :class:`ErrorState15` rejects (as :func:`error_state` would) raises its
-    ``ValueError``."""
+    ``ValueError``; the NEES of a finite error may still overflow, which
+    :func:`_run` decides."""
     try:
         nees = float(error @ np.linalg.solve(state.p, error))
     except np.linalg.LinAlgError as exc:
@@ -614,7 +618,9 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
     A fix epoch is checked once: :func:`update_gnss` decides its result
     (``time_slop``, checked by the callers, is read only if the fix is
     out of it), and the error against the truth comes straight from
-    :func:`~eqnav.errordyn._error_vector`.
+    :func:`~eqnav.errordyn._error_vector`.  A fix whose NIS or NEES is not
+    finite (an admitted fix can overflow them) raises a ``_StepError``
+    naming the epoch and the scores.
     """
     rates, dts = _intervals(imu_times, imu_rates)
     fix_times = np.array([f.t for f in gnss])
@@ -624,7 +630,7 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
     # the run's epochs: the initial state, then every IMU epoch after it;
     # each fix is aligned with its nearest IMU epoch (no interpolation)
     first = max(1, int(np.searchsorted(imu_times, initial.t, side="right")))
-    fixes_at: dict[int, GnssFix] = {}
+    fixes_at: dict[int, int] = {}  # IMU epoch -> index of its fix in gnss
     # with no IMU epoch, no fix has one within time_slop
     near = _nearest(imu_times, fix_times).tolist() if times else [-1] * len(gnss)
     for j, (idx, fix) in enumerate(zip(near, gnss)):
@@ -634,26 +640,32 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
             raise _StepError(j, f"GNSS fix at t={fix.t} maps to IMU epoch t={times[idx]}, which "
                              f"the run from the initial state at t={initial.t} skips")
         if idx in fixes_at:
-            raise _StepError(j, f"GNSS fixes at t={fixes_at[idx].t} and t={fix.t} both map to "
-                             f"IMU epoch t={times[idx]}")
-        fixes_at[idx] = fix
+            raise _StepError(j, f"GNSS fixes at t={gnss[fixes_at[idx]].t} and t={fix.t} both "
+                             f"map to IMU epoch t={times[idx]}")
+        fixes_at[idx] = j
 
     def update(i, state):  # a block's (end, fix) for IMU epoch i at state
         if i not in fixes_at:
             return state, None
+        j = fixes_at[i]
         try:
-            state, innovation, nis = update_gnss(state, fixes_at[i], lever, time_slop)
+            state, innovation, nis = update_gnss(state, gnss[j], lever, time_slop)
             error = nees = None
             x_true = truth_at(state.t)
             if x_true is not None:
                 x = state.x
                 db = np.zeros((2, 3)) if truth_biases is None else (
                     truth_biases[0] - state.bg, truth_biases[1] - state.ba)
-                error = _error_vector(state.convention, (x.rot, x.vel, x.pos),
-                                      (x_true.rot, x_true.vel, x_true.pos), *db)
-                nees = _nees(state, error)
+                # an overflow is decided by the checks below, not warned of
+                with np.errstate(over="ignore", invalid="ignore"):
+                    error = _error_vector(state.convention, (x.rot, x.vel, x.pos),
+                                          (x_true.rot, x_true.vel, x_true.pos), *db)
+                    nees = _nees(state, error)
         except ValueError as exc:  # LinAlgError included
             raise type(exc)(f"at epoch t={times[i]}: {exc}") from exc
+        if not (math.isfinite(nis) and math.isfinite(nees or 0.0)):
+            raise _StepError(j, f"at epoch t={times[i]}: non-finite score of the fix: NIS {nis}"
+                             + ("" if nees is None else f", NEES {nees}"))
         return state, (innovation, nis, error, nees)
 
     # row k - 1 of rates and dts is IMU epoch k's interval; the first

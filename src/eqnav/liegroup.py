@@ -527,17 +527,33 @@ def _inverted(rot, vel, pos):
 
 
 def se23_exp(xi: Tangent9, frame: FrameTag | None = None) -> GroupElement:
-    """Group exponential: (Gamma_0(phi), Gamma_1(phi) rho_v, Gamma_1(phi) rho_r)."""
-    dev, j = gamma_blocks(xi.phi, 2)
-    return GroupElement(_EYE3 + dev, j @ xi.rho_v, j @ xi.rho_r, frame)
+    """Group exponential: (Gamma_0(phi), Gamma_1(phi) rho_v, Gamma_1(phi) rho_r).
+
+    This wraps the array core :func:`_exp`, with its bits."""
+    return GroupElement(*_exp(xi.phi, xi.rho_v, xi.rho_r), frame)
 
 
 def se23_log(x: GroupElement) -> Tangent9:
-    """Group logarithm, exact inverse of :func:`se23_exp`."""
-    phi = so3_log(x.rot)
-    j = gamma(1, phi)
-    sol = np.linalg.solve(j, np.column_stack([x.vel, x.pos]))
-    return Tangent9(phi, sol[:, 0], sol[:, 1])
+    """Group logarithm, exact inverse of :func:`se23_exp`.
+
+    This wraps the array core :func:`_log`, with its bits."""
+    return Tangent9(*_log(x.rot, x.vel, x.pos))
+
+
+def _exp(phi, rho_v, rho_r):
+    """:func:`se23_exp`'s arithmetic on the arrays of a tangent vector,
+    unchecked: ``(Gamma_0(phi), Gamma_1(phi) rho_v, Gamma_1(phi) rho_r)``,
+    both blocks from one :func:`gamma_blocks` pass."""
+    dev, j = gamma_blocks(phi, 2)
+    return _EYE3 + dev, j @ rho_v, j @ rho_r
+
+
+def _log(rot, vel, pos):
+    """:func:`se23_log`'s arithmetic on the arrays of an element, unchecked:
+    ``(phi, rho_v, rho_r)`` with ``phi = so3_log(rot)`` and the columns
+    solved from ``Gamma_1(phi) [rho_v rho_r] = [vel pos]``."""
+    phi = so3_log(rot)
+    return phi, *np.linalg.solve(gamma(1, phi), np.column_stack([vel, pos])).T
 
 
 def adjoint(x: GroupElement) -> NDArray:

@@ -27,6 +27,20 @@ def expm_series(a: np.ndarray, terms: int = 40) -> np.ndarray:
     return acc
 
 
+def gamma1_derivative(phi: np.ndarray, dphi: np.ndarray, terms: int = 30) -> np.ndarray:
+    """Derivative of Gamma_1(phi) = sum_n (phi^)^n / (n+1)! along ``dphi``,
+    term by term: the derivative of (phi^)^n is the sum over k of
+    (phi^)^k dphi^ (phi^)^(n-1-k), formed by the recurrence
+    T_{n+1} = phi^ T_n + dphi^ (phi^)^n."""
+    p, d = hat(phi), hat(dphi)
+    acc = np.zeros((3, 3))
+    t_n, p_n = d, p  # T_1 and (phi^)^1
+    for n in range(1, terms):
+        acc = acc + t_n / math.factorial(n + 1)
+        t_n, p_n = p @ t_n + d @ p_n, p_n @ p
+    return acc
+
+
 def rk4_fixed(f, y0: np.ndarray, t0: float, dt: float, substeps: int) -> np.ndarray:
     """Classic RK4 for dy/dt = f(t, y) on dense arrays."""
     y = y0

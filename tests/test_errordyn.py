@@ -16,11 +16,9 @@ from eqnav.errordyn import (
     f_matrix,
     g_matrix,
     h_matrix,
-    left_error,
-    right_error,
 )
 from eqnav.kinematics import EarthModel, FrameTag, ImuSample
-from oracles import mech_deriv_ecef_ib, random_element, surface_state
+from oracles import gamma1_derivative, mech_deriv_ecef_ib, random_element, surface_state
 
 RIGHT = Convention.RIGHT_INVARIANT
 LEFT = Convention.LEFT_INVARIANT
@@ -39,33 +37,34 @@ def imu(rng):
     return ImuSample(0.0, np.array([0.01, -0.02, 0.03]), np.array([0.5, -0.3, -9.7]))
 
 
-def reconstruct_truth(conv, xhat, dx):
-    """True group state implied by an estimate and an exact error state."""
-    if conv is RIGHT:
-        eta = lg.GroupElement(lg.so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r)
-        return lg.compose(lg.inverse(eta), xhat)
-    eta = lg.GroupElement(lg.so3_exp(dx.phi), dx.jrho_v, dx.jrho_r)
-    return lg.compose(xhat, eta)
+def group_error(conv, xhat, x):
+    """The group part of ``error_state``: the log of the error element,
+    ``phi`` negated for the right convention."""
+    return error_state(conv, xhat, x).as_vector()[:9]
 
 
 class TestErrorDefinitions:
+    """``error_state``'s group part is the exact log of the error element:
+    ``se23_log(Xhat X^-1)`` with ``phi`` negated (right) and
+    ``se23_log(Xhat^-1 X)`` (left)."""
+
     def test_zero_error(self, xhat):
-        for fn in (right_error, left_error):
-            xi = fn(xhat, xhat)
-            assert np.abs(xi.as_vector()).max() <= 1e-9
+        for conv in (RIGHT, LEFT):
+            assert np.abs(group_error(conv, xhat, xhat)).max() <= 1e-9
 
     def test_right_exact_log(self, xhat, rng):
         xi = lg.Tangent9(rng.normal(size=3) * 0.3, rng.normal(size=3), rng.normal(size=3))
         xtilde = lg.compose(lg.se23_exp(xi), xhat)
-        got = right_error(xtilde, xhat)
+        got = group_error(RIGHT, xtilde, xhat)
+        want = np.concatenate([-xi.phi, xi.rho_v, xi.rho_r])
         # tolerance is a few ulps of the earth-radius position scale
-        assert np.abs(got.as_vector() - xi.as_vector()).max() <= 1e-8
+        assert np.abs(got - want).max() <= 1e-8
 
     def test_left_exact_log(self, xhat, rng):
         xi = lg.Tangent9(rng.normal(size=3) * 0.3, rng.normal(size=3), rng.normal(size=3))
         xtilde = lg.compose(xhat, lg.se23_exp(lg.Tangent9(-xi.phi, -xi.rho_v, -xi.rho_r)))
-        got = left_error(xtilde, xhat)
-        assert np.abs(got.as_vector() - xi.as_vector()).max() <= 1e-8
+        got = group_error(LEFT, xtilde, xhat)
+        assert np.abs(got - xi.as_vector()).max() <= 1e-8
 
     def test_right_first_order_velocity(self, rng):
         # pure velocity perturbation: group column approaches dv quadratically
@@ -75,8 +74,8 @@ class TestErrorDefinitions:
         prev = None
         for eps in (1e-2, 1e-3, 1e-4):
             xt = lg.GroupElement(x.rot, x.vel + eps * dv, x.pos, x.frame)
-            xi = right_error(xt, x)
-            resid = np.linalg.norm(lg.gamma(1, xi.phi) @ xi.rho_v - eps * dv)
+            dx = error_state(RIGHT, xt, x)
+            resid = np.linalg.norm(lg.gamma(1, -dx.phi) @ dx.jrho_v - eps * dv)
             assert resid <= 10 * eps**2 * max(1.0, np.linalg.norm(dv))
             prev = resid
 
@@ -90,8 +89,9 @@ class TestErrorDefinitions:
 
     def test_frame_mismatch(self, xhat):
         other = lg.GroupElement(xhat.rot, xhat.vel, xhat.pos, FrameTag.NED_EB)
-        with pytest.raises(lg.FrameMismatch):
-            right_error(xhat, other)
+        for conv in (RIGHT, LEFT):
+            with pytest.raises(lg.FrameMismatch):
+                error_state(conv, xhat, other)
 
 
 class TestErrorStateType:
@@ -150,18 +150,29 @@ class TestFeedback:
         assert np.abs(out.pos - pos_lit).max() <= 1e-11
 
 
+def estimate_with_error(conv, x, dx_vec, bg=np.zeros(3), ba=np.zeros(3)):
+    """The estimate (state and biases) whose error state against the true
+    ``x``, ``bg``, ``ba`` is ``dx_vec``: the truth corrected by ``-dx_vec``,
+    since exp(-xi) = exp(xi)^-1."""
+    return apply_feedback(conv, x, ErrorState15.from_vector(-np.asarray(dx_vec), conv), bg, ba)
+
+
+def log_rate(eta5, etad):
+    """d/dt of ``se23_log(eta)`` as a 9-vector, from the 5x5 error element
+    ``eta5`` and its rate ``etad``, by matrix calculus: ``phi' =
+    Gamma_1(phi)^-1 vee(R' R^T)`` and, from the columns
+    ``u = Gamma_1(phi) rho``, ``rho' = Gamma_1(phi)^-1 (u' - dGamma_1[phi'] rho)``."""
+    xi = lg.se23_log(lg.GroupElement.from_matrix(eta5))
+    j = lg.gamma(1, xi.phi)
+    phid = np.linalg.solve(j, lg.vee(etad[0:3, 0:3] @ eta5[0:3, 0:3].T))
+    rho = np.column_stack([xi.rho_v, xi.rho_r])
+    rhod = np.linalg.solve(j, etad[0:3, 3:5] - gamma1_derivative(xi.phi, phid) @ rho)
+    return np.concatenate([phid, rhod[:, 0], rhod[:, 1]])
+
+
 def exact_error_rate(conv, earth, x_true, bg_true, ba_true, omega_meas, f_meas, dx_vec):
     """d/dt of the exact error state, by matrix calculus (no time stepping)."""
-    dx = ErrorState15.from_vector(dx_vec, conv)
-    # estimate implied by the error state (inverse of reconstruct_truth)
-    if conv is RIGHT:
-        eta = lg.GroupElement(lg.so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r)
-        xhat = lg.compose(eta, x_true)
-    else:
-        eta = lg.GroupElement(lg.so3_exp(dx.phi), dx.jrho_v, dx.jrho_r)
-        xhat = lg.compose(x_true, lg.inverse(eta))
-    bg_hat = bg_true - dx.db_g
-    ba_hat = ba_true - dx.db_a
+    xhat, bg_hat, ba_hat = estimate_with_error(conv, x_true, dx_vec, bg_true, ba_true)
 
     omega_true = omega_meas - bg_true
     f_true = f_meas - ba_true
@@ -179,11 +190,9 @@ def exact_error_rate(conv, earth, x_true, bg_true, ba_true, omega_meas, f_meas, 
         eta5 = xh5i @ x5
         etad = -xh5i @ xhd @ xh5i @ x5 + xh5i @ xd
         sign = 1.0
-    r_eta = eta5[0:3, 0:3]
-    phi_std = lg.so3_log(r_eta)
-    wb = lg.vee(etad[0:3, 0:3] @ r_eta.T)
-    phid = np.linalg.solve(lg.gamma(1, phi_std), wb)
-    return np.concatenate([sign * phid, etad[0:3, 3], etad[0:3, 4], np.zeros(6)])
+    rate = log_rate(eta5, etad)
+    rate[0:3] *= sign
+    return np.concatenate([rate, np.zeros(6)])
 
 
 class TestFMatrix:
@@ -253,16 +262,11 @@ class TestMirroredVariants:
         f_meas = imu.accel + ba
 
         def mirrored_rate(dx_vec):
-            dx = ErrorState15.from_vector(dx_vec, conv)
-            if conv is RIGHT:
-                # eta_m = X Xhat^-1, phi = -log(rot(eta_m)) => Xhat = eta_m^-1 X
-                eta = lg.GroupElement(lg.so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r)
-                xh = lg.compose(lg.inverse(eta), xhat)
-            else:
-                eta = lg.GroupElement(lg.so3_exp(dx.phi), dx.jrho_v, dx.jrho_r)
-                xh = lg.compose(xhat, eta)
-            bg_hat = bg + dx.db_g  # mirrored bias error sign
-            ba_hat = ba + dx.db_a
+            # eta_m = X Xhat^-1 = exp(-phi, rho, ...) (right) or X^-1 Xhat =
+            # exp(phi, rho, ...) (left): the estimate is the truth corrected
+            # by +dx, with the mirrored bias error sign b_hat = b + db
+            xh, bg_hat, ba_hat = apply_feedback(conv, xhat, ErrorState15.from_vector(dx_vec, conv),
+                                                bg, ba)
             xd = mech_deriv_ecef_ib(earth, xhat.as_matrix(), imu.gyro, imu.accel)
             xhd = mech_deriv_ecef_ib(
                 earth, xh.as_matrix(), omega_meas - bg_hat, f_meas - ba_hat
@@ -277,11 +281,9 @@ class TestMirroredVariants:
                 eta5 = x5i @ xh5
                 etad = -x5i @ xd @ x5i @ xh5 + x5i @ xhd
                 sign = 1.0
-            r_eta = eta5[0:3, 0:3]
-            phi_std = lg.so3_log(r_eta)
-            wb = lg.vee(etad[0:3, 0:3] @ r_eta.T)
-            phid = np.linalg.solve(lg.gamma(1, phi_std), wb)
-            return np.concatenate([sign * phid, etad[0:3, 3], etad[0:3, 4], np.zeros(6)])
+            rate = log_rate(eta5, etad)
+            rate[0:3] *= sign
+            return np.concatenate([rate, np.zeros(6)])
 
         f = f_matrix(conv, xhat, imu, earth)
         eps = 1e-6
@@ -361,12 +363,7 @@ class TestHMatrix:
         h = h_matrix(conv, x, lever)
 
         def innovation(dx_vec):
-            dx = ErrorState15.from_vector(dx_vec, conv)
-            xh = (
-                lg.compose(lg.GroupElement(lg.so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r), x)
-                if conv is RIGHT
-                else lg.compose(x, lg.inverse(lg.GroupElement(lg.so3_exp(dx.phi), dx.jrho_v, dx.jrho_r)))
-            )
+            xh = estimate_with_error(conv, x, dx_vec)[0]
             return y - (xh.pos + xh.rot @ lever.l_b)
 
         eps = 1e-6
@@ -394,6 +391,15 @@ def arrays(x):
     return x.rot, x.vel, x.pos
 
 
+def retracted(conv, xhat, dx):
+    """The retraction's object formula: ``xhat`` corrected by the 15-vector
+    ``dx`` through ``se23_exp`` of ``xi = (-phi, rho_v, rho_r)`` (right,
+    ``exp(xi)^-1 xhat``) or ``(phi, rho_v, rho_r)`` (left, ``xhat exp(xi)``)."""
+    if conv is RIGHT:
+        return lg.compose(lg.inverse(lg.se23_exp(lg.Tangent9(-dx[0:3], dx[3:6], dx[6:9]))), xhat)
+    return lg.compose(xhat, lg.se23_exp(lg.Tangent9(dx[0:3], dx[3:6], dx[6:9])))
+
+
 class TestArrayCores:
     """The retraction and the error chart on arrays (``errordyn._retract``,
     ``errordyn._error_vector``) have the bits of the group formulas they
@@ -403,11 +409,7 @@ class TestArrayCores:
     def test_retraction_is_the_group_formula(self, conv, rng):
         for xhat in random_states(rng, 200):
             dx = random_dx(rng)
-            phi, jv, jr = dx[0:3], dx[3:6], dx[6:9]
-            if conv is RIGHT:
-                want = lg.compose(lg.inverse(lg.GroupElement(lg.so3_exp(-phi), jv, jr)), xhat)
-            else:
-                want = lg.compose(xhat, lg.GroupElement(lg.so3_exp(phi), jv, jr))
+            want = retracted(conv, xhat, dx)
             got = _retract(conv, *arrays(xhat), dx)
             for a, b in zip(got, arrays(want)):
                 np.testing.assert_array_equal(a, b)
@@ -422,12 +424,12 @@ class TestArrayCores:
         for xhat, x in zip(random_states(rng, 200), random_states(rng, 200)):
             db_g, db_a = rng.normal(size=3) * 1e-4, rng.normal(size=3) * 1e-3
             if conv is RIGHT:
-                eta = lg.compose(xhat, lg.inverse(x))
-                phi = -lg.so3_log(eta.rot)
+                xi = lg.se23_log(lg.compose(xhat, lg.inverse(x)))
+                phi = -xi.phi
             else:
-                eta = lg.compose(lg.inverse(xhat), x)
-                phi = lg.so3_log(eta.rot)
-            want = np.concatenate([phi, eta.vel, eta.pos, db_g, db_a])
+                xi = lg.se23_log(lg.compose(lg.inverse(xhat), x))
+                phi = xi.phi
+            want = np.concatenate([phi, xi.rho_v, xi.rho_r, db_g, db_a])
             np.testing.assert_array_equal(
                 _error_vector(conv, arrays(xhat), arrays(x), db_g, db_a), want)
             np.testing.assert_array_equal(error_state(conv, xhat, x, db_g, db_a).as_vector(), want)
@@ -458,11 +460,7 @@ class TestArrayCores:
             sol = np.linalg.solve(s, np.column_stack([hp, z]))
             k = sol[:, :15].T
             dx = ErrorState15.from_vector(k @ z, conv)
-            if conv is RIGHT:
-                eta = lg.GroupElement(lg.so3_exp(-dx.phi), dx.jrho_v, dx.jrho_r)
-                x_new = lg.compose(lg.inverse(eta), x)
-            else:
-                x_new = lg.compose(x, lg.GroupElement(lg.so3_exp(dx.phi), dx.jrho_v, dx.jrho_r))
+            x_new = retracted(conv, x, k @ z)
             ikh = np.eye(15) - k @ h
             p_new = ikh @ p @ ikh.T + k @ fix.cov @ k.T
             want = FilterState(x_new, st.bg + dx.db_g, st.ba + dx.db_a, 0.5 * (p_new + p_new.T),

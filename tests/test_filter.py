@@ -187,6 +187,17 @@ class TestFilterStateType:
                         with pytest.raises(ValueError, match="symmetric"):
                             FilterState(x0, np.zeros(3), np.zeros(3), q, 0.0)
 
+    def test_time_is_a_python_float(self, scenario, earth):
+        """A numpy time becomes a Python float, by the constructor's one
+        rule: ``run()``'s first record, the initial state's epoch, has the
+        same ``t`` type as every other record."""
+        truth, imu = scenario
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(),
+                         np.float64(0.0), LEFT)
+        assert type(st.t) is float and st.t == 0.0
+        recs = run(imu[:21], [], st, NoiseParams(1e-10, 1e-8), earth, LeverArm(np.zeros(3)))
+        assert {type(r.t) for r in recs} == {type(r.state.t) for r in recs} == {float}
+
     def test_requires_ecef_ib(self, earth):
         x = lg.identity_element(FrameTag.NED_EB)
         with pytest.raises(lg.FrameMismatch):
@@ -1142,6 +1153,43 @@ class TestRun:
         recs = run(imu, gnss, st, noise, earth, LeverArm(np.zeros(3)), truth=truth.samples)
         nis = [r.nis for r in recs if r.nis is not None]
         assert 1.0 <= float(np.mean(nis)) <= 6.0
+
+
+class TestMonteCarlo:
+    def test_right_consistent(self, earth):
+        """Criterion 9's Monte Carlo (its scenario, seed 909, 100 runs and
+        bands: mean NEES in [13.0, 17.2], mean NIS in [2.4, 3.6]) in the
+        right convention.  Each run starts at the truth corrected by -dx0,
+        whose error state is dx0 exactly (exp(-xi) = exp(xi)^-1), so the
+        initial error is drawn in the filter's own chart."""
+        spec = TrajectorySpec(
+            profile="constant-turn", duration=20.0, imu_rate=50.0, gnss_rate=1.0,
+            speed=10.0, turn_rate=0.02,
+        )
+        truth = generate_truth(spec, earth)
+        x0 = truth.samples[0][1]
+        gyro_psd, accel_psd = (2e-4) ** 2, (2e-3) ** 2
+        lever = np.array([0.5, 0.3, -1.2])
+        noise = NoiseParams(gyro_psd, accel_psd, 1e-16, 1e-14)
+        p0 = np.diag([(2e-4) ** 2] * 3 + [(2e-2) ** 2] * 3 + [0.25] * 3
+                     + [1e-5**2] * 3 + [1e-4**2] * 3)
+        l0 = np.linalg.cholesky(p0)
+        rng = np.random.default_rng(909)
+        nees_runs, nis_all = [], []
+        for _ in range(100):
+            dx0 = l0 @ rng.standard_normal(15)
+            bg_t, ba_t = dx0[9:12], dx0[12:15]
+            xh0 = apply_feedback(RIGHT, x0, ErrorState15.from_vector(-dx0, RIGHT), 0, 0)[0]
+            errs = SensorErrorSpec(bg_t, ba_t, gyro_psd, accel_psd, seed=int(rng.integers(2**31)))
+            imu = synthesize_imu(truth, earth, errs)
+            gnss = synthesize_gnss(truth, lever, 1.0, np.eye(3), seed=int(rng.integers(2**31)))
+            st = FilterState(xh0, np.zeros(3), np.zeros(3), p0, 0.0, RIGHT)
+            recs = run(imu, gnss, st, noise, earth, LeverArm(lever), truth=truth.samples,
+                       truth_biases=(bg_t, ba_t))
+            nees_runs.append(np.mean([r.nees for r in recs if r.nees is not None]))
+            nis_all += [r.nis for r in recs if r.nis is not None]
+        assert 13.0 <= np.mean(nees_runs) <= 17.2
+        assert 2.4 <= np.mean(nis_all) <= 3.6
 
 
 class TestObservability:

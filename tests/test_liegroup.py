@@ -295,8 +295,7 @@ def _frame_rule_cases():
     """Each entry point the frame rule guards, as (id, call, tags named):
     ``call(earth, x)`` passes an element ``x`` tagged ``NED_EB`` (at an NED
     position) where the entry point wants another frame."""
-    from eqnav.errordyn import (Convention, LeverArm, error_state, f_matrix, g_matrix,
-                                h_matrix, left_error, right_error)
+    from eqnav.errordyn import Convention, LeverArm, error_state, f_matrix, g_matrix, h_matrix
     from eqnav.filter import FilterState
     from eqnav.kinematics import (ImuSample, build_dynamics, frame_translation,
                                   integrate_imu, midpoint_step)
@@ -321,8 +320,7 @@ def _frame_rule_cases():
         "g_matrix": lambda e, x: g_matrix(right, x),
         "h_matrix": lambda e, x: h_matrix(right, x, LeverArm(z)),
         "error_state": lambda e, x: error_state(right, x, other(x)),
-        "right_error": lambda e, x: right_error(x, other(x)),
-        "left_error": lambda e, x: left_error(x, other(x)),
+        "error_state-left": lambda e, x: error_state(Convention.LEFT_INVARIANT, x, other(x)),
         "compose": lambda e, x: lg.compose(x, other(x)),
     }
     cases = [(name, call, (ned, ecef_ib)) for name, call in calls.items()]
