@@ -20,18 +20,18 @@ from .errordyn import (
     ErrorState15,
     LeverArm,
     NoiseParams,
+    _G_LEFT,
     _error_vector,
     _g_right,
     _retract,
     _retractable,
     apply_feedback,
-    g_matrix,
     h_matrix,
 )
 from .kinematics import (EarthModel, ImuSample, NonMonotonicTime, _Records, _StepError,
                          _increasing, _intervals, _stream, _walk, _windows)
 from .liegroup import FrameTag, GroupElement, _element_ok, _frozen, _resolve_frame, _trusted
-from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right, qd_matrix
+from .transition import _left_bias, _phi_left, _phi_right, phi_left, phi_right
 
 __all__ = [
     "EpochRecord",
@@ -220,10 +220,14 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     loop of :func:`predict` bit for bit; velocity and position agree with
     that loop to roundoff (the walk's stopping rule), and the right
     convention's covariances with them.  The window's transition matrices
-    and process noise are then formed at once, from its Gamma blocks (left
-    convention) or its stacked mean trajectory (right), each by the
-    operations a window of one takes, and the covariance recursion runs
-    last, checked in one pass with :class:`FilterState`'s decisions.
+    and halves ``H`` of the trapezoidal process noise (see
+    :func:`_half_noise`) are then formed at once, from its Gamma blocks
+    and the constant left G (left convention) or its stacked mean
+    trajectory (right), each by the operations a window of one takes, and
+    the covariance recursion runs last, one step per epoch with the noise
+    folded in, ``Phi (P + H) Phi^T + H`` (``Phi P Phi^T + Qd`` in exact
+    arithmetic), checked in one pass with :class:`FilterState`'s
+    decisions.
     Returns ``((rot, vel, pos), ps, end)``, read-only: the epochs' states
     (N, 3, 3) and (N, 3) and covariances (N, 15, 15), and the one state
     built, the last epoch's :class:`FilterState`.  The first failing
@@ -232,7 +236,7 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     transition that fails at epoch k > 0 has the window's first k epochs
     propagated again, as that loop does, so one of their covariances that
     fails first is named instead (a cost only a failed window pays: one
-    more walk, no per-epoch predict).  Their Phi and Qd read only the
+    more walk, no per-epoch predict).  Their Phi and H read only the
     rates in the left convention, so those covariances are the failed
     pass's bit for bit; the right convention's read the mean and agree
     with it to roundoff.
@@ -250,11 +254,11 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
                                                          earth, 3)
             if conv is Convention.LEFT_INVARIANT:
                 phis = _phi_left(f, dt, body, g0)
-                qds = qd_matrix(phis, g_matrix(conv, state.x), noise, dt)
+                halves = _half_noise(_G_LEFT, noise, dt)
             else:
                 bias = _left_bias(f, dt, body, g0)
                 phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
-                qds = qd_matrix(phis, _g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
+                halves = _half_noise(_g_right(rot[:-1], vel[:-1], pos[:-1]), noise, dt)
         except _StepError as exc:
             # as in a loop of predict, the epochs before the failing one are
             # propagated first, and one of their covariances may fail first
@@ -263,10 +267,11 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
                 _propagate(state, gyro[:k], accel[:k], times[:k], dt[:k], noise, earth)
             raise ValueError(f"at epoch t={times[k]}: {exc}") from exc
 
+        # Phi P Phi^T + Qd with the trapezoidal Qd = Phi H Phi^T + H folded in
         ps = np.empty((len(dt), 15, 15))
         p = state.p
-        for k, (phi, qd) in enumerate(zip(phis, qds)):
-            p = phi @ p @ phi.T + qd
+        for k, (phi, h) in enumerate(zip(phis, halves)):
+            p = phi @ (p + h) @ phi.T + h
             p = ps[k] = 0.5 * (p + p.T)
         faults = _p_faults(ps)
     if faults.any():
@@ -274,9 +279,19 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
         raise ValueError(f"at epoch t={times[k]}: FilterState.p {_P_FAULTS[faults[k]]}")
     ps.setflags(write=False)
     x = _trusted(GroupElement, rot=rot[-1], vel=vel[-1], pos=pos[-1], frame=state.x.frame)
-    end = _trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=ps[-1], t=times[-1],
+    end = _trusted(FilterState, x=x, bg=state.bg, ba=state.ba, p=ps[-1], t=float(times[-1]),
                    convention=conv)
     return (rot[1:], vel[1:], pos[1:]), ps, end
+
+
+def _half_noise(g, noise, dt):
+    """``H_k = 0.5 dt_k G Qc G^T`` of each epoch, shape (N, 15, 15): half of
+    the trapezoidal process noise ``0.5 (Phi Gc Phi^T + Gc) dt``
+    (:func:`~eqnav.transition.qd_matrix`), which the covariance step folds
+    in as ``Phi (P + H) Phi^T + H``.  ``g`` is one G (15, 12), the left
+    form's constant, or a stack (N, 15, 12) of one per epoch."""
+    gc = (g * noise.qc_diag) @ g.swapaxes(-1, -2)
+    return gc * (0.5 * dt)[:, None, None]
 
 
 def _check_slop(time_slop: float) -> None:
@@ -322,8 +337,9 @@ def update_gnss(
     ValueError
         If ``time_slop`` is not >= 0 (NaN included; ``inf`` sets no
         bound), naming it, if the fix time is farther than it from the
-        state time, or if the corrected state or its covariance is
-        rejected, naming the field.
+        state time, if the corrected state or its covariance is
+        rejected, naming the field, or if the NIS of an admitted fix is
+        not finite (it overflows), naming it.
     """
     if not abs(fix.t - state.t) <= time_slop:  # also NaN
         _check_slop(time_slop)
@@ -366,11 +382,25 @@ def update_gnss(
             # admit the state, past an overflowing sum)
             dx = ErrorState15.from_vector(dx, conv)
             x_new, bg, ba = apply_feedback(conv, x, dx, state.bg, state.ba)
-            return FilterState(x_new, bg, ba, p, state.t, conv), z, nis
-    for a in (*rvp, bg, ba, p):
-        a.setflags(write=False)
-    x_new = _trusted(GroupElement, rot=rvp[0], vel=rvp[1], pos=rvp[2], frame=x.frame)
-    return _trusted(FilterState, x=x_new, bg=bg, ba=ba, p=p, t=state.t, convention=conv), z, nis
+            new = FilterState(x_new, bg, ba, p, state.t, conv)
+        else:
+            for a in (*rvp, bg, ba, p):
+                a.setflags(write=False)
+            x_new = _trusted(GroupElement, rot=rvp[0], vel=rvp[1], pos=rvp[2], frame=x.frame)
+            new = _trusted(FilterState, x=x_new, bg=bg, ba=ba, p=p, t=state.t, convention=conv)
+    if not math.isfinite(nis):
+        raise _ScoreFault(f"non-finite score of the fix: NIS {nis}", (new, z, nis))
+    return new, z, nis
+
+
+class _ScoreFault(ValueError):
+    """:func:`update_gnss`'s fault for an admitted fix whose NIS is not
+    finite; ``result`` is the ``(state, innovation, nis)`` it would have
+    returned, from which :func:`_run` also scores the NEES it names."""
+
+    def __init__(self, message: str, result: tuple):
+        super().__init__(message)
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -649,7 +679,10 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
             return state, None
         j = fixes_at[i]
         try:
-            state, innovation, nis = update_gnss(state, gnss[j], lever, time_slop)
+            try:
+                state, innovation, nis = update_gnss(state, gnss[j], lever, time_slop)
+            except _ScoreFault as exc:  # named below, with the NEES
+                state, innovation, nis = exc.result
             error = nees = None
             x_true = truth_at(state.t)
             if x_true is not None:

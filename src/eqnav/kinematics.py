@@ -27,6 +27,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 from numpy.typing import NDArray
@@ -630,6 +631,45 @@ def _rotations(rate: NDArray, dt, name: str) -> NDArray:
     return phi
 
 
+# The ECEF earth rate's Gamma blocks at the full and the half step of an
+# interval, keyed by (earth rate, block order, interval length): a stream's
+# lengths repeat (a simulated one has about two), so each is formed once per
+# process.  It holds at most _EARTH_RATE_ROWS entries, the oldest going
+# first, each a row of the read-only pass that formed it.
+_EARTH_RATE: dict[tuple[float, int, float], NDArray] = {}
+_EARTH_RATE_ROWS = 256
+
+
+def _earth_rate(earth, dt, n):
+    """``rate[k]``, the ``[full, half]`` blocks of W2's rate ``-w_ie`` over
+    step k, shape (N, 2, n, 3, 3), each row the bits of a
+    :func:`~eqnav.liegroup._gamma_pass` of ``-omega_vec * dt[k]`` alone at
+    scales 1 and 1/2.  A window of one step, or one whose lengths repeat,
+    reads them from :data:`_EARTH_RATE` and forms the lengths not in it in
+    one stacked pass; a window of several steps whose every length is its
+    own (a jittered stream's, which do not recur) forms them all in one
+    stacked pass and does not keep them."""
+    lengths = dt.tolist()
+    distinct = dict.fromkeys(lengths)
+    if len(lengths) > 1 and len(distinct) == len(lengths):
+        return _gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
+    known = {h: _EARTH_RATE.get((earth.omega_ie, n, h)) for h in distinct}
+    missing = [h for h, blocks in known.items() if blocks is None]
+    if missing:
+        new = _gamma_pass(-earth.omega_vec * np.array(missing)[:, None], n, (1.0, 0.5))[0]
+        new.setflags(write=False)
+        known.update(zip(missing, new))
+        rows = [((earth.omega_ie, n, h), known[h]) for h in missing][-_EARTH_RATE_ROWS:]
+        full = len(_EARTH_RATE) + len(rows) - _EARTH_RATE_ROWS
+        for key in list(islice(_EARTH_RATE, max(full, 0))):  # the oldest
+            _EARTH_RATE.pop(key, None)  # (another thread may have taken it)
+        _EARTH_RATE.update(rows)
+    if len(lengths) == 1:
+        return known[lengths[0]][None]
+    index = {h: k for k, h in enumerate(known)}
+    return np.stack(list(known.values()))[[index[h] for h in lengths]]
+
+
 def _passes(frame, gyro, accel, dt, earth, n):
     """The state-independent work of a window of midpoint steps.
 
@@ -638,33 +678,21 @@ def _passes(frame, gyro, accel, dt, earth, n):
     :func:`~eqnav.liegroup._gamma_pass` of the body rotations ``gyro * dt``
     at scales 1 and 1/2 (full and half step); ``rate[k]`` is step k's
     ``[full, half]`` blocks of W2's rate, shape (2, n, 3, 3), for the ECEF
-    variants, where that rate is the earth rate at every state and shares
-    the body rotations' pass, one row per distinct interval length of the
-    window (a simulated stream's window has about two), and ``None`` for
-    the NED variants, where it moves with the state; ``dv[k]`` is the
-    body-frame velocity increment ``Gamma_1(s gyro dt) accel s dt`` of the
-    full and half step (s = 1, 1/2), shape (N, 2, 3); ``g0[k]`` is
+    variants, where that rate is the earth rate at every state, read from
+    the per-length table of :func:`_earth_rate`, and ``None`` for the NED
+    variants, where it moves with the state; ``dv[k]`` is the body-frame
+    velocity increment ``Gamma_1(s gyro dt) accel s dt`` of the full and
+    half step (s = 1, 1/2), shape (N, 2, 3); ``g0[k]`` is
     ``Gamma_0(gyro dt)``.  A step whose body rotation is too large to
     square raises :class:`_StepError` naming it.
     """
-    steps = len(dt)
     dt_col = dt[:, None]
     phi = _rotations(gyro, dt_col, "body rotation gyro")
-    rows, earth_dt = None, dt_col  # each step's earth-rate row where lengths repeat
+    body = _gamma_pass(phi, n, (1.0, 0.5))
     if frame in _CONSTANT_RATE:
-        if steps > 1:
-            lengths = dt.tolist()
-            index = {h: k for k, h in enumerate(dict.fromkeys(lengths))}  # distinct lengths
-            if len(index) < steps:
-                rows = [index[h] for h in lengths]
-                earth_dt = np.array(list(index))[:, None]
-        phi = np.concatenate([phi, -earth.omega_vec * earth_dt])
-    blocks, powers, t2 = _gamma_pass(phi, n, (1.0, 0.5))
-    body = (blocks[:steps], powers[:steps], t2[:steps])
-    if frame not in _CONSTANT_RATE:
-        rate = [None] * steps
+        rate = _earth_rate(earth, dt, n)
     else:
-        rate = blocks[steps:] if rows is None else blocks[steps:][rows]
+        rate = [None] * len(dt)
     a_dt = accel[:, None, :, None] * (dt_col * _STEPS)[:, :, None, None]
     dv = (body[0][:, :, 1] @ a_dt)[..., 0]
     return body, rate, dv, _EYE3 + body[0][:, 0, 0]

@@ -346,6 +346,42 @@ class TestPredict:
             got = predict(st, cur, noise, earth).p
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    @pytest.mark.parametrize("epochs", [10, 50])
+    def test_window_covariances_match_public_phi(self, scenario, earth, conv, epochs):
+        """Each covariance of a fix-free run() window of ``epochs`` epochs,
+        whose covariance step folds in the trapezoidal Qd, is Phi P Phi^T +
+        Qd of the epoch before it, with Phi from public phi_left/phi_right
+        (at that epoch's state) and Qd from qd_matrix, within 1e-15 max|P|."""
+        truth, imu = scenario
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        bg, ba = np.array([1e-4, -2e-4, 3e-4]), np.array([0.02, -0.01, 0.03])
+        first = 300
+        st = FilterState(truth.samples[first][1], bg, ba, default_p0(), imu[first].t, conv)
+        stream = imu[first : first + epochs + 1]
+        recs = run(stream, [], st, noise, earth, LeverArm(np.zeros(3)))
+        assert len(recs) == epochs + 1
+        for prev, cur, start, rec in zip(stream[:-1], stream[1:], recs[:-1], recs[1:]):
+            dt = cur.t - prev.t
+            corrected = ImuSample(cur.t, 0.5 * (prev.gyro + cur.gyro) - bg,
+                                  0.5 * (prev.accel + cur.accel) - ba)
+            if conv is LEFT:
+                phi = phi_left(corrected, dt)
+            else:
+                phi = phi_right(start.state.x, corrected, earth, dt)
+            qd = qd_matrix(phi, g_matrix(conv, start.state.x), noise, dt)
+            want = phi.matrix @ start.state.p @ phi.matrix.T + qd
+            assert np.abs(rec.state.p - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_time_stays_a_python_float(self, scenario, earth):
+        """A sample time given as a numpy float gives the predicted state a
+        Python float ``t``, as the constructor's rule does."""
+        truth, imu = scenario
+        st = FilterState(truth.samples[0][1], np.zeros(3), np.zeros(3), default_p0(), 0.0, LEFT)
+        out = predict(st, ImuSample(np.float64(0.02), imu[2].gyro, imu[2].accel),
+                      NoiseParams(1e-8, 1e-6), earth)
+        assert type(out.t) is float and out.t == 0.02
+
     def test_p_trace_increases(self, scenario, earth):
         truth, imu = scenario
         noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
@@ -411,6 +447,18 @@ class TestUpdate:
         scale = np.abs(out.p).max()
         assert np.abs(out.p - out.p.T).max() <= 1e-12 * scale
         assert np.linalg.eigvalsh(out.p).min() >= -1e-10 * np.trace(out.p)
+
+    def test_non_finite_nis_rejected(self, scenario, earth):
+        """A fix 1e160 m off a left state is admitted, but its NIS
+        overflows: update_gnss raises naming the NIS, with no numpy
+        warning."""
+        truth, _ = scenario
+        x0 = truth.samples[0][1]
+        st = FilterState(x0, np.zeros(3), np.zeros(3), default_p0(), 0.0, LEFT)
+        fix = GnssFix(0.0, x0.pos + 1e160, np.eye(3))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="non-finite score of the fix: NIS inf"):
+                update_gnss(st, fix, LeverArm(np.zeros(3)))
 
     def test_singular_innovation_rejected(self, scenario, earth):
         truth, _ = scenario
@@ -791,16 +839,18 @@ class TestRun:
             bad_accel = np.array([1e200, 0.0, 0.0])  # overflows the covariance
         else:
             # epoch k's interval, the one 1.25 steps long, has process noise
-            # that takes 1 from the accel-bias variances: P is not PSD there
+            # that takes 1 from the accel-bias variances: P is not PSD there;
+            # the covariance step adds each half H of the noise once to the
+            # bias block, whose Phi rows are the identity's
             stretch = 0.25 * step
-            qd_matrix_alone = flt.qd_matrix
+            half_noise_alone = flt._half_noise
 
-            def qd_matrix_cut(phis, g, noise, dt):
-                qds = qd_matrix_alone(phis, g, noise, dt).copy()
-                qds[np.abs(dt - 1.25 * step) < 1e-9, 12:, 12:] -= np.eye(3)
-                return qds
+            def half_noise_cut(g, noise, dt):
+                halves = half_noise_alone(g, noise, dt)
+                halves[np.abs(dt - 1.25 * step) < 1e-9, 12:, 12:] -= 0.5 * np.eye(3)
+                return halves
 
-            monkeypatch.setattr(flt, "qd_matrix", qd_matrix_cut)
+            monkeypatch.setattr(flt, "_half_noise", half_noise_cut)
         stream = [
             ImuSample(step * j + (stretch if j >= k else 0.0),
                       bad_gyro if j == k else gyro, bad_accel if j == k else accel)

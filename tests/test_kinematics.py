@@ -771,23 +771,53 @@ class TestSweeps:
 
 def test_earth_rate_rows_one_per_distinct_length(earth, rng, monkeypatch):
     """The ECEF earth-rate Gamma blocks of a window are formed once per
-    distinct interval length, as rows of the body rotations' pass, and each
-    step's are the row of a pass of ``-omega_vec * dt`` over every step at
-    scales 1 and 1/2, bit for bit: on a simulated stream's window, a
-    jittered one and a window of one."""
-    rows, gamma_pass = [], kin._gamma_pass
+    distinct interval length, all of a window's new lengths in one pass
+    apart from the body rotations' pass, which holds the body rows only,
+    and each step's are the row of a pass of ``-omega_vec * dt`` over
+    every step at scales 1 and 1/2, bit for bit: on a simulated stream's
+    window, whose lengths the table then serves, a jittered one (one pass
+    of its 40 lengths, each time) and a window of one."""
+    passes, gamma_pass = [], kin._gamma_pass
 
     def counted(phi, n, scales):
-        rows.append(len(phi))
+        passes.append(len(phi))
         return gamma_pass(phi, n, scales)
 
     monkeypatch.setattr(kin, "_gamma_pass", counted)
+    monkeypatch.setattr(kin, "_EARTH_RATE", {})
     uniform = np.diff(np.arange(kin._WINDOW + 1) / 200.0)
-    assert len(set(uniform.tolist())) < 10
-    for dt in (uniform, rng.uniform(0.004, 0.012, 40), uniform[:1]):
+    jittered = rng.uniform(0.004, 0.012, 40)
+    distinct = len(set(uniform.tolist()))
+    assert distinct < 10 and len(set(jittered.tolist())) == 40
+    last = np.array(list(dict.fromkeys(uniform.tolist()))[-1:])  # its pass's last row
+    for dt, first, again in ((uniform, [distinct], []), (jittered, [40], [40]), (last, [], [])):
         gyro, accel = rng.normal(scale=0.3, size=(2, len(dt), 3))
         for n in (2, 3):
-            rate = kin._passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, n)[1]
-            want = gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
-            np.testing.assert_array_equal(rate, want)
-            assert rows[-1] == len(dt) + len(set(dt.tolist()))
+            for earth_passes in (first, again):
+                passes.clear()
+                rate = kin._passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, n)[1]
+                want = gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
+                np.testing.assert_array_equal(rate, want)
+                assert passes == [len(dt)] + earth_passes
+
+
+def test_earth_rate_table_bounded(earth, rng, monkeypatch):
+    """A stream of ever new interval lengths keeps the table at its bound,
+    and a length formed again after it was dropped has the same bits."""
+    monkeypatch.setattr(kin, "_EARTH_RATE", {})
+    steps = kin._WINDOW
+
+    def window():  # every length twice, so the table keeps them
+        return np.repeat(rng.uniform(0.004, 0.012, steps // 2), 2)
+
+    gyro, accel = rng.normal(scale=0.3, size=(2, steps, 3))
+    first = window()
+    want = kin._passes(FrameTag.ECEF_IB, gyro, accel, first, earth, 3)[1]
+    table = kin._EARTH_RATE
+    assert set(table) == {(earth.omega_ie, 3, h) for h in first.tolist()}
+    for _ in range(3 * kin._EARTH_RATE_ROWS // steps):
+        kin._passes(FrameTag.ECEF_IB, gyro, accel, window(), earth, 3)
+        assert len(table) <= kin._EARTH_RATE_ROWS
+    assert not {h for _, _, h in table} & set(first.tolist())
+    again = kin._passes(FrameTag.ECEF_IB, gyro, accel, first, earth, 3)[1]
+    np.testing.assert_array_equal(again, want)
