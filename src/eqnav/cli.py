@@ -149,8 +149,12 @@ class RunConfig:
         return sigma**2 * np.eye(3)
 
     def tolerances(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+        tols = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
                 if f.name.startswith("tol_")}
+        for name, tol in tols.items():
+            if not tol >= 0.0:  # also rejects NaN
+                raise ConfigError(f"{name}={tol!r} is not >= 0")
+        return tols
 
 
 class ConfigError(ValueError):
@@ -494,8 +498,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
 def cmd_verify(cfg: RunConfig, out: Path | None) -> int:
     """Run the property suite; nonzero exit on any failed check."""
     with _config_values():
-        earth = cfg.earth()
-    results = run_all_checks(earth, cfg.tolerances(), seed=cfg.seed)
+        earth, tolerances = cfg.earth(), cfg.tolerances()
+    results = run_all_checks(earth, tolerances, seed=cfg.seed)
     report = [
         {
             "check": r.name,
@@ -514,17 +518,17 @@ def cmd_verify(cfg: RunConfig, out: Path | None) -> int:
 
 def cmd_observability(cfg: RunConfig) -> int:
     """Print the rank analysis of both conventions on the heave scenario."""
-    with _config_values():
-        earth = cfg.earth()
     report = {}
-    for conv in (Convention.LEFT_INVARIANT, Convention.RIGHT_INVARIANT):
-        rep, angle = heave_observability(earth, conv, svd_cutoff=cfg.svd_cutoff)
-        report[conv.value] = {
-            "rank": rep.rank,
-            "null_dim": int(rep.null_space.shape[1]),
-            "singular_values": [float(s) for s in rep.singular_values],
-            "null_phi_gravity_angle_rad": angle,
-        }
+    with _config_values():  # svd_cutoff is decided by the analysis
+        earth = cfg.earth()
+        for conv in (Convention.LEFT_INVARIANT, Convention.RIGHT_INVARIANT):
+            rep, angle = heave_observability(earth, conv, svd_cutoff=cfg.svd_cutoff)
+            report[conv.value] = {
+                "rank": rep.rank,
+                "null_dim": int(rep.null_space.shape[1]),
+                "singular_values": [float(s) for s in rep.singular_values],
+                "null_phi_gravity_angle_rad": angle,
+            }
     print(json.dumps(report, indent=2))
     return 0
 

@@ -423,52 +423,65 @@ def observability_matrix(
 ) -> ObservabilityReport:
     """Discrete-time observability matrix over ``m + 1`` measurement epochs.
 
-    Stacks ``H_l Phi(t_l, t_k)`` for ``l = k .. k+m`` where the cumulative
-    transition matrices are products of the per-IMU-interval analytic
-    matrices.  ``states`` must hold the filter states at the measurement
-    epochs (first entry is the anchor ``t_k``); ``imu`` the bias-corrected
-    samples covering the window.  Numeric rank uses the relative singular
-    value cutoff ``svd_cutoff * sigma_max``.
+    Stacks ``H_l Phi(t_l, t_k)`` for ``l = k .. k+m``, where the cumulative
+    transition matrix is the product of the per-IMU-interval analytic
+    matrices (:func:`~eqnav.transition.phi_left`, or
+    :func:`~eqnav.transition.phi_right` at the state of the epoch that
+    starts the interval's window).  ``states`` holds the filter states at
+    the measurement epochs, the first the anchor ``t_k`` (entries after
+    the first ``m + 1`` are not read); ``imu`` the bias-corrected samples,
+    a list of :class:`ImuSample` or a synthesized stream.  Each epoch is
+    placed on its nearest IMU sample (:func:`_nearest`, as :func:`run`
+    places a fix), which must lie within 1e-9 s of it; the chain starts at
+    the anchor's sample, so samples before it are not read, and window l
+    runs from epoch ``l - 1``'s sample to epoch l's.  Numeric rank uses
+    the relative singular value cutoff ``svd_cutoff * sigma_max``.
+
+    Raises
+    ------
+    NonMonotonicTime
+        If the IMU times or the epoch times are not strictly increasing,
+        naming the first time that is not.
+    ValueError
+        If ``m < 1``, if fewer than ``m + 1`` states are given, if
+        ``svd_cutoff`` is not in (0, 1) (NaN included), or if an epoch has
+        no IMU sample within 1e-9 s (an empty stream, one that ends
+        before the epoch, or an epoch between samples), naming the epoch.
     """
     if m < 1:
         raise ValueError("observability analysis needs m >= 1")
     if len(states) < m + 1:
         raise ValueError(f"need {m + 1} epoch states, got {len(states)}")
+    if not 0.0 < svd_cutoff < 1.0:
+        raise ValueError(f"svd_cutoff={svd_cutoff!r} is not in (0, 1)")
     earth = earth if earth is not None else EarthModel()
     conv = states[0].convention
+    # an inf after the last sample is nearest to no epoch of a stream with a
+    # sample, and places an empty stream's epochs where the check rejects them
+    times = np.append(_stream(imu)[0], np.inf)
+    epochs = np.array([s.t for s in states[: m + 1]])
+    _increasing("imu", times)
+    _increasing("epoch", epochs)
+    near = _nearest(times, epochs).tolist()
+    for t, i in zip(epochs.tolist(), near):
+        if abs(times[i] - t) > 1e-9:
+            raise ValueError(f"no IMU sample within 1e-9 s of the epoch at t={t}")
 
-    rows = [h_matrix(conv, states[0].x, lever)]
-    phi_cum = np.eye(15)
-    epoch_times = [s.t for s in states[: m + 1]]
-    epoch_idx = 1
-    state_idx = 0
-    for prev, cur in zip(imu[:-1], imu[1:]):
-        if epoch_idx > m:
-            break
-        dt = cur.t - prev.t
-        if dt <= 0.0:
-            raise NonMonotonicTime(f"IMU timestamps not increasing at t={cur.t}")
-        # transition evaluated at the epoch state preceding this interval
-        while (
-            state_idx + 1 < len(epoch_times)
-            and epoch_times[state_idx + 1] <= prev.t + 1e-12
-        ):
-            state_idx += 1
-        anchor = states[state_idx]
-        if conv is Convention.RIGHT_INVARIANT:
-            phi = phi_right(anchor.x, prev, earth, dt)
-        else:
-            phi = phi_left(prev, dt)
-        phi_cum = phi.matrix @ phi_cum
-        if abs(cur.t - epoch_times[epoch_idx]) <= 1e-9:
-            rows.append(h_matrix(conv, states[epoch_idx].x, lever) @ phi_cum)
-            epoch_idx += 1
+    rows, phi_cum = [h_matrix(conv, states[0].x, lever)], np.eye(15)
+    for a, b, start, state in zip(near, near[1:], states, states[1:]):
+        for prev, cur in zip(imu[a:b], imu[a + 1 : b + 1]):
+            dt = cur.t - prev.t
+            if conv is Convention.RIGHT_INVARIANT:
+                phi = phi_right(start.x, prev, earth, dt)
+            else:
+                phi = phi_left(prev, dt)
+            phi_cum = phi.matrix @ phi_cum
+        rows.append(h_matrix(conv, state.x, lever) @ phi_cum)
 
     big = np.vstack(rows)
-    u, sv, vt = np.linalg.svd(big, full_matrices=True)
+    _, sv, vt = np.linalg.svd(big, full_matrices=True)
     rank = int(np.sum(sv > svd_cutoff * sv[0]))
-    null = vt[rank:].T
-    return ObservabilityReport(big, rank, sv, null)
+    return ObservabilityReport(big, rank, sv, vt[rank:].T)
 
 
 @dataclass(frozen=True)

@@ -1133,14 +1133,16 @@ def integrate_imu(
         If the sample times are not strictly increasing, naming the first
         time that is not (``imu stream not increasing at t=...``).
     ValueError
-        If a step fails (e.g. a body rotation too large to evaluate), naming
-        the epoch a loop of :func:`midpoint_step` stops at
-        (``at epoch t=...``).
+        If the stream is empty, or if a step fails (e.g. a body rotation too
+        large to evaluate), naming the epoch a loop of :func:`midpoint_step`
+        stops at (``at epoch t=...``).
     """
     frame = frame if frame is not None else x0.frame
     if frame is None:
         raise ValueError("integrate_imu requires a frame tag")
     times, rates = _stream(samples)
+    if not times.size:
+        raise ValueError("integrate_imu requires at least one IMU sample, got an empty stream")
     rates, dts = _intervals(times, rates)
     at = times.tolist()
     # a window's block is its trajectory from its first state, already built

@@ -396,24 +396,22 @@ def qd_matrix(
     phi: TransitionBlocks | NDArray,
     g: NDArray,
     noise: NoiseParams,
-    dt: float | NDArray,
+    dt: float,
 ) -> NDArray:
-    """Trapezoidal discrete process noise 0.5 (Phi Gc Phi^T + Gc) dt.
+    """Trapezoidal discrete process noise 0.5 (Phi Gc Phi^T + Gc) dt of one
+    interval.
 
-    ``Gc = G Qc G^T`` with the continuous PSDs of ``noise``.  The result is
-    symmetrized, hence positive semidefinite up to roundoff.  A stack of
-    matrices ``phi`` (N, 15, 15) with ``dt`` (N,), and ``g`` either one
-    matrix or a stack (N, 15, 12) of one per interval, gives the stack of
-    their noises, each equal bit for bit to the noise of its matrices alone.
+    ``phi`` is a :class:`TransitionBlocks` or its (15, 15) matrix, ``g`` the
+    (15, 12) noise input matrix and ``Gc = G Qc G^T`` with the continuous
+    PSDs of ``noise``.  The result is symmetrized, hence positive
+    semidefinite up to roundoff.  ``dt`` must be > 0 (NaN is rejected).
     """
-    dt = np.asarray(dt, dtype=float)  # one interval, or one per matrix of a stack
-    if min(dt.ravel().tolist()) <= 0.0:
+    if not dt > 0.0:
         raise ValueError("qd_matrix requires dt > 0")
-    half = (0.5 * dt)[..., None, None]
-    phi_m = np.asarray(getattr(phi, "matrix", phi))  # a TransitionBlocks or its matrix
-    gc = (g * noise.qc_diag) @ g.swapaxes(-1, -2)
-    qd = half * (phi_m @ gc @ phi_m.swapaxes(-1, -2) + gc)
-    return 0.5 * (qd + qd.swapaxes(-1, -2))
+    phi_m = np.asarray(getattr(phi, "matrix", phi))
+    gc = (g * noise.qc_diag) @ g.T
+    qd = 0.5 * dt * (phi_m @ gc @ phi_m.T + gc)
+    return 0.5 * (qd + qd.T)
 
 
 @dataclass(frozen=True)

@@ -553,6 +553,12 @@ class TestInvalidInput:
             ("speed=nan", "simulate"),
             ("time_slop=nan", "run"),
             ("time_slop=-1", "run"),
+            ("svd_cutoff=nan", "observability"),
+            ("svd_cutoff=-1", "observability"),
+            ("svd_cutoff=0", "observability"),
+            ("svd_cutoff=2", "observability"),
+            ("tol_phi_left=nan", "verify"),
+            ("tol_null_angle=-1", "verify"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):

@@ -1254,6 +1254,88 @@ class TestObservability:
         first_block = rep.matrix[0:3, :]
         assert np.linalg.matrix_rank(first_block) <= 3
 
+    @staticmethod
+    def epoch_states(truth, ks, conv=LEFT, times=None):
+        """Filter states on the truth at samples ``ks``, at ``times`` if given."""
+        times = times or [truth.samples[k][0] for k in ks]
+        return [FilterState(truth.samples[k][1], np.zeros(3), np.zeros(3), np.eye(15), t, conv)
+                for k, t in zip(ks, times)]
+
+    def test_stream_ending_before_an_epoch_names_it(self, earth, scenario):
+        # a 0-1 s stream with epochs at 0, 1 and 2 s
+        truth, imu = scenario
+        states = self.epoch_states(truth, (0, 100, 200))
+        with pytest.raises(ValueError, match=r"no IMU sample within 1e-9 s of the epoch at t=2\.0$"):
+            observability_matrix(states, imu[:101], LeverArm(np.zeros(3)), m=2, earth=earth)
+
+    def test_empty_stream_names_the_anchor(self, earth, scenario):
+        truth, _ = scenario
+        states = self.epoch_states(truth, (0, 100))
+        with pytest.raises(ValueError, match=r"of the epoch at t=0\.0$"):
+            observability_matrix(states, [], LeverArm(np.zeros(3)), m=1, earth=earth)
+
+    def test_epoch_between_samples_raises(self, earth, scenario):
+        # 100 Hz samples: an epoch at 1.005 s lies 5 ms from either neighbour
+        truth, imu = scenario
+        states = self.epoch_states(truth, (0, 100, 200), times=[0.0, 1.005, 2.0])
+        with pytest.raises(ValueError, match=r"of the epoch at t=1\.005$"):
+            observability_matrix(states, imu, LeverArm(np.zeros(3)), m=2, earth=earth)
+
+    @pytest.mark.parametrize("conv", [LEFT, RIGHT], ids=["LEFT", "RIGHT"])
+    def test_samples_before_the_anchor_are_not_read(self, earth, scenario, conv):
+        # the same epochs on a stream from the anchor and on one starting 0.5 s early
+        truth, imu = scenario
+        states = self.epoch_states(truth, (100, 150, 200), conv)
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        want = observability_matrix(states, imu[100:201], lever, m=2, earth=earth)
+        got = observability_matrix(states, imu[50:201], lever, m=2, earth=earth)
+        assert got.matrix.shape == (9, 15)
+        np.testing.assert_array_equal(got.matrix, want.matrix)
+
+    @pytest.mark.parametrize("ks", [(0, 200, 100), (0, 100, 100)])
+    def test_epochs_not_increasing_raise(self, earth, scenario, ks):
+        truth, imu = scenario
+        states = self.epoch_states(truth, ks)
+        with pytest.raises(NonMonotonicTime, match="epoch stream not increasing at t=1.0"):
+            observability_matrix(states, imu, LeverArm(np.zeros(3)), m=2, earth=earth)
+
+    @pytest.mark.parametrize("svd_cutoff", [0.0, -1.0, 1.0, 2.0, float("nan")])
+    def test_svd_cutoff_outside_unit_interval_rejected(self, earth, scenario, svd_cutoff):
+        truth, imu = scenario
+        states = self.epoch_states(truth, (0, 100))
+        with pytest.raises(ValueError, match="svd_cutoff"):
+            observability_matrix(states, imu, LeverArm(np.zeros(3)), m=1, earth=earth,
+                                 svd_cutoff=svd_cutoff)
+
+    @pytest.mark.parametrize("conv", [LEFT, RIGHT], ids=["LEFT", "RIGHT"])
+    def test_heave_matrix_is_the_product_of_public_transitions(self, earth, monkeypatch, conv):
+        """The heave scenario's matrix, bit for bit, is ``H_l`` times the
+        product of the public per-interval transitions from the anchor's
+        sample to epoch l's, each at the state of the epoch before it."""
+        import eqnav.verify as verify
+
+        calls = []
+
+        def spy(states, imu, lever, m, earth, svd_cutoff):
+            calls.append((states, imu, lever, m))
+            return observability_matrix(states, imu, lever, m, earth, svd_cutoff)
+
+        monkeypatch.setattr(verify, "observability_matrix", spy)
+        rep, _ = heave_observability(earth, conv)
+        (states, imu, lever, m), = calls
+        at = [s.t for s in imu].index  # every heave epoch is a sample time
+        rows, phi_cum = [h_matrix(conv, states[0].x, lever)], np.eye(15)
+        for start, state in zip(states[:m], states[1 : m + 1]):
+            for i in range(at(start.t), at(state.t)):
+                dt = imu[i + 1].t - imu[i].t
+                phi = (phi_left(imu[i], dt) if conv is LEFT
+                       else phi_right(start.x, imu[i], earth, dt))
+                phi_cum = phi.matrix @ phi_cum
+            rows.append(h_matrix(conv, state.x, lever) @ phi_cum)
+        want = np.vstack(rows)
+        assert rep.matrix.shape == want.shape == (33, 15)
+        assert rep.matrix.tobytes() == want.tobytes()
+
     def test_heave_rank_deficiency_left(self, earth):
         rep, angle = heave_observability(earth, LEFT)
         assert rep.rank == 14

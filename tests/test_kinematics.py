@@ -546,6 +546,11 @@ class TestIntegrateImu:
         with pytest.raises(ValueError):
             integrate_imu(x, [imu], earth)
 
+    def test_empty_stream_rejected(self, earth):
+        x = builder_state(earth, FrameTag.ECEF_IB)
+        with pytest.raises(ValueError, match="empty stream"):
+            integrate_imu(x, [], earth)
+
     @pytest.mark.filterwarnings("error")
     def test_names_the_fault_a_loop_of_midpoint_steps_meets(self, earth):
         """A 20-sample constant-turn stream at 200 Hz with ax = 1e115 at

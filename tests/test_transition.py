@@ -340,47 +340,12 @@ class TestQdMatrix:
         eig = np.linalg.eigvalsh(qd)
         assert eig.min() >= -1e-15 * max(eig.max(), 1e-300)
 
-
-    def test_stack_matches_each_matrix(self, stationary, earth, rng):
-        # a stack of matrices and intervals gives each matrix's noise
-        x, imu = stationary
-        noise = NoiseParams(1e-6, 1e-5, 1e-9, 1e-8)
-        dts = np.array([0.005, 0.01, 0.02])
-        phis = np.array([
-            phi_right(x, ImuSample(0.0, rng.normal(size=3), imu.accel), earth, dt).matrix
-            for dt in dts
-        ])
-        g = g_matrix(Convention.RIGHT_INVARIANT, x)
-        stack = qd_matrix(phis, g, noise, dts)
-        assert stack.shape == (3, 15, 15)
-        for k, dt in enumerate(dts.tolist()):
-            np.testing.assert_array_equal(stack[k], qd_matrix(phis[k], g, noise, dt))
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_rejects_interval_not_positive(self, stationary, dt):
+        x, _ = stationary
+        g = g_matrix(Convention.LEFT_INVARIANT, x)
         with pytest.raises(ValueError, match="dt > 0"):
-            qd_matrix(phis, g, noise, np.array([0.01, 0.0, 0.01]))
-
-
-    def test_stack_of_g_matches_each_matrix(self, stationary, earth, rng):
-        # a stack of matrices with a stack of G, one per interval, gives each
-        # pair's noise
-        x, imu = stationary
-        noise = NoiseParams(1e-6, 1e-5, 1e-9, 1e-8)
-        dts = np.array([0.005, 0.01, 0.02])
-        states = [
-            lg.GroupElement(
-                lg.so3_exp(rng.normal(size=3)), rng.normal(size=3) * 100.0,
-                x.pos + rng.normal(size=3) * 1e3, FrameTag.ECEF_IB,
-            )
-            for _ in dts
-        ]
-        phis = np.array([
-            phi_right(s, ImuSample(0.0, rng.normal(size=3), imu.accel), earth, dt).matrix
-            for s, dt in zip(states, dts)
-        ])
-        gs = np.array([g_matrix(Convention.RIGHT_INVARIANT, s) for s in states])
-        stack = qd_matrix(phis, gs, noise, dts)
-        assert stack.shape == (3, 15, 15)
-        for k, dt in enumerate(dts.tolist()):
-            np.testing.assert_array_equal(stack[k], qd_matrix(phis[k], gs[k], noise, dt))
+            qd_matrix(np.eye(15), g, NoiseParams(1e-6, 1e-5, 1e-9, 1e-8), dt)
 
 
 class TestGammaIntegrals:
