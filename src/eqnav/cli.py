@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errordyn import Convention, LeverArm, NoiseParams
-from .filter import FilterState, GnssFix, _check_slop, _cov_faults, _run, _truth_at
+from .filter import (FilterState, GnssFix, _check_cutoff, _check_slop, _cov_faults, _run,
+                     _truth_at)
 from .kinematics import EarthModel, ImuSample, _StepError
 from .liegroup import FrameTag, GroupElement, _cross, _rotations_ok, _so3_logs, _trusted
 from .sim import _PROFILES, SensorErrorSpec, TrajectorySpec, _gnss_rows, _imu_rows, _truth_rows
@@ -152,8 +153,8 @@ class RunConfig:
         tols = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
                 if f.name.startswith("tol_")}
         for name, tol in tols.items():
-            if not tol >= 0.0:  # also rejects NaN
-                raise ConfigError(f"{name}={tol!r} is not >= 0")
+            if not 0.0 <= tol < math.inf:  # also rejects NaN
+                raise ConfigError(f"{name}={tol!r} is not finite and >= 0")
         return tols
 
 
@@ -499,7 +500,8 @@ def cmd_verify(cfg: RunConfig, out: Path | None) -> int:
     """Run the property suite; nonzero exit on any failed check."""
     with _config_values():
         earth, tolerances = cfg.earth(), cfg.tolerances()
-    results = run_all_checks(earth, tolerances, seed=cfg.seed)
+        _check_cutoff(cfg.svd_cutoff)
+    results = run_all_checks(earth, tolerances, seed=cfg.seed, svd_cutoff=cfg.svd_cutoff)
     report = [
         {
             "check": r.name,

@@ -73,6 +73,8 @@ class NoiseParams:
     accel_bias_psd: float = 0.0  # m^2/s^5
     # diagonal of qc_matrix(), read-only
     qc_diag: NDArray = field(init=False, repr=False, compare=False)
+    # G Qc G^T of the left form's constant G (15x15), read-only
+    gc_left: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = ("gyro_psd", "accel_psd", "gyro_bias_psd", "accel_bias_psd")
@@ -80,8 +82,12 @@ class NoiseParams:
             if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"NoiseParams.{name} must be >= 0")
         q = np.repeat([getattr(self, name) for name in names], 3).astype(float)
-        q.setflags(write=False)
+        with np.errstate(invalid="ignore"):  # an infinite PSD: NaN, which P's checks name
+            gc = (_G_LEFT * q) @ _G_LEFT.T
+        for a in (q, gc):
+            a.setflags(write=False)
         object.__setattr__(self, "qc_diag", q)
+        object.__setattr__(self, "gc_left", gc)
 
     def qc_matrix(self) -> NDArray:
         """Continuous 12x12 noise covariance, ordered (w_g, w_a, w_bg, w_ba)."""

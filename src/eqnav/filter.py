@@ -20,7 +20,6 @@ from .errordyn import (
     ErrorState15,
     LeverArm,
     NoiseParams,
-    _G_LEFT,
     _error_vector,
     _g_right,
     _retract,
@@ -222,8 +221,9 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
     convention's covariances with them.  The window's transition matrices
     and halves ``H`` of the trapezoidal process noise (see
     :func:`_half_noise`) are then formed at once, from its Gamma blocks
-    and the constant left G (left convention) or its stacked mean
-    trajectory (right), each by the operations a window of one takes, and
+    and the noise's ``G Qc G^T`` of the constant left G (left convention)
+    or its stacked mean trajectory (right), each by the operations a
+    window of one takes, and
     the covariance recursion runs last, one step per epoch with the noise
     folded in, ``Phi (P + H) Phi^T + H`` (``Phi P Phi^T + Qd`` in exact
     arithmetic), checked in one pass with :class:`FilterState`'s
@@ -254,7 +254,7 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
                                                          earth, 3)
             if conv is Convention.LEFT_INVARIANT:
                 phis = _phi_left(f, dt, body, g0)
-                halves = _half_noise(_G_LEFT, noise, dt)
+                halves = _half_noise(None, noise, dt)
             else:
                 bias = _left_bias(f, dt, body, g0)
                 phis = _phi_right(rot, vel, pos, earth, dt, rate[:, 0], bias)
@@ -270,9 +270,11 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
         # Phi P Phi^T + Qd with the trapezoidal Qd = Phi H Phi^T + H folded in
         ps = np.empty((len(dt), 15, 15))
         p = state.p
-        for k, (phi, h) in enumerate(zip(phis, halves)):
-            p = phi @ (p + h) @ phi.T + h
-            p = ps[k] = 0.5 * (p + p.T)
+        for k, (phi, phi_t, h) in enumerate(zip(phis, phis.swapaxes(1, 2), halves)):
+            q = phi @ (p + h) @ phi_t
+            q += h
+            p = np.add(q, q.T, out=ps[k])
+            p *= 0.5
         faults = _p_faults(ps)
     if faults.any():
         k = int((faults > 0).argmax())  # the first rejected
@@ -288,9 +290,10 @@ def _half_noise(g, noise, dt):
     """``H_k = 0.5 dt_k G Qc G^T`` of each epoch, shape (N, 15, 15): half of
     the trapezoidal process noise ``0.5 (Phi Gc Phi^T + Gc) dt``
     (:func:`~eqnav.transition.qd_matrix`), which the covariance step folds
-    in as ``Phi (P + H) Phi^T + H``.  ``g`` is one G (15, 12), the left
-    form's constant, or a stack (N, 15, 12) of one per epoch."""
-    gc = (g * noise.qc_diag) @ g.swapaxes(-1, -2)
+    in as ``Phi (P + H) Phi^T + H``.  ``g`` is a stack (N, 15, 12) of one
+    G per epoch, or None for the left form's constant G, whose
+    ``G Qc G^T`` the noise holds (``noise.gc_left``)."""
+    gc = noise.gc_left if g is None else (g * noise.qc_diag) @ g.swapaxes(-1, -2)
     return gc * (0.5 * dt)[:, None, None]
 
 
@@ -298,6 +301,12 @@ def _check_slop(time_slop: float) -> None:
     """Raise ``ValueError`` naming ``time_slop`` unless it is >= 0."""
     if not time_slop >= 0.0:  # also NaN
         raise ValueError(f"time_slop must be >= 0, got {time_slop!r}")
+
+
+def _check_cutoff(svd_cutoff: float) -> None:
+    """Raise ``ValueError`` naming ``svd_cutoff`` unless it is in (0, 1)."""
+    if not 0.0 < svd_cutoff < 1.0:  # also NaN
+        raise ValueError(f"svd_cutoff={svd_cutoff!r} is not in (0, 1)")
 
 
 def update_gnss(
@@ -452,8 +461,7 @@ def observability_matrix(
         raise ValueError("observability analysis needs m >= 1")
     if len(states) < m + 1:
         raise ValueError(f"need {m + 1} epoch states, got {len(states)}")
-    if not 0.0 < svd_cutoff < 1.0:
-        raise ValueError(f"svd_cutoff={svd_cutoff!r} is not in (0, 1)")
+    _check_cutoff(svd_cutoff)
     earth = earth if earth is not None else EarthModel()
     conv = states[0].convention
     # an inf after the last sample is nearest to no epoch of a stream with a

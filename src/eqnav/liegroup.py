@@ -165,7 +165,7 @@ def _rotation_test(entries, sqrt):
 # decrease with j, so a closed-form c_j only ever follows closed-form c_{j-2}.
 
 _SERIES_BELOW = (0.0, SMALL_ANGLE, 1e-2, 1e-2, 0.5, 0.5)  # indexed by j
-_SERIES_TERMS = 5  # gamma_coefficients unrolls its Horner loop over these
+_SERIES_TERMS = 5  # gamma_coefficients and _gamma_pass unroll their Horner loop over these
 _INV_FACTORIAL = tuple(1.0 / math.factorial(j) for j in range(len(_SERIES_BELOW)))
 # Horner coefficients of each series in theta^2, highest order first.
 _SERIES = tuple(
@@ -296,11 +296,26 @@ def _gamma_pass(phi: NDArray, n: int, scales: tuple[float, ...]):
     powers[:, 0] = _EYE3
     px = powers[:, 1] = _hats(phi)
     np.matmul(px, px, out=powers[:, 2])
-    c = []  # [c_1, ..., c_{n+1}] at s |phi_k|, row by row and scale by scale
+    # [c_1, ..., c_{n+1}] at s |phi_k|, row by row and scale by scale: the
+    # walk of gamma_coefficients(1, n + 1, ...) inline, its two recurrence
+    # chains held in odd (from c_1) and even (from c_0)
+    c = []
+    below, series, inv_fact = _SERIES_BELOW, _SERIES, _INV_FACTORIAL
+    orders = range(1, n + 2)
     for tk2 in t2.tolist():
         thk = math.sqrt(tk2)
         for s in scales:
-            c += gamma_coefficients(1, n + 1, s * s * tk2, s * thk)
+            x2, x = s * s * tk2, s * thk
+            for j in orders:
+                if x < below[j]:
+                    k0, k1, k2, k3, k4 = series[j]  # Horner, highest order first
+                    c.append((((k0 * x2 + k1) * x2 + k2) * x2 + k3) * x2 + k4)
+                elif j & 1:
+                    odd = math.sin(x) / x if j == 1 else (inv_fact[j - 2] - odd) / x2
+                    c.append(odd)
+                else:
+                    even = (1.0 - math.cos(x)) / x2 if j == 2 else (inv_fact[j - 2] - even) / x2
+                    c.append(even)
     c = np.array(c).reshape(rows, len(scales), n + 1, 1, 1)
     s, s2 = _scale_columns(scales)
     # Gamma_m(s phi) = I/m! + (s c_{m+1}) phi^ + (s^2 c_{m+2}) (phi^)^2

@@ -231,9 +231,10 @@ def heave_observability(
     return rep, angle
 
 
-def check_observability(earth: EarthModel, tol_angle: float, seed: int):
+def check_observability(earth: EarthModel, tol_angle: float, seed: int,
+                        svd_cutoff: float = 1e-8):
     del seed  # deterministic scenario
-    rep, angle = heave_observability(earth, Convention.LEFT_INVARIANT)
+    rep, angle = heave_observability(earth, Convention.LEFT_INVARIANT, svd_cutoff=svd_cutoff)
     rank_res = abs(rep.rank - 14)
     return (
         CheckResult("observability_rank_left_deficiency_1", float(rank_res), 0.5),
@@ -241,8 +242,10 @@ def check_observability(earth: EarthModel, tol_angle: float, seed: int):
     )
 
 
-def run_all_checks(earth: EarthModel, tolerances: dict, seed: int = 0) -> list[CheckResult]:
-    """Run the full property suite with the supplied tolerances."""
+def run_all_checks(earth: EarthModel, tolerances: dict, seed: int = 0,
+                   svd_cutoff: float = 1e-8) -> list[CheckResult]:
+    """Run the full property suite with the supplied tolerances; the
+    observability rank uses the relative singular value cutoff ``svd_cutoff``."""
     results = [
         check_group_affine_all(earth, 1000, tolerances["tol_group_affine"], seed),
         check_lift_equivariance(earth, 1000, tolerances["tol_equivariance"], seed + 1),
@@ -254,5 +257,5 @@ def run_all_checks(earth: EarthModel, tolerances: dict, seed: int = 0) -> list[C
     )
     results.append(check_phi_left(earth, tolerances["tol_phi_left"], seed + 3))
     results.append(check_phi_right(earth, tolerances["tol_phi_right"], seed + 4))
-    results.extend(check_observability(earth, tolerances["tol_null_angle"], seed + 5))
+    results.extend(check_observability(earth, tolerances["tol_null_angle"], seed + 5, svd_cutoff))
     return results

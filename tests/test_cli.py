@@ -558,6 +558,8 @@ class TestInvalidInput:
             ("svd_cutoff=0", "observability"),
             ("svd_cutoff=2", "observability"),
             ("tol_phi_left=nan", "verify"),
+            ("tol_phi_left=inf", "verify"),
+            ("svd_cutoff=2", "verify"),
             ("tol_null_angle=-1", "verify"),
         ],
     )
@@ -840,6 +842,19 @@ class TestVerify:
         assert report["passed"] is False
         failing = [c for c in report["checks"] if not c["passed"]]
         assert failing and failing[0]["check"] == "phi_left_vs_rk4"
+
+    @pytest.mark.parametrize("cutoff, code, residual", [(None, 0, 0.0), ("0.5", 1, 12.0)])
+    def test_svd_cutoff_reaches_the_rank_check(self, tmp_path, capsys, cutoff, code, residual):
+        """The configured cutoff sets verify's rank, as it sets observability's:
+        at 0.5 the left heave matrix has rank 2, 12 short of 14."""
+        args = [] if cutoff is None else ["--set", f"svd_cutoff={cutoff}"]
+        assert main(["--out", str(tmp_path)] + args + ["verify"]) == code
+        report = json.loads(capsys.readouterr().out)
+        failing = [c["check"] for c in report["checks"] if not c["passed"]]
+        rank = next(c for c in report["checks"]
+                    if c["check"] == "observability_rank_left_deficiency_1")
+        assert rank["max_residual"] == residual
+        assert failing == ([] if code == 0 else ["observability_rank_left_deficiency_1"])
 
 
 class TestObservabilityCmd:

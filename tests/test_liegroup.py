@@ -291,6 +291,36 @@ def test_gamma_pass_stacked_rows_match_gamma(rng):
         np.testing.assert_array_equal(alone[1][0], powers[k])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma_pass_matches_scalar_coefficients(rng, n):
+    # every block of the stacked pass is I/m! + (s c_{m+1}) phi^ + (s^2 c_{m+2})
+    # (phi^)^2 (without the I for m = 0) from the scalar walk
+    # gamma_coefficients(1, n + 1, s^2 |phi|^2, s |phi|), bit for bit, with
+    # rows at 0, far out and on both sides of every switch of _SERIES_BELOW,
+    # at scale 1 or 1/2
+    thetas = [0.0, 2.0, 3.0] + [
+        scale * switch * side
+        for switch in sorted(set(lg._SERIES_BELOW) - {0.0})
+        for side in (0.99, 1.0 - 1e-9, 1.0 + 1e-9, 1.01)
+        for scale in (1.0, 2.0)
+    ]
+    axes = rng.normal(size=(len(thetas), 3))
+    phi = axes / np.linalg.norm(axes, axis=1)[:, None] * np.array(thetas)[:, None]
+    scales = (1.0, 0.5)
+    blocks = lg._gamma_pass(phi, n, scales)[0]
+    expect = np.empty_like(blocks)
+    for k, row in enumerate(phi):
+        t2 = float(row @ row)
+        px = lg.hat(row)
+        px2 = px @ px
+        for i, s in enumerate(scales):
+            c = lg.gamma_coefficients(1, n + 1, s * s * t2, s * math.sqrt(t2))
+            for m in range(n):
+                block = (s * c[m]) * px + (s * s * c[m + 1]) * px2
+                expect[k, i, m] = block + np.eye(3) / math.factorial(m) if m else block
+    assert blocks.tobytes() == expect.tobytes()
+
+
 def _frame_rule_cases():
     """Each entry point the frame rule guards, as (id, call, tags named):
     ``call(earth, x)`` passes an element ``x`` tagged ``NED_EB`` (at an NED
