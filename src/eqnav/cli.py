@@ -120,12 +120,26 @@ class RunConfig:
             self.gyro_psd, self.accel_psd, self.gyro_bias_psd, self.accel_bias_psd
         )
 
-    def lever(self) -> LeverArm:
-        for name in ("lever_x", "lever_y", "lever_z"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
+    def _finite(self, *names: str) -> np.ndarray:
+        """The values of the keys ``names``, each decided finite."""
+        for name in names:
+            if not math.isfinite(value := getattr(self, name)):
                 raise ConfigError(f"{name}={value!r} is not finite")
-        return LeverArm(np.array([self.lever_x, self.lever_y, self.lever_z]))
+        return np.array([getattr(self, name) for name in names])
+
+    def lever(self) -> LeverArm:
+        return LeverArm(self._finite("lever_x", "lever_y", "lever_z"))
+
+    def sensor_errors(self) -> SensorErrorSpec:
+        bias = self._finite(*(f"sim_{sensor}_bias_{axis}" for sensor in ("gyro", "accel")
+                              for axis in "xyz")).reshape(2, 3)
+        return SensorErrorSpec(bias[0], bias[1], self.gyro_psd, self.accel_psd,
+                               seed=self.rng_seed())
+
+    def rng_seed(self) -> int:
+        if self.seed < 0:  # numpy's generators take none
+            raise ConfigError(f"seed={self.seed!r} is not >= 0")
+        return self.seed
 
     def conv(self) -> Convention:
         if self.convention == "left":
@@ -289,16 +303,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     if not out.is_dir():
         raise ConfigError(f"output directory does not exist: {out}")
     with _config_values():
-        earth = cfg.earth()
-        spec = cfg.trajectory()
+        earth, spec, errors = cfg.earth(), cfg.trajectory(), cfg.sensor_errors()
         _, times, x = _truth_rows(spec, earth)
-        errors = SensorErrorSpec(
-            np.array([cfg.sim_gyro_bias_x, cfg.sim_gyro_bias_y, cfg.sim_gyro_bias_z]),
-            np.array([cfg.sim_accel_bias_x, cfg.sim_accel_bias_y, cfg.sim_accel_bias_z]),
-            cfg.gyro_psd,
-            cfg.accel_psd,
-            seed=cfg.seed,
-        )
         rates = _imu_rows(times, x, spec.imu_rate, errors)
         fix_times, pos, cov = _gnss_rows(times, x, spec.imu_rate, cfg.lever().l_b,
                                          cfg.gnss_rate, cfg.gnss_cov(), cfg.seed + 1)
@@ -499,9 +505,9 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
 def cmd_verify(cfg: RunConfig, out: Path | None) -> int:
     """Run the property suite; nonzero exit on any failed check."""
     with _config_values():
-        earth, tolerances = cfg.earth(), cfg.tolerances()
+        earth, tolerances, seed = cfg.earth(), cfg.tolerances(), cfg.rng_seed()
         _check_cutoff(cfg.svd_cutoff)
-    results = run_all_checks(earth, tolerances, seed=cfg.seed, svd_cutoff=cfg.svd_cutoff)
+    results = run_all_checks(earth, tolerances, seed=seed, svd_cutoff=cfg.svd_cutoff)
     report = [
         {
             "check": r.name,

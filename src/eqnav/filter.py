@@ -350,6 +350,16 @@ def update_gnss(
         rejected, naming the field, or if the NIS of an admitted fix is
         not finite (it overflows), naming it.
     """
+    new, z, nis = _update(state, fix, lever, time_slop)
+    if not math.isfinite(nis):
+        raise ValueError(f"non-finite score of the fix: NIS {nis}")
+    return new, z, nis
+
+
+def _update(state, fix, lever, time_slop):
+    """:func:`update_gnss` but for its NIS decision: the ``(state,
+    innovation, nis)`` of an admitted fix, whose NIS may be non-finite
+    (the caller decides it; :func:`_run` with the NEES)."""
     if not abs(fix.t - state.t) <= time_slop:  # also NaN
         _check_slop(time_slop)
         raise ValueError(
@@ -397,19 +407,7 @@ def update_gnss(
                 a.setflags(write=False)
             x_new = _trusted(GroupElement, rot=rvp[0], vel=rvp[1], pos=rvp[2], frame=x.frame)
             new = _trusted(FilterState, x=x_new, bg=bg, ba=ba, p=p, t=state.t, convention=conv)
-    if not math.isfinite(nis):
-        raise _ScoreFault(f"non-finite score of the fix: NIS {nis}", (new, z, nis))
     return new, z, nis
-
-
-class _ScoreFault(ValueError):
-    """:func:`update_gnss`'s fault for an admitted fix whose NIS is not
-    finite; ``result`` is the ``(state, innovation, nis)`` it would have
-    returned, from which :func:`_run` also scores the NEES it names."""
-
-    def __init__(self, message: str, result: tuple):
-        super().__init__(message)
-        self.result = result
 
 
 @dataclass(frozen=True)
@@ -666,12 +664,13 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
     or the fix's ``(innovation, nis, error, nees)``, the last two ``None``
     without truth.  The first block is the initial state's epoch.
 
-    A fix epoch is checked once: :func:`update_gnss` decides its result
-    (``time_slop``, checked by the callers, is read only if the fix is
-    out of it), and the error against the truth comes straight from
-    :func:`~eqnav.errordyn._error_vector`.  A fix whose NIS or NEES is not
-    finite (an admitted fix can overflow them) raises a ``_StepError``
-    naming the epoch and the scores.
+    A fix epoch is checked once: :func:`_update` decides its result, as
+    :func:`update_gnss` does (``time_slop``, checked by the callers, is
+    read only if the fix is out of it), and the error against the truth
+    comes straight from :func:`~eqnav.errordyn._error_vector`.  A fix
+    whose NIS or NEES is not finite (an admitted fix can overflow them)
+    raises a ``_StepError`` naming the epoch and both scores: the run's
+    one score decision.
     """
     rates, dts = _intervals(imu_times, imu_rates)
     fix_times = np.array([f.t for f in gnss])
@@ -700,10 +699,7 @@ def _run(imu_times, imu_rates, gnss, initial, noise, earth, lever, truth_at, tru
             return state, None
         j = fixes_at[i]
         try:
-            try:
-                state, innovation, nis = update_gnss(state, gnss[j], lever, time_slop)
-            except _ScoreFault as exc:  # named below, with the NEES
-                state, innovation, nis = exc.result
+            state, innovation, nis = _update(state, gnss[j], lever, time_slop)
             error = nees = None
             x_true = truth_at(state.t)
             if x_true is not None:

@@ -26,8 +26,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -631,43 +630,24 @@ def _rotations(rate: NDArray, dt, name: str) -> NDArray:
     return phi
 
 
-# The ECEF earth rate's Gamma blocks at the full and the half step of an
-# interval, keyed by (earth rate, block order, interval length): a stream's
-# lengths repeat (a simulated one has about two), so each is formed once per
-# process.  It holds at most _EARTH_RATE_ROWS entries, the oldest going
-# first, each a row of the read-only pass that formed it.
-_EARTH_RATE: dict[tuple[float, int, float], NDArray] = {}
-_EARTH_RATE_ROWS = 256
-
-
-def _earth_rate(earth, dt, n):
-    """``rate[k]``, the ``[full, half]`` blocks of W2's rate ``-w_ie`` over
-    step k, shape (N, 2, n, 3, 3), each row the bits of a
-    :func:`~eqnav.liegroup._gamma_pass` of ``-omega_vec * dt[k]`` alone at
-    scales 1 and 1/2.  A window of one step, or one whose lengths repeat,
-    reads them from :data:`_EARTH_RATE` and forms the lengths not in it in
-    one stacked pass; a window of several steps whose every length is its
-    own (a jittered stream's, which do not recur) forms them all in one
-    stacked pass and does not keep them."""
-    lengths = dt.tolist()
-    distinct = dict.fromkeys(lengths)
-    if len(lengths) > 1 and len(distinct) == len(lengths):
-        return _gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
-    known = {h: _EARTH_RATE.get((earth.omega_ie, n, h)) for h in distinct}
-    missing = [h for h, blocks in known.items() if blocks is None]
-    if missing:
-        new = _gamma_pass(-earth.omega_vec * np.array(missing)[:, None], n, (1.0, 0.5))[0]
-        new.setflags(write=False)
-        known.update(zip(missing, new))
-        rows = [((earth.omega_ie, n, h), known[h]) for h in missing][-_EARTH_RATE_ROWS:]
-        full = len(_EARTH_RATE) + len(rows) - _EARTH_RATE_ROWS
-        for key in list(islice(_EARTH_RATE, max(full, 0))):  # the oldest
-            _EARTH_RATE.pop(key, None)  # (another thread may have taken it)
-        _EARTH_RATE.update(rows)
-    if len(lengths) == 1:
-        return known[lengths[0]][None]
-    index = {h: k for k, h in enumerate(known)}
-    return np.stack(list(known.values()))[[index[h] for h in lengths]]
+# W2's rate in ECEF is the earth rate at every state, so its Gamma blocks
+# depend on the interval lengths alone, and a window's lengths recur (a
+# simulated window has about two distinct ones).  A jittered stream's every
+# window is a new key: 16 entries of 128 lengths at n = 3 keep under 1 MB.
+@lru_cache(maxsize=16)
+def _earth_rate(omega_ie, n, lengths):
+    """The ``[full, half]`` blocks of W2's rate ``-w_ie`` over each of the
+    interval ``lengths`` (a tuple), shape (len(lengths), 2, n, 3, 3),
+    read-only: one :func:`~eqnav.liegroup._gamma_pass` of
+    ``-omega_vec * lengths`` at scales 1 and 1/2, so each row has the bits
+    of its length's pass alone.  A rotation too large to square raises
+    :class:`_StepError` naming the first such length's index (see
+    :func:`_rotations`)."""
+    w = np.array([0.0, 0.0, omega_ie])  # EarthModel.omega_vec
+    rate = _gamma_pass(_rotations(-w, np.array(lengths)[:, None], "earth rate w_ie"), n,
+                       (1.0, 0.5))[0]
+    rate.setflags(write=False)
+    return rate
 
 
 def _passes(frame, gyro, accel, dt, earth, n):
@@ -678,19 +658,34 @@ def _passes(frame, gyro, accel, dt, earth, n):
     :func:`~eqnav.liegroup._gamma_pass` of the body rotations ``gyro * dt``
     at scales 1 and 1/2 (full and half step); ``rate[k]`` is step k's
     ``[full, half]`` blocks of W2's rate, shape (2, n, 3, 3), for the ECEF
-    variants, where that rate is the earth rate at every state, read from
-    the per-length table of :func:`_earth_rate`, and ``None`` for the NED
-    variants, where it moves with the state; ``dv[k]`` is the body-frame
-    velocity increment ``Gamma_1(s gyro dt) accel s dt`` of the full and
-    half step (s = 1, 1/2), shape (N, 2, 3); ``g0[k]`` is
-    ``Gamma_0(gyro dt)``.  A step whose body rotation is too large to
-    square raises :class:`_StepError` naming it.
+    variants, where that rate is the earth rate at every state, and
+    ``None`` for the NED variants, where it moves with the state; ``dv[k]``
+    is the body-frame velocity increment ``Gamma_1(s gyro dt) accel s dt``
+    of the full and half step (s = 1, 1/2), shape (N, 2, 3); ``g0[k]`` is
+    ``Gamma_0(gyro dt)``.
+
+    The ECEF rate blocks come from :func:`_earth_rate`, a bounded LRU
+    cache keyed by the earth rate, ``n`` and the window's distinct lengths
+    in order of first appearance.  A window whose every length is its own
+    (a window of one, a jittered window) gets the cached read-only array
+    as it is; any other is indexed by each step's length, a new array.  A
+    step whose body rotation, or else whose earth-rate rotation, is too
+    large to square raises :class:`_StepError` naming it (the first such
+    step); the earth rate is decided only where the cache misses.
     """
     dt_col = dt[:, None]
     phi = _rotations(gyro, dt_col, "body rotation gyro")
     body = _gamma_pass(phi, n, (1.0, 0.5))
     if frame in _CONSTANT_RATE:
-        rate = _earth_rate(earth, dt, n)
+        lengths = dt.tolist()
+        distinct = tuple(dict.fromkeys(lengths))  # in order of first appearance
+        try:
+            rate = _earth_rate(earth.omega_ie, n, distinct)
+        except _StepError as exc:  # named at the first step of that length
+            raise _StepError(lengths.index(distinct[exc.index]), str(exc)) from None
+        if len(distinct) < len(lengths):
+            index = {h: k for k, h in enumerate(distinct)}
+            rate = rate[[index[h] for h in lengths]]
     else:
         rate = [None] * len(dt)
     a_dt = accel[:, None, :, None] * (dt_col * _STEPS)[:, :, None, None]
@@ -843,15 +838,16 @@ def _walk(frame, x, gyro, accel, dt, earth, n):
     reckoning costs stepping's time (3999 steps at 200 Hz: about 0.53 s
     stepped against 0.12 s swept, on a 2 vCPU Xeon).
 
-    A failing step (a body rotation too large to square, a gravitation
-    past its range, an NED rate rotation too large to square, a state
-    :class:`GroupElement` rejects) raises :class:`_StepError` naming its
-    index and nothing more; stepping names every fault, a failing swept
-    window's included, which is stepped once more.  The body rotations of
-    every step are decided before the first is walked, so a later step's
-    can be named before an earlier step's walk fails: a caller that names
-    the fault a loop of :func:`midpoint_step` meets, or needs the steps
-    before the failing one k, walks the first k steps again (see
+    A failing step (a body or earth-rate rotation too large to square, a
+    gravitation past its range, an NED rate rotation too large to square,
+    a state :class:`GroupElement` rejects) raises :class:`_StepError`
+    naming its index and nothing more; stepping names every fault, a
+    failing swept window's included, which is stepped once more.  The body
+    and earth-rate rotations of every step are decided before the first
+    is walked (:func:`_passes`), so a later step's can be named before an
+    earlier step's walk fails: a caller that names the fault a loop of
+    :func:`midpoint_step` meets, or needs the steps before the failing
+    one k, walks the first k steps again (see
     :func:`_dead_reckoned`, :func:`~eqnav.filter._propagate`).
     ``x.frame`` other than ``frame`` raises :class:`FrameMismatch`.
     Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:

@@ -38,8 +38,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .filter import _COV_FAULTS, GnssFix, _cov_faults
-from .kinematics import (EarthModel, ImuSample, _gravitation, _imu_record, _Records,
-                         _state_record)
+from .kinematics import (EarthModel, ImuSample, _gravitation, _imu_record, _norm_cube,
+                         _Records, _state_record)
 from .liegroup import FrameTag, GroupElement, _cross, _frozen, _rotations_ok, _trusted, hat
 
 __all__ = [
@@ -141,13 +141,22 @@ class _Profile:
         lat = math.radians(spec.lat_deg)
         lon = math.radians(spec.lon_deg)
         self.r0 = earth.geodetic_to_ecef(lat, lon, spec.height)
-        # the gravitation divides by |r0|^3
-        if not math.sqrt(self.r0 @ self.r0) ** 3 > 0.0:
+        # the gravitation divides by |r0|^3 (past its range, _norm_cube names it)
+        cube = _norm_cube(self.r0)
+        if not cube > 0.0:
             raise ValueError(
                 f"TrajectorySpec.height={spec.height!r} puts the origin at the earth's centre"
             )
         self.c_ne = earth.ned_rotation(lat, lon)
-        self.w_e = earth.omega_vec
+        w = self.w_e = earth.omega_vec
+        # the specific force's earth terms at the origin, decided before a
+        # constant that overflows them warns on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = {"mu": -earth.mu * self.r0 / cube, "omega_ie": _cross(w, _cross(w, self.r0))}
+        for name, term in terms.items():
+            if not np.isfinite(term).all():
+                raise ValueError(f"EarthModel.{name}={getattr(earth, name)!r} overflows the "
+                                 "specific force at the origin")
 
     def _path(self, t: NDArray) -> tuple[NDArray, ...]:
         """p, dp, ddp (N, 3) in NED and heading psi, heading rate dpsi (N,)."""

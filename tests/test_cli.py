@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -61,6 +62,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(None, ["also_nonsense=2"])
 
+    @pytest.mark.parametrize("item, message", [
+        ("seed=abc", "invalid value for seed: 'abc'"),
+        ("foo", "--set expects key=value, got 'foo'"),
+    ])
+    def test_malformed_override_rejected(self, item, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(None, [item])
+
     def test_malformed_line_cites_location(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed=1\nbroken line\n")
@@ -94,6 +103,17 @@ class TestSimulate:
                 + ["simulate"]
             )
             assert code == 0
+        for name in ("imu.csv", "gnss.csv", "truth.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_scenario_flag_overrides_config(self, tmp_path):
+        """``--scenario`` wins over the configured scenario, as ``--set`` would."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        args = sum([["--set", o] for o in fast_overrides(duration=2)], [])
+        assert main(["--out", str(a)] + args + ["--scenario", "static", "simulate"]) == 0
+        assert main(["--out", str(b)] + args + ["--set", "scenario=static", "simulate"]) == 0
         for name in ("imu.csv", "gnss.csv", "truth.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -561,6 +581,7 @@ class TestInvalidInput:
             ("tol_phi_left=inf", "verify"),
             ("svd_cutoff=2", "verify"),
             ("tol_null_angle=-1", "verify"),
+            ("seed=-5", "verify"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):
@@ -571,6 +592,47 @@ class TestInvalidInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting.split("=")[0] in err
+
+    @pytest.mark.parametrize("args, key", [
+        pytest.param(["--seed", "-5"], "seed", id="--seed=-5"),
+        *[pytest.param(["--set", f"{key}=nan"], key, id=f"{key}=nan")
+          for key in (f"sim_{sensor}_bias_{axis}" for sensor in ("gyro", "accel") for axis in "xyz")],
+        pytest.param(["--set", "mu=inf"], "EarthModel.mu", id="mu=inf"),
+        pytest.param(["--set", "mu=1e308"], "EarthModel.mu", id="mu=1e308"),
+        pytest.param(["--set", "omega_ie=1e300"], "EarthModel.omega_ie", id="omega_ie=1e300"),
+        pytest.param(["--set", "height=1e200"], None, id="height=1e200"),
+    ])
+    def test_simulate_value_exits_2_in_one_line(self, tmp_path, capsys, args, key):
+        """A seed, sensor bias or earth constant the synthesis cannot take,
+        or an origin past the gravitation's range, exits 2 in one stderr
+        line naming its key, before any numpy warning, and writes no file."""
+        base = sum([["--set", o] for o in fast_overrides()], [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path)] + base + args + ["simulate"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ") and err.count("\n") == 1
+        if key is None:
+            assert err.endswith(": gravitation at |r| = 1e+200 m overflows\n")
+        else:
+            assert f"{key}=" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("convention", ["left", "right"])
+    def test_earth_rate_overflow_at_run_names_epoch(self, tmp_path, capsys, convention):
+        """An earth rate whose rotation over an IMU interval is too large to
+        square exits 2 in one line naming the first epoch, and no output."""
+        base = ["--out", str(tmp_path)] + sum([["--set", o] for o in fast_overrides()], [])
+        assert main(base + ["simulate"]) == 0
+        code = main(base + ["--set", "omega_ie=1e300", "--convention", convention, "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: filter run on ") and err.count("\n") == 1
+        assert err.endswith(": at epoch t=0.02: earth rate w_ie * dt over the interval "
+                            "overflows\n")
+        assert not (tmp_path / "nav_out.csv").exists()
 
     @pytest.mark.parametrize("setting", ["speed=0", "turn_rate=0"])
     def test_degenerate_figure_eight_exits_2_naming_key(self, tmp_path, capsys, setting):
@@ -699,6 +761,27 @@ class TestStreamChecks:
             (tmp_path / name).write_text("\n".join(lines) + "\n")
             assert main(["--out", str(tmp_path), "run"]) == 2
             assert capsys.readouterr().err == f"error: {tmp_path / name}:{row + 1}: {message}\n"
+
+    def test_header_and_blank_lines(self, short_streams, tmp_path, capsys):
+        """A wrong header is named at line 1; blank lines are skipped, and the
+        rows after them keep their file line numbers in messages."""
+        for stream, text in short_streams.items():
+            (tmp_path / stream).write_text(text)
+        lines = short_streams["gnss.csv"].splitlines()
+        (tmp_path / "gnss.csv").write_text("\n".join(["t,x,y,z"] + lines[1:]) + "\n")
+        assert main(["--out", str(tmp_path), "run"]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'gnss.csv'}:1: expected header "
+                                           f"{GNSS_HEADER!r}\n")
+        (tmp_path / "gnss.csv").write_text(short_streams["gnss.csv"])
+        lines = short_streams["imu.csv"].splitlines()
+        cells = lines[4].split(",")
+        cells[5] = "inf"
+        lines[4] = ",".join(cells)
+        lines[2:2] = ["", "   "]  # two blank lines before data row 2: row 4 is on line 7
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        assert main(["--out", str(tmp_path), "run"]) == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'imu.csv'}:7: "
+                                           "ImuSample.accel contains non-finite values\n")
 
     def test_bad_float_mid_row_names_its_line(self, short_streams, tmp_path, capsys):
         # the cells before the bad one parse: none of them may stay in the stream

@@ -1071,7 +1071,7 @@ class TestRun:
                               conv) for conv in (RIGHT, LEFT)]
         lever = LeverArm(np.array([0.5, 0.3, -1.2]))
         frozen, checks, per_update = [0], [0], []
-        copy, faults, update = lg._frozen, flt._p_faults, flt.update_gnss
+        copy, faults, update = lg._frozen, flt._p_faults, flt._update  # update_gnss's core
 
         def counted_frozen(*args):
             frozen[0] += 1
@@ -1090,7 +1090,7 @@ class TestRun:
         for module in (lg, ed, flt):
             monkeypatch.setattr(module, "_frozen", counted_frozen)
         monkeypatch.setattr(flt, "_p_faults", counted_faults)
-        monkeypatch.setattr(flt, "update_gnss", counted_update)
+        monkeypatch.setattr(flt, "_update", counted_update)
         for st in states:
             per_update.clear()
             recs = run(imu[:301], gnss, st, noise, earth, lever, truth=truth.samples,
@@ -1298,6 +1298,16 @@ class TestObservability:
         states = self.epoch_states(truth, ks)
         with pytest.raises(NonMonotonicTime, match="epoch stream not increasing at t=1.0"):
             observability_matrix(states, imu, LeverArm(np.zeros(3)), m=2, earth=earth)
+
+    @pytest.mark.parametrize("m, ks, message", [
+        (0, (0, 100), "observability analysis needs m >= 1"),
+        (2, (0, 100), "need 3 epoch states, got 2"),
+    ])
+    def test_order_and_state_count_rejected(self, earth, scenario, m, ks, message):
+        truth, imu = scenario
+        states = self.epoch_states(truth, ks)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            observability_matrix(states, imu, LeverArm(np.zeros(3)), m=m, earth=earth)
 
     @pytest.mark.parametrize("svd_cutoff", [0.0, -1.0, 1.0, 2.0, float("nan")])
     def test_svd_cutoff_outside_unit_interval_rejected(self, earth, scenario, svd_cutoff):

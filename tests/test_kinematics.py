@@ -1,6 +1,7 @@
 """Kinematic models: dynamics pairs, flow, lift, actions, frame translations."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -313,6 +314,11 @@ class TestFlow:
 
 
 class TestGroupAffine:
+    def test_no_samples_rejected(self, earth, imu):
+        pair = build_dynamics(FrameTag.ECEF_IB, builder_state(earth, FrameTag.ECEF_IB), imu, earth)
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            check_group_affine(pair, 0)
+
     def test_all_variants(self, earth, imu):
         for frame in FrameTag:
             x = builder_state(earth, frame)
@@ -503,6 +509,17 @@ class TestFrameTranslation:
         x = builder_state(earth, FrameTag.ECEF_IB)
         with pytest.raises(lg.FrameMismatch):
             frame_translation(3, x, earth)
+
+    @pytest.mark.parametrize("which, frame, reverse, error, message", [
+        (1, FrameTag.ECEF_EB, False, lg.FrameMismatch, "translation 1 expects an NED-frame state"),
+        (1, FrameTag.NED_EB, True, lg.FrameMismatch,
+         "translation 1 reverse expects an ECEF-frame state"),
+        (4, FrameTag.ECEF_EB, False, ValueError, "which must be 1, 2 or 3"),
+    ])
+    def test_translation_arguments_rejected(self, earth, which, frame, reverse, error, message):
+        x = builder_state(earth, frame)
+        with pytest.raises(error, match=f"^{message}$"):
+            frame_translation(which, x, earth, reverse=reverse)
 
 
 class TestNedEcefConsistency:
@@ -775,13 +792,14 @@ class TestSweeps:
 
 
 def test_earth_rate_rows_one_per_distinct_length(earth, rng, monkeypatch):
-    """The ECEF earth-rate Gamma blocks of a window are formed once per
-    distinct interval length, all of a window's new lengths in one pass
-    apart from the body rotations' pass, which holds the body rows only,
-    and each step's are the row of a pass of ``-omega_vec * dt`` over
-    every step at scales 1 and 1/2, bit for bit: on a simulated stream's
-    window, whose lengths the table then serves, a jittered one (one pass
-    of its 40 lengths, each time) and a window of one."""
+    """The ECEF earth-rate Gamma blocks of a window come from a bounded LRU
+    cache keyed by the window's distinct interval lengths: formed in one
+    pass of those lengths when first read (apart from the body rotations'
+    pass, which holds the body rows only), none when read again, and each
+    step's are the row of a pass of ``-omega_vec * dt`` over every step at
+    scales 1 and 1/2, bit for bit.  On a simulated stream's window (its
+    few lengths indexed per step), a jittered one and a window of one,
+    whose cached arrays are handed on as they are, read-only."""
     passes, gamma_pass = [], kin._gamma_pass
 
     def counted(phi, n, scales):
@@ -789,40 +807,74 @@ def test_earth_rate_rows_one_per_distinct_length(earth, rng, monkeypatch):
         return gamma_pass(phi, n, scales)
 
     monkeypatch.setattr(kin, "_gamma_pass", counted)
-    monkeypatch.setattr(kin, "_EARTH_RATE", {})
+    kin._earth_rate.cache_clear()
     uniform = np.diff(np.arange(kin._WINDOW + 1) / 200.0)
     jittered = rng.uniform(0.004, 0.012, 40)
     distinct = len(set(uniform.tolist()))
-    assert distinct < 10 and len(set(jittered.tolist())) == 40
-    last = np.array(list(dict.fromkeys(uniform.tolist()))[-1:])  # its pass's last row
-    for dt, first, again in ((uniform, [distinct], []), (jittered, [40], [40]), (last, [], [])):
+    assert 1 < distinct < 10 and len(set(jittered.tolist())) == 40
+    one = uniform[-1:]
+    for dt, first in ((uniform, [distinct]), (jittered, [40]), (one, [1])):
         gyro, accel = rng.normal(scale=0.3, size=(2, len(dt), 3))
         for n in (2, 3):
-            for earth_passes in (first, again):
+            want = gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
+            rates = []
+            for earth_passes in (first, []):  # read for the first time, then again
                 passes.clear()
-                rate = kin._passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, n)[1]
-                want = gamma_pass(-earth.omega_vec * dt[:, None], n, (1.0, 0.5))[0]
-                np.testing.assert_array_equal(rate, want)
+                rates.append(kin._passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, n)[1])
+                assert rates[-1].tobytes() == want.tobytes()
                 assert passes == [len(dt)] + earth_passes
+            if dt is uniform:  # indexed per step: a new array each read
+                assert rates[0] is not rates[1]
+            else:  # the cached array itself
+                assert rates[0] is rates[1] and not rates[0].flags.writeable
 
 
-def test_earth_rate_table_bounded(earth, rng, monkeypatch):
-    """A stream of ever new interval lengths keeps the table at its bound,
-    and a length formed again after it was dropped has the same bits."""
-    monkeypatch.setattr(kin, "_EARTH_RATE", {})
-    steps = kin._WINDOW
+def test_earth_rate_table_bounded(earth, rng):
+    """A stream of ever new interval lengths keeps the earth-rate cache at
+    its bound, all it keeps under 1 MB, and a window formed again after it
+    was dropped has the same bits."""
+    kin._earth_rate.cache_clear()
+    info, steps = kin._earth_rate.cache_info, kin._WINDOW
 
-    def window():  # every length twice, so the table keeps them
+    def window():  # every length twice, so each step's rows are indexed
         return np.repeat(rng.uniform(0.004, 0.012, steps // 2), 2)
 
     gyro, accel = rng.normal(scale=0.3, size=(2, steps, 3))
     first = window()
     want = kin._passes(FrameTag.ECEF_IB, gyro, accel, first, earth, 3)[1]
-    table = kin._EARTH_RATE
-    assert set(table) == {(earth.omega_ie, 3, h) for h in first.tolist()}
-    for _ in range(3 * kin._EARTH_RATE_ROWS // steps):
+    for _ in range(3 * info().maxsize):
         kin._passes(FrameTag.ECEF_IB, gyro, accel, window(), earth, 3)
-        assert len(table) <= kin._EARTH_RATE_ROWS
-    assert not {h for _, _, h in table} & set(first.tolist())
+        assert info().currsize <= info().maxsize
+    assert info().currsize == info().maxsize
+    misses = info().misses
     again = kin._passes(FrameTag.ECEF_IB, gyro, accel, first, earth, 3)[1]
-    np.testing.assert_array_equal(again, want)
+    assert info().misses == misses + 1  # dropped, so formed again
+    assert again.tobytes() == want.tobytes()
+    # a jittered stream's every window is a new entry: all kept stay under 1 MB
+    entry = steps * 2 * 3 * 9 * 8  # (steps, full and half, n = 3, 3 x 3) floats
+    assert info().maxsize * entry <= 2**20
+
+
+def test_earth_rate_rotation_overflow_names_first_step(rng):
+    """An earth-rate rotation too large to square is decided by the rule
+    of the body and NED rates: the step is named with the epoch a loop of
+    midpoint steps stops at, the first step of the first such length in a
+    window of several."""
+    earth, zero = EarthModel(omega_ie=1e300), np.zeros(3)
+    message = "earth rate w_ie * dt over the interval overflows"
+    x = builder_state(EarthModel(), FrameTag.ECEF_IB)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kin.midpoint_step(FrameTag.ECEF_IB, x, zero, zero, 0.01, earth)
+    samples = [ImuSample(0.01 * k, zero, zero) for k in range(5)]
+    with pytest.raises(ValueError, match=f"^at epoch t=0.01: {re.escape(message)}$"):
+        integrate_imu(x, samples, earth)
+    # at 1e153 rad/s a 10 s interval overflows and a 0.01 s one does not
+    earth = EarthModel(omega_ie=1e153)
+    samples = [ImuSample(t, zero, zero) for t in (0.0, 0.01, 0.02, 10.02, 10.03, 20.03)]
+    with pytest.raises(ValueError, match=f"^at epoch t=10.02: {re.escape(message)}$"):
+        integrate_imu(x, samples, earth)
+    dt = np.array([0.01, 0.02, 10.0, 0.01, 10.0])
+    gyro, accel = rng.normal(scale=0.3, size=(2, len(dt), 3))
+    with pytest.raises(kin._StepError, match=f"^{re.escape(message)}$") as err:
+        kin._passes(FrameTag.ECEF_IB, gyro, accel, dt, earth, 3)
+    assert err.value.index == 2

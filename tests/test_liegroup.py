@@ -80,6 +80,11 @@ class TestGamma:
         with pytest.raises(ValueError):
             lg.gamma(-1, np.zeros(3))
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_block_count_bounds(self, n):
+        with pytest.raises(ValueError, match=f"^gamma_blocks count must be in 1..4, got {n}$"):
+            lg.gamma_blocks(np.zeros(3), n)
+
     def test_leading_terms_at_zero(self):
         np.testing.assert_array_equal(lg.gamma(2, np.zeros(3)), 0.5 * np.eye(3))
         np.testing.assert_array_equal(lg.gamma(3, np.zeros(3)), np.eye(3) / 6.0)
@@ -387,6 +392,7 @@ def test_is_rotation_decisions(rng):
         bad[1, 2] = value
         assert not lg.is_rotation(bad)
     assert not lg.is_rotation(rot @ np.diag([1.0, 1.0, -1.0]))  # reflection
+    assert not lg.is_rotation(np.eye(4)) and not lg.is_rotation(rot[:2])  # not 3 x 3
     # symmetric traceless stretch: |R'^T R' - I|_F = err to first order, det
     # off by err^2 only, so the orthonormality residual alone decides
     stretch = np.diag([1.0, -1.0, 0.0]) / math.sqrt(2.0)

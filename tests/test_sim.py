@@ -47,6 +47,11 @@ class TestTrajectorySpec:
         with pytest.raises(ValueError, match=rf"TrajectorySpec\.{field}\b"):
             TrajectorySpec(profile=profile, **{field: value})
 
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown profile 'spiral', want one of "
+                           r"\('static', 'constant-turn', 'figure-eight'\)$"):
+            TrajectorySpec(profile="spiral")
+
     @pytest.mark.parametrize(
         "kwargs",
         [

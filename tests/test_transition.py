@@ -347,6 +347,18 @@ class TestQdMatrix:
         with pytest.raises(ValueError, match="dt > 0"):
             qd_matrix(np.eye(15), g, NoiseParams(1e-6, 1e-5, 1e-9, 1e-8), dt)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    @pytest.mark.parametrize("name", ["psi_integrals", "phi_right", "gamma_integrals_check"])
+    def test_interval_functions_reject_interval_not_positive(self, earth, stationary, name, dt):
+        x, imu = stationary
+        calls = {
+            "psi_integrals": lambda: psi_integrals(imu.gyro, imu.accel, dt),
+            "phi_right": lambda: phi_right(x, imu, earth, dt),
+            "gamma_integrals_check": lambda: gamma_integrals_check(imu.gyro, dt),
+        }
+        with pytest.raises(ValueError, match=f"^{name} requires dt > 0$"):
+            calls[name]()
+
 
 class TestGammaIntegrals:
     def test_zero_omega(self):
