@@ -116,9 +116,8 @@ class RunConfig:
         )
 
     def noise(self) -> NoiseParams:
-        return NoiseParams(
-            self.gyro_psd, self.accel_psd, self.gyro_bias_psd, self.accel_bias_psd
-        )
+        return NoiseParams(*self._finite("gyro_psd", "accel_psd", "gyro_bias_psd",
+                                         "accel_bias_psd").tolist())
 
     def _finite(self, *names: str) -> np.ndarray:
         """The values of the keys ``names``, each decided finite."""
@@ -421,6 +420,7 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
     """Run the filter on simulated or ingested CSV streams, from its blocks of arrays."""
     with _config_values():
         earth, noise, lever = cfg.earth(), cfg.noise(), cfg.lever()
+        cfg._finite("omega_ie", "mu")  # run forms no specific force to decide them on
         p0, conv = cfg.initial_cov(), cfg.conv()
         _check_slop(cfg.time_slop)
     imu, gnss, gnss_lines, truth = _load_streams(out)

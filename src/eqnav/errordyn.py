@@ -338,11 +338,10 @@ def h_matrix(conv: Convention, xhat: GroupElement, lever: LeverArm) -> NDArray:
     """
     _resolve_frame(xhat.frame, FrameTag.ECEF_IB)
     h = np.zeros((3, 15))
-    c = xhat.rot
     if conv is Convention.RIGHT_INVARIANT:
-        h[:, 0:3] = -hat(xhat.pos + c @ lever.l_b)
+        h[:, 0:3] = -hat(xhat.pos + xhat.rot.dot(lever.l_b))
         h[:, 6:9] = -np.eye(3)
     else:
-        h[:, 0:3] = -c @ hat(lever.l_b)
-        h[:, 6:9] = c
+        h[:, 0:3] = -xhat.rot.dot(hat(lever.l_b))
+        h[:, 6:9] = xhat.rot
     return h

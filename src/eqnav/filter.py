@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _COND_BOUND = 1e12
+_EYE15 = np.eye(15)
+_EYE15.setflags(write=False)
 _PSD_TOL = 1e-10  # relative to trace(P): the most negative eigenvalue admitted
 
 
@@ -82,11 +84,13 @@ def _cov_faults(cov: NDArray) -> NDArray:
     (N, 3, 3), in one pass: 0 if admitted, else the index in ``_COV_FAULTS``
     of the first check it fails (symmetry, ``|C - C^T| <= 1e-9 max(1, |C|)``
     in the Frobenius norm; every eigenvalue above 0)."""
-    # the norms of C - C^T and C: one dot product per matrix, as np.linalg.norm's
+    # the norms of C - C^T and C: one dot product per matrix, as np.linalg.norm's;
+    # a norm that overflows is decided by the comparisons, not warned of
     v = np.concatenate([cov - cov.swapaxes(1, 2), cov]).reshape(2, len(cov), 1, 9)
-    asym, size = np.sqrt(v @ v.swapaxes(2, 3)).reshape(2, len(cov))
-    return np.where(asym > 1e-9 * np.maximum(1.0, size), 1,
-                    2 * (np.linalg.eigvalsh(cov) <= 0.0).any(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym, size = np.sqrt(v @ v.swapaxes(2, 3)).reshape(2, len(cov))
+        return np.where(asym > 1e-9 * np.maximum(1.0, size), 1,
+                        2 * (np.linalg.eigvalsh(cov) <= 0.0).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -200,8 +204,7 @@ def predict(
 
     gyro, accel = imu.gyro, imu.accel
     if imu_prev is not None:
-        gyro = 0.5 * (imu_prev.gyro + imu.gyro)
-        accel = 0.5 * (imu_prev.accel + imu.accel)
+        gyro, accel = 0.5 * (imu_prev.gyro + gyro), 0.5 * (imu_prev.accel + accel)
     return _propagate(
         state, gyro.reshape(1, 3), accel.reshape(1, 3), [imu.t], np.array([dt]), noise, earth
     )[2]
@@ -267,11 +270,13 @@ def _propagate(state, gyro, accel, times, dt, noise, earth):
                 _propagate(state, gyro[:k], accel[:k], times[:k], dt[:k], noise, earth)
             raise ValueError(f"at epoch t={times[k]}: {exc}") from exc
 
-        # Phi P Phi^T + Qd with the trapezoidal Qd = Phi H Phi^T + H folded in
-        ps = np.empty((len(dt), 15, 15))
-        p = state.p
-        for k, (phi, phi_t, h) in enumerate(zip(phis, phis.swapaxes(1, 2), halves)):
-            q = phi @ (p + h) @ phi_t
+        # Phi P Phi^T + Qd with the trapezoidal Qd = Phi H Phi^T + H folded in;
+        # ndarray.dot is matmul's BLAS call, with its bits, without the
+        # gufunc dispatch
+        ps, p = np.empty((len(dt), 15, 15)), state.p
+        phis_t = np.ascontiguousarray(phis.swapaxes(1, 2))
+        for k, (phi, phi_t, h) in enumerate(zip(phis, phis_t, halves)):
+            q = phi.dot(p + h).dot(phi_t)
             q += h
             p = np.add(q, q.T, out=ps[k])
             p *= 0.5
@@ -341,8 +346,8 @@ def update_gnss(
     Raises
     ------
     SingularInnovationCov
-        If the innovation covariance is not positive definite or its
-        condition exceeds 1e12.
+        If the innovation covariance is not finite (it overflows), is not
+        positive definite, or its condition exceeds 1e12.
     ValueError
         If ``time_slop`` is not >= 0 (NaN included; ``inf`` sets no
         bound), naming it, if the fix time is farther than it from the
@@ -371,17 +376,22 @@ def _update(state, fix, lever, time_slop):
     # the way to one is that fault, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         h = h_matrix(conv, x, lever)
-        z = fix.pos_ecef - (x.pos + x.rot @ lever.l_b)
-        hp = h @ state.p
-        s = hp @ h.T + fix.cov
+        z = fix.pos_ecef - (x.pos + x.rot.dot(lever.l_b))
+        hp = h.dot(state.p)
+        s = hp.dot(h.T) + fix.cov
         s = 0.5 * (s + s.T)
-        lam = np.linalg.eigvalsh(s)
+        try:
+            lam = np.linalg.eigvalsh(s)
+        except np.linalg.LinAlgError:  # no eigenvalues of an S with inf or NaN
+            raise SingularInnovationCov("innovation covariance is not finite") from None
         cond = lam[2] / lam[0] if lam[0] > 0.0 else math.inf
         if not cond <= _COND_BOUND:  # also NaN
             raise SingularInnovationCov(f"innovation covariance condition {cond:.3e}")
 
         sol = np.linalg.solve(s, np.column_stack([hp, z]))
         k = sol[:, :15].T
+        # k is neither C- nor F-contiguous: ndarray.dot would copy it and
+        # take another gemv kernel, with other bits
         dx = k @ z
         bg, ba = state.bg + dx[9:12], state.ba + dx[12:15]
         d = dx.tolist()
@@ -391,10 +401,10 @@ def _update(state, fix, lever, time_slop):
         ok = math.isfinite(sum(d + bg.tolist() + ba.tolist())) and _retractable(d[0:3])
         rvp = _retract(conv, x.rot, x.vel, x.pos, dx) if ok else None
 
-        ikh = np.eye(15) - k @ h
-        p = ikh @ state.p @ ikh.T + k @ fix.cov @ k.T
+        ikh = _EYE15 - k.dot(h)
+        p = ikh.dot(state.p).dot(ikh.T) + k.dot(fix.cov).dot(k.T)
         p = 0.5 * (p + p.T)
-        nis = float(z @ sol[:, 15])
+        nis = float(z.dot(sol[:, 15]))
 
         if rvp is None or not _element_ok(*rvp) or _p_faults(p[None])[0]:
             # built again through the constructors, which name the fault (or
@@ -628,7 +638,7 @@ def _nees(state: FilterState, error: NDArray) -> float:
     ``ValueError``; the NEES of a finite error may still overflow, which
     :func:`_run` decides."""
     try:
-        nees = float(error @ np.linalg.solve(state.p, error))
+        nees = float(error.dot(np.linalg.solve(state.p, error)))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("the covariance FilterState.p is singular, so the NEES is "
                                     f"undefined ({exc})") from exc

@@ -533,16 +533,16 @@ def _flow(rot, vel, pos, dv, w2, dt, g0, w2_blocks):
     ``g0=None`` skips the rotation and returns ``None`` in its place.
     """
     # right factor X exp(W1 dt): W1 has a zero position column
-    vel = rot @ dv + vel
+    vel = rot.dot(dv) + vel
 
     # left factor exp(W2 dt) (...): position advanced by its increment
     dev2, j2 = w2_blocks[0], w2_blocks[1]
-    vel_new = vel + (dev2 @ vel + j2 @ (w2[1] * dt))
-    pos_new = pos + (dev2 @ pos + j2 @ (w2[2] * dt))
+    vel_new = vel + (dev2.dot(vel) + j2.dot(w2[1] * dt))
+    pos_new = pos + (dev2.dot(pos) + j2.dot(w2[2] * dt))
     if g0 is None:
         return None, vel_new, pos_new
-    rot = rot @ g0
-    return rot + dev2 @ rot, vel_new, pos_new
+    rot = rot.dot(g0)
+    return rot + dev2.dot(rot), vel_new, pos_new
 
 
 def flow(x: GroupElement, pair: DynamicsPair, dt: float) -> GroupElement:
@@ -779,8 +779,8 @@ def _swept(frame, x, passes, dt, earth):
     rot = np.empty((steps + 1, 3, 3))
     r = rot[0] = x.rot
     for k, (g, d) in enumerate(zip(g0, dev)):
-        r = r @ g
-        r = rot[k + 1] = r + d @ r
+        r = r.dot(g)
+        r = rot[k + 1] = r + d.dot(r)
     # vectors are columns (..., 3, 1), so each product is one gemv with the
     # bits of the step's; each sweep adds its increments in place
     rdv = rot[:-1, None] @ dv[..., None]  # each step's rot dv, full and half step

@@ -114,9 +114,11 @@ def _rotations_ok(rot: NDArray) -> NDArray:
     """:func:`is_rotation` of each matrix of a stack (N, 3, 3), with its decisions.
 
     The residuals are formed by the same operations, element by element
-    over the stack, so each has the bits of the scalar test.
+    over the stack, so each has the bits of the scalar test.  Entries whose
+    squares overflow fail it without a numpy warning.
     """
-    return _rotation_test(rot.reshape(-1, 9).T, np.sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rotation_test(rot.reshape(-1, 9).T, np.sqrt)
 
 
 # Below this many matrices the scalar rotation test, matrix by matrix,
@@ -526,7 +528,7 @@ def _product(x, y):
     """:func:`compose`'s arithmetic on ``(rot, vel, pos)`` triples of
     arrays, unchecked: ``(Rx Ry, Rx vy + vx, Rx py + px)``."""
     (rx, vx, px), (ry, vy, py) = x, y
-    return rx @ ry, rx @ vy + vx, rx @ py + px
+    return rx.dot(ry), rx.dot(vy) + vx, rx.dot(py) + px
 
 
 def _inverted(rot, vel, pos):
@@ -538,7 +540,7 @@ def _inverted(rot, vel, pos):
     view has the bits of one with the inverse element's rotation.
     """
     rt = rot.T
-    return rt, -(rt @ vel), -(rt @ pos)
+    return rt, -rt.dot(vel), -rt.dot(pos)
 
 
 def se23_exp(xi: Tangent9, frame: FrameTag | None = None) -> GroupElement:
@@ -560,7 +562,7 @@ def _exp(phi, rho_v, rho_r):
     unchecked: ``(Gamma_0(phi), Gamma_1(phi) rho_v, Gamma_1(phi) rho_r)``,
     both blocks from one :func:`gamma_blocks` pass."""
     dev, j = gamma_blocks(phi, 2)
-    return _EYE3 + dev, j @ rho_v, j @ rho_r
+    return _EYE3 + dev, j.dot(rho_v), j.dot(rho_r)
 
 
 def _log(rot, vel, pos):

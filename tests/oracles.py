@@ -4,6 +4,9 @@ Everything here is deliberately brute force (truncated series, dense
 matrix exponentials, Runge-Kutta, composite quadrature, one time at a
 time) and stays independent of the production code paths it checks.  The
 Gamma power series is the one ``eqnav verify`` uses, re-exported from there.
+The matmul forms at the end are the filter's per-epoch and per-fix
+arithmetic written with ``@``, against which its ``ndarray.dot`` forms are
+pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -146,3 +149,64 @@ def profile_sample(spec, earth: EarthModel, t: float):
     omega_b = np.array([0.0, 0.0, dpsi]) + rot.T @ w
     f_b = rot.T @ (dv_ib + np.cross(w, v_ib) - earth.gravitation_ecef(r_eb))
     return rot, v_ib, r_eb, omega_b, f_b
+
+
+# --- The per-epoch and per-fix products written with matmul ---------------
+#
+# The propagation and the GNSS update form their 2-D products with
+# ndarray.dot, which calls the BLAS routine matmul calls; these are the same
+# operations, in the same order, with ``@``.
+
+
+def covariance_recursion(p: np.ndarray, phis: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The covariances (N, 15, 15) of ``P <- Phi (P + H) Phi^T + H``,
+    symmetrized, from ``p`` over each (Phi, H) of the stacks."""
+    out = []
+    for phi, h in zip(phis, halves):
+        q = phi @ (p + h) @ phi.T + h
+        p = 0.5 * (q + q.T)
+        out.append(p)
+    return np.array(out)
+
+
+def rotation_recursion(rot: np.ndarray, g0: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """The rotations (N + 1, 3, 3) of ``R <- R g0_k + dev_k (R g0_k)`` from ``rot``."""
+    out = [rot]
+    for g, d in zip(g0, dev):
+        r = out[-1] @ g
+        out.append(r + d @ r)
+    return np.array(out)
+
+
+def flow_step(rot, vel, pos, dv, w2, dt, g0, w2_blocks):
+    """``kinematics._flow``: the state (rot, vel, pos) advanced by
+    ``X exp(W1 dt)`` (body increment ``dv``, rotation ``g0``) and then
+    ``exp(W2 dt)`` (blocks ``Gamma_0 - I``, ``Gamma_1`` of its rate)."""
+    vel = rot @ dv + vel
+    dev2, j2 = w2_blocks[0], w2_blocks[1]
+    vel_new = vel + (dev2 @ vel + j2 @ (w2[1] * dt))
+    pos_new = pos + (dev2 @ pos + j2 @ (w2[2] * dt))
+    rot = rot @ g0
+    return rot + dev2 @ rot, vel_new, pos_new
+
+
+def gnss_update(right: bool, rot, pos, p, fix_pos, fix_cov, l_b):
+    """A GNSS antenna-position fix at the state (rot, pos) with covariance
+    ``p``: the Jacobian of the right (``right``) or left convention, the
+    innovation z, the gain from one solve against ``[H P | z]``, the Joseph
+    form, symmetrized.  Returns ``(z, dx, P, nis)``."""
+    h = np.zeros((3, 15))
+    if right:
+        h[:, 0:3] = -hat(pos + rot @ l_b)
+        h[:, 6:9] = -np.eye(3)
+    else:
+        h[:, 0:3] = -rot @ hat(l_b)
+        h[:, 6:9] = rot
+    z = fix_pos - (pos + rot @ l_b)
+    hp = h @ p
+    s = hp @ h.T + fix_cov
+    sol = np.linalg.solve(0.5 * (s + s.T), np.column_stack([hp, z]))
+    k = sol[:, :15].T
+    ikh = np.eye(15) - k @ h
+    p = ikh @ p @ ikh.T + k @ fix_cov @ k.T
+    return z, k @ z, 0.5 * (p + p.T), float(z @ sol[:, 15])

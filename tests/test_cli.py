@@ -582,6 +582,12 @@ class TestInvalidInput:
             ("svd_cutoff=2", "verify"),
             ("tol_null_angle=-1", "verify"),
             ("seed=-5", "verify"),
+            ("gyro_psd=inf", "run"),
+            ("accel_psd=inf", "run"),
+            ("gyro_bias_psd=inf", "run"),
+            ("accel_bias_psd=inf", "run"),
+            ("mu=inf", "run"),
+            ("omega_ie=inf", "run"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, setting, command):
@@ -591,7 +597,9 @@ class TestInvalidInput:
         code = main(["--out", str(tmp_path)] + args + ["--set", setting, command])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and setting.split("=")[0] in err
+        # the key as a word: "mu" in "ImuSample" names no key
+        assert err.startswith("error: ") and re.search(rf"\b{re.escape(setting.split('=')[0])}\b",
+                                                      err)
 
     @pytest.mark.parametrize("args, key", [
         pytest.param(["--seed", "-5"], "seed", id="--seed=-5"),
@@ -708,6 +716,23 @@ class TestInvalidInput:
                             "the NEES is undefined (Singular matrix)\n")
         assert not (tmp_path / "nav_out.csv").exists()
 
+    @pytest.mark.parametrize("convention", ["left", "right"])
+    def test_infinite_innovation_covariance_exits_2_naming_it(self, tmp_path, capsys,
+                                                              convention):
+        """A lever arm of 1e300 m overflows the innovation covariance S at
+        the first fix: exit 2 in one line saying S is not finite, not
+        numpy's eigenvalue message, with no numpy warning before it."""
+        base = ["--out", str(tmp_path)] + sum([["--set", o] for o in fast_overrides()], [])
+        assert main(base + ["simulate"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(base + ["--set", "lever_x=1e300", "--convention", convention, "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: filter run on ") and err.count("\n") == 1
+        assert err.endswith(": at epoch t=1.0: innovation covariance is not finite\n")
+        assert not (tmp_path / "nav_out.csv").exists()
+
     def test_first_fix_at_earth_centre_exits_2(self, tmp_path, capsys):
         """Without truth the run levels its start at the first fix; the
         earth's centre has no latitude to level at."""
@@ -782,6 +807,28 @@ class TestStreamChecks:
         assert main(["--out", str(tmp_path), "run"]) == 2
         assert capsys.readouterr().err == (f"error: {tmp_path / 'imu.csv'}:7: "
                                            "ImuSample.accel contains non-finite values\n")
+
+    @pytest.mark.parametrize("name, row, col, message", [
+        ("gnss.csv", 2, 4, ": at epoch t=2.0: innovation covariance condition 6.666e+299\n"),
+        ("truth.csv", 6, 1, "truth.csv:7: GroupElement.rot is not a rotation matrix\n"),
+    ], ids=["gnss-cov", "truth-rot"])
+    def test_cell_whose_squares_overflow_exits_2_in_one_line(self, short_streams, tmp_path,
+                                                             capsys, name, row, col, message):
+        """A covariance or rotation cell of 1e300, whose squares overflow in
+        the stream's checks, is decided by them without a numpy warning:
+        exit 2 in one stderr line."""
+        for stream, text in short_streams.items():
+            (tmp_path / stream).write_text(text)
+        lines = short_streams[name].splitlines()
+        cells = lines[row].split(",")
+        cells[col] = "1e300"
+        lines[row] = ",".join(cells)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(tmp_path), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(message)
 
     def test_bad_float_mid_row_names_its_line(self, short_streams, tmp_path, capsys):
         # the cells before the bad one parse: none of them may stay in the stream

@@ -24,6 +24,7 @@ from eqnav.kinematics import _WINDOW, FrameTag, ImuSample, NonMonotonicTime, _wa
 from eqnav.sim import SensorErrorSpec, TrajectorySpec, generate_truth, synthesize_gnss, synthesize_imu
 from eqnav.transition import phi_left, phi_right, qd_matrix
 from eqnav.verify import heave_observability
+from oracles import covariance_recursion, gnss_update
 
 RIGHT = Convention.RIGHT_INVARIANT
 LEFT = Convention.LEFT_INVARIANT
@@ -373,6 +374,44 @@ class TestPredict:
             want = phi.matrix @ start.state.p @ phi.matrix.T + qd
             assert np.abs(rec.state.p - want).max() <= 1e-15 * np.abs(want).max()
 
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    @pytest.mark.parametrize("epochs", [1, 10, 50])
+    def test_covariance_steps_match_matmul_oracle(self, scenario, earth, monkeypatch, conv,
+                                                  epochs):
+        """The covariances of a window of ``epochs`` epochs have the bits of
+        its steps ``Phi (P + H) Phi^T + H`` written with matmul, over the
+        window's own transition matrices and noise halves."""
+        made = {}
+
+        def spy(name):
+            make = getattr(flt, name)
+
+            def spied(*args):
+                made[name] = out = make(*args)
+                return out
+            monkeypatch.setattr(flt, name, spied)
+
+        for name in ("_phi_left", "_phi_right", "_half_noise"):
+            spy(name)
+        truth, imu = scenario
+        noise = NoiseParams(1e-8, 1e-6, 1e-12, 1e-10)
+        bg, ba = np.array([1e-4, -2e-4, 3e-4]), np.array([0.02, -0.01, 0.03])
+        first = 300
+        stream = imu[first : first + epochs + 1]
+        # a full P, so no product's entries are sums of exact zeros
+        m = np.random.default_rng(4).normal(size=(15, 15)) * 1e-3
+        st = FilterState(truth.samples[first][1], bg, ba, default_p0() + m @ m.T, stream[0].t,
+                         conv)
+        rates = np.array([[0.5 * (a.gyro + b.gyro), 0.5 * (a.accel + b.accel)]
+                          for a, b in zip(stream[:-1], stream[1:])])
+        times = [s.t for s in stream]
+        _, ps, end = flt._propagate(st, rates[:, 0], rates[:, 1], times[1:], np.diff(times),
+                                    noise, earth)
+        phis = made["_phi_left" if conv is LEFT else "_phi_right"]
+        want = covariance_recursion(st.p, phis, made["_half_noise"])
+        assert len(phis) == epochs and ps.tobytes() == want.tobytes()
+        assert end.p.tobytes() == want[-1].tobytes()
+
     def test_time_stays_a_python_float(self, scenario, earth):
         """A sample time given as a numpy float gives the predicted state a
         Python float ``t``, as the constructor's rule does."""
@@ -499,6 +538,33 @@ class TestUpdate:
         p_new = ikh @ p @ ikh.T + k @ cov @ k.T
         np.testing.assert_array_equal(out.p, 0.5 * (p_new + p_new.T))
         assert nis == pytest.approx(z @ np.linalg.solve(s, z), rel=1e-15)
+
+    @pytest.mark.parametrize("conv", [RIGHT, LEFT])
+    def test_update_matches_matmul_oracle(self, scenario, rng, monkeypatch, conv):
+        """A fix at a nonzero lever gives the innovation, correction,
+        covariance and NIS of the same arithmetic written with matmul, bit
+        for bit, and the state retracted by that correction."""
+        retracted, flt_retract = [], flt._retract
+
+        def retract(*args):
+            retracted.append(args[-1])
+            return flt_retract(*args)
+
+        monkeypatch.setattr(flt, "_retract", retract)
+        x0 = scenario[0].samples[0][1]
+        st = FilterState(x0, np.zeros(3), np.zeros(3), default_p0() * 100, 0.0, conv)
+        lever = LeverArm(np.array([0.5, 0.3, -1.2]))
+        cov = np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 3.0]])
+        fix = GnssFix(0.0, x0.pos + x0.rot @ lever.l_b + rng.normal(size=3), cov)
+        out, z, nis = flt._update(st, fix, lever, 1e-6)
+        z_w, dx, p, nis_w = gnss_update(conv is RIGHT, x0.rot, x0.pos, st.p, fix.pos_ecef, cov,
+                                        lever.l_b)
+        assert [a.tobytes() for a in (z, retracted[0], out.bg, out.ba, out.p)] == [
+            a.tobytes() for a in (z_w, dx, dx[9:12], dx[12:15], p)]
+        assert nis == nis_w
+        want = flt_retract(conv, x0.rot, x0.vel, x0.pos, dx)
+        assert [a.tobytes() for a in (out.x.rot, out.x.vel, out.x.pos)] == [
+            a.tobytes() for a in want]
 
     @pytest.mark.parametrize("conv", [RIGHT, LEFT])
     def test_fix_past_float_range_names_correction(self, scenario, conv):

@@ -25,7 +25,8 @@ from eqnav.kinematics import (
     lift,
     velocity_action,
 )
-from oracles import mech_deriv_ecef_eb, mech_deriv_ecef_ib, random_element, rk4_fixed, surface_state
+from oracles import (flow_step, mech_deriv_ecef_eb, mech_deriv_ecef_ib, random_element,
+                     rk4_fixed, rotation_recursion, surface_state)
 
 
 @pytest.fixture
@@ -311,6 +312,25 @@ class TestFlow:
         np.testing.assert_array_equal(got.rot, want.rot)
         np.testing.assert_array_equal(got.vel, want.vel)
         np.testing.assert_array_equal(got.pos, want.pos)
+
+    def test_flow_core_matches_matmul_oracle(self, rng):
+        """The flow core's products have the bits of the same steps written
+        with matmul, on a stored (Fortran-ordered) rotation and on a
+        computed one, with the rotation and without it.  Every term is of
+        order one, so no product's last bits are lost in a sum."""
+        for _ in range(20):
+            x = random_element(rng, vel=1.0, pos=1.0)
+            w2 = tuple(rng.normal(size=(3, 3)))
+            dt, dv = 0.3, rng.normal(size=3)
+            g0 = np.eye(3) + lg.gamma_blocks(rng.normal(size=3), 2)[0]
+            w2_blocks = lg.gamma_blocks(w2[0] * dt, 2)
+            for rot in (x.rot, x.rot @ g0):
+                want = flow_step(rot, x.vel, x.pos, dv, w2, dt, g0, w2_blocks)
+                got = kin._flow(rot, x.vel, x.pos, dv, w2, dt, g0, w2_blocks)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                got = kin._flow(rot, x.vel, x.pos, dv, w2, dt, None, w2_blocks)
+                assert got[0] is None
+                assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
 
 
 class TestGroupAffine:
@@ -690,6 +710,17 @@ class TestSweeps:
         integrate_imu(x, [ImuSample(0.01 * k, imu.gyro, imu.accel) for k in range(5)], earth)
         assert sweeps[:3] == [0, 0, 0]
         assert (sweeps[3] == 0) == (frame is not FrameTag.ECEF_IB)
+
+    @pytest.mark.parametrize("steps", [2, 10, 50])
+    def test_swept_rotations_match_matmul_oracle(self, earth, rng, steps):
+        """A swept window's rotations have the bits of the stepping
+        recursion ``R <- R g0_k + dev_k (R g0_k)`` written with matmul."""
+        x = builder_state(earth, FrameTag.ECEF_IB)
+        gyro = rng.normal(size=(steps, 3)) * 0.3
+        accel = rng.normal(size=(steps, 3)) + [0.0, 0.0, -9.8]
+        dt = rng.uniform(0.004, 0.006, steps)
+        (_, rate, _, g0), (rot, _, _) = kin._walk(FrameTag.ECEF_IB, x, gyro, accel, dt, earth, 2)
+        assert rot.tobytes() == rotation_recursion(x.rot, g0, rate[:, 0, 0]).tobytes()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160, 1e308])
